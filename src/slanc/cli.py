@@ -35,6 +35,7 @@ from .model import (
     MlpKind,
     ModelConfig,
     ModelError,
+    ModelGraph,
     NameMap,
     NormKind,
     Nonlinearity,
@@ -150,6 +151,12 @@ def _load_scale_table(path: str) -> ScaleTable:
         raise UsageError(f"bad scale table {path}: {err}") from err
 
 
+def _require_entries(table: ScaleTable, graph: ModelGraph) -> None:
+    for norm_id in graph.norm_ids:
+        if norm_id not in table.entries:
+            raise UsageError(f"scale table has no entry for norm {norm_id!r}")
+
+
 def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
     if args.inputs is not None:
         try:
@@ -160,6 +167,13 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
         if acts.ndim != 2 or acts.shape[1] != config.d_model:
             raise UsageError(
                 f"activations must be n_tokens x {config.d_model}, got {acts.shape}"
+            )
+        bad = np.argwhere(~np.isfinite(acts))
+        if bad.size:
+            token, element = (int(i) for i in bad[0])
+            raise UsageError(
+                f"activations must be finite: token {token}, element {element} "
+                f"is {acts[token, element]!r}"
             )
         return acts, None
     if args.tokens is None:
@@ -245,6 +259,8 @@ def _cmd_scales(args) -> int:
 def _cmd_audit(args) -> int:
     graph = _load_model(args)
     table = _load_scale_table(args.scales) if args.scales else None
+    if table is not None:
+        _require_entries(table, graph)
     inputs, seed = _token_inputs(args, graph.config)
     policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
     result = forward(graph, inputs, policy, scales=table)
@@ -266,6 +282,7 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     graph = _load_model(args)
     table = _load_scale_table(args.scales)
+    _require_entries(table, graph)
     inputs, seed = _token_inputs(args, graph.config)
     compare_report = report_mod.run_compare(graph, inputs, table, seed=seed)
     sys.stdout.write(compare_report.to_text())

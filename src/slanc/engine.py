@@ -25,7 +25,6 @@ from scipy.special import erf
 
 from . import fp16
 from .fp16 import Fp16Tensor, accumulate_sum_of_squares
-from .linalg import RealVector
 from .model import (
     DecoderWeights,
     MlpKind,
@@ -151,8 +150,8 @@ def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
 
 def norm_forward(
     x: np.ndarray,
-    gamma: RealVector,
-    beta: RealVector | None,
+    gamma: np.ndarray,
+    beta: np.ndarray | None,
     epsilon: float,
     kind: NormKind,
     policy: PrecisionPolicy,
@@ -168,7 +167,7 @@ def norm_forward(
     variance, division and the gain/shift epilogue always run in double.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = gamma.length
+    d = gamma.size
     if x.ndim != 1 or x.size != d:
         raise ValueError(f"expected a length-{d} row, got shape {x.shape}")
     reciprocal = scale.reciprocal if scale is not None else 1.0
@@ -214,9 +213,9 @@ def norm_forward(
     if math.isnan(variance) or variance <= 0.0:
         raise NonPositiveVarianceError(record, variance)
     sigma = math.sqrt(variance)
-    y = (scaled - mean) / sigma * gamma.as_array()
+    y = (scaled - mean) / sigma * gamma
     if kind is NormKind.LAYER_NORM and beta is not None:
-        y = y + beta.as_array()
+        y = y + beta
     return _store(y, policy), record
 
 
@@ -232,9 +231,9 @@ def attention_forward(
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected n_tokens x {d} activations, got {x.shape}")
     n = x.shape[0]
-    q = _store(x @ weights.w_q.as_array(), policy)
-    k = _store(x @ weights.w_k.as_array(), policy)
-    v = _store(x @ weights.w_v.as_array(), policy)
+    q = _store(x @ weights.w_q, policy)
+    k = _store(x @ weights.w_k, policy)
+    v = _store(x @ weights.w_v, policy)
     mask = np.triu_indices(n, k=1)
     heads = []
     for h in range(config.n_heads):
@@ -248,7 +247,7 @@ def attention_forward(
         s = weights_exp / weights_exp.sum(axis=1, keepdims=True)
         s = _store(s, policy)
         heads.append(_store(s @ v[:, cols], policy))
-    return _store(np.hstack(heads) @ weights.p.as_array(), policy)
+    return _store(np.hstack(heads) @ weights.p, policy)
 
 
 def mlp_forward(
@@ -260,14 +259,14 @@ def mlp_forward(
 ) -> np.ndarray:
     """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here."""
     x = np.asarray(x, dtype=np.float64)
-    e = weights.e.as_array()
+    e = weights.e
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
     gate = _store(_nonlinearity(_store(x @ e, policy), nonlinearity), policy)
     if mlp_kind is MlpKind.LLAMA_GATED:
-        up = _store(x @ weights.b.as_array(), policy)
+        up = _store(x @ weights.b, policy)
         gate = _store(gate * up, policy)
-    return _store(gate @ weights.g.as_array(), policy)
+    return _store(gate @ weights.g, policy)
 
 
 # ── the full pass ────────────────────────────────────────────────────────

@@ -1,9 +1,8 @@
-"""Double-precision dense linear algebra for offline scale computation.
+"""Double-precision matrix norms for offline scale computation.
 
-Everything here runs in float64; reduced precision exists only in the
-simulated inference data path.  The matrix products and norms are thin,
-validated wrappers over numpy, except the spectral norm, which is a
-deterministic power iteration so that scale factors reproduce
+Everything here runs in float64 on plain ndarrays; reduced precision
+exists only in the simulated inference data path.  The spectral norm is
+a deterministic power iteration so that scale factors reproduce
 bit-for-bit across runs (dense SVD stays out of the public API and is
 used only as a test oracle).
 """
@@ -20,63 +19,6 @@ import numpy as np
 POWER_ITERATION_SEED = 1729
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class RealMatrix:
-    """Dense row-major float64 matrix with finite entries."""
-
-    rows: int
-    cols: int
-    data: np.ndarray  # flat, length rows * cols
-
-    def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError(f"extents must be positive, got {self.rows}x{self.cols}")
-        data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        object.__setattr__(self, "data", data)
-        if data.size != self.rows * self.cols:
-            raise ValueError(
-                f"data length {data.size} does not match {self.rows}x{self.cols}"
-            )
-        if not np.isfinite(data).all():
-            raise ValueError("matrix entries must be finite")
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "RealMatrix":
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-        return cls(rows=arr.shape[0], cols=arr.shape[1], data=arr.ravel())
-
-    def as_array(self) -> np.ndarray:
-        return self.data.reshape(self.rows, self.cols)
-
-
-@dataclass(frozen=True)
-class RealVector:
-    """Dense float64 vector with finite entries."""
-
-    length: int
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        object.__setattr__(self, "data", data)
-        if data.size != self.length:
-            raise ValueError(f"data length {data.size} does not match {self.length}")
-        if not np.isfinite(data).all():
-            raise ValueError("vector entries must be finite")
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "RealVector":
-        arr = np.asarray(a, dtype=np.float64).ravel()
-        return cls(length=arr.size, data=arr)
-
-    def as_array(self) -> np.ndarray:
-        return self.data
 
 
 @dataclass(frozen=True)
@@ -102,28 +44,18 @@ class ConvergenceError(Exception):
         )
 
 
-def matmul(a: RealMatrix, b: RealMatrix) -> RealMatrix:
-    """Row-major double-precision matrix product."""
-    if a.cols != b.rows:
-        raise ValueError(
-            f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
-        )
-    return RealMatrix.from_array(a.as_array() @ b.as_array())
-
-
-def frobenius_norm(m: RealMatrix) -> float:
+def frobenius_norm(a: np.ndarray) -> float:
     """Square root of the sum of squared entries, in double precision."""
-    a = m.as_array()
     return math.sqrt(float(np.sum(a * a)))
 
 
 def spectral_norm(
-    m: RealMatrix,
+    a: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = POWER_ITERATION_SEED,
 ) -> SpectralNormEstimate:
-    """Largest singular value via power iteration on mᵀm.
+    """Largest singular value via power iteration on aᵀa.
 
     The start vector comes from a generator seeded fresh on every call,
     so repeat calls give identical results.  Stops once the relative
@@ -134,12 +66,11 @@ def spectral_norm(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    a = m.as_array()
     if not a.any():
         return SpectralNormEstimate(value=0.0, iterations=0)
     gram = a.T @ a
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=m.cols)
+    x = rng.uniform(-1.0, 1.0, size=a.shape[1])
     x /= np.linalg.norm(x)
     estimate = 0.0
     previous: float | None = None
@@ -154,31 +85,3 @@ def spectral_norm(
             return SpectralNormEstimate(value=estimate, iterations=iteration)
         previous = estimate
     raise ConvergenceError(best_estimate=estimate, iterations=max_iter, tol=tol)
-
-
-def diag(v: RealVector) -> RealMatrix:
-    """Square matrix with v on the diagonal."""
-    return RealMatrix.from_array(np.diag(v.as_array()))
-
-
-def add(a: RealMatrix, b: RealMatrix) -> RealMatrix:
-    """Elementwise sum; shapes must match."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError(
-            f"shape mismatch: {a.rows}x{a.cols} plus {b.rows}x{b.cols}"
-        )
-    return RealMatrix.from_array(a.as_array() + b.as_array())
-
-
-def identity(d: int) -> RealMatrix:
-    """d-by-d identity."""
-    if d <= 0:
-        raise ValueError(f"dimension must be positive, got {d!r}")
-    return RealMatrix.from_array(np.eye(d))
-
-
-def scale(m: RealMatrix, c: float) -> RealMatrix:
-    """Multiply every entry by the scalar c."""
-    if not math.isfinite(c):
-        raise ValueError(f"scalar must be finite, got {c!r}")
-    return RealMatrix.from_array(m.as_array() * c)

@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from . import safetensors_io
-from .linalg import RealMatrix, RealVector
 
 
 class NormKind(str, Enum):
@@ -48,6 +47,7 @@ class Nonlinearity(str, Enum):
 # Per-layer tensor roles, in canonical (generation and fingerprint) order.
 VECTOR_ROLES = ("gamma1", "beta1", "gamma2", "beta2")
 MATRIX_ROLES = ("w_q", "w_k", "w_v", "p", "e", "b", "g")
+LAYER_ROLES = VECTOR_ROLES + MATRIX_ROLES
 FINAL_ROLES = ("final_gamma", "final_beta")
 
 
@@ -123,22 +123,20 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DecoderWeights:
-    """One decoder layer.  beta* only for LayerNorm; b only for gated MLP."""
+    """One decoder layer of C-contiguous float64 arrays.  beta* only for
+    LayerNorm; b only for gated MLP."""
 
-    gamma1: RealVector
-    gamma2: RealVector
-    w_q: RealMatrix
-    w_k: RealMatrix
-    w_v: RealMatrix
-    p: RealMatrix
-    e: RealMatrix
-    g: RealMatrix
-    beta1: RealVector | None = None
-    beta2: RealVector | None = None
-    b: RealMatrix | None = None
-
-    def role(self, name: str):
-        return getattr(self, name)
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_v: np.ndarray
+    p: np.ndarray
+    e: np.ndarray
+    g: np.ndarray
+    beta1: np.ndarray | None = None
+    beta2: np.ndarray | None = None
+    b: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ class ModelGraph:
 
     config: ModelConfig
     layers: tuple[DecoderWeights, ...]
-    final_gamma: RealVector | None = None
-    final_beta: RealVector | None = None
+    final_gamma: np.ndarray | None = None
+    final_beta: np.ndarray | None = None
 
     @property
     def norm_ids(self) -> list[str]:
@@ -178,19 +176,12 @@ class ModelGraph:
         return digest.hexdigest()
 
     def _canonical_tensors(self):
-        for i, layer in enumerate(self.layers):
-            for role in VECTOR_ROLES:
-                vec = layer.role(role)
-                if vec is not None:
-                    yield f"{i}:{role}:{vec.length}", vec.data
-            for role in MATRIX_ROLES:
-                mat = layer.role(role)
-                if mat is not None:
-                    yield f"{i}:{role}:{mat.rows}x{mat.cols}", mat.data
-        if self.final_gamma is not None:
-            yield f"final:gamma:{self.final_gamma.length}", self.final_gamma.data
-        if self.final_beta is not None:
-            yield f"final:beta:{self.final_beta.length}", self.final_beta.data
+        tagged = [(f"{i}:{role}", getattr(layer, role))
+                  for i, layer in enumerate(self.layers) for role in LAYER_ROLES]
+        tagged += [("final:gamma", self.final_gamma), ("final:beta", self.final_beta)]
+        for tag, array in tagged:
+            if array is not None:
+                yield f"{tag}:{_dims(array.shape)}", array
 
 
 # ── synthetic generation ─────────────────────────────────────────────────
@@ -252,13 +243,13 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
     layer_norm = config.norm_kind is NormKind.LAYER_NORM
     gated = config.mlp_kind is MlpKind.LLAMA_GATED
 
-    def vec(offset: float) -> RealVector:
+    def vec(offset: float) -> np.ndarray:
         draw = offset + rng.standard_normal(d) * init.std
-        return RealVector.from_array(_representable_in_float32(draw))
+        return _representable_in_float32(draw)
 
-    def mat(rows: int, cols: int, role: str, layer: int) -> RealMatrix:
+    def mat(rows: int, cols: int, role: str, layer: int) -> np.ndarray:
         draw = rng.standard_normal((rows, cols)) * (init.std * init.factor(role, layer))
-        return RealMatrix.from_array(_representable_in_float32(draw))
+        return _representable_in_float32(draw)
 
     layers = []
     for i in range(config.n_layers):
@@ -366,19 +357,14 @@ def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
     nm = name_map or default_name_map()
     out: dict[str, np.ndarray] = {}
     for i, layer in enumerate(graph.layers):
-        for role in VECTOR_ROLES:
-            vec = layer.role(role)
-            if vec is not None:
-                out[nm.tensor_name(role, i)] = vec.as_array()
-        for role in MATRIX_ROLES:
-            mat = layer.role(role)
-            if mat is not None:
-                arr = mat.as_array()
+        for role in LAYER_ROLES:
+            arr = getattr(layer, role)
+            if arr is not None:
                 out[nm.tensor_name(role, i)] = arr.T if role in nm.transpose else arr
     if graph.final_gamma is not None:
-        out[nm.tensor_name("final_gamma")] = graph.final_gamma.as_array()
+        out[nm.tensor_name("final_gamma")] = graph.final_gamma
     if graph.final_beta is not None:
-        out[nm.tensor_name("final_beta")] = graph.final_beta.as_array()
+        out[nm.tensor_name("final_beta")] = graph.final_beta
     return out
 
 
@@ -428,161 +414,106 @@ def load_safetensors(
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
 ) -> ModelGraph:
-    """Load a checkpoint into a validated double-precision graph."""
+    """Load a checkpoint into a validated double-precision graph.
+
+    Each tensor the config needs is checked once, for shape (in storage
+    orientation) and finiteness; errors name the checkpoint tensor.  A
+    tensor the config has no place for is an error too.
+    """
     nm = name_map or default_name_map()
     tensors = safetensors_io.load_tensors(path)
     cfg = config if config is not None else _infer_config(tensors, nm)
-    d, m = cfg.d_model, cfg.mlp_hidden
-    layer_norm = cfg.norm_kind is NormKind.LAYER_NORM
-    gated = cfg.mlp_kind is MlpKind.LLAMA_GATED
-    matrix_shapes = {
-        "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "p": (d, d),
-        "e": (d, m), "b": (d, m), "g": (m, d),
-    }
+    shapes = _role_shapes(cfg)
 
-    def take_vector(role: str, layer: int | None, required: bool) -> RealVector | None:
+    def take(role: str, layer: int | None = None) -> np.ndarray | None:
+        unused = _unused_reason(cfg, role)
+        if unused is not None and role not in nm.roles:
+            return None
         name = nm.tensor_name(role, layer)
         if name not in tensors:
-            if required:
+            if unused is None:
                 raise ModelError(f"missing required tensor {name!r}")
             return None
-        arr = tensors[name]
-        if arr.ndim != 1 or arr.size != d:
-            raise ModelError(
-                f"shape mismatch for {name!r}: expected ({d},), got {arr.shape}"
-            )
-        try:
-            return RealVector.from_array(arr)
-        except ValueError as err:
-            raise ModelError(f"bad tensor {name!r}: {err}") from err
+        if unused is not None:
+            raise ModelError(f"unexpected tensor {name!r}: {unused}")
+        flip = role in nm.transpose
+        stored = tensors[name]
+        problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
+        if problem:
+            raise ModelError(f"bad tensor {name!r}: {problem}")
+        return np.ascontiguousarray(stored.T if flip else stored, dtype=np.float64)
 
-    def take_matrix(role: str, layer: int, required: bool) -> RealMatrix | None:
-        name = nm.tensor_name(role, layer)
-        if name not in tensors:
-            if required:
-                raise ModelError(f"missing required tensor {name!r}")
-            return None
-        arr = tensors[name]
-        if role in nm.transpose:
-            arr = arr.T
-        if arr.ndim != 2 or arr.shape != matrix_shapes[role]:
-            raise ModelError(
-                f"shape mismatch for {name!r}: expected {matrix_shapes[role]} "
-                f"(after transpose handling), got {arr.shape}"
-            )
-        try:
-            return RealMatrix.from_array(arr)
-        except ValueError as err:
-            raise ModelError(f"bad tensor {name!r}: {err}") from err
-
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append(
-            DecoderWeights(
-                gamma1=take_vector("gamma1", i, required=True),
-                beta1=take_vector("beta1", i, required=layer_norm),
-                gamma2=take_vector("gamma2", i, required=True),
-                beta2=take_vector("beta2", i, required=layer_norm),
-                w_q=take_matrix("w_q", i, required=True),
-                w_k=take_matrix("w_k", i, required=True),
-                w_v=take_matrix("w_v", i, required=True),
-                p=take_matrix("p", i, required=True),
-                e=take_matrix("e", i, required=True),
-                b=take_matrix("b", i, required=gated) if gated else None,
-                g=take_matrix("g", i, required=True),
-            )
-        )
-    final_gamma = final_beta = None
-    if cfg.has_final_norm:
-        final_gamma = take_vector("final_gamma", None, required=True)
-        final_beta = take_vector("final_beta", None, required=layer_norm)
-    graph = ModelGraph(
-        config=cfg,
-        layers=tuple(layers),
-        final_gamma=final_gamma,
-        final_beta=final_beta,
+    layers = tuple(
+        DecoderWeights(**{role: take(role, i) for role in LAYER_ROLES})
+        for i in range(cfg.n_layers)
     )
-    problems = validate(graph)
-    if problems:
-        raise ModelError("invalid model: " + "; ".join(problems))
-    return graph
+    return ModelGraph(config=cfg, layers=layers,
+                      final_gamma=take("final_gamma"), final_beta=take("final_beta"))
 
 
 # ── validation ───────────────────────────────────────────────────────────
 
 
-def validate(graph: ModelGraph) -> list[str]:
-    """Check every structural invariant; empty list means valid.
-
-    Re-checks finiteness too: the value types reject non-finite data at
-    construction, but arrays are views and can be mutated afterwards.
-    """
-    cfg = graph.config
+def _role_shapes(cfg: ModelConfig) -> dict:
+    """Role -> expected shape, in the row-vector convention."""
     d, m = cfg.d_model, cfg.mlp_hidden
-    layer_norm = cfg.norm_kind is NormKind.LAYER_NORM
-    gated = cfg.mlp_kind is MlpKind.LLAMA_GATED
+    shapes = {role: (d,) for role in VECTOR_ROLES + FINAL_ROLES}
+    shapes.update({"w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "p": (d, d),
+                   "e": (d, m), "b": (d, m), "g": (m, d)})
+    return shapes
+
+
+def _unused_reason(cfg: ModelConfig, role: str) -> str | None:
+    """Why cfg has no tensor for role; None when it needs one."""
+    if role in FINAL_ROLES and not cfg.has_final_norm:
+        return "post-norm placement must not have a final norm"
+    if "beta" in role and cfg.norm_kind is not NormKind.LAYER_NORM:
+        return "norm kind has no beta"
+    if role == "b" and cfg.mlp_kind is not MlpKind.LLAMA_GATED:
+        return "MLP kind has no b"
+    return None
+
+
+def _dims(shape: tuple) -> str:
+    return "x".join(str(n) for n in shape)
+
+
+def _tensor_problem(array: np.ndarray, shape: tuple) -> str | None:
+    """What makes array unfit for a tensor of this shape; None if nothing."""
+    if array.shape != shape:
+        return f"expected shape {_dims(shape)}, got {_dims(array.shape)}"
+    bad = np.flatnonzero(~np.isfinite(array))
+    if bad.size:
+        first = int(bad[0])
+        return f"non-finite entry at flat index {first} ({float(array.flat[first])!r})"
+    return None
+
+
+def validate(graph: ModelGraph) -> list[str]:
+    """Check every structural invariant of a graph built in memory; an
+    empty list means valid.  load_safetensors checks as it reads."""
+    cfg = graph.config
+    shapes = _role_shapes(cfg)
     problems: list[str] = []
     if len(graph.layers) != cfg.n_layers:
         problems.append(
             f"graph has {len(graph.layers)} layers, config says {cfg.n_layers}"
         )
-    if cfg.has_final_norm and graph.final_gamma is None:
-        problems.append("pre-norm placement requires a final norm gamma")
-    if not cfg.has_final_norm and graph.final_gamma is not None:
-        problems.append("post-norm placement must not have a final norm")
-
-    def check_finite(label: str, data: np.ndarray) -> None:
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            first = int(bad[0])
-            problems.append(
-                f"{label}: non-finite entry at flat index {first} "
-                f"({data.ravel()[first]!r})"
-            )
-
-    matrix_shapes = {
-        "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "p": (d, d),
-        "e": (d, m), "b": (d, m), "g": (m, d),
-    }
-    for i, layer in enumerate(graph.layers):
-        for role in VECTOR_ROLES:
-            vec = layer.role(role)
-            expected = layer_norm or not role.startswith("beta")
-            if vec is None:
-                if expected:
-                    problems.append(f"layer {i}: {role}: missing")
-                continue
-            if not expected:
-                problems.append(f"layer {i}: {role}: present but norm kind has no beta")
-            if vec.length != d:
-                problems.append(
-                    f"layer {i}: {role}: expected length {d}, got {vec.length}"
-                )
-            check_finite(f"layer {i}: {role}", vec.data)
-        for role in MATRIX_ROLES:
-            mat = layer.role(role)
-            expected = gated or role != "b"
-            if mat is None:
-                if expected:
-                    problems.append(f"layer {i}: {role}: missing")
-                continue
-            if not expected:
-                problems.append(f"layer {i}: {role}: present but MLP kind has no b")
-            if (mat.rows, mat.cols) != matrix_shapes[role]:
-                problems.append(
-                    f"layer {i}: {role}: expected shape "
-                    f"{matrix_shapes[role][0]}x{matrix_shapes[role][1]}, "
-                    f"got {mat.rows}x{mat.cols}"
-                )
-            check_finite(f"layer {i}: {role}", mat.data)
-    if graph.final_gamma is not None:
-        if graph.final_gamma.length != d:
-            problems.append(
-                f"final norm gamma: expected length {d}, got {graph.final_gamma.length}"
-            )
-        check_finite("final norm gamma", graph.final_gamma.data)
-        if layer_norm and graph.final_beta is None:
-            problems.append("final norm beta: missing")
+    slots = [(f"layer {i}: {role}", role, getattr(layer, role))
+             for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
+    slots += [("final norm gamma", "final_gamma", graph.final_gamma),
+              ("final norm beta", "final_beta", graph.final_beta)]
+    for label, role, array in slots:
+        unused = _unused_reason(cfg, role)
+        if array is None:
+            if unused is None:
+                problems.append(f"{label}: missing")
+            continue
+        if unused is not None:
+            problems.append(f"{label}: present but {unused}")
+        problem = _tensor_problem(array, shapes[role])
+        if problem:
+            problems.append(f"{label}: {problem}")
     return problems
 
 

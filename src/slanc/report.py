@@ -11,12 +11,13 @@ from the reference.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialization
+from . import fp16, serialization
 from .engine import (
     BUCKET_MIN_EXP,
     FP16_POLICY,
@@ -29,9 +30,6 @@ from .engine import (
 )
 from .model import ModelGraph
 from .scales import ScaleTable
-
-FP16_MAX_FINITE = 65504.0
-FP16_MIN_NORMAL = 2.0**-14
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,8 @@ class AuditReport:
     tokens: int
     seed: int | None
     norms: tuple
-    fp16_max_finite: float = FP16_MAX_FINITE
-    fp16_min_normal: float = FP16_MIN_NORMAL
+    fp16_max_finite: float = fp16.MAX_FINITE
+    fp16_min_normal: float = fp16.MIN_NORMAL
 
     @property
     def total_overflows(self) -> int:
@@ -90,7 +88,7 @@ class AuditReport:
 
     @classmethod
     def from_json_text(cls, text: str) -> "AuditReport":
-        doc = serialization.loads(text)
+        doc = json.loads(text)
         norms = tuple(
             NormAuditSummary(
                 norm_id=str(n["norm_id"]),
@@ -197,7 +195,7 @@ class CompareReport:
 
     @classmethod
     def from_json_text(cls, text: str) -> "CompareReport":
-        doc = serialization.loads(text)
+        doc = json.loads(text)
         rows = tuple(
             CompareRow(
                 mode=str(r["mode"]),

@@ -23,14 +23,15 @@ keyed by the model fingerprint.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import linalg, serialization
-from .linalg import RealMatrix, RealVector
+from . import serialization
+from .linalg import frobenius_norm, spectral_norm
 from .model import MlpKind, ModelGraph, ResidualPlacement
 
 # Scales below binary16 subnormal resolution mean the feeding block
@@ -132,7 +133,7 @@ class ScaleTable:
 
     @classmethod
     def from_json_text(cls, text: str) -> "ScaleTable":
-        doc = serialization.loads(text)
+        doc = json.loads(text)
         try:
             entries = {}
             for row in doc["entries"]:
@@ -153,12 +154,12 @@ class ScaleTable:
 # ── the three closed forms ───────────────────────────────────────────────
 
 
-def _check_dims(gamma: RealVector, pairs: list[tuple[str, RealMatrix, tuple[int, int]]]):
-    for name, mat, (rows, cols) in pairs:
-        if (mat.rows, mat.cols) != (rows, cols):
+def _check_dims(gamma: np.ndarray, pairs: list[tuple[str, np.ndarray, tuple[int, int]]]):
+    for name, mat, shape in pairs:
+        if np.shape(mat) != shape:
             raise ValueError(
-                f"dimension mismatch: {name} is {mat.rows}x{mat.cols}, "
-                f"expected {rows}x{cols} for gamma of length {gamma.length}"
+                f"dimension mismatch: {name} is {np.shape(mat)}, expected {shape} "
+                f"for gamma of length {gamma.size}"
             )
 
 
@@ -168,16 +169,15 @@ def _finish(value: float) -> float:
     return value
 
 
-def scale_standard_mlp(gamma: RealVector, e: RealMatrix, g: RealMatrix) -> float:
+def scale_standard_mlp(gamma: np.ndarray, e: np.ndarray, g: np.ndarray) -> float:
     """||Gamma (E G + I)||_F for a plain two-projection MLP."""
-    d, m = gamma.length, e.cols
+    d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("g", g, (m, d))])
-    inner = linalg.add(linalg.matmul(e, g), linalg.identity(d))
-    return _finish(linalg.frobenius_norm(linalg.matmul(linalg.diag(gamma), inner)))
+    return _finish(frobenius_norm(gamma[:, None] * (e @ g + np.eye(d))))
 
 
 def scale_llama_mlp(
-    gamma: RealVector, e: RealMatrix, b: RealMatrix, g: RealMatrix
+    gamma: np.ndarray, e: np.ndarray, b: np.ndarray, g: np.ndarray
 ) -> float:
     """||Gamma (||Gamma E|| B G + I)||_F for the gated MLP.
 
@@ -186,30 +186,22 @@ def scale_llama_mlp(
     itself bounded by ||Gamma E|| on normalized inputs.  Power-iteration
     non-convergence propagates to the caller.
     """
-    d, m = gamma.length, e.cols
+    d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
-    gate_gain = linalg.spectral_norm(linalg.matmul(linalg.diag(gamma), e)).value
-    inner = linalg.add(
-        linalg.scale(linalg.matmul(b, g), gate_gain), linalg.identity(d)
-    )
-    return _finish(linalg.frobenius_norm(linalg.matmul(linalg.diag(gamma), inner)))
+    gate_gain = spectral_norm(gamma[:, None] * e).value
+    return _finish(frobenius_norm(gamma[:, None] * (gate_gain * (b @ g) + np.eye(d))))
 
 
-def scale_attention(gamma: RealVector, w_v: RealMatrix, p: RealMatrix) -> float:
+def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
     """||Gamma (W_V P + I)||_F for the attention sublayer.
 
     w_v is the fused per-head value projection (d x h*head_dim), p the
     output projection.  Softmax mixing is a convex combination of value
     rows, so it cannot grow the bound and does not appear.
     """
-    d = gamma.length
-    if w_v.rows != d or p.cols != d or w_v.cols != p.rows:
-        raise ValueError(
-            f"dimension mismatch: w_v is {w_v.rows}x{w_v.cols}, p is "
-            f"{p.rows}x{p.cols}, expected d x k and k x d for d={d}"
-        )
-    inner = linalg.add(linalg.matmul(w_v, p), linalg.identity(d))
-    return _finish(linalg.frobenius_norm(linalg.matmul(linalg.diag(gamma), inner)))
+    d, k = gamma.size, np.shape(w_v)[-1]
+    _check_dims(gamma, [("w_v", w_v, (d, k)), ("p", p, (k, d))])
+    return _finish(frobenius_norm(gamma[:, None] * (w_v @ p + np.eye(d))))
 
 
 def adjust_epsilon(epsilon: float, s: float) -> float:
@@ -267,7 +259,7 @@ def compute_scale_table(model: ModelGraph) -> ScaleTable:
     """
     cfg = model.config
     epsilon = cfg.epsilon
-    ones = RealVector.from_array(np.ones(cfg.d_model))
+    ones = np.ones(cfg.d_model)
     entries: dict[str, NormScale] = {}
     for norm_id, layer_index, feeding, gamma, block_layer in _norm_sites(model):
         gamma = gamma if gamma is not None else ones

@@ -1,85 +1,26 @@
 """Deterministic JSON emission and atomic file writes.
 
-All reports and tables print doubles at 17 significant digits so that
-parsing the text recovers the exact bit pattern, and every output file
-is written to a temporary name and renamed into place so readers never
-observe a half-written file.  Non-finite doubles use the Infinity/NaN
-tokens that Python's json parser accepts.
+Reports and tables are plain json.dumps output: Python writes each
+float as its shortest repr, which parses back to the exact bit pattern,
+and non-finite doubles as the Infinity/NaN tokens its parser accepts.
+Every output file is written to a temporary name and renamed into place
+so readers never observe a half-written file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
 
-def format_double(x: float) -> str:
-    """Render a double so that float(token) round-trips bit-exactly."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def dumps(value, indent: int = 2) -> str:
-    """JSON text with 17-significant-digit doubles and stable key order.
+def dumps(value) -> str:
+    """Indented JSON text with a trailing newline.
 
     Dict insertion order is preserved (not sorted): callers construct
     documents in their schema order, which keeps reruns byte-identical.
     """
-    pieces: list[str] = []
-    _emit(value, pieces, indent, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _emit(value, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_double(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}{json.dumps(key)}: ")
-            _emit(item, out, indent, depth + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}}}")
-    elif isinstance(value, (list, tuple)):
-        if not len(value):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _emit(item, out, indent, depth + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def loads(text: str):
-    """Parse JSON produced by dumps (plain json.loads; tokens included)."""
-    return json.loads(text)
+    return json.dumps(value, indent=2) + "\n"
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -26,7 +26,7 @@ from slanc.engine import (
     forward,
     norm_forward,
 )
-from slanc.linalg import RealMatrix, RealVector, spectral_norm
+from slanc.linalg import spectral_norm
 from slanc.model import (
     InitSpec,
     MlpKind,
@@ -105,8 +105,8 @@ def test_criterion_2_scaling_homogeneity():
     pairs = 0
     for d in (8, 64, 4096):
         for kind in (NormKind.RMS_NORM, NormKind.LAYER_NORM):
-            gamma = RealVector.from_array(1.0 + 0.1 * rng.standard_normal(d))
-            beta = (RealVector.from_array(rng.standard_normal(d))
+            gamma = 1.0 + 0.1 * rng.standard_normal(d)
+            beta = (rng.standard_normal(d)
                     if kind is NormKind.LAYER_NORM else None)
             for _ in range(167):
                 x = rng.standard_normal(d) * math.exp(rng.uniform(-6.0, 6.0))
@@ -130,22 +130,17 @@ def test_criterion_2_scaling_homogeneity():
 
 
 def test_criterion_3_scale_formulas_and_spectral_norm():
-    ones = lambda d: RealVector.from_array(np.ones(d))  # noqa: E731
-    mat = lambda a: RealMatrix.from_array(np.asarray(a, dtype=np.float64))  # noqa: E731
-    eye = lambda d: mat(np.eye(d))  # noqa: E731
-    zeros = lambda r, c: mat(np.zeros((r, c)))  # noqa: E731
-
     examples_ok = (
-        scale_standard_mlp(ones(4), zeros(4, 8), zeros(8, 4)) == 2.0
-        and scale_standard_mlp(RealVector.from_array([2.0, 2.0]), eye(2), eye(2))
+        scale_standard_mlp(np.ones(4), np.zeros((4, 8)), np.zeros((8, 4))) == 2.0
+        and scale_standard_mlp(np.array([2.0, 2.0]), np.eye(2), np.eye(2))
         == math.sqrt(32.0)
-        and scale_llama_mlp(ones(2), eye(2), eye(2), eye(2)) == math.sqrt(8.0)
+        and scale_llama_mlp(np.ones(2), np.eye(2), np.eye(2), np.eye(2)) == math.sqrt(8.0)
         and scale_llama_mlp(
-            ones(3), mat(np.random.default_rng(1).standard_normal((3, 5))),
-            zeros(3, 5), zeros(5, 3)
+            np.ones(3), np.random.default_rng(1).standard_normal((3, 5)),
+            np.zeros((3, 5)), np.zeros((5, 3))
         ) == math.sqrt(3.0)
-        and scale_attention(ones(5), zeros(5, 5), zeros(5, 5)) == math.sqrt(5.0)
-        and scale_attention(ones(2), eye(2), eye(2)) == math.sqrt(8.0)
+        and scale_attention(np.ones(5), np.zeros((5, 5)), np.zeros((5, 5))) == math.sqrt(5.0)
+        and scale_attention(np.ones(2), np.eye(2), np.eye(2)) == math.sqrt(8.0)
         and adjust_epsilon(1e-5, 1.0) == 1e-5
         and math.isclose(adjust_epsilon(1e-5, 10.0), 1e-7, rel_tol=1e-15)
         and math.isclose(adjust_epsilon(1e-6, 2.0 * math.sqrt(2.0)), 1.25e-7,
@@ -154,10 +149,10 @@ def test_criterion_3_scale_formulas_and_spectral_norm():
 
     degenerate_ok = True
     for call in (
-        lambda: scale_standard_mlp(ones(2), eye(2), mat(-np.eye(2))),
-        lambda: scale_llama_mlp(RealVector.from_array(np.zeros(2)), eye(2),
-                                eye(2), eye(2)),
-        lambda: scale_attention(ones(2), eye(2), mat(-np.eye(2))),
+        lambda: scale_standard_mlp(np.ones(2), np.eye(2), -np.eye(2)),
+        lambda: scale_llama_mlp(np.zeros(2), np.eye(2),
+                                np.eye(2), np.eye(2)),
+        lambda: scale_attention(np.ones(2), np.eye(2), -np.eye(2)),
     ):
         try:
             call()
@@ -171,7 +166,7 @@ def test_criterion_3_scale_formulas_and_spectral_norm():
         r = int(rng.integers(1, 33))
         c = int(rng.integers(1, 33))
         m = rng.standard_normal((r, c)) * math.exp(rng.uniform(-3.0, 3.0))
-        estimate = spectral_norm(RealMatrix.from_array(m)).value
+        estimate = spectral_norm(m).value
         top = float(np.linalg.svd(m, compute_uv=False)[0])
         worst = max(worst, abs(estimate - top) / top)
     _criterion(

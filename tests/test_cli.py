@@ -8,12 +8,13 @@ MLP sums of squares pass binary16's max finite value for every token.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from slanc import serialization
 from slanc.cli import main
-from slanc.linalg import RealMatrix, RealVector
 from slanc.model import (
     DecoderWeights,
     MlpKind,
@@ -26,6 +27,7 @@ from slanc.model import (
     load_safetensors,
     save_safetensors,
 )
+from slanc.safetensors_io import load_tensors, save_tensors
 from slanc.scales import ScaleTable, compute_scale_table
 
 
@@ -67,7 +69,7 @@ def test_gen_model_writes_config_sidecar(tmp_path):
     assert main(["gen-model", "--d", "32", "--layers", "1", "-o", str(out)]) == 0
     sidecar = tmp_path / "m.config.json"
     assert sidecar.exists()
-    doc = serialization.loads(sidecar.read_text())
+    doc = json.loads(sidecar.read_text())
     assert doc["d_model"] == 32
     assert doc["mlp_hidden"] == 128  # default 4 * d
     assert doc["norm_kind"] == "RMSNorm"
@@ -138,12 +140,12 @@ def test_degenerate_model_exits_2_and_names_the_norm(tmp_path, capsys):
     )
     eye = np.eye(4)
     layer = DecoderWeights(
-        gamma1=RealVector.from_array(np.ones(4)),
-        gamma2=RealVector.from_array(np.ones(4)),
-        w_q=RealMatrix.from_array(eye), w_k=RealMatrix.from_array(eye),
-        w_v=RealMatrix.from_array(np.zeros((4, 4))),
-        p=RealMatrix.from_array(np.zeros((4, 4))),
-        e=RealMatrix.from_array(eye), g=RealMatrix.from_array(-eye),
+        gamma1=np.ones(4),
+        gamma2=np.ones(4),
+        w_q=eye, w_k=eye,
+        w_v=np.zeros((4, 4)),
+        p=np.zeros((4, 4)),
+        e=eye, g=-eye,
     )
     graph = ModelGraph(config=config, layers=(layer,))
     path = tmp_path / "degenerate.safetensors"
@@ -174,7 +176,7 @@ def test_audit_fp16_reports_pinned_overflows(amp, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "32 overflows, 0 underflows over 32 tokens x 2 norms\n"
     )
-    doc = serialization.loads(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["policy"] == "fp16"
     assert doc["tokens"] == 32
     assert doc["seed"] == 3
@@ -200,7 +202,7 @@ def test_audit_with_scales_removes_overflows(amp, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "0 overflows, 0 underflows over 32 tokens x 2 norms\n"
     )
-    doc = serialization.loads(out.read_text())
+    doc = json.loads(out.read_text())
     table = ScaleTable.from_json_text(scales.read_text())
     for norm in doc["norms"]:
         assert norm["scale_applied"] == table.entries[norm["norm_id"]].s
@@ -234,7 +236,7 @@ def test_audit_accepts_npy_inputs(amp, tmp_path, capsys):
     assert main(["audit", str(model), "--inputs", str(acts),
                  "-o", str(out)]) == 0
     capsys.readouterr()
-    doc = serialization.loads(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["tokens"] == 4
     assert doc["seed"] is None
 
@@ -254,6 +256,39 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 1, argv
         assert "slanc:" in capsys.readouterr().err
+
+
+def test_non_finite_values_exit_1_naming_the_culprit(amp, tmp_path, capsys):
+    model, _ = amp
+    acts = np.zeros((4, 256))
+    acts[2, 7] = np.nan
+    np.save(tmp_path / "nan.npy", acts)
+    assert main(["audit", str(model), "--inputs", str(tmp_path / "nan.npy"),
+                 "-o", str(tmp_path / "r.json")]) == 1
+    assert "slanc: error: activations must be finite: token 2, element 7" in (
+        capsys.readouterr().err)
+    pre_ln = tmp_path / "pre.safetensors"
+    assert main(["gen-model", "--d", "32", "--layers", "1", "--norm-kind",
+                 "layernorm", "--placement", "pre-ln", "-o", str(pre_ln)]) == 0
+    tensors = load_tensors(str(pre_ln))
+    tensors["model.norm.bias"][5] = np.nan
+    save_tensors(str(pre_ln), tensors)
+    assert main(["scales", str(pre_ln), "-o", str(tmp_path / "t.json")]) == 1
+    assert "slanc: error: bad tensor 'model.norm.bias': non-finite" in (
+        capsys.readouterr().err)
+
+
+def test_scale_table_missing_a_norm_exits_1_naming_it(amp, tmp_path, capsys):
+    model, scales = amp
+    doc = json.loads(scales.read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["norm_id"] != "layer0.norm2"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    for command in (["audit", "-o", str(tmp_path / "r.json")], ["compare"]):
+        assert main(command[:1] + [str(model), "--tokens", "4", "--scales",
+                                   str(partial)] + command[1:]) == 1
+        assert ("slanc: error: scale table has no entry for norm 'layer0.norm2'"
+                in capsys.readouterr().err)
 
 
 def test_audit_refuses_foreign_scale_table(amp, tmp_path, capsys):
@@ -288,7 +323,7 @@ def test_compare_prints_three_rows_and_writes_json(amp, tmp_path, capsys):
     scaled = lines[4].split()
     assert scaled[0] == "FP16+SLaNC"
     assert float(scaled[1]) < 5e-3 and int(scaled[3]) == 0
-    doc = serialization.loads(out.read_text())
+    doc = json.loads(out.read_text())
     assert [r["mode"] for r in doc["rows"]] == ["FP64", "FP16", "FP16+SLaNC"]
     assert doc["tokens"] == 32
 

@@ -28,7 +28,6 @@ from slanc.engine import (
     mlp_forward,
     norm_forward,
 )
-from slanc.linalg import RealMatrix, RealVector
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -57,10 +56,10 @@ def _config(d=16, layers=2, heads=2, mlp=32,
 
 
 def _layer(rng, d, m, gated=True) -> DecoderWeights:
-    mat = lambda r, c: RealMatrix.from_array(rng.standard_normal((r, c)) * 0.2)  # noqa: E731
+    mat = lambda r, c: rng.standard_normal((r, c)) * 0.2  # noqa: E731
     return DecoderWeights(
-        gamma1=RealVector.from_array(np.ones(d)),
-        gamma2=RealVector.from_array(np.ones(d)),
+        gamma1=np.ones(d),
+        gamma2=np.ones(d),
         w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), p=mat(d, d),
         e=mat(d, m), b=mat(d, m) if gated else None, g=mat(m, d),
     )
@@ -91,7 +90,7 @@ def test_policy_validation_and_constants():
 
 def test_rms_norm_unit_mean_square_is_identity():
     x = np.array([2.0, 0.0, 0.0, 0.0])
-    gamma = RealVector.from_array(np.ones(4))
+    gamma = np.ones(4)
     y, record = norm_forward(x, gamma, None, 1e-300, NormKind.RMS_NORM,
                              REFERENCE_POLICY)
     assert np.array_equal(y, x)
@@ -100,17 +99,17 @@ def test_rms_norm_unit_mean_square_is_identity():
 
 
 def test_layer_norm_constant_vector_returns_beta():
-    gamma = RealVector.from_array(np.full(8, 1.5))
-    beta = RealVector.from_array(np.arange(8.0))
+    gamma = np.full(8, 1.5)
+    beta = np.arange(8.0)
     for c in (0.0, -3.25, 7.0):
         y, _ = norm_forward(np.full(8, c), gamma, beta, 1e-5,
                             NormKind.LAYER_NORM, REFERENCE_POLICY)
-        assert np.array_equal(y, beta.as_array())
+        assert np.array_equal(y, beta)
 
 
 def test_rms_norm_homogeneity_in_inputs_and_epsilon():
     rng = np.random.default_rng(17)
-    gamma = RealVector.from_array(1.0 + 0.1 * rng.standard_normal(32))
+    gamma = 1.0 + 0.1 * rng.standard_normal(32)
     x = rng.standard_normal(32) * 5.0
     a, _ = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, REFERENCE_POLICY)
     b, _ = norm_forward(x / 10.0, gamma, None, 1e-5 / 100.0, NormKind.RMS_NORM,
@@ -121,8 +120,8 @@ def test_rms_norm_homogeneity_in_inputs_and_epsilon():
 def test_scale_entry_homogeneity_both_kinds():
     rng = np.random.default_rng(23)
     for kind in (NormKind.RMS_NORM, NormKind.LAYER_NORM):
-        gamma = RealVector.from_array(1.0 + 0.05 * rng.standard_normal(24))
-        beta = (RealVector.from_array(rng.standard_normal(24))
+        gamma = 1.0 + 0.05 * rng.standard_normal(24)
+        beta = (rng.standard_normal(24)
                 if kind is NormKind.LAYER_NORM else None)
         for _ in range(50):
             x = rng.standard_normal(24) * math.exp(rng.uniform(-4.0, 4.0))
@@ -138,7 +137,7 @@ def test_scale_entry_homogeneity_both_kinds():
 def test_fp16_accumulation_matches_numpy_half_sequence():
     rng = np.random.default_rng(29)
     x = rng.standard_normal(64) * 4.0
-    _, record = norm_forward(x, RealVector.from_array(np.ones(64)), None,
+    _, record = norm_forward(x, np.ones(64), None,
                              1e-5, NormKind.RMS_NORM, FP16_POLICY)
     stored = x.astype(np.float16)
     acc = np.float16(0.0)
@@ -152,7 +151,7 @@ def test_fp16_accumulation_matches_numpy_half_sequence():
 
 def test_fp16_overflow_zeroes_output_and_flags():
     x = np.full(300, 16.0)
-    gamma = RealVector.from_array(np.ones(300))
+    gamma = np.ones(300)
     y, record = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, FP16_POLICY)
     assert record.overflowed
     assert fp16.is_inf(record.fp16_sum)
@@ -161,7 +160,7 @@ def test_fp16_overflow_zeroes_output_and_flags():
 
 def test_fp16_underflow_flags_but_survives():
     x = np.full(128, 1e-4)
-    gamma = RealVector.from_array(np.ones(128))
+    gamma = np.ones(128)
     y, record = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, FP16_POLICY)
     assert record.underflowed_to_zero
     assert not record.overflowed
@@ -173,8 +172,8 @@ def test_fp16_rounding_can_force_non_positive_variance():
     # mean square lands below the exact squared mean; with epsilon tiny
     # the LayerNorm variance goes negative.
     x = np.full(8, 1.0 + 2.0**-10)
-    gamma = RealVector.from_array(np.ones(8))
-    beta = RealVector.from_array(np.zeros(8))
+    gamma = np.ones(8)
+    beta = np.zeros(8)
     with pytest.raises(NonPositiveVarianceError) as info:
         norm_forward(x, gamma, beta, 1e-7, NormKind.LAYER_NORM, FP16_POLICY,
                      norm_id="layer0.norm1", token_index=4)
@@ -184,7 +183,7 @@ def test_fp16_rounding_can_force_non_positive_variance():
 
 
 def test_norm_forward_rejects_bad_shapes():
-    gamma = RealVector.from_array(np.ones(4))
+    gamma = np.ones(4)
     with pytest.raises(ValueError, match="length-4"):
         norm_forward(np.ones(5), gamma, None, 1e-5, NormKind.RMS_NORM,
                      REFERENCE_POLICY)
@@ -199,7 +198,7 @@ def test_single_token_attention_is_value_projection():
     layer = _layer(rng, 6, 12)
     x = rng.standard_normal((1, 6))
     out = attention_forward(x, layer, cfg, REFERENCE_POLICY)
-    expected = (x @ layer.w_v.as_array()) @ layer.p.as_array()
+    expected = (x @ layer.w_v) @ layer.p
     assert np.array_equal(out, expected)
 
 
@@ -209,15 +208,15 @@ def test_softmax_rows_are_causal_convex_weights():
     cfg = _config(d=4, layers=1, heads=1, mlp=8)
     rng = np.random.default_rng(37)
     layer = DecoderWeights(
-        gamma1=RealVector.from_array(np.ones(4)),
-        gamma2=RealVector.from_array(np.ones(4)),
-        w_q=RealMatrix.from_array(rng.standard_normal((4, 4))),
-        w_k=RealMatrix.from_array(rng.standard_normal((4, 4))),
-        w_v=RealMatrix.from_array(np.eye(4)),
-        p=RealMatrix.from_array(np.eye(4)),
-        e=RealMatrix.from_array(np.zeros((4, 8))),
-        b=RealMatrix.from_array(np.zeros((4, 8))),
-        g=RealMatrix.from_array(np.zeros((8, 4))),
+        gamma1=np.ones(4),
+        gamma2=np.ones(4),
+        w_q=rng.standard_normal((4, 4)),
+        w_k=rng.standard_normal((4, 4)),
+        w_v=np.eye(4),
+        p=np.eye(4),
+        e=np.zeros((4, 8)),
+        b=np.zeros((4, 8)),
+        g=np.zeros((8, 4)),
     )
     s = attention_forward(np.eye(4), layer, cfg, REFERENCE_POLICY)
     assert np.all(s >= 0.0)
@@ -232,9 +231,9 @@ def _oracle_attention(x, layer, cfg):
     heads = []
     for h in range(cfg.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        q = x @ layer.w_q.as_array()[:, cols]
-        k = x @ layer.w_k.as_array()[:, cols]
-        v = x @ layer.w_v.as_array()[:, cols]
+        q = x @ layer.w_q[:, cols]
+        k = x @ layer.w_k[:, cols]
+        v = x @ layer.w_v[:, cols]
         scores = q @ k.T / math.sqrt(dh)
         s = np.zeros((n, n))
         for i in range(n):
@@ -242,7 +241,7 @@ def _oracle_attention(x, layer, cfg):
             weights = np.exp(row)
             s[i, : i + 1] = weights / weights.sum()
         heads.append(s @ v)
-    return np.hstack(heads) @ layer.p.as_array()
+    return np.hstack(heads) @ layer.p
 
 
 def test_attention_matches_independent_oracle():
@@ -277,14 +276,14 @@ def test_attention_rejects_bad_shapes():
 
 def test_relu_mlp_kills_all_negative_preactivations():
     layer = DecoderWeights(
-        gamma1=RealVector.from_array(np.ones(2)),
-        gamma2=RealVector.from_array(np.ones(2)),
-        w_q=RealMatrix.from_array(np.eye(2)),
-        w_k=RealMatrix.from_array(np.eye(2)),
-        w_v=RealMatrix.from_array(np.eye(2)),
-        p=RealMatrix.from_array(np.eye(2)),
-        e=RealMatrix.from_array(-np.ones((2, 3))),
-        g=RealMatrix.from_array(np.ones((3, 2))),
+        gamma1=np.ones(2),
+        gamma2=np.ones(2),
+        w_q=np.eye(2),
+        w_k=np.eye(2),
+        w_v=np.eye(2),
+        p=np.eye(2),
+        e=-np.ones((2, 3)),
+        g=np.ones((3, 2)),
     )
     out = mlp_forward(np.ones((2, 2)), layer, MlpKind.STANDARD,
                       Nonlinearity.RELU, REFERENCE_POLICY)
@@ -297,7 +296,7 @@ def test_gated_mlp_with_zero_up_projection_is_zero():
     layer = DecoderWeights(
         gamma1=layer.gamma1, gamma2=layer.gamma2,
         w_q=layer.w_q, w_k=layer.w_k, w_v=layer.w_v, p=layer.p,
-        e=layer.e, b=RealMatrix.from_array(np.zeros((4, 8))), g=layer.g,
+        e=layer.e, b=np.zeros((4, 8)), g=layer.g,
     )
     out = mlp_forward(rng.standard_normal((3, 4)), layer, MlpKind.LLAMA_GATED,
                       Nonlinearity.SILU, REFERENCE_POLICY)
@@ -318,10 +317,10 @@ def _oracle_mlp(x, layer, mlp_kind, nonlinearity):
                 flat_out[i] = v / (1.0 + math.exp(-v))
         return out
 
-    gate = f(x @ layer.e.as_array())
+    gate = f(x @ layer.e)
     if mlp_kind is MlpKind.LLAMA_GATED:
-        gate = gate * (x @ layer.b.as_array())
-    return gate @ layer.g.as_array()
+        gate = gate * (x @ layer.b)
+    return gate @ layer.g
 
 
 def test_mlp_matches_independent_oracle():

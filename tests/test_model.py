@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from slanc import engine
-from slanc.linalg import RealMatrix, RealVector
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -71,15 +70,15 @@ def _graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
              "w_q", "w_k", "w_v", "p", "e", "b", "g")
     for la, lb in zip(a.layers, b.layers):
         for role in roles:
-            ta, tb = la.role(role), lb.role(role)
+            ta, tb = getattr(la, role), getattr(lb, role)
             if (ta is None) != (tb is None):
                 return False
-            if ta is not None and not np.array_equal(ta.data, tb.data):
+            if ta is not None and not np.array_equal(ta, tb):
                 return False
     for fa, fb in ((a.final_gamma, b.final_gamma), (a.final_beta, b.final_beta)):
         if (fa is None) != (fb is None):
             return False
-        if fa is not None and not np.array_equal(fa.data, fb.data):
+        if fa is not None and not np.array_equal(fa, fb):
             return False
     return True
 
@@ -154,8 +153,8 @@ def test_generate_depends_on_seed_and_init():
 
 def test_zero_std_gives_sqrt_d_scales():
     graph = generate_synthetic(_config(d=16, layers=1), InitSpec(std=0.0), seed=1)
-    assert np.array_equal(graph.layers[0].gamma1.data, np.ones(16))
-    assert not graph.layers[0].e.data.any()
+    assert np.array_equal(graph.layers[0].gamma1, np.ones(16))
+    assert not graph.layers[0].e.any()
     table = compute_scale_table(graph)
     assert [entry.s for entry in table.entries.values()] == [4.0, 4.0]
 
@@ -267,6 +266,22 @@ def test_load_missing_tensor_names_it(tmp_path):
         load_safetensors(str(path), config=cfg)
 
 
+def test_load_rejects_tensors_the_config_has_no_place_for(tmp_path):
+    cfg = _config(layers=1, norm_kind=NormKind.LAYER_NORM,
+                  placement=ResidualPlacement.PRE_LN)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=2), str(path))
+    for other, pattern in (
+        (dataclasses.replace(cfg, mlp_kind=MlpKind.STANDARD), "up_proj.*has no b"),
+        (dataclasses.replace(cfg, norm_kind=NormKind.RMS_NORM),
+         "input_layernorm.bias.*has no beta"),
+        (dataclasses.replace(cfg, residual_placement=ResidualPlacement.POST_LN),
+         "model.norm.weight.*must not have a final norm"),
+    ):
+        with pytest.raises(ModelError, match="unexpected tensor.*" + pattern):
+            load_safetensors(str(path), config=other)
+
+
 def test_load_shape_mismatch_names_tensor(tmp_path):
     cfg = _config(layers=1)
     graph = generate_synthetic(cfg, InitSpec(), seed=2)
@@ -274,7 +289,8 @@ def test_load_shape_mismatch_names_tensor(tmp_path):
     tensors["model.layers.0.self_attn.v_proj.weight"] = np.zeros((16, 8))
     path = tmp_path / "badshape.safetensors"
     save_tensors(str(path), tensors)
-    with pytest.raises(ModelError, match="shape mismatch for.*v_proj"):
+    with pytest.raises(ModelError,
+                       match="bad tensor.*v_proj.*expected shape 16x16, got 16x8"):
         load_safetensors(str(path), config=cfg)
 
 
@@ -288,6 +304,18 @@ def test_load_rejects_non_finite_weights(tmp_path):
     save_tensors(str(path), tensors)
     with pytest.raises(ModelError, match="gate_proj"):
         load_safetensors(str(path), config=cfg)
+
+
+def test_loaded_arrays_are_c_contiguous_float64(tmp_path):
+    # Transposed roles are stored flipped; the loader hands out row-major
+    # copies so every product and norm sees the same memory layout.
+    cfg = _config(layers=1)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=2), str(path))
+    layer = load_safetensors(str(path), config=cfg).layers[0]
+    for role in ("gamma1", "w_v", "e", "b", "g"):
+        array = getattr(layer, role)
+        assert array.dtype == np.float64 and array.flags.c_contiguous, role
 
 
 def test_name_map_round_trip_and_default_names():
@@ -306,8 +334,8 @@ def test_tensor_dict_applies_transpose():
     tensors = to_tensor_dict(graph)
     e = graph.layers[0].e
     stored = tensors["model.layers.0.mlp.gate_proj.weight"]
-    assert stored.shape == (e.cols, e.rows)
-    assert np.array_equal(stored.T, e.as_array())
+    assert stored.shape == e.shape[::-1]
+    assert np.array_equal(stored.T, e)
 
 
 # ── validation ───────────────────────────────────────────────────────────
@@ -320,20 +348,35 @@ def test_validate_fresh_graph_is_clean():
 
 def test_validate_reports_nan_with_location():
     graph = generate_synthetic(_config(), InitSpec(), seed=5)
-    graph.layers[0].e.data[5] = math.nan
+    graph.layers[0].e.flat[5] = math.nan
     problems = validate(graph)
     assert any("layer 0: e: non-finite entry at flat index 5" in p for p in problems)
+    layer_norm = generate_synthetic(
+        _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN),
+        InitSpec(), seed=5,
+    )
+    layer_norm.final_beta[3] = math.nan
+    assert validate(layer_norm) == [
+        "final norm beta: non-finite entry at flat index 3 (nan)"
+    ]
 
 
 def test_validate_reports_shape_violation():
     graph = generate_synthetic(_config(d=8, layers=1, heads=1, mlp=16),
                                InitSpec(), seed=5)
     bad_layer = dataclasses.replace(
-        graph.layers[0], w_v=RealMatrix.from_array(np.zeros((8, 4)))
+        graph.layers[0], w_v=np.zeros((8, 4))
     )
     bad = ModelGraph(config=graph.config, layers=(bad_layer,))
     problems = validate(bad)
     assert any("layer 0: w_v: expected shape 8x8, got 8x4" in p for p in problems)
+    layer_norm = generate_synthetic(
+        _config(d=8, layers=1, heads=1, mlp=16, norm_kind=NormKind.LAYER_NORM,
+                placement=ResidualPlacement.PRE_LN),
+        InitSpec(), seed=5,
+    )
+    short_beta = dataclasses.replace(layer_norm, final_beta=np.zeros(7))
+    assert validate(short_beta) == ["final norm beta: expected shape 8, got 7"]
 
 
 def test_validate_reports_missing_and_misplaced_parts():
@@ -347,9 +390,17 @@ def test_validate_reports_missing_and_misplaced_parts():
     stray_final = ModelGraph(
         config=graph.config,
         layers=graph.layers,
-        final_gamma=RealVector.from_array(np.ones(8)),
+        final_gamma=np.ones(8),
     )
     assert any("must not have a final norm" in p for p in validate(stray_final))
+    rms_pre = generate_synthetic(
+        _config(d=8, layers=1, heads=1, mlp=16, placement=ResidualPlacement.PRE_LN),
+        InitSpec(), seed=5,
+    )
+    stray_beta = dataclasses.replace(rms_pre, final_beta=np.zeros(8))
+    assert validate(stray_beta) == [
+        "final norm beta: present but norm kind has no beta"
+    ]
 
 
 def test_config_sidecar_path():
@@ -361,5 +412,5 @@ def test_fingerprint_tracks_weight_bytes():
     graph = generate_synthetic(_config(), InitSpec(), seed=5)
     before = graph.fingerprint()
     assert before == graph.fingerprint()
-    graph.layers[0].g.data[0] += 1.0
+    graph.layers[0].g[0, 0] += 1.0
     assert graph.fingerprint() != before

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from slanc.linalg import RealMatrix, RealVector, spectral_norm
+from slanc.linalg import spectral_norm
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -39,97 +39,81 @@ from slanc.scales import (
 )
 
 
-def _ones(d: int) -> RealVector:
-    return RealVector.from_array(np.ones(d))
-
-
-def _mat(a) -> RealMatrix:
-    return RealMatrix.from_array(np.asarray(a, dtype=np.float64))
-
-
-def _eye(d: int) -> RealMatrix:
-    return _mat(np.eye(d))
-
-
-def _zeros(rows: int, cols: int) -> RealMatrix:
-    return _mat(np.zeros((rows, cols)))
-
-
 # ── the three closed forms ───────────────────────────────────────────────
 
 
 def test_standard_mlp_zero_projections_leave_identity():
-    assert scale_standard_mlp(_ones(4), _zeros(4, 8), _zeros(8, 4)) == 2.0
+    assert scale_standard_mlp(np.ones(4), np.zeros((4, 8)), np.zeros((8, 4))) == 2.0
 
 
 def test_standard_mlp_hand_case():
     # diag(2,2) (I + I) has entries 4 on the diagonal: Frobenius 4*sqrt(2).
-    s = scale_standard_mlp(RealVector.from_array([2.0, 2.0]), _eye(2), _eye(2))
+    s = scale_standard_mlp(np.array([2.0, 2.0]), np.eye(2), np.eye(2))
     assert s == math.sqrt(32.0)
 
 
 def test_standard_mlp_cancellation_is_degenerate():
     with pytest.raises(DegenerateScaleError):
-        scale_standard_mlp(_ones(2), _eye(2), _mat(-np.eye(2)))
+        scale_standard_mlp(np.ones(2), np.eye(2), -np.eye(2))
 
 
 def test_standard_mlp_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        scale_standard_mlp(_ones(2), _zeros(2, 3), _zeros(4, 2))
+        scale_standard_mlp(np.ones(2), np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_llama_mlp_unit_gate_gain():
     # e = I gives spectral factor 1, so the result is ||I + I||_F.
-    s = scale_llama_mlp(_ones(2), _eye(2), _eye(2), _eye(2))
+    s = scale_llama_mlp(np.ones(2), np.eye(2), np.eye(2), np.eye(2))
     assert s == math.sqrt(8.0)
 
 
 def test_llama_mlp_zero_bg_gives_sqrt_d():
     rng = np.random.default_rng(1)
-    e = _mat(rng.standard_normal((3, 5)))
-    assert scale_llama_mlp(_ones(3), e, _zeros(3, 5), _zeros(5, 3)) == math.sqrt(3.0)
+    e = rng.standard_normal((3, 5))
+    assert scale_llama_mlp(np.ones(3), e, np.zeros((3, 5)), np.zeros((5, 3))) == math.sqrt(3.0)
 
 
 def test_llama_mlp_zero_gamma_is_degenerate():
-    gamma = RealVector.from_array(np.zeros(2))
+    gamma = np.zeros(2)
     with pytest.raises(DegenerateScaleError):
-        scale_llama_mlp(gamma, _eye(2), _eye(2), _eye(2))
+        scale_llama_mlp(gamma, np.eye(2), np.eye(2), np.eye(2))
 
 
 def test_llama_mlp_spectral_factor_scales_linearly():
     # Doubling e doubles the gate gain: ||2 B G + I||_F on the identity
     # example is 3*sqrt(2), strictly above the unit-gain 2*sqrt(2).
-    base = scale_llama_mlp(_ones(2), _eye(2), _eye(2), _eye(2))
-    doubled = scale_llama_mlp(_ones(2), _mat(2 * np.eye(2)), _eye(2), _eye(2))
+    base = scale_llama_mlp(np.ones(2), np.eye(2), np.eye(2), np.eye(2))
+    doubled = scale_llama_mlp(np.ones(2), 2 * np.eye(2), np.eye(2), np.eye(2))
     assert math.isclose(doubled, math.sqrt(18.0), rel_tol=1e-12)
     assert doubled > base
-    gain1 = spectral_norm(_mat(np.diag([1.0, 1.0]) @ np.diag([3.0, 2.0]))).value
-    gain2 = spectral_norm(_mat(np.diag([1.0, 1.0]) @ np.diag([6.0, 4.0]))).value
+    gain1 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([3.0, 2.0])).value
+    gain2 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([6.0, 4.0])).value
     assert math.isclose(gain2, 2.0 * gain1, rel_tol=1e-9)
 
 
 def test_attention_zero_projection_gives_sqrt_d():
-    assert scale_attention(_ones(5), _zeros(5, 5), _zeros(5, 5)) == math.sqrt(5.0)
+    assert scale_attention(np.ones(5), np.zeros((5, 5)), np.zeros((5, 5))) == math.sqrt(5.0)
 
 
 def test_attention_hand_case():
-    assert scale_attention(_ones(2), _eye(2), _eye(2)) == math.sqrt(8.0)
+    assert scale_attention(np.ones(2), np.eye(2), np.eye(2)) == math.sqrt(8.0)
 
 
 def test_attention_cancellation_is_degenerate():
     with pytest.raises(DegenerateScaleError):
-        scale_attention(_ones(2), _eye(2), _mat(-np.eye(2)))
+        scale_attention(np.ones(2), np.eye(2), -np.eye(2))
 
 
 def test_attention_accepts_rectangular_heads():
     # w_v is d x k with k = heads * head_dim, p is k x d.
     rng = np.random.default_rng(2)
     s = scale_attention(
-        _ones(4), _mat(rng.standard_normal((4, 6))), _mat(rng.standard_normal((6, 4)))
+        np.ones(4), rng.standard_normal((4, 6)), rng.standard_normal((6, 4))
     )
     assert s > 0
     with pytest.raises(ValueError, match="dimension mismatch"):
-        scale_attention(_ones(4), _zeros(4, 6), _zeros(4, 4))
+        scale_attention(np.ones(4), np.zeros((4, 6)), np.zeros((4, 4)))
 
 
 def test_formula_identity_for_unit_gamma():
@@ -137,7 +121,7 @@ def test_formula_identity_for_unit_gamma():
     e = rng.standard_normal((6, 9))
     g = rng.standard_normal((9, 6))
     expected = float(np.linalg.norm(e @ g + np.eye(6), "fro"))
-    s = scale_standard_mlp(_ones(6), _mat(e), _mat(g))
+    s = scale_standard_mlp(np.ones(6), e, g)
     assert math.isclose(s, expected, rel_tol=1e-13)
 
 
@@ -263,14 +247,14 @@ def _oracle_table(graph: ModelGraph) -> dict:
     layers = graph.layers
 
     def from_attention(gam: np.ndarray, layer: DecoderWeights) -> float:
-        inner = layer.w_v.as_array() @ layer.p.as_array() + eye
+        inner = layer.w_v @ layer.p + eye
         return float(np.linalg.norm(np.diag(gam) @ inner, "fro"))
 
     def from_mlp(gam: np.ndarray, layer: DecoderWeights) -> float:
-        e, g = layer.e.as_array(), layer.g.as_array()
+        e, g = layer.e, layer.g
         if cfg.mlp_kind is MlpKind.LLAMA_GATED:
             gain = float(np.linalg.svd(np.diag(gam) @ e, compute_uv=False)[0])
-            inner = gain * (layer.b.as_array() @ g) + eye
+            inner = gain * (layer.b @ g) + eye
         else:
             inner = e @ g + eye
         return float(np.linalg.norm(np.diag(gam) @ inner, "fro"))
@@ -278,17 +262,17 @@ def _oracle_table(graph: ModelGraph) -> dict:
     out = {}
     if cfg.residual_placement is ResidualPlacement.POST_LN:
         for i in range(cfg.n_layers):
-            prev = layers[i - 1].gamma2.data if i > 0 else ones
+            prev = layers[i - 1].gamma2 if i > 0 else ones
             out[f"layer{i}.norm1"] = from_attention(prev, layers[i])
-            out[f"layer{i}.norm2"] = from_mlp(layers[i].gamma1.data, layers[i])
+            out[f"layer{i}.norm2"] = from_mlp(layers[i].gamma1, layers[i])
     else:
         for i in range(cfg.n_layers):
             out[f"layer{i}.norm1"] = (
-                1.0 if i == 0 else from_mlp(layers[i - 1].gamma2.data, layers[i - 1])
+                1.0 if i == 0 else from_mlp(layers[i - 1].gamma2, layers[i - 1])
             )
-            out[f"layer{i}.norm2"] = from_attention(layers[i].gamma1.data, layers[i])
+            out[f"layer{i}.norm2"] = from_attention(layers[i].gamma1, layers[i])
         out["final_norm"] = (
-            from_mlp(layers[-1].gamma2.data, layers[-1]) if cfg.n_layers else 1.0
+            from_mlp(layers[-1].gamma2, layers[-1]) if cfg.n_layers else 1.0
         )
     return out
 
@@ -326,11 +310,11 @@ def test_table_is_bitwise_deterministic():
 def test_degenerate_table_names_offending_norm():
     d = 4
     rng = np.random.default_rng(4)
-    small = lambda: _mat(rng.standard_normal((d, d)) * 0.01)  # noqa: E731
+    small = lambda: rng.standard_normal((d, d)) * 0.01  # noqa: E731
     layer = DecoderWeights(
-        gamma1=_ones(d), gamma2=_ones(d),
+        gamma1=np.ones(d), gamma2=np.ones(d),
         w_q=small(), w_k=small(), w_v=small(), p=small(),
-        e=_eye(d), g=_mat(-np.eye(d)),
+        e=np.eye(d), g=-np.eye(d),
     )
     cfg = _config(d=d, layers=1, heads=1, mlp=d, mlp_kind=MlpKind.STANDARD)
     graph = ModelGraph(config=cfg, layers=(layer,))
@@ -363,3 +347,54 @@ def test_table_json_rejects_malformed_documents():
         ScaleTable.from_json_text(
             '{"fingerprint": "x", "entries": [{"norm_id": "n"}]}'
         )
+
+
+# Pinned float.hex of every s, and the weight fingerprint, for three
+# seeded models.  Scale tables must stay bitwise identical across
+# refactors; a change that means to move them updates these values and
+# says so.
+GOLDEN_TABLES = {
+    "post_ln_gated": (
+        _config(d=32, layers=2, heads=2, mlp=64),
+        InitSpec(std=0.05, amplify={"e": 8.0, "g": 8.0}), 101,
+        "2da57518045a63e840bc9b8b2b9ab38c666ad2b152bc136b2c60dd71d3cbac83",
+        [("layer0.norm1", "0x1.6b28bf919b100p+2"),
+         ("layer0.norm2", "0x1.ad44202a6191fp+4"),
+         ("layer1.norm1", "0x1.700ac541d1c41p+2"),
+         ("layer1.norm2", "0x1.cac1a45752b74p+4")],
+    ),
+    "pre_ln_gated": (
+        _config(d=32, layers=3, heads=4, mlp=48,
+                placement=ResidualPlacement.PRE_LN, epsilon=1e-6),
+        InitSpec(std=0.05, amplify={"e": 16.0, "b": 4.0}), 202,
+        "bbd33df3dd3bdbbb546a3393e8c8671aaa8eaac5d904b868ab58ec20b4f29411",
+        [("layer0.norm1", "0x1.0000000000000p+0"),
+         ("layer0.norm2", "0x1.6db86f9921f38p+2"),
+         ("layer1.norm1", "0x1.65cc8a24253c0p+4"),
+         ("layer1.norm2", "0x1.6dba32ac05cc3p+2"),
+         ("layer2.norm1", "0x1.635b0f9a9aff0p+4"),
+         ("layer2.norm2", "0x1.6a16c48c44222p+2"),
+         ("final_norm", "0x1.5f4d6204fdf0ep+4")],
+    ),
+    "pre_ln_layernorm_standard": (
+        _config(d=24, layers=2, heads=3, mlp=40, norm_kind=NormKind.LAYER_NORM,
+                placement=ResidualPlacement.PRE_LN, mlp_kind=MlpKind.STANDARD,
+                nonlinearity=Nonlinearity.GELU),
+        InitSpec(std=0.05, amplify={"w_v": 4.0}), 303,
+        "403b2030a3ccde0f82ea8300851da51d52fc81958bb8d0bae65226a065fd94ee",
+        [("layer0.norm1", "0x1.0000000000000p+0"),
+         ("layer0.norm2", "0x1.3f058706e4a97p+2"),
+         ("layer1.norm1", "0x1.363020c74ccb5p+2"),
+         ("layer1.norm2", "0x1.448face258b1fp+2"),
+         ("final_norm", "0x1.3bc0680763618p+2")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_table_bits_match_golden_values(name):
+    cfg, init, seed, fingerprint, expected = GOLDEN_TABLES[name]
+    graph = generate_synthetic(cfg, init, seed)
+    table = compute_scale_table(graph)
+    assert table.fingerprint == fingerprint
+    assert [(norm_id, entry.s.hex()) for norm_id, entry in table.entries.items()] == expected

@@ -1,12 +1,12 @@
 """Tests for deterministic JSON emission and atomic writes.
 
-Oracle: Python's float parser.  A 17-significant-digit decimal string
-determines a double uniquely, so parsing what we emit must recover the
-exact bit pattern.
+Oracle: Python's float parser.  Parsing what we emit must recover the
+exact bit pattern of every double.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -14,39 +14,28 @@ import struct
 import numpy as np
 import pytest
 
-from slanc.serialization import (
-    atomic_write_bytes,
-    atomic_write_text,
-    dumps,
-    format_double,
-    loads,
-)
+from slanc.serialization import atomic_write_bytes, atomic_write_text, dumps
 
 
 def _bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
-def test_format_double_round_trips_landmarks():
-    for x in (0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 65504.0, 2.0**-24, 1e300, 5e-324):
-        assert _bits(float(format_double(x))) == _bits(x)
-
-
-def test_format_double_round_trips_random_doubles():
+def test_dumps_round_trips_doubles_bit_exactly():
     rng = np.random.default_rng(123)
     mantissas = rng.uniform(-1.0, 1.0, size=20000)
     exponents = rng.integers(-300, 300, size=20000)
-    for m, e in zip(mantissas.tolist(), exponents.tolist()):
-        x = math.ldexp(m, int(e))
-        assert _bits(float(format_double(x))) == _bits(x)
+    values = [0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 65504.0, 2.0**-24, 1e300, 5e-324]
+    values += [math.ldexp(m, int(e)) for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    back = json.loads(dumps(values))
+    assert [_bits(x) for x in back] == [_bits(x) for x in values]
 
 
-def test_format_double_specials():
-    assert format_double(math.inf) == "Infinity"
-    assert format_double(-math.inf) == "-Infinity"
-    assert format_double(math.nan) == "NaN"
-    assert math.isnan(loads(dumps({"x": math.nan}))["x"])
-    assert loads(dumps({"x": math.inf}))["x"] == math.inf
+def test_dumps_writes_non_finite_as_json_tokens():
+    text = dumps({"x": math.nan, "y": math.inf, "z": -math.inf})
+    assert ": NaN," in text and ": Infinity," in text and ": -Infinity\n" in text
+    back = json.loads(text)
+    assert math.isnan(back["x"]) and back["y"] == math.inf and back["z"] == -math.inf
 
 
 def test_dumps_loads_round_trip():
@@ -58,7 +47,7 @@ def test_dumps_loads_round_trip():
         "values": [0.1, 2.0**-30, 1.0 / 3.0, -65504.0],
         "nested": {"s": 16.078829222430947, "flags": [False, True]},
     }
-    assert loads(dumps(doc)) == doc
+    assert json.loads(dumps(doc)) == doc
 
 
 def test_dumps_deterministic_with_trailing_newline():
@@ -76,12 +65,10 @@ def test_dumps_preserves_insertion_order():
 def test_dumps_rejects_unsupported():
     with pytest.raises(TypeError):
         dumps({"x": object()})
-    with pytest.raises(TypeError):
-        dumps({1: "non-string key"})
 
 
 def test_dumps_empty_containers():
-    assert loads(dumps({"a": [], "b": {}})) == {"a": [], "b": {}}
+    assert json.loads(dumps({"a": [], "b": {}})) == {"a": [], "b": {}}
 
 
 def test_atomic_write_replaces_contents(tmp_path):
