@@ -21,14 +21,26 @@ def _bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
-def test_dumps_round_trips_doubles_bit_exactly():
+def _round_trip_bits(values):
+    back = json.loads(dumps(values))
+    return [_bits(x) for x in back], [_bits(x) for x in values]
+
+
+def test_format_double_round_trips_landmarks():
+    got, want = _round_trip_bits(
+        [0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 65504.0, 2.0**-24, 1e300, 5e-324]
+    )
+    assert got == want
+
+
+def test_format_double_round_trips_random_doubles():
     rng = np.random.default_rng(123)
     mantissas = rng.uniform(-1.0, 1.0, size=20000)
     exponents = rng.integers(-300, 300, size=20000)
-    values = [0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 65504.0, 2.0**-24, 1e300, 5e-324]
-    values += [math.ldexp(m, int(e)) for m, e in zip(mantissas.tolist(), exponents.tolist())]
-    back = json.loads(dumps(values))
-    assert [_bits(x) for x in back] == [_bits(x) for x in values]
+    got, want = _round_trip_bits(
+        [math.ldexp(m, int(e)) for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    )
+    assert got == want
 
 
 def test_dumps_writes_non_finite_as_json_tokens():
