@@ -12,6 +12,14 @@ reciprocal first and swaps epsilon for epsilon/s^2; in exact arithmetic
 the output is unchanged, in FP16 it moves the accumulated sum back into
 range.  The norm epilogue (mean, divide, sqrt, gain) stays in double in
 both modes so that any failure is attributable to the accumulation.
+
+Each norm runs once over the whole n_tokens x d block.  The FP16
+accumulation loops over the d columns strictly left to right and
+vectorises over the tokens (`fp16.sum_of_squares_rows`): every step
+squares or adds binary16 values exactly in double and rounds once, so
+each token's sum is bit-identical to the scalar per-token accumulator.
+The raw FP64 sums stay one BLAS dot per row, so they, the histograms
+and the FP64 outputs match a per-token pass bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +29,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import fp16
-from .fp16 import Fp16Tensor, accumulate_sum_of_squares
 from .model import (
     DecoderWeights,
     MlpKind,
@@ -109,17 +115,13 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values) -> "Histogram":
-        below = above = 0
-        counts = [0] * N_BUCKETS
-        for v in values:
-            if math.isnan(v) or v >= 2.0**BUCKET_MAX_EXP:
-                above += 1
-            elif v < 2.0**BUCKET_MIN_EXP:
-                below += 1
-            else:
-                mantissa, exponent = math.frexp(v)  # v = mantissa * 2^exponent
-                counts[exponent - 1 - BUCKET_MIN_EXP] += 1
-        return cls(below=below, counts=tuple(counts), above=above)
+        v = np.asarray(values, dtype=np.float64).ravel()
+        above = np.isnan(v) | (v >= 2.0**BUCKET_MAX_EXP)
+        below = v < 2.0**BUCKET_MIN_EXP  # zero, negatives and -inf too
+        _, exponent = np.frexp(v[~(above | below)])  # v = mantissa * 2^exponent
+        counts = np.bincount(exponent - 1 - BUCKET_MIN_EXP, minlength=N_BUCKETS)
+        return cls(below=int(below.sum()), counts=tuple(counts.tolist()),
+                   above=int(above.sum()))
 
     @property
     def total(self) -> int:
@@ -144,6 +146,8 @@ def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
     if kind is Nonlinearity.RELU:
         return np.maximum(z, 0.0)
     if kind is Nonlinearity.GELU:
+        from scipy.special import erf  # here, so only GELU models pay for scipy
+
         return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
     return z / (1.0 + np.exp(-z))  # SiLU
 
@@ -157,19 +161,19 @@ def norm_forward(
     policy: PrecisionPolicy,
     scale: NormScale | None = None,
     norm_id: str = "norm",
-    token_index: int = 0,
-) -> tuple[np.ndarray, NormAuditRecord]:
-    """Normalize one token row, auditing the sum-of-squares step.
+) -> tuple[np.ndarray, list[NormAuditRecord]]:
+    """Normalize an n_tokens x d block, auditing each row's sum of squares.
 
     The input is multiplied by the scale reciprocal (1 when no scale),
-    rounded to binary16 under FP16 storage, and its squares are summed
-    either exactly or through the emulated FP16 accumulator.  Mean,
+    rounded to binary16 under FP16 storage, and each row's squares are
+    summed either exactly or through the batched FP16 accumulator.  Mean,
     variance, division and the gain/shift epilogue always run in double.
+    Returns the normalized rows and one audit record per row, in order.
     """
     x = np.asarray(x, dtype=np.float64)
     d = gamma.size
-    if x.ndim != 1 or x.size != d:
-        raise ValueError(f"expected a length-{d} row, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"expected a block of length-{d} rows, got shape {x.shape}")
     reciprocal = scale.reciprocal if scale is not None else 1.0
     eps_adjusted = scale.epsilon_adjusted if scale is not None else epsilon
     applied = scale.s if scale is not None else 1.0
@@ -178,45 +182,47 @@ def norm_forward(
     if policy.fp16_storage:
         bits = fp16.encode_array(scaled)
         scaled = fp16.decode_array(bits)
-    raw = float(np.dot(scaled, scaled))
+    # One BLAS dot per row: a batched reduction sums in another order.
+    raw = np.array([np.dot(row, row) for row in scaled])
     if policy.fp16_accumulation:
         if bits is None:
             bits = fp16.encode_array(scaled)
-        trace = accumulate_sum_of_squares(Fp16Tensor(shape=(d,), data=bits))
-        sum_sq = fp16.decode(trace.final_sum)
-        record = NormAuditRecord(
-            norm_id=norm_id,
-            token_index=token_index,
-            raw_sum_of_squares=raw,
-            fp16_sum=trace.final_sum,
-            overflowed=trace.overflowed,
-            underflowed_to_zero=trace.underflowed_to_zero,
-            scale_applied=applied,
-        )
+        sum_bits, overflowed, underflowed = fp16.sum_of_squares_rows(bits)
+        sum_sq = fp16.decode_array(sum_bits)
     else:
         sum_sq = raw
-        record = NormAuditRecord(
+        sum_bits = fp16.encode_array(raw)
+        overflowed = underflowed = np.zeros(raw.size, dtype=bool)
+    records = [
+        NormAuditRecord(
             norm_id=norm_id,
-            token_index=token_index,
-            raw_sum_of_squares=raw,
-            fp16_sum=fp16.encode(raw),
-            overflowed=False,
-            underflowed_to_zero=False,
+            token_index=t,
+            raw_sum_of_squares=r,
+            fp16_sum=b,
+            overflowed=o,
+            underflowed_to_zero=u,
             scale_applied=applied,
         )
-    if kind is NormKind.LAYER_NORM:
-        mean = float(np.mean(scaled))
-        variance = sum_sq / d - mean * mean + eps_adjusted
-    else:
-        mean = 0.0
-        variance = sum_sq / d + eps_adjusted
-    if math.isnan(variance) or variance <= 0.0:
-        raise NonPositiveVarianceError(record, variance)
-    sigma = math.sqrt(variance)
-    y = (scaled - mean) / sigma * gamma
+        for t, (r, b, o, u) in enumerate(zip(
+            raw.tolist(), sum_bits.tolist(), overflowed.tolist(), underflowed.tolist()
+        ))
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is NormKind.LAYER_NORM:
+            mean = scaled.mean(axis=1)
+            variance = sum_sq / d - mean * mean + eps_adjusted
+            centered = scaled - mean[:, None]
+        else:
+            variance = sum_sq / d + eps_adjusted
+            centered = scaled
+        failing = np.flatnonzero(~(variance > 0.0))  # NaN fails too
+        if failing.size:
+            t = int(failing[0])
+            raise NonPositiveVarianceError(records[t], float(variance[t]))
+        y = centered / np.sqrt(variance)[:, None] * gamma
     if kind is NormKind.LAYER_NORM and beta is not None:
         y = y + beta
-    return _store(y, policy), record
+    return _store(y, policy), records
 
 
 def attention_forward(
@@ -296,20 +302,20 @@ def forward(
             "scale table fingerprint does not match the model weights"
         )
     audit: list[NormAuditRecord] = []
-    raw_sums: dict[str, list[float]] = defaultdict(list)
+    histograms: dict[str, Histogram] = {}
 
     def run_norm(acts: np.ndarray, norm_id: str, gamma, beta) -> np.ndarray:
         entry = scales.entries.get(norm_id) if scales is not None else None
         if scales is not None and entry is None:
             raise ValueError(f"scale table has no entry for norm {norm_id!r}")
-        rows = np.empty_like(acts)
-        for t in range(acts.shape[0]):
-            rows[t], record = norm_forward(
-                acts[t], gamma, beta, cfg.epsilon, cfg.norm_kind, policy,
-                scale=entry, norm_id=norm_id, token_index=t,
-            )
-            audit.append(record)
-            raw_sums[norm_id].append(record.raw_sum_of_squares)
+        rows, records = norm_forward(
+            acts, gamma, beta, cfg.epsilon, cfg.norm_kind, policy,
+            scale=entry, norm_id=norm_id,
+        )
+        audit.extend(records)
+        histograms[norm_id] = Histogram.from_values(
+            [r.raw_sum_of_squares for r in records]
+        )
         return rows
 
     x = _store(x, policy)
@@ -330,10 +336,6 @@ def forward(
                                        cfg.nonlinearity, policy), policy)
     if model.final_gamma is not None:
         x = run_norm(x, "final_norm", model.final_gamma, model.final_beta)
-    histograms = {
-        norm_id: Histogram.from_values(raw_sums[norm_id])
-        for norm_id in model.norm_ids
-    }
     return ForwardResult(output=x, audit=audit, histograms=histograms)
 
 

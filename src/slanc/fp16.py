@@ -5,12 +5,24 @@ Values are 16-bit patterns held in plain ints (1 sign, 5 exponent,
 performing the operation in double, and rounding back with
 round-to-nearest-even.  This is exact for binary16: double carries more
 than twice the precision and range, so no double-rounding hazard exists
-for add / mul / div / sqrt of binary16 operands.
+for add / mul / div / sqrt of binary16 operands (rounding to p bits via
+p' bits is innocuous when p' >= 2p + 2; Figueroa, "When is double
+rounding innocuous?", SIGNUM 1995).
 
 Subnormals are fully supported and never flushed.  All NaNs produced
 here are the canonical quiet pattern 0x7E00.  There is no FMA: the
 sum-of-squares accumulator rounds after every multiply and after every
 add, modelling hardware whose non-linear unit works purely in FP16.
+
+The engine uses the batched row accumulator `sum_of_squares_rows`,
+which walks the d columns strictly left to right and vectorises each
+step over the n rows.  Every step is the same single rounding of an
+exact double result as in the scalar path -- the square of a binary16
+is exact in double, and so is the sum of two binary16 values (a
+multiple of 2^-24 below 2^17, so at most 41 significant bits) -- so
+its sums are bit-identical to `accumulate_sum_of_squares`.  The scalar
+soft-float (`encode`, `Fp16Tensor`, `accumulate_sum_of_squares`) is
+kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -268,3 +280,38 @@ def accumulate_sum_of_squares(v: Fp16Tensor) -> AccumulationTrace:
         max_partial=max_partial,
         count=int(v.data.size),
     )
+
+
+def sum_of_squares_rows(
+    bits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise FP16 sum of squares of an n x d block of bit patterns.
+
+    Returns (sum bits, overflowed, underflowed_to_zero), one entry per
+    row, each equal to what `accumulate_sum_of_squares` gives for that
+    row: the columns are added strictly left to right, every square and
+    every partial sum rounded once to binary16, NaN sums canonicalised
+    to 0x7E00.
+    """
+    bits = np.asarray(bits, dtype=np.uint16)
+    if bits.ndim != 2:
+        raise ValueError(f"expected an n x d block, got shape {bits.shape}")
+    if bits.shape[1] == 0:
+        raise ValueError("empty rows")
+    values = decode_array(bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = round_array(values * values)
+        columns = np.ascontiguousarray(squares.T)  # one contiguous row per step
+        acc = np.zeros(bits.shape[0])
+        half = np.empty(bits.shape[0], dtype=np.float16)
+        for column in columns:
+            np.add(acc, column, out=acc)  # exact: both operands are binary16
+            half[...] = acc  # the one rounding of this step
+            acc[...] = half
+    sums = half.view(np.uint16)
+    nan = np.isnan(acc)
+    if nan.any():
+        sums = np.where(nan, np.uint16(NAN), sums)
+    overflowed = np.isinf(acc) | nan
+    underflowed = (squares == 0.0).all(axis=1) & (values != 0.0).any(axis=1)
+    return sums, overflowed, underflowed

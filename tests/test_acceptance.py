@@ -112,10 +112,10 @@ def test_criterion_2_scaling_homogeneity():
                 x = rng.standard_normal(d) * math.exp(rng.uniform(-6.0, 6.0))
                 s = 2.0 ** rng.uniform(-10.0, 14.0)
                 entry = make_norm_scale(s, 1e-5, Formula.UNIT, 0, "probe")
-                plain, _ = norm_forward(x, gamma, beta, 1e-5, kind,
-                                        REFERENCE_POLICY)
-                scaled, _ = norm_forward(x, gamma, beta, 1e-5, kind,
-                                         REFERENCE_POLICY, scale=entry)
+                (plain,), _ = norm_forward(x[None, :], gamma, beta, 1e-5, kind,
+                                           REFERENCE_POLICY)
+                (scaled,), _ = norm_forward(x[None, :], gamma, beta, 1e-5, kind,
+                                            REFERENCE_POLICY, scale=entry)
                 floor = float(np.sqrt(np.mean(plain**2))) or 1.0
                 rel = float(np.max(
                     np.abs(plain - scaled) / np.maximum(np.abs(plain), floor)

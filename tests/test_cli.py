@@ -1,18 +1,25 @@
 """End-to-end tests of the command-line interface.
 
 Everything runs in-process through main(argv) so exit codes and stdout
-are observable without subprocesses.  The amplified model fixture pins
-counts from a one-time run: with e and g amplified 8x on layer 0 the
-MLP sums of squares pass binary16's max finite value for every token.
+are observable without subprocesses; only the checks that need a fresh
+interpreter (clean stderr, what `import slanc.cli` loads) start one.
+The amplified model fixture pins counts from a one-time run: with e and
+g amplified 8x on layer 0 the MLP sums of squares pass binary16's max
+finite value for every token.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slanc
 from slanc import serialization
 from slanc.cli import main
 from slanc.model import (
@@ -184,6 +191,34 @@ def test_audit_fp16_reports_pinned_overflows(amp, tmp_path, capsys):
     assert by_id["layer0.norm2"]["overflow_count"] == 32
     assert by_id["layer0.norm1"]["overflow_count"] == 0
     assert doc["fp16_max_finite"] == 65504.0
+
+
+def _fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run `python args` in a new interpreter that imports this slanc."""
+    src = str(Path(slanc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_overflowing_fp16_audit_keeps_stderr_clean(amp, tmp_path):
+    # Overflowed sums are inf in the batched epilogue; no RuntimeWarning
+    # may reach stderr.
+    model, _ = amp
+    proc = _fresh_python(["-m", "slanc.cli", "audit", str(model), "--policy",
+                          "fp16", "--tokens", "32", "--seed", "3", "-o", "r.json"],
+                         tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout == "32 overflows, 0 underflows over 32 tokens x 2 norms\n"
+    assert proc.stderr == ""
+
+
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    proc = _fresh_python(["-c", "import sys, slanc.cli; print(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_audit_fail_on_overflow_exits_4(amp, tmp_path, capsys):

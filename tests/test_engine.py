@@ -14,13 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from slanc import fp16
+from slanc import engine, fp16
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
     FingerprintMismatchError,
     Histogram,
     NonPositiveVarianceError,
+    NormAuditRecord,
     PrecisionPolicy,
     attention_forward,
     calibrate_dynamic,
@@ -89,28 +90,31 @@ def test_policy_validation_and_constants():
 
 
 def test_rms_norm_unit_mean_square_is_identity():
-    x = np.array([2.0, 0.0, 0.0, 0.0])
+    x = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]])
     gamma = np.ones(4)
-    y, record = norm_forward(x, gamma, None, 1e-300, NormKind.RMS_NORM,
-                             REFERENCE_POLICY)
+    y, records = norm_forward(x, gamma, None, 1e-300, NormKind.RMS_NORM,
+                              REFERENCE_POLICY)
     assert np.array_equal(y, x)
-    assert record.raw_sum_of_squares == 4.0
-    assert record.scale_applied == 1.0
+    assert [r.token_index for r in records] == [0, 1]
+    for record in records:
+        assert record.raw_sum_of_squares == 4.0
+        assert record.scale_applied == 1.0
 
 
 def test_layer_norm_constant_vector_returns_beta():
     gamma = np.full(8, 1.5)
     beta = np.arange(8.0)
-    for c in (0.0, -3.25, 7.0):
-        y, _ = norm_forward(np.full(8, c), gamma, beta, 1e-5,
-                            NormKind.LAYER_NORM, REFERENCE_POLICY)
-        assert np.array_equal(y, beta)
+    x = np.array([np.full(8, c) for c in (0.0, -3.25, 7.0)])
+    y, _ = norm_forward(x, gamma, beta, 1e-5, NormKind.LAYER_NORM,
+                        REFERENCE_POLICY)
+    for row in y:
+        assert np.array_equal(row, beta)
 
 
 def test_rms_norm_homogeneity_in_inputs_and_epsilon():
     rng = np.random.default_rng(17)
     gamma = 1.0 + 0.1 * rng.standard_normal(32)
-    x = rng.standard_normal(32) * 5.0
+    x = rng.standard_normal((3, 32)) * 5.0
     a, _ = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, REFERENCE_POLICY)
     b, _ = norm_forward(x / 10.0, gamma, None, 1e-5 / 100.0, NormKind.RMS_NORM,
                         REFERENCE_POLICY)
@@ -124,44 +128,47 @@ def test_scale_entry_homogeneity_both_kinds():
         beta = (rng.standard_normal(24)
                 if kind is NormKind.LAYER_NORM else None)
         for _ in range(50):
-            x = rng.standard_normal(24) * math.exp(rng.uniform(-4.0, 4.0))
+            x = rng.standard_normal((2, 24)) * math.exp(rng.uniform(-4.0, 4.0))
             s = 2.0 ** rng.uniform(-8.0, 12.0)
             entry = make_norm_scale(s, 1e-5, Formula.UNIT, 0, "n")
             plain, _ = norm_forward(x, gamma, beta, 1e-5, kind, REFERENCE_POLICY)
-            scaled, record = norm_forward(x, gamma, beta, 1e-5, kind,
-                                          REFERENCE_POLICY, scale=entry)
+            scaled, records = norm_forward(x, gamma, beta, 1e-5, kind,
+                                           REFERENCE_POLICY, scale=entry)
             assert _rel(plain, scaled) < 1e-12
-            assert record.scale_applied == s
+            assert all(r.scale_applied == s for r in records)
 
 
 def test_fp16_accumulation_matches_numpy_half_sequence():
     rng = np.random.default_rng(29)
-    x = rng.standard_normal(64) * 4.0
-    _, record = norm_forward(x, np.ones(64), None,
-                             1e-5, NormKind.RMS_NORM, FP16_POLICY)
-    stored = x.astype(np.float16)
-    acc = np.float16(0.0)
-    for v in stored:
-        acc = np.float16(acc + np.float16(v * v))
-    assert record.fp16_sum == int(acc.view(np.uint16))
-    assert record.raw_sum_of_squares == float(
-        np.dot(stored.astype(np.float64), stored.astype(np.float64))
-    )
+    x = rng.standard_normal((4, 64)) * 4.0
+    _, records = norm_forward(x, np.ones(64), None,
+                              1e-5, NormKind.RMS_NORM, FP16_POLICY)
+    for row, record in zip(x, records):
+        stored = row.astype(np.float16)
+        acc = np.float16(0.0)
+        for v in stored:
+            acc = np.float16(acc + np.float16(v * v))
+        assert record.fp16_sum == int(acc.view(np.uint16))
+        assert record.raw_sum_of_squares == float(
+            np.dot(stored.astype(np.float64), stored.astype(np.float64))
+        )
 
 
 def test_fp16_overflow_zeroes_output_and_flags():
-    x = np.full(300, 16.0)
+    x = np.full((1, 300), 16.0)
     gamma = np.ones(300)
-    y, record = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, FP16_POLICY)
+    y, [record] = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
+                               FP16_POLICY)
     assert record.overflowed
     assert fp16.is_inf(record.fp16_sum)
     assert not y.any()  # sigma is infinite, everything collapses to zero
 
 
 def test_fp16_underflow_flags_but_survives():
-    x = np.full(128, 1e-4)
+    x = np.full((1, 128), 1e-4)
     gamma = np.ones(128)
-    y, record = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM, FP16_POLICY)
+    y, [record] = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
+                               FP16_POLICY)
     assert record.underflowed_to_zero
     assert not record.overflowed
     assert np.isfinite(y).all() and y.any()
@@ -170,13 +177,15 @@ def test_fp16_underflow_flags_but_survives():
 def test_fp16_rounding_can_force_non_positive_variance():
     # Each square 1 + 2^-9 + 2^-20 rounds down to 1 + 2^-9, so the FP16
     # mean square lands below the exact squared mean; with epsilon tiny
-    # the LayerNorm variance goes negative.
-    x = np.full(8, 1.0 + 2.0**-10)
+    # the LayerNorm variance goes negative.  Tokens 0-3 are benign, so
+    # the error must name token 4, the first of the two failing rows.
+    x = np.full((6, 8), 1.0 + 2.0**-10)
+    x[:4] = np.random.default_rng(4).standard_normal((4, 8))
     gamma = np.ones(8)
     beta = np.zeros(8)
     with pytest.raises(NonPositiveVarianceError) as info:
         norm_forward(x, gamma, beta, 1e-7, NormKind.LAYER_NORM, FP16_POLICY,
-                     norm_id="layer0.norm1", token_index=4)
+                     norm_id="layer0.norm1")
     assert info.value.variance <= 0.0
     assert info.value.record.norm_id == "layer0.norm1"
     assert info.value.record.token_index == 4
@@ -472,6 +481,84 @@ def test_normalized_rows_have_unit_mean_square():
     assert np.all(np.abs(mean_square - 1.0) < 1e-4)
 
 
+def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
+                    norm_id="norm"):
+    """Oracle for norm_forward: one token at a time, scalar soft-float.
+
+    Storage rounding uses the scalar encode, the FP16 sum the scalar
+    accumulate_sum_of_squares, and the epilogue runs on Python floats.
+    """
+    d = gamma.size
+    reciprocal = scale.reciprocal if scale is not None else 1.0
+    eps_adjusted = scale.epsilon_adjusted if scale is not None else epsilon
+    applied = scale.s if scale is not None else 1.0
+    rows, records = [], []
+    for t, row in enumerate(np.asarray(x, dtype=np.float64)):
+        scaled = row * reciprocal
+        bits = np.array([fp16.encode(v) for v in scaled.tolist()], dtype=np.uint16)
+        if policy.fp16_storage:
+            scaled = np.array([fp16.decode(b) for b in bits.tolist()])
+        raw = float(np.dot(scaled, scaled))
+        if policy.fp16_accumulation:
+            trace = fp16.accumulate_sum_of_squares(fp16.Fp16Tensor(shape=(d,), data=bits))
+            sum_sq = fp16.decode(trace.final_sum)
+            flags = (trace.final_sum, trace.overflowed, trace.underflowed_to_zero)
+        else:
+            sum_sq = raw
+            flags = (fp16.encode(raw), False, False)
+        record = NormAuditRecord(norm_id, t, raw, *flags, applied)
+        if kind is NormKind.LAYER_NORM:
+            mean = float(np.mean(scaled))
+            variance = sum_sq / d - mean * mean + eps_adjusted
+        else:
+            mean = 0.0
+            variance = sum_sq / d + eps_adjusted
+        if not variance > 0.0:
+            raise NonPositiveVarianceError(record, variance)
+        y = (scaled - mean) / math.sqrt(variance) * gamma
+        if kind is NormKind.LAYER_NORM and beta is not None:
+            y = y + beta
+        rows.append(fp16.round_array(y) if policy.fp16_storage else y)
+        records.append(record)
+    return np.array(rows), records
+
+
+def _forward_outcome(graph, x0, policy, table):
+    """Everything a forward pass shows, as bit-exact text."""
+    try:
+        result = forward(graph, x0, policy, scales=table)
+    except NonPositiveVarianceError as err:
+        return repr((err.record, err.variance))
+    return repr((result.output.view(np.uint64).tolist(), result.audit,
+                 result.histograms))
+
+
+@pytest.mark.parametrize("cfg", [
+    _config(d=24, layers=2, heads=2, mlp=48),
+    _config(d=20, layers=2, heads=2, mlp=40, norm_kind=NormKind.LAYER_NORM,
+            placement=ResidualPlacement.PRE_LN, mlp_kind=MlpKind.STANDARD,
+            nonlinearity=Nonlinearity.GELU),
+], ids=["post-ln-rms-gated", "pre-ln-layernorm-standard"])
+def test_forward_matches_per_token_scalar_oracle(cfg, monkeypatch):
+    init = InitSpec(std=0.05, amplify={"e": 64.0, "g": 64.0})
+    graph = generate_synthetic(cfg, init, seed=13)
+    table = compute_scale_table(graph)
+    x0 = np.random.default_rng(14).standard_normal((12, cfg.d_model)) * 3.0
+    # Plain FP16 overflows on some tokens only, so both paths are covered.
+    audit = forward(graph, x0, FP16_POLICY).audit
+    assert 0 < sum(r.overflowed for r in audit) < len(audit)
+    outcomes = {}
+    for name, norm in (("block", norm_forward), ("oracle", _per_token_norm)):
+        monkeypatch.setattr(engine, "norm_forward", norm)
+        outcomes[name] = [
+            _forward_outcome(graph, x0, policy, t)
+            for policy in (REFERENCE_POLICY, FP16_POLICY,
+                           PrecisionPolicy("FP16", "FP64"))
+            for t in (None, table)
+        ]
+    assert outcomes["block"] == outcomes["oracle"]
+
+
 # ── histogram type ───────────────────────────────────────────────────────
 
 
@@ -486,15 +573,31 @@ def test_histogram_bucket_edges():
         math.inf,       # above range
         math.nan,       # counted as above, like an overflowed sum
         3.5,            # [2^1, 2^2) -> bucket 31
+        -0.0,           # below range
+        -1.0,           # negatives are below range
+        -math.inf,      # below range
+        math.nextafter(2.0**-30, 0.0),   # just under the lowest edge: below
+        math.nextafter(2.0**30, 0.0),    # just under the top edge: bucket 59
+        2.0**29,        # bucket 59
+        math.nextafter(2.0**-29, 0.0),   # still bucket 0
+        2.0**-29,       # bucket 1
+        1e300,          # above range
+        -math.nan,      # above range, whatever the sign bit
     ])
     assert h.counts[30] == 1
     assert h.counts[29] == 1
-    assert h.counts[0] == 1
+    assert h.counts[0] == 2
+    assert h.counts[1] == 1
     assert h.counts[31] == 1
-    assert h.below == 2
-    assert h.above == 3
-    assert h.total == 9
+    assert h.counts[59] == 2
+    assert sum(h.counts) == 8
+    assert h.below == 6
+    assert h.above == 5
+    assert h.total == 19
     assert len(h.counts) == 60
+    assert all(type(c) is int for c in (h.below, h.above, *h.counts))
+    empty = Histogram.from_values([])
+    assert empty.total == 0 and len(empty.counts) == 60
 
 
 # ── dynamic calibration ──────────────────────────────────────────────────

@@ -20,6 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slanc import fp16
 from slanc.fp16 import (
@@ -38,6 +41,7 @@ from slanc.fp16 import (
     mul,
     round_array,
     sqrt,
+    sum_of_squares_rows,
 )
 
 # ── independent oracles ──────────────────────────────────────────────────
@@ -431,3 +435,80 @@ def test_trace_is_immutable():
     trace = AccumulationTrace(0x0000, False, False, 0.0, 1)
     with pytest.raises(AttributeError):
         trace.final_sum = 1  # type: ignore[misc]
+
+
+# ── batched row accumulator against the scalar oracle ────────────────────
+
+
+def _assert_rows_match_scalar(bits: np.ndarray) -> None:
+    sums, overflowed, underflowed = sum_of_squares_rows(bits)
+    assert sums.shape == overflowed.shape == underflowed.shape == (bits.shape[0],)
+    for row, got_sum, got_over, got_under in zip(bits, sums, overflowed, underflowed):
+        trace = accumulate_sum_of_squares(Fp16Tensor(shape=row.shape, data=row))
+        assert int(got_sum) == trace.final_sum
+        assert bool(got_over) == trace.overflowed
+        assert bool(got_under) == trace.underflowed_to_zero
+
+
+# Bit-pattern regimes: anything (NaN payloads, infinities, subnormals),
+# tiny values whose squares all round to zero, moderate values whose
+# rounded sums depend on the order of the terms, large values whose sums
+# overflow part-way along a row, and the distinguished patterns.
+_ANY = st.integers(0, 0xFFFF)
+_MODERATE = st.integers(0x2000, 0x5400) | st.integers(0xA000, 0xD400)
+_TINY = st.integers(0, 0x0B00) | st.integers(0x8000, 0x8B00)
+_LARGE = st.integers(0x5000, 0x7BFF) | st.integers(0xD000, 0xFBFF)
+_SPECIAL = st.sampled_from(
+    [0x0000, 0x8000, 0x0001, 0x03FF, 0x0400, 0x3C00, 0x7BFF, 0x7C00, 0xFC00,
+     0x7E00, 0x7C01, 0xFFFF]
+)
+_REGIMES = [_ANY, _TINY, _MODERATE, _LARGE, _SPECIAL,
+            _ANY | _TINY | _MODERATE | _LARGE | _SPECIAL]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sum_of_squares_rows_matches_scalar_accumulator(data):
+    elements = data.draw(st.sampled_from(_REGIMES))
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 40)))
+    bits = data.draw(hnp.arrays(np.uint16, shape, elements=elements))
+    _assert_rows_match_scalar(bits)
+
+
+def test_sum_of_squares_rows_edge_rows():
+    d = 8
+    rows = [
+        np.zeros(d),                               # all zero: no flags
+        np.full(d, -0.0),                          # negative zeros
+        np.full(d, 1.0e-4),                        # every square underflows
+        np.r_[np.full(d - 1, 1.0e-4), 0.0],        # ... next to a zero
+        np.r_[np.full(d - 1, 1.0e-4), 1.0],        # one square survives
+        np.r_[200.0, 200.0, np.full(d - 2, 1.0)],  # overflows mid-row
+        np.r_[45.0, 45.0, np.full(d - 2, 1.0)],    # big terms first ...
+        np.r_[np.full(d - 2, 1.0), 45.0, 45.0],    # ... or last: sums differ
+        np.r_[np.full(d - 1, 1.0), math.inf],      # +inf last
+        np.r_[-math.inf, np.full(d - 1, 1.0)],     # -inf first
+        np.r_[1.0, math.nan, np.full(d - 2, 1.0)],  # NaN
+        np.r_[math.inf, math.nan, np.zeros(d - 2)],
+        np.full(d, 2.0**-24),                      # smallest subnormal
+        np.full(d, 2.0**-7),                       # squares land on 2^-14
+    ]
+    _assert_rows_match_scalar(encode_array(np.array(rows)))
+    # Hand-checked flags for a few of those rows.
+    sums, overflowed, underflowed = sum_of_squares_rows(encode_array(np.array(rows)))
+    assert not underflowed[0] and not overflowed[0] and sums[0] == 0x0000
+    assert underflowed[2] and sums[2] == 0x0000
+    assert overflowed[5] and sums[5] == POS_INF
+    assert sums[6] != sums[7]
+    assert overflowed[10] and sums[10] == NAN
+    # d = 1, and NaN inputs with a payload come back canonical.
+    _assert_rows_match_scalar(np.array([[0x7C01], [0xFE01], [0x3C00], [0x0000]],
+                                       dtype=np.uint16))
+    assert sum_of_squares_rows(np.array([[0xFE01]], dtype=np.uint16))[0][0] == NAN
+
+
+def test_sum_of_squares_rows_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="n x d block"):
+        sum_of_squares_rows(np.zeros(4, dtype=np.uint16))
+    with pytest.raises(ValueError, match="empty rows"):
+        sum_of_squares_rows(np.zeros((2, 0), dtype=np.uint16))
