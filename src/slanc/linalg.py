@@ -2,46 +2,27 @@
 
 Everything here runs in float64 on plain ndarrays; reduced precision
 exists only in the simulated inference data path.  The spectral norm is
-a deterministic power iteration so that scale factors reproduce
-bit-for-bit across runs (dense SVD stays out of the public API and is
-used only as a test oracle).
+one symmetric eigenvalue solve on the smaller Gram matrix (a aᵀ or aᵀa),
+so it is deterministic and needs no iteration count or tolerance; dense
+SVD is used only as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed default start seed: scale factors must be reproducible, so the
-# power iteration re-seeds its own generator on every call.
-POWER_ITERATION_SEED = 1729
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class SpectralNormEstimate:
-    """Power-iteration result: the estimate and how many steps it took."""
-
-    value: float
-    iterations: int
-
-    def __float__(self) -> float:
-        return self.value
-
 
 class ConvergenceError(Exception):
-    """Power iteration ran out of iterations; carries the best estimate."""
+    """The spectral norm could not be computed (non-finite Gram matrix
+    or an eigensolver failure); names the norm once one is known."""
 
-    def __init__(self, best_estimate: float, iterations: int, tol: float):
-        self.best_estimate = best_estimate
-        self.iterations = iterations
-        super().__init__(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(tol={tol:g}, best estimate {best_estimate:.9g})"
-        )
+    def __init__(self, message: str, norm_id: str | None = None):
+        self.message = message
+        self.norm_id = norm_id
+        where = f" at norm {norm_id!r}" if norm_id else ""
+        super().__init__(f"{message}{where}")
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -49,39 +30,29 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(a * a)))
 
 
-def spectral_norm(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = POWER_ITERATION_SEED,
-) -> SpectralNormEstimate:
-    """Largest singular value via power iteration on aᵀa.
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a 2-D array.
 
-    The start vector comes from a generator seeded fresh on every call,
-    so repeat calls give identical results.  Stops once the relative
-    change of the estimate drops below tol; a zero matrix short-circuits
-    to 0 because the iteration is undefined there.
+    Forms the Gram matrix on the smaller side (a aᵀ when a has no more
+    rows than columns, else aᵀa) and takes the square root of its
+    largest eigenvalue from LAPACK's symmetric solver.  A zero matrix
+    short-circuits to 0.  Raises ConvergenceError when the Gram matrix
+    is not finite (non-finite input, or entries large enough to
+    overflow when squared) or the solver fails.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if a.ndim != 2:
+        raise ValueError(f"spectral_norm needs a 2-D array, got shape {a.shape}")
     if not a.any():
-        return SpectralNormEstimate(value=0.0, iterations=0)
-    gram = a.T @ a
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=a.shape[1])
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    previous: float | None = None
-    for iteration in range(1, max_iter + 1):
-        y = gram @ x
-        growth = float(np.linalg.norm(y))
-        if growth == 0.0:  # start vector fell in the kernel
-            return SpectralNormEstimate(value=0.0, iterations=iteration)
-        estimate = math.sqrt(growth)
-        x = y / growth
-        if previous is not None and abs(estimate - previous) <= tol * estimate:
-            return SpectralNormEstimate(value=estimate, iterations=iteration)
-        previous = estimate
-    raise ConvergenceError(best_estimate=estimate, iterations=max_iter, tol=tol)
+        return 0.0
+    rows, cols = a.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.T if rows <= cols else a.T @ a
+    if not np.isfinite(gram).all():
+        raise ConvergenceError(
+            f"Gram matrix of the {rows}x{cols} operand is not finite"
+        )
+    try:
+        top = float(np.linalg.eigvalsh(gram)[-1])
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"eigenvalue solve failed: {err}") from err
+    return math.sqrt(max(top, 0.0))

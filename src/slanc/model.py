@@ -417,8 +417,10 @@ def load_safetensors(
     """Load a checkpoint into a validated double-precision graph.
 
     Each tensor the config needs is checked once, for shape (in storage
-    orientation) and finiteness; errors name the checkpoint tensor.  A
-    tensor the config has no place for is an error too.
+    orientation) and finiteness, in its stored precision; errors name
+    the checkpoint tensor.  A tensor the config has no place for is an
+    error too.  Widening to float64 and transposing to the row-vector
+    convention is one copy per tensor.
     """
     nm = name_map or default_name_map()
     tensors = safetensors_io.load_tensors(path)
@@ -482,9 +484,9 @@ def _tensor_problem(array: np.ndarray, shape: tuple) -> str | None:
     """What makes array unfit for a tensor of this shape; None if nothing."""
     if array.shape != shape:
         return f"expected shape {_dims(shape)}, got {_dims(array.shape)}"
-    bad = np.flatnonzero(~np.isfinite(array))
-    if bad.size:
-        first = int(bad[0])
+    finite = np.isfinite(array)
+    if not finite.all():
+        first = int(np.flatnonzero(~finite)[0])
         return f"non-finite entry at flat index {first} ({float(array.flat[first])!r})"
     return None
 

@@ -17,8 +17,9 @@ block (identity when the feeding path starts at the raw embeddings),
 the I term carries the residual, and ||.|| is the spectral norm.  The
 attention case needs no softmax term: softmax rows are convex weights,
 so mixing value rows never increases the bound.  All of this runs
-offline in double precision; the per-norm results go into a ScaleTable
-keyed by the model fingerprint.
+offline in double precision; the spectral norm is one eigenvalue solve
+on the smaller Gram side (see linalg).  The per-norm results go into a
+ScaleTable keyed by the model fingerprint.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import serialization
-from .linalg import frobenius_norm, spectral_norm
+from .linalg import ConvergenceError, frobenius_norm, spectral_norm
 from .model import MlpKind, ModelGraph, ResidualPlacement
 
 # Scales below binary16 subnormal resolution mean the feeding block
@@ -183,12 +184,12 @@ def scale_llama_mlp(
 
     The gate path contributes through its spectral norm: the
     elementwise product is bounded by the gate activations' magnitude,
-    itself bounded by ||Gamma E|| on normalized inputs.  Power-iteration
-    non-convergence propagates to the caller.
+    itself bounded by ||Gamma E|| on normalized inputs.  A spectral-norm
+    ConvergenceError propagates to the caller.
     """
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
-    gate_gain = spectral_norm(gamma[:, None] * e).value
+    gate_gain = spectral_norm(gamma[:, None] * e)
     return _finish(frobenius_norm(gamma[:, None] * (gate_gain * (b @ g) + np.eye(d))))
 
 
@@ -253,9 +254,10 @@ def _norm_sites(model: ModelGraph):
 def compute_scale_table(model: ModelGraph) -> ScaleTable:
     """One NormScale per norm operator, in execution order.
 
-    Deterministic: the only iterative piece (the spectral norm inside
-    the gated-MLP formula) re-seeds its own generator per call, so
-    identical weights give bitwise-identical tables.
+    Deterministic: every formula, the gated-MLP spectral norm included,
+    is a fixed sequence of float64 operations, so identical weights give
+    bitwise-identical tables.  Degenerate and spectral-norm failures are
+    re-raised with the norm id.
     """
     cfg = model.config
     epsilon = cfg.epsilon
@@ -283,6 +285,8 @@ def compute_scale_table(model: ModelGraph) -> ScaleTable:
                     formula = Formula.STANDARD_MLP
             except DegenerateScaleError as err:
                 raise DegenerateScaleError(err.value, norm_id) from None
+            except ConvergenceError as err:
+                raise ConvergenceError(err.message, norm_id) from None
         entries[norm_id] = make_norm_scale(s, epsilon, formula, layer_index, norm_id)
     assert list(entries) == model.norm_ids
     return ScaleTable(fingerprint=model.fingerprint(), entries=entries)

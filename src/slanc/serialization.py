@@ -23,13 +23,18 @@ def dumps(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write a file via temp-and-rename so it appears atomically."""
+def atomic_write_bytes(path: str, *chunks) -> None:
+    """Write a file via temp-and-rename so it appears atomically.
+
+    The chunks are bytes-like objects (C-contiguous arrays included),
+    written in order without being joined first.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-slanc-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -8,7 +8,9 @@ from one-time audited forward runs for the overflow guarantees.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +306,40 @@ def test_load_rejects_non_finite_weights(tmp_path):
     save_tensors(str(path), tensors)
     with pytest.raises(ModelError, match="gate_proj"):
         load_safetensors(str(path), config=cfg)
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    # SHA-256 of one seeded model in each storage dtype.  The amplified
+    # gate projection overflows binary16, so the F16 file holds infinities.
+    cfg = _config(d=24, layers=2, heads=3, mlp=40, norm_kind=NormKind.LAYER_NORM,
+                  placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(std=0.05, amplify={"e": 1e6}), seed=404)
+    for dtype, digest in (
+        ("F32", "5a00eb8a449d1d897365856100a29552587190f49145f43c29593e6a1b52be96"),
+        ("F16", "11c9fc843d8ff95a18a42abe103a8f7d480433407f7bd0d5c7c454d79fc464df"),
+        ("BF16", "2230d38c585b4130bc5c62f896ff35f1b921a9629e29d5b81fa2e117848ad4fa"),
+    ):
+        path = tmp_path / f"{dtype}.safetensors"
+        save_safetensors(graph, str(path), dtype=dtype)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, dtype
+
+
+def test_load_peak_memory_is_file_plus_float64_weights(tmp_path):
+    # One read of the file plus one float64 copy per tensor; no
+    # intermediate copies of the payload.
+    cfg = _config(d=256, layers=2, heads=4, mlp=512)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path))
+    tracemalloc.start()
+    try:
+        graph = load_safetensors(str(path), config=cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = sum(getattr(layer, role).nbytes for layer in graph.layers
+                  for role in ("gamma1", "gamma2", "w_q", "w_k", "w_v", "p",
+                               "e", "b", "g"))
+    assert peak <= 1.05 * (path.stat().st_size + weights)
 
 
 def test_loaded_arrays_are_c_contiguous_float64(tmp_path):

@@ -199,3 +199,42 @@ def test_save_is_deterministic(tmp_path):
 def test_missing_file_is_an_error(tmp_path):
     with pytest.raises(SafetensorsError, match="cannot read"):
         load_tensors(str(tmp_path / "absent.safetensors"))
+
+
+def test_load_keeps_stored_precision_in_writable_arrays(tmp_path):
+    values = np.array([[1.5, -2.0], [0.25, 3.0]])
+    for dtype, want in (("F32", np.float32), ("F16", np.float16), ("BF16", np.float32)):
+        path = tmp_path / f"{dtype}.safetensors"
+        save_tensors(str(path), {"a": values, "b": -values}, dtype=dtype)
+        loaded = load_tensors(str(path))
+        assert loaded["a"].dtype == want and loaded["b"].dtype == want, dtype
+        loaded["a"][0, 0] = 7.0  # writable, and no two tensors share memory
+        assert loaded["a"].tolist() == [[7.0, -2.0], [0.25, 3.0]]
+        assert loaded["b"].tolist() == (-values).tolist()
+
+
+def test_overlapping_offsets_are_rejected(tmp_path):
+    path = tmp_path / "overlap.safetensors"
+    _build_file(
+        path,
+        {
+            "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+            "b": {"dtype": "F32", "shape": [2], "data_offsets": [4, 12]},
+        },
+        b"\x00" * 12,
+    )
+    with pytest.raises(SafetensorsError, match="overlap those of 'a'.*'b'"):
+        load_tensors(str(path))
+    # Adjacent payloads and an empty tensor at a shared offset are fine.
+    _build_file(
+        path,
+        {
+            "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+            "e": {"dtype": "F32", "shape": [0], "data_offsets": [4, 4]},
+            "b": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]},
+        },
+        struct.pack("<3f", 1.0, 2.0, 3.0),
+    )
+    loaded = load_tensors(str(path))
+    assert loaded["a"].tolist() == [1.0, 2.0] and loaded["b"].tolist() == [3.0]
+    assert loaded["e"].shape == (0,)

@@ -87,8 +87,8 @@ def test_llama_mlp_spectral_factor_scales_linearly():
     doubled = scale_llama_mlp(np.ones(2), 2 * np.eye(2), np.eye(2), np.eye(2))
     assert math.isclose(doubled, math.sqrt(18.0), rel_tol=1e-12)
     assert doubled > base
-    gain1 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([3.0, 2.0])).value
-    gain2 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([6.0, 4.0])).value
+    gain1 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([3.0, 2.0]))
+    gain2 = spectral_norm(np.diag([1.0, 1.0]) @ np.diag([6.0, 4.0]))
     assert math.isclose(gain2, 2.0 * gain1, rel_tol=1e-9)
 
 
@@ -359,9 +359,9 @@ GOLDEN_TABLES = {
         InitSpec(std=0.05, amplify={"e": 8.0, "g": 8.0}), 101,
         "2da57518045a63e840bc9b8b2b9ab38c666ad2b152bc136b2c60dd71d3cbac83",
         [("layer0.norm1", "0x1.6b28bf919b100p+2"),
-         ("layer0.norm2", "0x1.ad44202a6191fp+4"),
+         ("layer0.norm2", "0x1.ad44fbc59a5f5p+4"),
          ("layer1.norm1", "0x1.700ac541d1c41p+2"),
-         ("layer1.norm2", "0x1.cac1a45752b74p+4")],
+         ("layer1.norm2", "0x1.cac31e09d6845p+4")],
     ),
     "pre_ln_gated": (
         _config(d=32, layers=3, heads=4, mlp=48,
@@ -370,11 +370,11 @@ GOLDEN_TABLES = {
         "bbd33df3dd3bdbbb546a3393e8c8671aaa8eaac5d904b868ab58ec20b4f29411",
         [("layer0.norm1", "0x1.0000000000000p+0"),
          ("layer0.norm2", "0x1.6db86f9921f38p+2"),
-         ("layer1.norm1", "0x1.65cc8a24253c0p+4"),
+         ("layer1.norm1", "0x1.65ccc5f899255p+4"),
          ("layer1.norm2", "0x1.6dba32ac05cc3p+2"),
-         ("layer2.norm1", "0x1.635b0f9a9aff0p+4"),
+         ("layer2.norm1", "0x1.635b421049d7dp+4"),
          ("layer2.norm2", "0x1.6a16c48c44222p+2"),
-         ("final_norm", "0x1.5f4d6204fdf0ep+4")],
+         ("final_norm", "0x1.5f4d83423f5d3p+4")],
     ),
     "pre_ln_layernorm_standard": (
         _config(d=24, layers=2, heads=3, mlp=40, norm_kind=NormKind.LAYER_NORM,
