@@ -172,7 +172,9 @@ class ModelGraph:
         for tag, array in self._canonical_tensors():
             digest.update(tag.encode("utf-8"))
             digest.update(b"\x00")
-            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            # hashlib reads the array's buffer in place: no copy of a
+            # weight that is already float64 in C order.
+            digest.update(np.ascontiguousarray(array, dtype="<f8"))
         return digest.hexdigest()
 
     def _canonical_tensors(self):
@@ -420,7 +422,7 @@ def load_safetensors(
     orientation) and finiteness, in its stored precision; errors name
     the checkpoint tensor.  A tensor the config has no place for is an
     error too.  Widening to float64 and transposing to the row-vector
-    convention is one copy per tensor.
+    convention is one copy per tensor, made in cache-sized blocks.
     """
     nm = name_map or default_name_map()
     tensors = safetensors_io.load_tensors(path)
@@ -443,7 +445,7 @@ def load_safetensors(
         problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
         if problem:
             raise ModelError(f"bad tensor {name!r}: {problem}")
-        return np.ascontiguousarray(stored.T if flip else stored, dtype=np.float64)
+        return safetensors_io.cast_c_order(stored.T if flip else stored, np.float64)
 
     layers = tuple(
         DecoderWeights(**{role: take(role, i) for role in LAYER_ROLES})

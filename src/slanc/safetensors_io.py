@@ -3,8 +3,9 @@
 Byte layout: 8-byte little-endian unsigned header length N, then N
 bytes of UTF-8 JSON mapping tensor name to {"dtype", "shape",
 "data_offsets"} (plus an optional "__metadata__" object), then the data
-section.  Offsets are relative to the first byte after the header;
-tensor payloads are little-endian row-major and must not overlap.
+section.  Shapes and offsets are lists of non-negative integers;
+offsets are relative to the first byte after the header; tensor
+payloads are little-endian row-major and must not overlap.
 Supported dtypes are F32, F16 and BF16.  Loading keeps the stored
 precision (BF16 widens exactly to float32); callers widen to float64.
 """
@@ -45,17 +46,44 @@ def _decode_payload(dtype: str, buf: bytearray, offset: int, count: int) -> np.n
     return flat
 
 
+# Columns per block of a strided cast: a block of a transposed 2-D view
+# and its C-order destination both fit in cache.
+_CAST_BLOCK = 128
+
+
+def cast_c_order(values: np.ndarray, dtype) -> np.ndarray:
+    """values cast to dtype in C order: the bits of
+    np.ascontiguousarray(values, dtype=dtype).
+
+    A non-C-contiguous 2-D view (a transposed tensor) is copied one
+    block of columns at a time; one strided cast over the whole view
+    misses the cache on nearly every element.
+    """
+    if values.ndim != 2 or values.flags.c_contiguous:
+        return np.ascontiguousarray(values, dtype=dtype)
+    out = np.empty(values.shape, dtype=dtype)
+    for j in range(0, values.shape[1], _CAST_BLOCK):
+        out[:, j : j + _CAST_BLOCK] = values[:, j : j + _CAST_BLOCK]
+    return out
+
+
 def _encode_payload(dtype: str, values: np.ndarray) -> np.ndarray:
     """values cast once to the little-endian storage dtype, C order."""
     if dtype == "F16":
         with np.errstate(over="ignore"):
-            return np.ascontiguousarray(values, dtype="<f2")
+            return cast_c_order(values, "<f2")
     if dtype == "BF16":
-        bits = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
+        bits = cast_c_order(values, np.float32).view(np.uint32)
         # Round to nearest even on the dropped 16 bits.
         rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
         return rounded.astype("<u2")
-    return np.ascontiguousarray(values, dtype="<f4")
+    return cast_c_order(values, "<f4")
+
+
+def _is_index_list(value) -> bool:
+    """Whether value is a list of non-negative ints.  JSON floats and
+    booleans are not: int() would silently truncate them."""
+    return isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
@@ -96,16 +124,29 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         if not isinstance(entry, dict):
             raise SafetensorsError("tensor entry is not an object", tensor=name)
         try:
-            dtype = entry["dtype"]
-            shape = [int(n) for n in entry["shape"]]
-            begin, end = (int(n) for n in entry["data_offsets"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise SafetensorsError(f"bad tensor entry: {err}", tensor=name) from err
-        if dtype not in _STORAGE_DTYPE:
+            dtype, shape, offsets = (
+                entry[key] for key in ("dtype", "shape", "data_offsets")
+            )
+        except KeyError as err:
+            raise SafetensorsError(
+                f"bad tensor entry: missing {err}", tensor=name
+            ) from err
+        if not isinstance(dtype, str) or dtype not in _STORAGE_DTYPE:
             raise SafetensorsError(f"unknown dtype {dtype!r}", tensor=name)
-        count = math.prod(shape) if shape else 1
+        if not _is_index_list(shape):
+            raise SafetensorsError(
+                f"shape must be a list of non-negative integers, got {shape!r}",
+                tensor=name,
+            )
+        if not _is_index_list(offsets) or len(offsets) != 2:
+            raise SafetensorsError(
+                f"data_offsets must be two non-negative integers, got {offsets!r}",
+                tensor=name,
+            )
+        begin, end = offsets
+        count = math.prod(shape)
         expected = count * _STORAGE_DTYPE[dtype].itemsize
-        if begin < 0 or end > data_len or begin > end:
+        if end > data_len or begin > end:
             raise SafetensorsError(
                 f"data_offsets [{begin}, {end}] outside data section "
                 f"of {data_len} bytes",
@@ -120,7 +161,12 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         if begin < end:
             spans.append((begin, end, name))
         flat = _decode_payload(dtype, blob, data_start + begin, count)
-        tensors[name] = flat.reshape(shape)
+        try:
+            tensors[name] = flat.reshape(shape)
+        except ValueError as err:
+            # An empty tensor whose other dimensions overflow numpy's size.
+            raise SafetensorsError(f"shape {shape} is too large: {err}",
+                                   tensor=name) from err
     spans.sort()
     for (_, prev_end, prev_name), (begin, end, name) in zip(spans, spans[1:]):
         if begin < prev_end:

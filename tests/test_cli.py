@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,17 @@ def test_scales_on_missing_model_is_io_error(tmp_path, capsys):
     assert main(["scales", str(tmp_path / "nope.safetensors"),
                  "-o", str(tmp_path / "t.json")]) == 1
     capsys.readouterr()
+
+
+def test_malformed_tensor_shape_exits_1_naming_the_tensor(tmp_path, capsys):
+    header = json.dumps({"model.layers.0.input_layernorm.weight": {
+        "dtype": "F32", "shape": [-2, -1], "data_offsets": [0, 8]}}).encode()
+    path = tmp_path / "bad.safetensors"
+    path.write_bytes(struct.pack("<Q", len(header)) + header + bytes(8))
+    assert main(["scales", str(path), "-o", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slanc: error: shape must be a list of non-negative")
+    assert "'model.layers.0.input_layernorm.weight'" in err
 
 
 # ── audit ────────────────────────────────────────────────────────────────

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from slanc import engine
 from slanc.model import (
     DecoderWeights,
+    LAYER_ROLES,
     InitSpec,
     MlpKind,
     ModelConfig,
@@ -324,6 +327,43 @@ def test_saved_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, dtype
 
 
+def _plain_cast_file(tensors: dict, dtype: str) -> bytes:
+    """The safetensors bytes of tensors laid out as save_tensors lays
+    them out, each cast to its storage dtype by one plain
+    np.ascontiguousarray."""
+    header, payloads, offset = {}, [], 0
+    for name in sorted(tensors):
+        with np.errstate(over="ignore"):
+            if dtype == "BF16":
+                bits = np.ascontiguousarray(tensors[name], dtype=np.float32)
+                bits = bits.view(np.uint32)
+                raw = ((bits + 0x7FFF + ((bits >> 16) & 1)) >> 16).astype("<u2")
+            else:
+                storage = {"F32": "<f4", "F16": "<f2"}[dtype]
+                raw = np.ascontiguousarray(tensors[name], dtype=storage)
+        header[name] = {"dtype": dtype, "shape": list(raw.shape),
+                        "data_offsets": [offset, offset + raw.nbytes]}
+        payloads.append(raw.tobytes())
+        offset += raw.nbytes
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(head)) + head + b"".join(payloads)
+
+
+def test_saved_bytes_of_a_model_wider_than_a_cast_block(tmp_path):
+    # d=160 and mlp=300 put every transposed role across the 128-column
+    # edge of the blocked cast; the amplified gate projection overflows
+    # binary16 in part.
+    cfg = _config(d=160, layers=1, heads=4, mlp=300)
+    graph = generate_synthetic(cfg, InitSpec(std=0.05, amplify={"e": 1e6}), seed=405)
+    tensors = to_tensor_dict(graph)
+    for dtype in ("F32", "F16", "BF16"):
+        path = tmp_path / f"{dtype}.safetensors"
+        save_safetensors(graph, str(path), dtype=dtype)
+        assert path.read_bytes() == _plain_cast_file(tensors, dtype), dtype
+    assert _graphs_equal(load_safetensors(str(tmp_path / "F32.safetensors"),
+                                          config=cfg), graph)
+
+
 def test_load_peak_memory_is_file_plus_float64_weights(tmp_path):
     # One read of the file plus one float64 copy per tensor; no
     # intermediate copies of the payload.
@@ -450,3 +490,50 @@ def test_fingerprint_tracks_weight_bytes():
     assert before == graph.fingerprint()
     graph.layers[0].g[0, 0] += 1.0
     assert graph.fingerprint() != before
+
+
+def _copying_fingerprint(graph: ModelGraph) -> str:
+    """The fingerprint's definition, hashing a bytes copy of each tensor."""
+    digest = hashlib.sha256()
+    tagged = [(f"{i}:{role}", getattr(layer, role))
+              for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
+    tagged += [("final:gamma", graph.final_gamma), ("final:beta", graph.final_beta)]
+    for tag, array in tagged:
+        if array is not None:
+            dims = "x".join(str(n) for n in array.shape)
+            digest.update(f"{tag}:{dims}".encode("utf-8") + b"\x00")
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_fingerprint_matches_the_copying_definition():
+    cfg = _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(), seed=6)
+    assert graph.fingerprint() == _copying_fingerprint(graph)
+    # Fortran-ordered and float32 arrays hash as their float64 C-order
+    # values; generated weights are float32-representable, so the
+    # fingerprint does not move.
+    layer = graph.layers[0]
+    mixed = dataclasses.replace(
+        layer,
+        gamma1=layer.gamma1.astype(np.float32),
+        w_q=np.asfortranarray(layer.w_q),
+        e=layer.e.astype(np.float32),
+        g=np.asfortranarray(layer.g, dtype=np.float32),
+    )
+    other = dataclasses.replace(graph, layers=(mixed,) + graph.layers[1:])
+    assert other.fingerprint() == _copying_fingerprint(other)
+    assert other.fingerprint() == graph.fingerprint()
+
+
+def test_fingerprint_hashes_weights_in_place():
+    # Each float64 matrix here is 0.5-1 MiB; hashing allocates none of it.
+    cfg = _config(d=256, layers=1, heads=4, mlp=512)
+    graph = generate_synthetic(cfg, InitSpec(), seed=7)
+    tracemalloc.start()
+    try:
+        graph.fingerprint()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from slanc.safetensors_io import SafetensorsError, load_tensors, save_tensors
+from slanc.safetensors_io import (
+    SafetensorsError,
+    cast_c_order,
+    load_tensors,
+    save_tensors,
+)
 
 
 def _build_file(path, header: dict, data: bytes) -> None:
@@ -107,6 +113,41 @@ def test_bad_offsets_name_tensor(tmp_path):
     )
     with pytest.raises(SafetensorsError, match="outside data section.*'w'"):
         load_tensors(str(path))
+
+
+@pytest.mark.parametrize(
+    "shape, offsets",
+    [
+        ([-2, -1], [0, 8]),  # product 2: numpy's reshape rejected it
+        ([1 << 40, 1 << 40, 0], [0, 0]),  # empty, but past numpy's size
+        ([2.7], [0, 8]),  # int() truncated it to [2]
+        ([True], [0, 4]),  # int() read it as [1]
+        ("2", [0, 8]),
+        (None, [0, 8]),
+    ],
+    ids=["negative", "past-numpy-size", "float", "bool", "string", "null"],
+)
+def test_malformed_shape_names_tensor(tmp_path, shape, offsets):
+    path = tmp_path / "shape.safetensors"
+    _build_file(
+        path,
+        {"w": {"dtype": "F32", "shape": shape, "data_offsets": offsets}},
+        b"\x00" * 8,
+    )
+    with pytest.raises(SafetensorsError, match=r"shape.*'w'"):
+        load_tensors(str(path))
+
+
+def test_malformed_offsets_name_tensor(tmp_path):
+    path = tmp_path / "offsets.safetensors"
+    for offsets in ([0.0, 8.0], [0, 8, 8], [-4, 4], [0, True], "0,8"):
+        _build_file(
+            path,
+            {"w": {"dtype": "F32", "shape": [2], "data_offsets": offsets}},
+            b"\x00" * 8,
+        )
+        with pytest.raises(SafetensorsError, match="data_offsets.*'w'"):
+            load_tensors(str(path))
 
 
 def test_payload_size_mismatch_names_tensor(tmp_path):
@@ -238,3 +279,44 @@ def test_overlapping_offsets_are_rejected(tmp_path):
     loaded = load_tensors(str(path))
     assert loaded["a"].tolist() == [1.0, 2.0] and loaded["b"].tolist() == [3.0]
     assert loaded["e"].shape == (0,)
+
+
+def _cast_inputs():
+    """(label, array) pairs: transposed views that do and do not cross
+    the 128-column block edge, plus the inputs that skip the blocks."""
+    rng = np.random.default_rng(11)
+    for cols in (1, 127, 128, 129, 300):
+        stored = rng.standard_normal((cols, 37)) * 1e3
+        yield f"{cols} columns", stored.T
+        yield f"{cols} columns from float32", stored.astype(np.float32).T
+    yield "zero rows", np.zeros((5, 0)).T
+    yield "zero columns", np.zeros((0, 5)).T
+    yield "C-contiguous", rng.standard_normal((9, 300))
+    yield "1-D", rng.standard_normal(300)
+    yield "strided slice", rng.standard_normal((6, 600))[:, ::2]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, "<f4", "<f2"])
+def test_cast_c_order_matches_the_plain_cast(dtype):
+    for label, values in _cast_inputs():
+        with np.errstate(over="ignore"):
+            got = cast_c_order(values, dtype)
+            want = np.ascontiguousarray(values, dtype=dtype)
+        assert got.flags.c_contiguous, label
+        assert got.dtype == want.dtype and got.shape == want.shape, label
+        assert got.tobytes() == want.tobytes(), label
+
+
+def test_f16_save_of_a_wide_transposed_tensor_overflows_quietly(tmp_path):
+    # 1e6 is past binary16's largest finite value: inf, not a warning.
+    stored = np.random.default_rng(12).standard_normal((300, 7))
+    stored[::3] = np.copysign(1e6, stored[::3])
+    path = tmp_path / "wide16.safetensors"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save_tensors(str(path), {"v": stored.T}, dtype="F16")
+        loaded = load_tensors(str(path))["v"]
+    with np.errstate(over="ignore"):
+        want = stored.T.astype(np.float16)
+    assert np.isinf(loaded[:, ::3]).all() and np.isfinite(loaded[:, 1::3]).all()
+    assert loaded.tobytes() == want.tobytes()
