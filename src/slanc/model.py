@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -147,6 +149,10 @@ class ModelGraph:
     layers: tuple[DecoderWeights, ...]
     final_gamma: np.ndarray | None = None
     final_beta: np.ndarray | None = None
+    # (digest, ((name, array), ...)) recorded by load_safetensors as it
+    # hashed each array; see fingerprint().
+    _loaded_digest: tuple | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def norm_ids(self) -> list[str]:
@@ -167,23 +173,49 @@ class ModelGraph:
         return int(prefix.removeprefix("layer"))
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE)."""
+        """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE).
+
+        A graph from load_safetensors keeps the digest taken while it
+        loaded.  That digest is returned while every canonical array is
+        still one that was hashed and none of them is writeable; any
+        other graph (generated, dataclasses.replace, copy.deepcopy, or
+        with writes re-enabled on an array) is hashed again.  Re-enabling
+        writes, editing and disabling them again defeats this check.
+        """
+        tensors = tuple(self._canonical_tensors())
+        if self._loaded_digest is not None:
+            digest, hashed = self._loaded_digest
+            if len(hashed) == len(tensors) and all(
+                name == hashed_name and array is hashed_array
+                and not array.flags.writeable
+                for (name, array), (hashed_name, hashed_array) in zip(tensors, hashed)
+            ):
+                return digest
         digest = hashlib.sha256()
-        for tag, array in self._canonical_tensors():
-            digest.update(tag.encode("utf-8"))
-            digest.update(b"\x00")
-            # hashlib reads the array's buffer in place: no copy of a
-            # weight that is already float64 in C order.
-            digest.update(np.ascontiguousarray(array, dtype="<f8"))
+        for name, array in tensors:
+            _hash_tensor(digest, name, array)
         return digest.hexdigest()
 
     def _canonical_tensors(self):
-        tagged = [(f"{i}:{role}", getattr(layer, role))
+        tagged = [(_canonical_name(role, i), getattr(layer, role))
                   for i, layer in enumerate(self.layers) for role in LAYER_ROLES]
-        tagged += [("final:gamma", self.final_gamma), ("final:beta", self.final_beta)]
-        for tag, array in tagged:
-            if array is not None:
-                yield f"{tag}:{_dims(array.shape)}", array
+        tagged += [(_canonical_name(role), getattr(self, role)) for role in FINAL_ROLES]
+        return ((name, array) for name, array in tagged if array is not None)
+
+
+def _canonical_name(role: str, layer: int | None = None) -> str:
+    """A tensor's name in the fingerprint: "<layer>:<role>" or "final:<gamma|beta>"."""
+    return f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
+
+
+def _hash_tensor(digest, name: str, array: np.ndarray) -> None:
+    """Feed one canonical tensor to a SHA-256: its name and shape, a NUL
+    byte, then its values as float64 little-endian in C order."""
+    digest.update(f"{name}:{_dims(array.shape)}".encode("utf-8") + b"\x00")
+    # hashlib reads the array's buffer in place, without the GIL for
+    # large buffers: no copy of a weight that is already float64 in C
+    # order.
+    digest.update(np.ascontiguousarray(array, dtype="<f8"))
 
 
 # ── synthetic generation ─────────────────────────────────────────────────
@@ -423,11 +455,28 @@ def load_safetensors(
     the checkpoint tensor.  A tensor the config has no place for is an
     error too.  Widening to float64 and transposing to the row-vector
     convention is one copy per tensor, made in cache-sized blocks.
+
+    The widened arrays are read-only.  One worker thread hashes each of
+    them, in fingerprint order, while the next one is checked and
+    widened; the graph keeps that digest for fingerprint().
     """
     nm = name_map or default_name_map()
     tensors = safetensors_io.load_tensors(path)
     cfg = config if config is not None else _infer_config(tensors, nm)
     shapes = _role_shapes(cfg)
+    hashed: list[tuple[str, np.ndarray]] = []
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    outcome: list = []
+
+    def hash_in_order() -> None:
+        digest = hashlib.sha256()
+        try:
+            for name, array in iter(pending.get, None):
+                _hash_tensor(digest, name, array)
+        except BaseException as err:  # re-raised by load_safetensors
+            outcome.append(err)
+        else:
+            outcome.append(digest.hexdigest())
 
     def take(role: str, layer: int | None = None) -> np.ndarray | None:
         unused = _unused_reason(cfg, role)
@@ -445,14 +494,29 @@ def load_safetensors(
         problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
         if problem:
             raise ModelError(f"bad tensor {name!r}: {problem}")
-        return safetensors_io.cast_c_order(stored.T if flip else stored, np.float64)
+        array = safetensors_io.cast_c_order(stored.T if flip else stored, np.float64)
+        array.flags.writeable = False
+        hashed.append((_canonical_name(role, layer), array))
+        pending.put(hashed[-1])
+        return array
 
-    layers = tuple(
-        DecoderWeights(**{role: take(role, i) for role in LAYER_ROLES})
-        for i in range(cfg.n_layers)
-    )
-    return ModelGraph(config=cfg, layers=layers,
-                      final_gamma=take("final_gamma"), final_beta=take("final_beta"))
+    worker = threading.Thread(target=hash_in_order, name="slanc-fingerprint")
+    worker.start()
+    try:
+        layers = tuple(
+            DecoderWeights(**{role: take(role, i) for role in LAYER_ROLES})
+            for i in range(cfg.n_layers)
+        )
+        graph = ModelGraph(config=cfg, layers=layers,
+                           final_gamma=take("final_gamma"), final_beta=take("final_beta"))
+    finally:
+        pending.put(None)
+        worker.join()
+    (result,) = outcome
+    if isinstance(result, BaseException):
+        raise result
+    object.__setattr__(graph, "_loaded_digest", (result, tuple(hashed)))
+    return graph
 
 
 # ── validation ───────────────────────────────────────────────────────────

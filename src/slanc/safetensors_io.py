@@ -37,7 +37,7 @@ class SafetensorsError(Exception):
         super().__init__(message if tensor is None else f"{message} (tensor {tensor!r})")
 
 
-def _decode_payload(dtype: str, buf: bytearray, offset: int, count: int) -> np.ndarray:
+def _decode_payload(dtype: str, buf: np.ndarray, offset: int, count: int) -> np.ndarray:
     """View count values of buf at offset in their stored precision."""
     flat = np.frombuffer(buf, dtype=_STORAGE_DTYPE[dtype], count=count, offset=offset)
     if dtype == "BF16":
@@ -91,11 +91,13 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
 
     The file is read once into a single buffer; F32 and F16 tensors are
     writable views of it, BF16 tensors are widened exactly to float32.
-    Payloads must not overlap, so no two arrays share memory.
+    Payloads must not overlap, so no two arrays share memory.  The
+    buffer is not zero-filled first: a read that falls short of the
+    file size is an error, so no uninitialised byte reaches an array.
     """
     try:
         with open(path, "rb") as handle:
-            blob = bytearray(os.fstat(handle.fileno()).st_size)
+            blob = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
             size = handle.readinto(blob)
     except OSError as err:
         raise SafetensorsError(f"cannot read {path}: {err}") from err
@@ -109,7 +111,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             f"header length {header_len} exceeds file size {len(blob)}"
         )
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(blob[8 : 8 + header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SafetensorsError(f"malformed header JSON: {err}") from err
     if not isinstance(header, dict):

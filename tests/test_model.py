@@ -7,17 +7,20 @@ from one-time audited forward runs for the overflow guarantees.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from slanc import engine
+from slanc import model as model_mod
 from slanc.model import (
     DecoderWeights,
     LAYER_ROLES,
@@ -537,3 +540,97 @@ def test_fingerprint_hashes_weights_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _count_hashes(monkeypatch) -> list:
+    """Count the tensors hashed from here on; returns the live counter."""
+    calls = [0]
+    real = model_mod._hash_tensor
+
+    def counting(*args):
+        calls[0] += 1
+        real(*args)
+
+    monkeypatch.setattr(model_mod, "_hash_tensor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, dtype", [
+    (_config(), "F32"),
+    (_config(), "F16"),
+    (_config(), "BF16"),
+    # Betas, a standard MLP (no b) and a final norm: skipped None roles
+    # and the final: tags.
+    (_config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN,
+             mlp_kind=MlpKind.STANDARD), "F32"),
+])
+def test_load_time_digest_is_the_copying_definition(tmp_path, monkeypatch, cfg, dtype):
+    # The default name map stores every matrix transposed.
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(std=0.05), seed=8), str(path),
+                     dtype=dtype)
+    loaded = load_safetensors(str(path), config=cfg)
+    calls = _count_hashes(monkeypatch)
+    assert loaded.fingerprint() == _copying_fingerprint(loaded)
+    assert calls[0] == 0
+
+
+def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=9), str(path))
+    loaded = load_safetensors(str(path), config=_config())
+    before = loaded.fingerprint()
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.layers[0].g[0, 0] += 1.0
+    calls = _count_hashes(monkeypatch)
+    for other in (dataclasses.replace(loaded, layers=loaded.layers),
+                  copy.deepcopy(loaded)):
+        hashed = calls[0]
+        assert other.fingerprint() == before
+        assert calls[0] > hashed
+    loaded.layers[0].g.flags.writeable = True
+    loaded.layers[0].g[0, 0] += 1.0
+    assert loaded.fingerprint() != before
+    assert loaded.fingerprint() == _copying_fingerprint(loaded)
+
+
+def test_forward_with_a_table_does_not_rehash_a_loaded_graph(tmp_path, monkeypatch):
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=10), str(path))
+    loaded = load_safetensors(str(path), config=_config())
+    table = compute_scale_table(loaded)
+    tokens = np.random.default_rng(1).standard_normal((4, 16))
+    calls = _count_hashes(monkeypatch)
+    for _ in range(2):
+        engine.forward(loaded, tokens, engine.FP16_POLICY, scales=table)
+    assert calls[0] == 0
+
+
+def test_failed_load_joins_its_hash_thread(tmp_path):
+    cfg = _config()
+    tensors = to_tensor_dict(generate_synthetic(cfg, InitSpec(), seed=2))
+    bad = tensors["model.layers.1.mlp.down_proj.weight"].copy()
+    bad[3, 5] = np.nan
+    tensors["model.layers.1.mlp.down_proj.weight"] = bad
+    path = tmp_path / "nan.safetensors"
+    save_tensors(str(path), tensors)
+    threads = threading.active_count()
+    with pytest.raises(ModelError, match="model.layers.1.mlp.down_proj.weight"):
+        load_safetensors(str(path), config=cfg)
+    assert threading.active_count() == threads
+
+
+def test_hash_failure_fails_the_load(tmp_path, monkeypatch):
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=2), str(path))
+
+    def broken(*args):
+        raise RuntimeError("hash failed")
+
+    monkeypatch.setattr(model_mod, "_hash_tensor", broken)
+    threads = threading.active_count()
+    graph = None
+    with pytest.raises(RuntimeError, match="hash failed"):
+        graph = load_safetensors(str(path), config=_config())
+    assert graph is None
+    assert threading.active_count() == threads

@@ -7,12 +7,15 @@ layout definition, and numpy's float32/float16 codecs for payloads.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from slanc import safetensors_io
 from slanc.safetensors_io import (
     SafetensorsError,
     cast_c_order,
@@ -240,6 +243,20 @@ def test_save_is_deterministic(tmp_path):
 def test_missing_file_is_an_error(tmp_path):
     with pytest.raises(SafetensorsError, match="cannot read"):
         load_tensors(str(tmp_path / "absent.safetensors"))
+
+
+def test_short_read_is_an_error(tmp_path, monkeypatch):
+    # The read buffer is not zero-filled: a file that yields fewer bytes
+    # than its reported size must fail before any array is made.
+    path = tmp_path / "m.safetensors"
+    save_tensors(str(path), {"w": np.arange(6.0).reshape(2, 3)})
+    real_fstat = os.fstat
+    monkeypatch.setattr(
+        safetensors_io.os, "fstat",
+        lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 16),
+    )
+    with pytest.raises(SafetensorsError, match="short read"):
+        load_tensors(str(path))
 
 
 def test_load_keeps_stored_precision_in_writable_arrays(tmp_path):
