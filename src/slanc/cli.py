@@ -35,7 +35,6 @@ from .model import (
     MlpKind,
     ModelConfig,
     ModelError,
-    ModelGraph,
     NameMap,
     NormKind,
     Nonlinearity,
@@ -151,12 +150,6 @@ def _load_scale_table(path: str) -> ScaleTable:
         raise UsageError(f"bad scale table {path}: {err}") from err
 
 
-def _require_entries(table: ScaleTable, graph: ModelGraph) -> None:
-    for norm_id in graph.norm_ids:
-        if norm_id not in table.entries:
-            raise UsageError(f"scale table has no entry for norm {norm_id!r}")
-
-
 def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
     if args.inputs is not None:
         try:
@@ -259,8 +252,6 @@ def _cmd_scales(args) -> int:
 def _cmd_audit(args) -> int:
     graph = _load_model(args)
     table = _load_scale_table(args.scales) if args.scales else None
-    if table is not None:
-        _require_entries(table, graph)
     inputs, seed = _token_inputs(args, graph.config)
     policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
     result = forward(graph, inputs, policy, scales=table)
@@ -282,7 +273,6 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     graph = _load_model(args)
     table = _load_scale_table(args.scales)
-    _require_entries(table, graph)
     inputs, seed = _token_inputs(args, graph.config)
     compare_report = report_mod.run_compare(graph, inputs, table, seed=seed)
     sys.stdout.write(compare_report.to_text())

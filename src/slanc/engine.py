@@ -95,7 +95,7 @@ class NonPositiveVarianceError(Exception):
 
 
 class FingerprintMismatchError(Exception):
-    """Supplied scale table was computed from different weights."""
+    """Supplied scale table does not fit the model: other weights, or a norm missing."""
 
 
 # ── histograms ───────────────────────────────────────────────────────────
@@ -297,17 +297,21 @@ def forward(
         )
     if not np.isfinite(x).all():
         raise ValueError("input activations must be finite")
-    if scales is not None and scales.fingerprint != model.fingerprint():
-        raise FingerprintMismatchError(
-            "scale table fingerprint does not match the model weights"
-        )
+    if scales is not None:
+        if scales.fingerprint != model.fingerprint():
+            raise FingerprintMismatchError(
+                "scale table fingerprint does not match the model weights"
+            )
+        for norm_id in model.norm_ids:
+            if norm_id not in scales.entries:
+                raise FingerprintMismatchError(
+                    f"scale table has no entry for norm {norm_id!r}"
+                )
     audit: list[NormAuditRecord] = []
     histograms: dict[str, Histogram] = {}
 
     def run_norm(acts: np.ndarray, norm_id: str, gamma, beta) -> np.ndarray:
-        entry = scales.entries.get(norm_id) if scales is not None else None
-        if scales is not None and entry is None:
-            raise ValueError(f"scale table has no entry for norm {norm_id!r}")
+        entry = scales.entries[norm_id] if scales is not None else None
         rows, records = norm_forward(
             acts, gamma, beta, cfg.epsilon, cfg.norm_kind, policy,
             scale=entry, norm_id=norm_id,
@@ -363,11 +367,10 @@ def calibrate_dynamic(
         for record in result.audit:
             observed[record.norm_id].append(math.sqrt(record.raw_sum_of_squares))
     entries: dict[str, NormScale] = {}
-    for norm_id in model.norm_ids:
-        values = np.array(observed[norm_id])
+    for site in model.norm_sites:
+        values = np.array(observed[site.norm_id])
         s = float(np.mean(values) if statistic == "Mean" else np.median(values))
-        entries[norm_id] = make_norm_scale(
-            s, model.config.epsilon, Formula.DYNAMIC,
-            model.norm_layer(norm_id), norm_id,
+        entries[site.norm_id] = make_norm_scale(
+            s, model.config.epsilon, Formula.DYNAMIC, site.layer, site.norm_id,
         )
     return ScaleTable(fingerprint=model.fingerprint(), entries=entries)

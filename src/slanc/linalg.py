@@ -18,11 +18,14 @@ class ConvergenceError(Exception):
     """The spectral norm could not be computed (non-finite Gram matrix
     or an eigensolver failure); names the norm once one is known."""
 
-    def __init__(self, message: str, norm_id: str | None = None):
+    def __init__(self, message: str):
+        super().__init__(message)
         self.message = message
-        self.norm_id = norm_id
-        where = f" at norm {norm_id!r}" if norm_id else ""
-        super().__init__(f"{message}{where}")
+        self.norm_id: str | None = None  # set by compute_scale_table
+
+    def __str__(self) -> str:
+        where = f" at norm {self.norm_id!r}" if self.norm_id else ""
+        return f"{self.message}{where}"
 
 
 def frobenius_norm(a: np.ndarray) -> float:

@@ -142,6 +142,23 @@ class DecoderWeights:
 
 
 @dataclass(frozen=True)
+class NormSite:
+    """A norm operator: its id, decoder index and gain."""
+
+    norm_id: str
+    layer: int  # one past the last decoder for the final norm
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
+class Sublayer:
+    """The attention or MLP sublayer of one decoder layer."""
+
+    mlp: bool  # False for attention
+    weights: DecoderWeights
+
+
+@dataclass(frozen=True)
 class ModelGraph:
     """Immutable model: config, decoder weights, optional final norm."""
 
@@ -154,23 +171,34 @@ class ModelGraph:
     _loaded_digest: tuple | None = field(default=None, init=False, repr=False,
                                          compare=False)
 
+    def execution_order(self):
+        """Each NormSite and Sublayer in the order engine.forward runs them:
+        per layer attention, norm1, MLP, norm2 (PostLN) or norm1, attention,
+        norm2, MLP (PreLN), then any final norm."""
+        post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
+        for i, layer in enumerate(self.layers):
+            norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1)
+            norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2)
+            attention = Sublayer(mlp=False, weights=layer)
+            mlp = Sublayer(mlp=True, weights=layer)
+            yield from ((attention, norm1, mlp, norm2) if post_ln
+                        else (norm1, attention, norm2, mlp))
+        if self.final_gamma is not None:
+            yield NormSite("final_norm", len(self.layers), self.final_gamma)
+
+    @property
+    def norm_sites(self) -> list[NormSite]:
+        """The norms of execution_order(), in order."""
+        return [step for step in self.execution_order() if isinstance(step, NormSite)]
+
     @property
     def norm_ids(self) -> list[str]:
         """Norm operator ids in execution order."""
-        ids: list[str] = []
-        for i in range(len(self.layers)):
-            ids.append(f"layer{i}.norm1")
-            ids.append(f"layer{i}.norm2")
-        if self.final_gamma is not None:
-            ids.append("final_norm")
-        return ids
+        return [site.norm_id for site in self.norm_sites]
 
     def norm_layer(self, norm_id: str) -> int:
         """Decoder index a norm lives in; one past the last for the final norm."""
-        if norm_id == "final_norm":
-            return len(self.layers)
-        prefix, _, _ = norm_id.partition(".")
-        return int(prefix.removeprefix("layer"))
+        return {site.norm_id: site.layer for site in self.norm_sites}[norm_id]
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE).

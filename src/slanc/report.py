@@ -133,21 +133,22 @@ def build_audit_report(
     policy_name: str,
     seed: int | None,
 ) -> AuditReport:
-    per_norm: dict[str, list] = {norm_id: [] for norm_id in model.norm_ids}
+    sites = model.norm_sites
+    per_norm: dict[str, list] = {site.norm_id: [] for site in sites}
     for record in result.audit:
         per_norm[record.norm_id].append(record)
     norms = []
-    for norm_id in model.norm_ids:
-        records = per_norm[norm_id]
+    for site in sites:
+        records = per_norm[site.norm_id]
         norms.append(
             NormAuditSummary(
-                norm_id=norm_id,
-                layer=model.norm_layer(norm_id),
+                norm_id=site.norm_id,
+                layer=site.layer,
                 scale_applied=records[0].scale_applied if records else 1.0,
                 token_count=len(records),
                 overflow_count=sum(r.overflowed for r in records),
                 underflow_count=sum(r.underflowed_to_zero for r in records),
-                histogram=result.histograms[norm_id],
+                histogram=result.histograms[site.norm_id],
             )
         )
     return AuditReport(

@@ -1,25 +1,24 @@
 """Static norm-input scale factors computed from the preceding weights.
 
-Each norm operator in the decoder chain is fed by exactly one block
-(attention or MLP) whose output, plus the residual, becomes the norm's
-input.  Because normalization is scale-invariant, that input can be
+Because normalization is scale-invariant, a norm's input can be
 multiplied by a fixed 1/s without changing the model's output, provided
-epsilon is divided by s^2.  The right s is an upper bound on how much
-the feeding block can grow a normalized vector, and it is a closed form
-in the block's weights:
+epsilon is divided by s^2.  The table walks ModelGraph.execution_order()
+and takes each norm's s from the sublayer that ran since the previous
+norm, with the previous norm's diagonal gain as Gamma (all ones at the
+raw embeddings; s = 1, "Unit", when no sublayer ran):
 
   standard MLP   s = ||Gamma (E G + I)||_F
   gated MLP      s = ||Gamma (||Gamma E|| B G + I)||_F
   attention      s = ||Gamma (W_V P + I)||_F
 
-where Gamma is the diagonal gain of the norm whose output feeds the
-block (identity when the feeding path starts at the raw embeddings),
-the I term carries the residual, and ||.|| is the spectral norm.  The
-attention case needs no softmax term: softmax rows are convex weights,
-so mixing value rows never increases the bound.  All of this runs
-offline in double precision; the spectral norm is one eigenvalue solve
-on the smaller Gram side (see linalg).  The per-norm results go into a
-ScaleTable keyed by the model fingerprint.
+where the I term carries the residual and ||.|| is the spectral norm
+(one eigenvalue solve, see linalg); softmax rows are convex weights, so
+attention has no softmax term.  These are the paper's estimates of how
+much the sublayer grows a normalized row, not upper bounds: they assume
+it sees a normalized row and acts linearly.  ROADMAP items 2 and 3
+measure counterexamples: deep pre-LN stacks, activation cancellation,
+the gate's missing sqrt(d) and a LayerNorm shift.  The per-norm results
+go into a ScaleTable keyed by the model fingerprint.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import serialization
 from .linalg import ConvergenceError, frobenius_norm, spectral_norm
-from .model import MlpKind, ModelGraph, ResidualPlacement
+from .model import MlpKind, ModelGraph, Sublayer
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
@@ -53,13 +52,14 @@ class DegenerateScaleError(Exception):
     """Scale collapsed below the representable threshold."""
 
     def __init__(self, value: float, norm_id: str | None = None):
+        super().__init__(value)
         self.value = value
-        self.norm_id = norm_id
-        where = f" at norm {norm_id!r}" if norm_id else ""
-        super().__init__(
-            f"degenerate scale {value:.6g}{where}: below threshold "
-            f"{DEGENERATE_THRESHOLD:.6g}"
-        )
+        self.norm_id = norm_id  # set by compute_scale_table when None
+
+    def __str__(self) -> str:
+        where = f" at norm {self.norm_id!r}" if self.norm_id else ""
+        return (f"degenerate scale {self.value:.6g}{where}: below threshold "
+                f"{DEGENERATE_THRESHOLD:.6g}")
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,9 @@ def scale_llama_mlp(
 ) -> float:
     """||Gamma (||Gamma E|| B G + I)||_F for the gated MLP.
 
-    The gate path contributes through its spectral norm: the
-    elementwise product is bounded by the gate activations' magnitude,
-    itself bounded by ||Gamma E|| on normalized inputs.  A spectral-norm
+    The gate path contributes through its spectral norm: ||Gamma E||
+    stands in for the gate activations' magnitude on normalized inputs
+    (an estimate; see the module docstring).  A spectral-norm
     ConvergenceError propagates to the caller.
     """
     d, m = gamma.size, np.shape(e)[-1]
@@ -217,76 +217,44 @@ def adjust_epsilon(epsilon: float, s: float) -> float:
 # ── whole-model table ────────────────────────────────────────────────────
 
 
-def _norm_sites(model: ModelGraph):
-    """Yield (norm_id, layer_index, feeding kind, gamma or None, block layer).
-
-    The feeding block is the sublayer whose output (plus residual) the
-    norm consumes; gamma is the gain of the norm whose output feeds
-    that block, None when that path starts at the raw embeddings.
-    """
-    cfg = model.config
-    n = cfg.n_layers
-    sites = []
-    if cfg.residual_placement is ResidualPlacement.POST_LN:
-        for i in range(n):
-            prev_gamma = model.layers[i - 1].gamma2 if i > 0 else None
-            sites.append((f"layer{i}.norm1", i, "attention", prev_gamma, i))
-            sites.append((f"layer{i}.norm2", i, "mlp", model.layers[i].gamma1, i))
-    else:
-        for i in range(n):
-            if i == 0:
-                sites.append((f"layer{i}.norm1", i, "unit", None, None))
-            else:
-                sites.append(
-                    (f"layer{i}.norm1", i, "mlp", model.layers[i - 1].gamma2, i - 1)
-                )
-            sites.append((f"layer{i}.norm2", i, "attention", model.layers[i].gamma1, i))
-        if model.final_gamma is not None:
-            if n > 0:
-                sites.append(
-                    ("final_norm", n, "mlp", model.layers[n - 1].gamma2, n - 1)
-                )
-            else:
-                sites.append(("final_norm", 0, "unit", None, None))
-    return sites
+def _feeding_scale(sublayer: Sublayer | None, gamma: np.ndarray,
+                   mlp_kind: MlpKind) -> tuple[float, Formula]:
+    """s and its formula for a norm fed by sublayer, whose own input
+    came through a norm of gain gamma; Unit when no sublayer ran."""
+    if sublayer is None:
+        return 1.0, Formula.UNIT
+    w = sublayer.weights
+    if not sublayer.mlp:
+        return scale_attention(gamma, w.w_v, w.p), Formula.ATTENTION
+    if mlp_kind is MlpKind.LLAMA_GATED:
+        return scale_llama_mlp(gamma, w.e, w.b, w.g), Formula.LLAMA_MLP
+    return scale_standard_mlp(gamma, w.e, w.g), Formula.STANDARD_MLP
 
 
 def compute_scale_table(model: ModelGraph) -> ScaleTable:
     """One NormScale per norm operator, in execution order.
 
+    Walks model.execution_order() as the module docstring describes.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
-    bitwise-identical tables.  Degenerate and spectral-norm failures are
-    re-raised with the norm id.
+    bitwise-identical tables.  Degenerate and spectral-norm failures
+    name the norm.
     """
     cfg = model.config
-    epsilon = cfg.epsilon
-    ones = np.ones(cfg.d_model)
+    gamma = np.ones(cfg.d_model)
+    fed_by: Sublayer | None = None
     entries: dict[str, NormScale] = {}
-    for norm_id, layer_index, feeding, gamma, block_layer in _norm_sites(model):
-        gamma = gamma if gamma is not None else ones
-        if feeding == "unit":
-            s, formula = 1.0, Formula.UNIT
-        elif feeding == "attention":
-            weights = model.layers[block_layer]
-            try:
-                s = scale_attention(gamma, weights.w_v, weights.p)
-            except DegenerateScaleError as err:
-                raise DegenerateScaleError(err.value, norm_id) from None
-            formula = Formula.ATTENTION
-        else:
-            weights = model.layers[block_layer]
-            try:
-                if cfg.mlp_kind is MlpKind.LLAMA_GATED:
-                    s = scale_llama_mlp(gamma, weights.e, weights.b, weights.g)
-                    formula = Formula.LLAMA_MLP
-                else:
-                    s = scale_standard_mlp(gamma, weights.e, weights.g)
-                    formula = Formula.STANDARD_MLP
-            except DegenerateScaleError as err:
-                raise DegenerateScaleError(err.value, norm_id) from None
-            except ConvergenceError as err:
-                raise ConvergenceError(err.message, norm_id) from None
-        entries[norm_id] = make_norm_scale(s, epsilon, formula, layer_index, norm_id)
-    assert list(entries) == model.norm_ids
+    for step in model.execution_order():
+        if isinstance(step, Sublayer):
+            fed_by = step
+            continue
+        try:
+            s, formula = _feeding_scale(fed_by, gamma, cfg.mlp_kind)
+        except (DegenerateScaleError, ConvergenceError) as err:
+            err.norm_id = step.norm_id
+            raise
+        entries[step.norm_id] = make_norm_scale(
+            s, cfg.epsilon, formula, step.layer, step.norm_id
+        )
+        gamma, fed_by = step.gamma, None
     return ScaleTable(fingerprint=model.fingerprint(), entries=entries)

@@ -40,6 +40,7 @@ from slanc.model import (
     ResidualPlacement,
     generate_synthetic,
 )
+from slanc.report import build_audit_report
 from slanc.scales import Formula, compute_scale_table, make_norm_scale
 
 
@@ -426,7 +427,7 @@ def test_missing_scale_entry_is_refused():
     entries = dict(table.entries)
     del entries["layer1.norm2"]
     broken = type(table)(fingerprint=table.fingerprint, entries=entries)
-    with pytest.raises(ValueError, match="no entry"):
+    with pytest.raises(FingerprintMismatchError, match="no entry for norm 'layer1.norm2'"):
         forward(graph, np.ones((2, 16)), REFERENCE_POLICY, scales=broken)
 
 
@@ -444,6 +445,27 @@ def test_audit_is_complete_and_ordered():
         assert set(result.histograms) == set(graph.norm_ids)
         for histogram in result.histograms.values():
             assert histogram.total == 7
+
+
+@pytest.mark.parametrize("placement,layers,expected", [
+    (ResidualPlacement.POST_LN, 2,
+     ["layer0.norm1", "layer0.norm2", "layer1.norm1", "layer1.norm2"]),
+    (ResidualPlacement.PRE_LN, 2,
+     ["layer0.norm1", "layer0.norm2", "layer1.norm1", "layer1.norm2", "final_norm"]),
+    (ResidualPlacement.PRE_LN, 0, ["final_norm"]),
+], ids=["post-ln", "pre-ln", "pre-ln-0-layers"])
+def test_execution_order_agrees_across_modules(placement, layers, expected):
+    graph = generate_synthetic(_config(layers=layers, placement=placement),
+                               InitSpec(), seed=6)
+    table = compute_scale_table(graph)
+    result = forward(graph, np.random.default_rng(9).standard_normal((3, 16)),
+                     FP16_POLICY, scales=table)
+    report = build_audit_report(result, graph, "fp16", seed=None)
+    assert graph.norm_ids == expected
+    assert list(table.entries) == expected
+    assert [r.norm_id for r in result.audit] == [n for n in expected for _ in range(3)]
+    assert list(result.histograms) == expected
+    assert [n.norm_id for n in report.norms] == expected
 
 
 def test_fp16_forward_is_deterministic():

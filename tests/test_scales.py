@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from slanc.linalg import spectral_norm
+from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -321,6 +321,37 @@ def test_degenerate_table_names_offending_norm():
     with pytest.raises(DegenerateScaleError) as info:
         compute_scale_table(graph)
     assert info.value.norm_id == "layer0.norm2"
+
+
+def test_pre_ln_errors_name_the_norm():
+    d = 4
+    rng = np.random.default_rng(5)
+    small = lambda: rng.standard_normal((d, d)) * 0.01  # noqa: E731
+
+    def layer(e, g, b=None):
+        return DecoderWeights(gamma1=np.ones(d), gamma2=np.ones(d),
+                              w_q=small(), w_k=small(), w_v=small(), p=small(),
+                              e=e, b=b, g=g)
+
+    def graph(mlp_kind, layers):
+        cfg = _config(d=d, layers=len(layers), heads=1, mlp=d, mlp_kind=mlp_kind,
+                      placement=ResidualPlacement.PRE_LN)
+        return ModelGraph(config=cfg, layers=tuple(layers), final_gamma=np.ones(d))
+
+    # Layer 0's MLP cancels its residual; under pre-LN it feeds layer1.norm1.
+    cancelling = graph(MlpKind.STANDARD, [layer(np.eye(d), -np.eye(d)),
+                                          layer(small(), small())])
+    with pytest.raises(DegenerateScaleError, match="'layer1.norm1'") as info:
+        compute_scale_table(cancelling)
+    assert info.value.norm_id == "layer1.norm1"
+
+    # The last layer's gate squares past float64: the final norm fails.
+    huge_gate = graph(MlpKind.LLAMA_GATED, [layer(small(), small(), small()),
+                                            layer(np.full((d, d), 1e160), small(),
+                                                  small())])
+    with pytest.raises(ConvergenceError, match="'final_norm'") as conv:
+        compute_scale_table(huge_gate)
+    assert conv.value.norm_id == "final_norm"
 
 
 def test_table_json_round_trip_is_exact():
