@@ -13,7 +13,11 @@ the output is unchanged, in FP16 it moves the accumulated sum back into
 range.  The norm epilogue (mean, divide, sqrt, gain) stays in double in
 both modes so that any failure is attributable to the accumulation.
 
-Each norm runs once over the whole n_tokens x d block.  The FP16
+`forward` walks `ModelGraph.execution_order()`; post-norm and pre-norm
+placement differ only in whether a norm's output replaces the residual
+stream.  Each norm runs once over the whole n_tokens x d block and
+returns one `NormAudit`: per-token columns (raw FP64 sum, FP16 sum bits,
+overflow and underflow flags) and a histogram of the raw sums.  The FP16
 accumulation loops over the d columns strictly left to right and
 vectorises over the tokens (`fp16.sum_of_squares_rows`): every step
 squares or adds binary16 values exactly in double and rounds once, so
@@ -39,6 +43,7 @@ from .model import (
     Nonlinearity,
     NormKind,
     ResidualPlacement,
+    Sublayer,
 )
 from .scales import Formula, NormScale, ScaleTable, make_norm_scale
 
@@ -69,28 +74,16 @@ REFERENCE_POLICY = PrecisionPolicy(norm_accumulation="FP64", activations="FP64")
 FP16_POLICY = PrecisionPolicy(norm_accumulation="FP16", activations="FP16storage")
 
 
-@dataclass(frozen=True)
-class NormAuditRecord:
-    """One norm evaluation: what FP16 attempted and how it went."""
-
-    norm_id: str
-    token_index: int
-    raw_sum_of_squares: float  # exact double value of the attempted sum
-    fp16_sum: int
-    overflowed: bool
-    underflowed_to_zero: bool
-    scale_applied: float
-
-
 class NonPositiveVarianceError(Exception):
     """FP16 rounding pushed the variance at or below zero."""
 
-    def __init__(self, record: NormAuditRecord, variance: float):
-        self.record = record
+    def __init__(self, norm_id: str, token_index: int, variance: float):
+        self.norm_id = norm_id
+        self.token_index = token_index
         self.variance = variance
         super().__init__(
             f"non-positive variance {variance:.6g} at norm "
-            f"{record.norm_id!r}, token {record.token_index}"
+            f"{norm_id!r}, token {token_index}"
         )
 
 
@@ -128,11 +121,24 @@ class Histogram:
         return self.below + sum(self.counts) + self.above
 
 
+@dataclass(frozen=True, eq=False)
+class NormAudit:
+    """One norm's evaluation over a token block: what FP16 attempted for
+    each token's sum of squares and how it went, one entry per token."""
+
+    norm_id: str
+    scale_applied: float
+    raw_sums: np.ndarray  # float64: exact double value of each attempted sum
+    fp16_sums: np.ndarray  # uint16 bits of the sum the epilogue used
+    overflowed: np.ndarray  # bool
+    underflowed: np.ndarray  # bool: nonzero input whose squares all rounded to 0
+    histogram: Histogram  # of raw_sums
+
+
 @dataclass(frozen=True)
 class ForwardResult:
     output: np.ndarray  # n_tokens x d_model, double view
-    audit: list
-    histograms: dict  # norm_id -> Histogram of raw sums of squares
+    audit: dict  # norm_id -> NormAudit, in execution order
 
 
 # ── pieces of the forward pass ───────────────────────────────────────────
@@ -161,14 +167,14 @@ def norm_forward(
     policy: PrecisionPolicy,
     scale: NormScale | None = None,
     norm_id: str = "norm",
-) -> tuple[np.ndarray, list[NormAuditRecord]]:
+) -> tuple[np.ndarray, NormAudit]:
     """Normalize an n_tokens x d block, auditing each row's sum of squares.
 
     The input is multiplied by the scale reciprocal (1 when no scale),
     rounded to binary16 under FP16 storage, and each row's squares are
     summed either exactly or through the batched FP16 accumulator.  Mean,
     variance, division and the gain/shift epilogue always run in double.
-    Returns the normalized rows and one audit record per row, in order.
+    Returns the normalized rows and the norm's audit, one entry per row.
     """
     x = np.asarray(x, dtype=np.float64)
     d = gamma.size
@@ -192,21 +198,9 @@ def norm_forward(
     else:
         sum_sq = raw
         sum_bits = fp16.encode_array(raw)
-        overflowed = underflowed = np.zeros(raw.size, dtype=bool)
-    records = [
-        NormAuditRecord(
-            norm_id=norm_id,
-            token_index=t,
-            raw_sum_of_squares=r,
-            fp16_sum=b,
-            overflowed=o,
-            underflowed_to_zero=u,
-            scale_applied=applied,
-        )
-        for t, (r, b, o, u) in enumerate(zip(
-            raw.tolist(), sum_bits.tolist(), overflowed.tolist(), underflowed.tolist()
-        ))
-    ]
+        overflowed, underflowed = np.zeros((2, raw.size), dtype=bool)
+    audit = NormAudit(norm_id, applied, raw, sum_bits, overflowed, underflowed,
+                      Histogram.from_values(raw))
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is NormKind.LAYER_NORM:
             mean = scaled.mean(axis=1)
@@ -218,11 +212,11 @@ def norm_forward(
         failing = np.flatnonzero(~(variance > 0.0))  # NaN fails too
         if failing.size:
             t = int(failing[0])
-            raise NonPositiveVarianceError(records[t], float(variance[t]))
+            raise NonPositiveVarianceError(norm_id, t, float(variance[t]))
         y = centered / np.sqrt(variance)[:, None] * gamma
     if kind is NormKind.LAYER_NORM and beta is not None:
         y = y + beta
-    return _store(y, policy), records
+    return _store(y, policy), audit
 
 
 def attention_forward(
@@ -284,10 +278,13 @@ def forward(
     policy: PrecisionPolicy,
     scales: ScaleTable | None = None,
 ) -> ForwardResult:
-    """Run the decoder chain, auditing every norm evaluation.
+    """Run the decoder chain in execution_order(), auditing every norm.
 
-    PostLN: sublayer, add residual, norm.  PreLN: norm, sublayer, add
-    residual, with one final norm after the last decoder.
+    x is the residual stream and h the input of the next sublayer; each
+    sublayer adds its output to x.  PostLN normalizes the stream itself
+    (x = h after each norm); PreLN normalizes only the sublayer input and
+    ends with the final norm.  The output is h: the last norm's rows, or
+    the stored input when no norm ran.
     """
     cfg = model.config
     x = np.asarray(x0, dtype=np.float64)
@@ -307,40 +304,23 @@ def forward(
                 raise FingerprintMismatchError(
                     f"scale table has no entry for norm {norm_id!r}"
                 )
-    audit: list[NormAuditRecord] = []
-    histograms: dict[str, Histogram] = {}
-
-    def run_norm(acts: np.ndarray, norm_id: str, gamma, beta) -> np.ndarray:
-        entry = scales.entries[norm_id] if scales is not None else None
-        rows, records = norm_forward(
-            acts, gamma, beta, cfg.epsilon, cfg.norm_kind, policy,
-            scale=entry, norm_id=norm_id,
-        )
-        audit.extend(records)
-        histograms[norm_id] = Histogram.from_values(
-            [r.raw_sum_of_squares for r in records]
-        )
-        return rows
-
-    x = _store(x, policy)
+    audit: dict[str, NormAudit] = {}
+    x = h = _store(x, policy)
     post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
-    for i, layer in enumerate(model.layers):
-        if post_ln:
-            attn = attention_forward(x, layer, cfg, policy)
-            x = run_norm(_store(x + attn, policy), f"layer{i}.norm1",
-                         layer.gamma1, layer.beta1)
-            mlp = mlp_forward(x, layer, cfg.mlp_kind, cfg.nonlinearity, policy)
-            x = run_norm(_store(x + mlp, policy), f"layer{i}.norm2",
-                         layer.gamma2, layer.beta2)
+    for step in model.execution_order():
+        if isinstance(step, Sublayer):
+            out = (mlp_forward(h, step.weights, cfg.mlp_kind, cfg.nonlinearity, policy)
+                   if step.mlp else attention_forward(h, step.weights, cfg, policy))
+            x = _store(x + out, policy)
         else:
-            normed = run_norm(x, f"layer{i}.norm1", layer.gamma1, layer.beta1)
-            x = _store(x + attention_forward(normed, layer, cfg, policy), policy)
-            normed = run_norm(x, f"layer{i}.norm2", layer.gamma2, layer.beta2)
-            x = _store(x + mlp_forward(normed, layer, cfg.mlp_kind,
-                                       cfg.nonlinearity, policy), policy)
-    if model.final_gamma is not None:
-        x = run_norm(x, "final_norm", model.final_gamma, model.final_beta)
-    return ForwardResult(output=x, audit=audit, histograms=histograms)
+            entry = scales.entries[step.norm_id] if scales is not None else None
+            h, audit[step.norm_id] = norm_forward(
+                x, step.gamma, step.beta, cfg.epsilon, cfg.norm_kind, policy,
+                scale=entry, norm_id=step.norm_id,
+            )
+            if post_ln:
+                x = h
+    return ForwardResult(output=h, audit=audit)
 
 
 # ── dynamic calibration baseline ─────────────────────────────────────────
@@ -361,14 +341,13 @@ def calibrate_dynamic(
         raise ValueError(f"statistic must be 'Mean' or 'Median', got {statistic!r}")
     if not calibration_inputs:
         raise ValueError("empty calibration set")
-    observed: dict[str, list[float]] = defaultdict(list)
+    observed: dict[str, list[np.ndarray]] = defaultdict(list)
     for x in calibration_inputs:
-        result = forward(model, x, REFERENCE_POLICY, scales=None)
-        for record in result.audit:
-            observed[record.norm_id].append(math.sqrt(record.raw_sum_of_squares))
+        for norm_id, audit in forward(model, x, REFERENCE_POLICY).audit.items():
+            observed[norm_id].append(np.sqrt(audit.raw_sums))
     entries: dict[str, NormScale] = {}
     for site in model.norm_sites:
-        values = np.array(observed[site.norm_id])
+        values = np.concatenate(observed[site.norm_id])
         s = float(np.mean(values) if statistic == "Mean" else np.median(values))
         entries[site.norm_id] = make_norm_scale(
             s, model.config.epsilon, Formula.DYNAMIC, site.layer, site.norm_id,

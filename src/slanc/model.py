@@ -143,11 +143,12 @@ class DecoderWeights:
 
 @dataclass(frozen=True)
 class NormSite:
-    """A norm operator: its id, decoder index and gain."""
+    """A norm operator: its id, decoder index, gain and (LayerNorm) shift."""
 
     norm_id: str
     layer: int  # one past the last decoder for the final norm
     gamma: np.ndarray
+    beta: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,15 @@ class ModelGraph:
         norm2, MLP (PreLN), then any final norm."""
         post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
         for i, layer in enumerate(self.layers):
-            norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1)
-            norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2)
+            norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1, layer.beta1)
+            norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2, layer.beta2)
             attention = Sublayer(mlp=False, weights=layer)
             mlp = Sublayer(mlp=True, weights=layer)
             yield from ((attention, norm1, mlp, norm2) if post_ln
                         else (norm1, attention, norm2, mlp))
         if self.final_gamma is not None:
-            yield NormSite("final_norm", len(self.layers), self.final_gamma)
+            yield NormSite("final_norm", len(self.layers), self.final_gamma,
+                           self.final_beta)
 
     @property
     def norm_sites(self) -> list[NormSite]:
@@ -195,10 +197,6 @@ class ModelGraph:
     def norm_ids(self) -> list[str]:
         """Norm operator ids in execution order."""
         return [site.norm_id for site in self.norm_sites]
-
-    def norm_layer(self, norm_id: str) -> int:
-        """Decoder index a norm lives in; one past the last for the final norm."""
-        return {site.norm_id: site.layer for site in self.norm_sites}[norm_id]
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE).
@@ -293,9 +291,19 @@ def overflow_amplification(config: ModelConfig, std: float = 0.02) -> float:
     return math.sqrt(target / (gain * 0.125))
 
 
-def _representable_in_float32(values: np.ndarray) -> np.ndarray:
-    # Snap to float32 so an F32 checkpoint round-trips bit-exactly.
-    return values.astype(np.float32).astype(np.float64)
+def _representable_in_float32(values: np.ndarray, role: str,
+                              layer: int | None = None) -> np.ndarray:
+    """Snap a draw to float32 so an F32 checkpoint round-trips bit-exactly;
+    a draw beyond float32's range is an error, not a weight of inf."""
+    with np.errstate(over="ignore"):
+        snapped = values.astype(np.float32)
+    if not np.isfinite(snapped).all():
+        where = "" if layer is None else f" of layer {layer}"
+        raise ModelError(
+            f"generated {role!r}{where} does not fit float32 (largest |entry| "
+            f"{float(np.abs(values).max()):.6g}); lower the std or the amplification"
+        )
+    return snapped.astype(np.float64)
 
 
 def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelGraph:
@@ -305,20 +313,20 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
     layer_norm = config.norm_kind is NormKind.LAYER_NORM
     gated = config.mlp_kind is MlpKind.LLAMA_GATED
 
-    def vec(offset: float) -> np.ndarray:
+    def vec(offset: float, role: str, layer: int | None = None) -> np.ndarray:
         draw = offset + rng.standard_normal(d) * init.std
-        return _representable_in_float32(draw)
+        return _representable_in_float32(draw, role, layer)
 
     def mat(rows: int, cols: int, role: str, layer: int) -> np.ndarray:
         draw = rng.standard_normal((rows, cols)) * (init.std * init.factor(role, layer))
-        return _representable_in_float32(draw)
+        return _representable_in_float32(draw, role, layer)
 
     layers = []
     for i in range(config.n_layers):
-        gamma1 = vec(1.0)
-        beta1 = vec(0.0) if layer_norm else None
-        gamma2 = vec(1.0)
-        beta2 = vec(0.0) if layer_norm else None
+        gamma1 = vec(1.0, "gamma1", i)
+        beta1 = vec(0.0, "beta1", i) if layer_norm else None
+        gamma2 = vec(1.0, "gamma2", i)
+        beta2 = vec(0.0, "beta2", i) if layer_norm else None
         layers.append(
             DecoderWeights(
                 gamma1=gamma1,
@@ -336,8 +344,8 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
         )
     final_gamma = final_beta = None
     if config.has_final_norm:
-        final_gamma = vec(1.0)
-        final_beta = vec(0.0) if layer_norm else None
+        final_gamma = vec(1.0, "final_gamma")
+        final_beta = vec(0.0, "final_beta") if layer_norm else None
     return ModelGraph(
         config=config,
         layers=tuple(layers),

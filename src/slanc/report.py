@@ -133,22 +133,18 @@ def build_audit_report(
     policy_name: str,
     seed: int | None,
 ) -> AuditReport:
-    sites = model.norm_sites
-    per_norm: dict[str, list] = {site.norm_id: [] for site in sites}
-    for record in result.audit:
-        per_norm[record.norm_id].append(record)
     norms = []
-    for site in sites:
-        records = per_norm[site.norm_id]
+    for site in model.norm_sites:
+        audit = result.audit[site.norm_id]
         norms.append(
             NormAuditSummary(
                 norm_id=site.norm_id,
                 layer=site.layer,
-                scale_applied=records[0].scale_applied if records else 1.0,
-                token_count=len(records),
-                overflow_count=sum(r.overflowed for r in records),
-                underflow_count=sum(r.underflowed_to_zero for r in records),
-                histogram=result.histograms[site.norm_id],
+                scale_applied=audit.scale_applied,
+                token_count=audit.raw_sums.size,
+                overflow_count=int(audit.overflowed.sum()),
+                underflow_count=int(audit.underflowed.sum()),
+                histogram=audit.histogram,
             )
         )
     return AuditReport(
@@ -240,6 +236,13 @@ def relative_mismatch(reference: np.ndarray, candidate: np.ndarray) -> tuple[flo
     return float(np.median(rel)), float(np.max(rel))
 
 
+def _flag_counts(result: ForwardResult) -> tuple[int, int]:
+    """Overflowed and underflowed sums over every norm of a pass."""
+    audits = result.audit.values()
+    return (sum(int(a.overflowed.sum()) for a in audits),
+            sum(int(a.underflowed.sum()) for a in audits))
+
+
 def run_compare(
     model: ModelGraph,
     x0: np.ndarray,
@@ -257,18 +260,10 @@ def run_compare(
     try:
         plain = forward(model, x0, FP16_POLICY, scales=None)
         median, peak = relative_mismatch(reference.output, plain.output)
-        rows.append(CompareRow(
-            "FP16", median, peak,
-            sum(r.overflowed for r in plain.audit),
-            sum(r.underflowed_to_zero for r in plain.audit),
-        ))
+        rows.append(CompareRow("FP16", median, peak, *_flag_counts(plain)))
     except NonPositiveVarianceError:
         rows.append(CompareRow("FP16", math.inf, math.inf, 0, 0))
     scaled = forward(model, x0, FP16_POLICY, scales=scales)
     median, peak = relative_mismatch(reference.output, scaled.output)
-    rows.append(CompareRow(
-        "FP16+SLaNC", median, peak,
-        sum(r.overflowed for r in scaled.audit),
-        sum(r.underflowed_to_zero for r in scaled.audit),
-    ))
+    rows.append(CompareRow("FP16+SLaNC", median, peak, *_flag_counts(scaled)))
     return CompareReport(tokens=x0.shape[0], seed=seed, rows=tuple(rows))

@@ -198,15 +198,17 @@ def test_criterion_4_overflow_audit(flagship):
     graph, tokens, table = flagship
     start = time.monotonic()
     plain = forward(graph, tokens, FP16_POLICY)
-    mlp_records = [r for r in plain.audit if r.norm_id.endswith("norm2")]
-    fraction = sum(r.overflowed for r in mlp_records) / len(mlp_records)
+    mlp_overflowed = np.concatenate(
+        [a.overflowed for n, a in plain.audit.items() if n.endswith("norm2")]
+    )
+    fraction = mlp_overflowed.sum() / mlp_overflowed.size
 
     scaled = forward(graph, tokens, FP16_POLICY, scales=table)
-    overflows = sum(r.overflowed for r in scaled.audit)
-    underflows = sum(r.underflowed_to_zero for r in scaled.audit)
-    sums = [r.raw_sum_of_squares for r in scaled.audit]
-    low_margin = min(sums) / 2.0**-14
-    high_margin = 65504.0 / max(sums)
+    overflows = sum(int(a.overflowed.sum()) for a in scaled.audit.values())
+    underflows = sum(int(a.underflowed.sum()) for a in scaled.audit.values())
+    sums = np.concatenate([a.raw_sums for a in scaled.audit.values()])
+    low_margin = float(sums.min()) / 2.0**-14
+    high_margin = 65504.0 / float(sums.max())
     elapsed = time.monotonic() - start
     _criterion(
         4, "overflow audit",

@@ -102,6 +102,20 @@ def test_gen_model_rejects_bad_arguments(tmp_path, capsys):
         assert "slanc:" in capsys.readouterr().err
 
 
+def test_gen_model_refuses_weights_beyond_float32(tmp_path, capsys):
+    out = tmp_path / "m.safetensors"
+    for flags, culprit in ((["--amplify", "e:1e40"], "'e' of layer 0"),
+                           (["--std", "1e40"], "'gamma1' of layer 0")):
+        argv = ["gen-model", "--d", "16", "--layers", "1", *flags, "-o", str(out)]
+        assert main(argv) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("slanc: error: generated ")
+        assert f"{culprit} does not fit float32" in captured.err
+        assert not out.exists()
+        assert not Path(config_sidecar_path(str(out))).exists()
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

@@ -21,7 +21,7 @@ from slanc.engine import (
     FingerprintMismatchError,
     Histogram,
     NonPositiveVarianceError,
-    NormAuditRecord,
+    NormAudit,
     PrecisionPolicy,
     attention_forward,
     calibrate_dynamic,
@@ -67,6 +67,16 @@ def _layer(rng, d, m, gated=True) -> DecoderWeights:
     )
 
 
+def _audit_bits(audit: dict) -> list:
+    """Every column of a forward's audit, bit-exact and comparable."""
+    return [
+        (norm_id, a.norm_id, a.scale_applied, a.raw_sums.view(np.uint64).tolist(),
+         a.raw_sums.dtype.name, a.fp16_sums.dtype.name, a.fp16_sums.tolist(),
+         a.overflowed.tolist(), a.underflowed.tolist(), a.histogram)
+        for norm_id, a in audit.items()
+    ]
+
+
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
     floor = float(np.sqrt(np.mean(np.square(a)))) or 1.0
     denom = np.maximum(np.abs(a), floor)
@@ -93,13 +103,12 @@ def test_policy_validation_and_constants():
 def test_rms_norm_unit_mean_square_is_identity():
     x = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]])
     gamma = np.ones(4)
-    y, records = norm_forward(x, gamma, None, 1e-300, NormKind.RMS_NORM,
-                              REFERENCE_POLICY)
+    y, audit = norm_forward(x, gamma, None, 1e-300, NormKind.RMS_NORM,
+                            REFERENCE_POLICY)
     assert np.array_equal(y, x)
-    assert [r.token_index for r in records] == [0, 1]
-    for record in records:
-        assert record.raw_sum_of_squares == 4.0
-        assert record.scale_applied == 1.0
+    assert audit.raw_sums.dtype == np.float64
+    assert audit.raw_sums.tolist() == [4.0, 4.0]
+    assert audit.scale_applied == 1.0
 
 
 def test_layer_norm_constant_vector_returns_beta():
@@ -133,24 +142,25 @@ def test_scale_entry_homogeneity_both_kinds():
             s = 2.0 ** rng.uniform(-8.0, 12.0)
             entry = make_norm_scale(s, 1e-5, Formula.UNIT, 0, "n")
             plain, _ = norm_forward(x, gamma, beta, 1e-5, kind, REFERENCE_POLICY)
-            scaled, records = norm_forward(x, gamma, beta, 1e-5, kind,
-                                           REFERENCE_POLICY, scale=entry)
+            scaled, audit = norm_forward(x, gamma, beta, 1e-5, kind,
+                                         REFERENCE_POLICY, scale=entry)
             assert _rel(plain, scaled) < 1e-12
-            assert all(r.scale_applied == s for r in records)
+            assert audit.scale_applied == s
 
 
 def test_fp16_accumulation_matches_numpy_half_sequence():
     rng = np.random.default_rng(29)
     x = rng.standard_normal((4, 64)) * 4.0
-    _, records = norm_forward(x, np.ones(64), None,
-                              1e-5, NormKind.RMS_NORM, FP16_POLICY)
-    for row, record in zip(x, records):
+    _, audit = norm_forward(x, np.ones(64), None,
+                            1e-5, NormKind.RMS_NORM, FP16_POLICY)
+    assert audit.fp16_sums.dtype == np.uint16
+    for row, fp16_sum, raw_sum in zip(x, audit.fp16_sums, audit.raw_sums):
         stored = row.astype(np.float16)
         acc = np.float16(0.0)
         for v in stored:
             acc = np.float16(acc + np.float16(v * v))
-        assert record.fp16_sum == int(acc.view(np.uint16))
-        assert record.raw_sum_of_squares == float(
+        assert int(fp16_sum) == int(acc.view(np.uint16))
+        assert raw_sum == float(
             np.dot(stored.astype(np.float64), stored.astype(np.float64))
         )
 
@@ -158,20 +168,20 @@ def test_fp16_accumulation_matches_numpy_half_sequence():
 def test_fp16_overflow_zeroes_output_and_flags():
     x = np.full((1, 300), 16.0)
     gamma = np.ones(300)
-    y, [record] = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
-                               FP16_POLICY)
-    assert record.overflowed
-    assert fp16.is_inf(record.fp16_sum)
+    y, audit = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
+                            FP16_POLICY)
+    assert audit.overflowed.tolist() == [True]
+    assert fp16.is_inf(int(audit.fp16_sums[0]))
     assert not y.any()  # sigma is infinite, everything collapses to zero
 
 
 def test_fp16_underflow_flags_but_survives():
     x = np.full((1, 128), 1e-4)
     gamma = np.ones(128)
-    y, [record] = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
-                               FP16_POLICY)
-    assert record.underflowed_to_zero
-    assert not record.overflowed
+    y, audit = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
+                            FP16_POLICY)
+    assert audit.underflowed.tolist() == [True]
+    assert audit.overflowed.tolist() == [False]
     assert np.isfinite(y).all() and y.any()
 
 
@@ -188,8 +198,12 @@ def test_fp16_rounding_can_force_non_positive_variance():
         norm_forward(x, gamma, beta, 1e-7, NormKind.LAYER_NORM, FP16_POLICY,
                      norm_id="layer0.norm1")
     assert info.value.variance <= 0.0
-    assert info.value.record.norm_id == "layer0.norm1"
-    assert info.value.record.token_index == 4
+    assert info.value.norm_id == "layer0.norm1"
+    assert info.value.token_index == 4
+    assert str(info.value) == (
+        f"non-positive variance {info.value.variance:.6g} at norm "
+        "'layer0.norm1', token 4"
+    )
 
 
 def test_norm_forward_rejects_bad_shapes():
@@ -360,8 +374,7 @@ def test_zero_layer_post_ln_is_identity_with_empty_audit():
     x0 = np.random.default_rng(3).standard_normal((5, 8))
     result = forward(graph, x0, REFERENCE_POLICY)
     assert np.array_equal(result.output, x0)
-    assert result.audit == []
-    assert result.histograms == {}
+    assert result.audit == {}
     rounded = forward(graph, x0, FP16_POLICY)
     assert np.array_equal(rounded.output, fp16.round_array(x0))
 
@@ -374,8 +387,10 @@ def test_zero_layer_pre_ln_runs_only_the_final_norm():
     )
     x0 = np.random.default_rng(3).standard_normal((5, 8))
     result = forward(graph, x0, REFERENCE_POLICY)
-    assert [r.norm_id for r in result.audit] == ["final_norm"] * 5
-    assert result.histograms["final_norm"].total == 5
+    assert list(result.audit) == ["final_norm"]
+    assert result.audit["final_norm"].norm_id == "final_norm"
+    assert result.audit["final_norm"].raw_sums.size == 5
+    assert result.audit["final_norm"].histogram.total == 5
 
 
 def test_fp64_scales_change_nothing():
@@ -388,8 +403,8 @@ def test_fp64_scales_change_nothing():
     denom = np.maximum(np.abs(plain.output),
                        float(np.sqrt(np.mean(plain.output**2))))
     assert float(np.max(np.abs(scaled.output - plain.output) / denom)) < 1e-10
-    assert all(r.scale_applied == 1.0 for r in plain.audit)
-    assert all(r.scale_applied != 1.0 for r in scaled.audit)
+    assert all(a.scale_applied == 1.0 for a in plain.audit.values())
+    assert all(a.scale_applied != 1.0 for a in scaled.audit.values())
 
 
 def _amplified_graph():
@@ -405,11 +420,11 @@ def test_amplified_model_overflows_then_scales_rescue_it():
     graph = _amplified_graph()
     tokens = np.random.default_rng(3).standard_normal((32, 256))
     plain = forward(graph, tokens, FP16_POLICY)
-    assert sum(r.overflowed for r in plain.audit) == 32
+    assert sum(a.overflowed.sum() for a in plain.audit.values()) == 32
     scaled = forward(graph, tokens, FP16_POLICY,
                      scales=compute_scale_table(graph))
-    assert sum(r.overflowed for r in scaled.audit) == 0
-    assert sum(r.underflowed_to_zero for r in scaled.audit) == 0
+    assert sum(a.overflowed.sum() for a in scaled.audit.values()) == 0
+    assert sum(a.underflowed.sum() for a in scaled.audit.values()) == 0
 
 
 def test_fingerprint_mismatch_is_refused():
@@ -436,15 +451,14 @@ def test_audit_is_complete_and_ordered():
         graph = generate_synthetic(_config(placement=placement), InitSpec(), seed=6)
         x0 = np.random.default_rng(9).standard_normal((7, 16))
         result = forward(graph, x0, FP16_POLICY)
-        n_norms = len(graph.norm_ids)
-        assert len(result.audit) == 7 * n_norms
-        assert [r.norm_id for r in result.audit[: 2 * 7]] == (
-            ["layer0.norm1"] * 7 + ["layer0.norm2"] * 7
-        )
-        assert [r.token_index for r in result.audit[:7]] == list(range(7))
-        assert set(result.histograms) == set(graph.norm_ids)
-        for histogram in result.histograms.values():
-            assert histogram.total == 7
+        assert list(result.audit) == graph.norm_ids
+        assert list(result.audit)[:2] == ["layer0.norm1", "layer0.norm2"]
+        for norm_id, audit in result.audit.items():
+            assert audit.norm_id == norm_id
+            for column in (audit.raw_sums, audit.fp16_sums, audit.overflowed,
+                           audit.underflowed):
+                assert column.shape == (7,)
+            assert audit.histogram.total == 7
 
 
 @pytest.mark.parametrize("placement,layers,expected", [
@@ -463,8 +477,8 @@ def test_execution_order_agrees_across_modules(placement, layers, expected):
     report = build_audit_report(result, graph, "fp16", seed=None)
     assert graph.norm_ids == expected
     assert list(table.entries) == expected
-    assert [r.norm_id for r in result.audit] == [n for n in expected for _ in range(3)]
-    assert list(result.histograms) == expected
+    assert list(result.audit) == expected
+    assert [a.norm_id for a in result.audit.values()] == expected
     assert [n.norm_id for n in report.norms] == expected
 
 
@@ -474,10 +488,7 @@ def test_fp16_forward_is_deterministic():
     first = forward(graph, x0, FP16_POLICY)
     second = forward(graph, x0, FP16_POLICY)
     assert np.array_equal(first.output, second.output)
-    assert [r.fp16_sum for r in first.audit] == [r.fp16_sum for r in second.audit]
-    assert [r.raw_sum_of_squares for r in first.audit] == [
-        r.raw_sum_of_squares for r in second.audit
-    ]
+    assert _audit_bits(first.audit) == _audit_bits(second.audit)
 
 
 def test_forward_rejects_bad_inputs():
@@ -514,7 +525,7 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
     reciprocal = scale.reciprocal if scale is not None else 1.0
     eps_adjusted = scale.epsilon_adjusted if scale is not None else epsilon
     applied = scale.s if scale is not None else 1.0
-    rows, records = [], []
+    rows, raws, flags = [], [], []
     for t, row in enumerate(np.asarray(x, dtype=np.float64)):
         scaled = row * reciprocal
         bits = np.array([fp16.encode(v) for v in scaled.tolist()], dtype=np.uint16)
@@ -524,11 +535,11 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
         if policy.fp16_accumulation:
             trace = fp16.accumulate_sum_of_squares(fp16.Fp16Tensor(shape=(d,), data=bits))
             sum_sq = fp16.decode(trace.final_sum)
-            flags = (trace.final_sum, trace.overflowed, trace.underflowed_to_zero)
+            flags.append((trace.final_sum, trace.overflowed, trace.underflowed_to_zero))
         else:
             sum_sq = raw
-            flags = (fp16.encode(raw), False, False)
-        record = NormAuditRecord(norm_id, t, raw, *flags, applied)
+            flags.append((fp16.encode(raw), False, False))
+        raws.append(raw)
         if kind is NormKind.LAYER_NORM:
             mean = float(np.mean(scaled))
             variance = sum_sq / d - mean * mean + eps_adjusted
@@ -536,13 +547,15 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
             mean = 0.0
             variance = sum_sq / d + eps_adjusted
         if not variance > 0.0:
-            raise NonPositiveVarianceError(record, variance)
+            raise NonPositiveVarianceError(norm_id, t, variance)
         y = (scaled - mean) / math.sqrt(variance) * gamma
         if kind is NormKind.LAYER_NORM and beta is not None:
             y = y + beta
         rows.append(fp16.round_array(y) if policy.fp16_storage else y)
-        records.append(record)
-    return np.array(rows), records
+    sum_bits, overflowed, underflowed = (np.array(c) for c in zip(*flags))
+    audit = NormAudit(norm_id, applied, np.array(raws), sum_bits.astype(np.uint16),
+                      overflowed, underflowed, Histogram.from_values(raws))
+    return np.array(rows), audit
 
 
 def _forward_outcome(graph, x0, policy, table):
@@ -550,9 +563,8 @@ def _forward_outcome(graph, x0, policy, table):
     try:
         result = forward(graph, x0, policy, scales=table)
     except NonPositiveVarianceError as err:
-        return repr((err.record, err.variance))
-    return repr((result.output.view(np.uint64).tolist(), result.audit,
-                 result.histograms))
+        return repr((err.norm_id, err.token_index, err.variance))
+    return repr((result.output.view(np.uint64).tolist(), _audit_bits(result.audit)))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -568,7 +580,8 @@ def test_forward_matches_per_token_scalar_oracle(cfg, monkeypatch):
     x0 = np.random.default_rng(14).standard_normal((12, cfg.d_model)) * 3.0
     # Plain FP16 overflows on some tokens only, so both paths are covered.
     audit = forward(graph, x0, FP16_POLICY).audit
-    assert 0 < sum(r.overflowed for r in audit) < len(audit)
+    overflowed = np.concatenate([a.overflowed for a in audit.values()])
+    assert 0 < overflowed.sum() < overflowed.size
     outcomes = {}
     for name, norm in (("block", norm_forward), ("oracle", _per_token_norm)):
         monkeypatch.setattr(engine, "norm_forward", norm)
@@ -579,6 +592,68 @@ def test_forward_matches_per_token_scalar_oracle(cfg, monkeypatch):
             for t in (None, table)
         ]
     assert outcomes["block"] == outcomes["oracle"]
+
+
+def _two_branch_forward(graph, x0, policy, table):
+    """Oracle for forward's residual wiring, each placement written out.
+
+    PostLN: sublayer, add residual, norm.  PreLN: norm, sublayer, add
+    residual, with one final norm after the last decoder.
+    """
+    cfg = graph.config
+    audit = {}
+
+    def run_norm(acts, norm_id, gamma, beta):
+        entry = table.entries[norm_id] if table is not None else None
+        rows, audit[norm_id] = norm_forward(acts, gamma, beta, cfg.epsilon,
+                                            cfg.norm_kind, policy, scale=entry,
+                                            norm_id=norm_id)
+        return rows
+
+    def store(acts):
+        return fp16.round_array(acts) if policy.fp16_storage else acts
+
+    def mlp(acts, layer):
+        return mlp_forward(acts, layer, cfg.mlp_kind, cfg.nonlinearity, policy)
+
+    x = store(np.asarray(x0, dtype=np.float64))
+    for i, layer in enumerate(graph.layers):
+        if cfg.residual_placement is ResidualPlacement.POST_LN:
+            attn = attention_forward(x, layer, cfg, policy)
+            x = run_norm(store(x + attn), f"layer{i}.norm1", layer.gamma1, layer.beta1)
+            x = run_norm(store(x + mlp(x, layer)), f"layer{i}.norm2",
+                         layer.gamma2, layer.beta2)
+        else:
+            normed = run_norm(x, f"layer{i}.norm1", layer.gamma1, layer.beta1)
+            x = store(x + attention_forward(normed, layer, cfg, policy))
+            normed = run_norm(x, f"layer{i}.norm2", layer.gamma2, layer.beta2)
+            x = store(x + mlp(normed, layer))
+    if graph.final_gamma is not None:
+        x = run_norm(x, "final_norm", graph.final_gamma, graph.final_beta)
+    return x, audit
+
+
+@pytest.mark.parametrize("placement", [ResidualPlacement.POST_LN,
+                                       ResidualPlacement.PRE_LN],
+                         ids=["post-ln", "pre-ln"])
+def test_forward_matches_two_branch_residual_loop(placement):
+    cfg = _config(d=16, layers=2, heads=2, mlp=32, norm_kind=NormKind.LAYER_NORM,
+                  placement=placement, mlp_kind=MlpKind.STANDARD,
+                  nonlinearity=Nonlinearity.GELU)
+    graph = generate_synthetic(cfg, InitSpec(std=0.2), seed=21)
+    betas = [b for layer in graph.layers for b in (layer.beta1, layer.beta2)]
+    betas += [graph.final_beta] if graph.final_beta is not None else []
+    # Distinct, non-zero shifts: a swapped or dropped beta changes the bits.
+    assert all(b.all() for b in betas)
+    assert len({b.tobytes() for b in betas}) == len(betas)
+    table = compute_scale_table(graph)
+    x0 = np.random.default_rng(22).standard_normal((6, 16)) * 2.0
+    for policy in (REFERENCE_POLICY, FP16_POLICY, PrecisionPolicy("FP16", "FP64")):
+        for t in (None, table):
+            result = forward(graph, x0, policy, scales=t)
+            output, audit = _two_branch_forward(graph, x0, policy, t)
+            assert result.output.view(np.uint64).tolist() == output.view(np.uint64).tolist()
+            assert _audit_bits(result.audit) == _audit_bits(audit)
 
 
 # ── histogram type ───────────────────────────────────────────────────────

@@ -70,14 +70,20 @@ def test_build_audit_report_counts(small_run):
     assert report.tokens == 8
     assert report.seed == 11
     assert [n.norm_id for n in report.norms] == list(graph.norm_ids)
-    for summary in report.norms:
+    for summary, site in zip(report.norms, graph.norm_sites):
+        audit = result.audit[summary.norm_id]
         assert summary.token_count == 8
+        assert summary.histogram == audit.histogram
         assert summary.histogram.total == 8
-        assert summary.layer == graph.norm_layer(summary.norm_id)
+        assert summary.layer == site.layer
         assert summary.scale_applied == 1.0
-    assert report.total_overflows == sum(r.overflowed for r in result.audit)
+        assert summary.overflow_count == audit.overflowed.sum()
+        assert summary.underflow_count == audit.underflowed.sum()
+    assert report.total_overflows == sum(
+        a.overflowed.sum() for a in result.audit.values()
+    )
     assert report.total_underflows == sum(
-        r.underflowed_to_zero for r in result.audit
+        a.underflowed.sum() for a in result.audit.values()
     )
     assert report.fp16_max_finite == 65504.0
     assert report.fp16_min_normal == 2.0**-14
