@@ -2,7 +2,7 @@
 inference, plus the bit-exact binary16 emulator used to prove it works.
 
 Submodules:
-    fp16            binary16 soft-float and the audited accumulator
+    fp16            batched binary16 kernels and the audited accumulator
     linalg          Frobenius and spectral norms of float64 arrays
     scales          the closed-form scale factors and the scale table
     model           configs, synthetic weights, safetensors ingestion

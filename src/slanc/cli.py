@@ -156,6 +156,13 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
             acts = np.load(args.inputs)
         except (OSError, ValueError) as err:
             raise UsageError(f"cannot read activations {args.inputs}: {err}") from err
+        if not isinstance(acts, np.ndarray):  # an .npz archive
+            acts.close()
+            raise UsageError(f"activations {args.inputs} must be one .npy array, "
+                             f"not an .npz archive")
+        if acts.dtype.kind not in "iuf":
+            raise UsageError(f"activations must be integer or floating point, "
+                             f"got dtype {acts.dtype}")
         acts = np.asarray(acts, dtype=np.float64)
         if acts.ndim != 2 or acts.shape[1] != config.d_model:
             raise UsageError(

@@ -21,7 +21,8 @@ overflow and underflow flags) and a histogram of the raw sums.  The FP16
 accumulation loops over the d columns strictly left to right and
 vectorises over the tokens (`fp16.sum_of_squares_rows`): every step
 squares or adds binary16 values exactly in double and rounds once, so
-each token's sum is bit-identical to the scalar per-token accumulator.
+each token's sum is bit-identical to a scalar per-token binary16
+accumulation (the test suite's soft-float oracle).
 The raw FP64 sums stay one BLAS dot per row, so they, the histograms
 and the FP64 outputs match a per-token pass bit for bit.
 """

@@ -106,6 +106,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        if not isinstance(doc, dict):
+            raise ModelError(f"bad model config: expected a JSON object, got "
+                             f"{type(doc).__name__}")
         try:
             return cls(
                 d_model=int(doc["d_model"]),
@@ -119,7 +122,7 @@ class ModelConfig:
                 nonlinearity=Nonlinearity(doc["nonlinearity"]),
                 epsilon=float(doc["epsilon"]),
             )
-        except (KeyError, ValueError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ModelError(f"bad model config: {err}") from err
 
 
@@ -274,23 +277,6 @@ class InitSpec:
         return float(self.amplify[role])
 
 
-def overflow_amplification(config: ModelConfig, std: float = 0.02) -> float:
-    """Amplification of the MLP projections at or above which the
-    unscaled FP16 sum-of-squares accumulation is expected to overflow on
-    standard-normal tokens.
-
-    Conservative estimate: two amplified matmuls gain (std sqrt(m)) *
-    (std sqrt(d)) per amplification step, discounted 8x for
-    nonlinearity/gating losses; overflow needs per-entry std of
-    sqrt(2 * 65520 / d).  Tests validate the guarantee empirically.
-    """
-    gain = std * math.sqrt(config.mlp_hidden) * std * math.sqrt(config.d_model)
-    if gain <= 0:
-        raise ModelError("zero init std cannot be amplified into overflow")
-    target = math.sqrt(2.0 * 65520.0 / config.d_model)
-    return math.sqrt(target / (gain * 0.125))
-
-
 def _representable_in_float32(values: np.ndarray, role: str,
                               layer: int | None = None) -> np.ndarray:
     """Snap a draw to float32 so an F32 checkpoint round-trips bit-exactly;
@@ -383,13 +369,21 @@ class NameMap:
     @classmethod
     def from_dict(cls, doc: dict) -> "NameMap":
         try:
-            return cls(
+            name_map = cls(
                 layer_template=str(doc["layer_template"]),
                 roles=dict(doc["roles"]),
                 transpose=frozenset(doc.get("transpose", [])),
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ModelError(f"bad name map: {err}") from err
+        try:
+            name_map.layer_template.format(i=0)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+            raise ModelError(
+                f"bad name map: layer_template {name_map.layer_template!r} does not "
+                f"format with i=0: {type(err).__name__}: {err}"
+            ) from err
+        return name_map
 
     def to_dict(self) -> dict:
         return {

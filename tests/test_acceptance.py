@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import fp16_oracle as oracle
 from conftest import record_acceptance
 from slanc import fp16
 from slanc.engine import (
@@ -63,7 +64,7 @@ def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_binary16_soft_float():
     start = time.monotonic()
     roundtrip_ok = all(
-        fp16.encode(fp16.decode(bits)) == (fp16.NAN if fp16.is_nan(bits) else bits)
+        oracle.encode(oracle.decode(bits)) == (oracle.NAN if oracle.is_nan(bits) else bits)
         for bits in range(0x10000)
     )
 
@@ -82,20 +83,59 @@ def test_criterion_1_binary16_soft_float():
         ref_sqrt = np.sqrt(ha).view(np.uint16)
 
     def canon(bits: int) -> int:
-        return fp16.NAN if fp16.is_nan(bits) else bits
+        return oracle.NAN if oracle.is_nan(bits) else bits
 
     mismatches = 0
     for i in range(n):
         ai, bi = int(a[i]), int(b[i])
-        mismatches += canon(fp16.add(ai, bi)) != canon(int(ref_add[i]))
-        mismatches += canon(fp16.mul(ai, bi)) != canon(int(ref_mul[i]))
-        mismatches += canon(fp16.div(ai, bi)) != canon(int(ref_div[i]))
-        mismatches += canon(fp16.sqrt(ai)) != canon(int(ref_sqrt[i]))
+        mismatches += canon(oracle.add(ai, bi)) != canon(int(ref_add[i]))
+        mismatches += canon(oracle.mul(ai, bi)) != canon(int(ref_mul[i]))
+        mismatches += canon(oracle.div(ai, bi)) != canon(int(ref_div[i]))
+        mismatches += canon(oracle.sqrt(ai)) != canon(int(ref_sqrt[i]))
+
+    # The package's array kernels, which the engine runs, against the
+    # oracle: decode_array of every pattern (NaN for NaN, otherwise the
+    # same double bit for bit), encode_array of every decoded value (NaN
+    # canonical), and sum_of_squares_rows row by row on a seeded block
+    # whose rows draw from each regime in turn, then from all of them.
+    patterns = np.arange(0x10000, dtype=np.uint16)
+    decoded = fp16.decode_array(patterns)
+    expected = np.array([oracle.decode(bits) for bits in range(0x10000)])
+    nan = np.isnan(expected)
+    mismatches += int(np.count_nonzero(np.isnan(decoded) != nan))
+    mismatches += int(np.count_nonzero(
+        decoded[~nan].view(np.uint64) != expected[~nan].view(np.uint64)))
+    mismatches += sum(got != oracle.encode(x) for got, x in
+                      zip(fp16.encode_array(decoded).tolist(), decoded.tolist()))
+
+    block_rng = np.random.default_rng(2026)
+    shape = (32, 256)
+    specials = np.array([0x0000, 0x0001, 0x03FF, 0x0400, 0x3C00, 0x7BFF,
+                         0x7C00, 0x7E00, 0x7C01], dtype=np.uint16)
+    regimes = np.stack([
+        block_rng.integers(0, 0x8000, shape),       # anything, NaN payloads too
+        block_rng.integers(0, 0x0800, shape),       # every square rounds to zero
+        block_rng.integers(0x2000, 0x4C00, shape),  # sums depend on term order
+        block_rng.integers(0x5000, 0x7C00, shape),  # sums overflow part-way
+        block_rng.choice(specials, shape),          # subnormal edges, inf, NaN
+        np.zeros(shape),                            # zero rows set no flag
+    ]).astype(np.uint16)
+    mixed = np.take_along_axis(
+        regimes, block_rng.integers(0, len(regimes), (1,) + shape), axis=0)
+    block = np.concatenate([*regimes, *mixed])
+    block |= (block_rng.integers(0, 2, block.shape) << 15).astype(np.uint16)
+    sums, overflowed, underflowed = fp16.sum_of_squares_rows(block)
+    rows = zip(sums.tolist(), overflowed.tolist(), underflowed.tolist())
+    mismatches += sum(got != oracle.accumulate_sum_of_squares(row)
+                      for got, row in zip(rows, block))
     elapsed = time.monotonic() - start
     _criterion(
         1, "binary16 soft-float",
         roundtrip_ok and mismatches == 0 and elapsed < 60.0,
-        f"65536-pattern round-trip, 10^6 ops, {mismatches} mismatches, {elapsed:.1f}s",
+        f"65536-pattern round-trip, 10^6 ops, array kernels on 65536 patterns and "
+        f"{len(block)} rows ({int(overflowed.sum())} overflowed, "
+        f"{int(underflowed.sum())} underflowed), {mismatches} mismatches, "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -32,6 +32,7 @@ from slanc.model import (
     Nonlinearity,
     ResidualPlacement,
     config_sidecar_path,
+    default_name_map,
     load_safetensors,
     save_safetensors,
 )
@@ -317,6 +318,33 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 1, argv
         assert "slanc:" in capsys.readouterr().err
+    # Malformed outside input of other kinds: each exits 1 naming what
+    # is wrong, without a traceback.
+    np.save(tmp_path / "text.npy", np.full((4, 256), "x"))
+    np.save(tmp_path / "complex.npy", np.ones((4, 256), dtype=complex))
+    np.savez(tmp_path / "archive.npz", acts=np.ones((4, 256)))
+    (tmp_path / "list.json").write_text("[]")
+    config = json.loads(Path(config_sidecar_path(str(model))).read_text())
+    (tmp_path / "null.json").write_text(json.dumps({**config, "d_model": None}))
+    name_map = default_name_map().to_dict()
+    name_map["layer_template"] = "model.layers.{j}"
+    (tmp_path / "map.json").write_text(json.dumps(name_map))
+    named = [
+        (["--inputs", str(tmp_path / "text.npy")],
+         "activations must be integer or floating point, got dtype <U1"),
+        (["--inputs", str(tmp_path / "complex.npy")],
+         "activations must be integer or floating point, got dtype complex128"),
+        (["--inputs", str(tmp_path / "archive.npz")],
+         f"activations {tmp_path / 'archive.npz'} must be one .npy array"),
+        (["--tokens", "4", "--config", str(tmp_path / "list.json")],
+         "bad model config: expected a JSON object, got list"),
+        (["--tokens", "4", "--config", str(tmp_path / "null.json")], "bad model config"),
+        (["--tokens", "4", "--name-map", str(tmp_path / "map.json")],
+         "bad name map: layer_template 'model.layers.{j}' does not format with i=0"),
+    ]
+    for args, message in named:
+        assert main(["audit", str(model), *args, "-o", out]) == 1, args
+        assert f"slanc: error: {message}" in capsys.readouterr().err
 
 
 def test_non_finite_values_exit_1_naming_the_culprit(amp, tmp_path, capsys):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import fp16_oracle
 from slanc import engine, fp16
 from slanc.engine import (
     FP16_POLICY,
@@ -171,7 +172,7 @@ def test_fp16_overflow_zeroes_output_and_flags():
     y, audit = norm_forward(x, gamma, None, 1e-5, NormKind.RMS_NORM,
                             FP16_POLICY)
     assert audit.overflowed.tolist() == [True]
-    assert fp16.is_inf(int(audit.fp16_sums[0]))
+    assert fp16_oracle.is_inf(int(audit.fp16_sums[0]))
     assert not y.any()  # sigma is infinite, everything collapses to zero
 
 
@@ -518,7 +519,7 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
                     norm_id="norm"):
     """Oracle for norm_forward: one token at a time, scalar soft-float.
 
-    Storage rounding uses the scalar encode, the FP16 sum the scalar
+    Storage rounding uses the oracle's scalar encode, the FP16 sum its
     accumulate_sum_of_squares, and the epilogue runs on Python floats.
     """
     d = gamma.size
@@ -528,17 +529,17 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
     rows, raws, flags = [], [], []
     for t, row in enumerate(np.asarray(x, dtype=np.float64)):
         scaled = row * reciprocal
-        bits = np.array([fp16.encode(v) for v in scaled.tolist()], dtype=np.uint16)
+        bits = np.array([fp16_oracle.encode(v) for v in scaled.tolist()], dtype=np.uint16)
         if policy.fp16_storage:
-            scaled = np.array([fp16.decode(b) for b in bits.tolist()])
+            scaled = np.array([fp16_oracle.decode(b) for b in bits.tolist()])
         raw = float(np.dot(scaled, scaled))
         if policy.fp16_accumulation:
-            trace = fp16.accumulate_sum_of_squares(fp16.Fp16Tensor(shape=(d,), data=bits))
-            sum_sq = fp16.decode(trace.final_sum)
-            flags.append((trace.final_sum, trace.overflowed, trace.underflowed_to_zero))
+            sum_bits, overflowed, underflowed = fp16_oracle.accumulate_sum_of_squares(bits)
+            sum_sq = fp16_oracle.decode(sum_bits)
+            flags.append((sum_bits, overflowed, underflowed))
         else:
             sum_sq = raw
-            flags.append((fp16.encode(raw), False, False))
+            flags.append((fp16_oracle.encode(raw), False, False))
         raws.append(raw)
         if kind is NormKind.LAYER_NORM:
             mean = float(np.mean(scaled))

@@ -37,7 +37,6 @@ from slanc.model import (
     default_name_map,
     generate_synthetic,
     load_safetensors,
-    overflow_amplification,
     save_safetensors,
     to_tensor_dict,
     validate,
@@ -226,26 +225,6 @@ def test_amplification_eight_overflows_unscaled_audit():
     assert {n for n, count in counts.items() if count} == {"layer0.norm2"}
 
 
-def test_overflow_amplification_threshold_is_honest():
-    # The config-reported threshold must itself trigger overflow; pinned
-    # run: all 64 tokens overflow at layer0.norm2.
-    cfg = _config(d=256, layers=4, heads=4, mlp=1024)
-    threshold = overflow_amplification(cfg, std=0.02)
-    assert 1.0 < threshold <= 32.0
-    init = InitSpec(std=0.02, amplify={"e": threshold, "g": threshold})
-    graph = generate_synthetic(cfg, init, seed=7)
-    tokens = np.random.default_rng(1).standard_normal((64, 256))
-    result = engine.forward(graph, tokens, engine.FP16_POLICY)
-    counts = {n: int(a.overflowed.sum()) for n, a in result.audit.items()}
-    assert sum(counts.values()) == 64
-    assert {n for n, count in counts.items() if count} == {"layer0.norm2"}
-
-
-def test_overflow_amplification_rejects_zero_std():
-    with pytest.raises(ModelError, match="zero init std"):
-        overflow_amplification(_config(), std=0.0)
-
-
 # ── checkpoint IO ────────────────────────────────────────────────────────
 
 
@@ -419,6 +398,11 @@ def test_name_map_round_trip_and_default_names():
     assert nm.tensor_name("w_v", 3) == "model.layers.3.self_attn.v_proj.weight"
     assert nm.tensor_name("final_gamma") == "model.norm.weight"
     assert NameMap.from_dict(nm.to_dict()) == nm
+    for template in ("layers.{j}", "layers.{}", "layers.{", "layers.{i[0]}", "layers.{i.x}"):
+        with pytest.raises(ModelError, match="does not format with i=0"):
+            NameMap.from_dict({**nm.to_dict(), "layer_template": template})
+    with pytest.raises(ModelError, match="bad name map"):
+        NameMap.from_dict({**nm.to_dict(), "roles": "ab"})
     with pytest.raises(ModelError, match="no entry"):
         nm.tensor_name("unknown_role", 0)
     with pytest.raises(ModelError, match="layer index"):
