@@ -262,17 +262,14 @@ def _cmd_audit(args) -> int:
     inputs, seed = _token_inputs(args, graph.config)
     policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
     result = forward(graph, inputs, policy, scales=table)
-    audit_report = report_mod.build_audit_report(result, graph, args.policy, seed)
-    if args.format == "csv":
-        serialization.atomic_write_text(args.out, audit_report.to_csv_text())
-    else:
-        serialization.atomic_write_text(args.out, audit_report.to_json_text())
-    print(
-        f"{audit_report.total_overflows} overflows, "
-        f"{audit_report.total_underflows} underflows over "
-        f"{audit_report.tokens} tokens x {len(audit_report.norms)} norms"
-    )
-    if args.fail_on_overflow and audit_report.total_overflows > 0:
+    doc = report_mod.build_audit_report(result, graph, args.policy, seed)
+    text = report_mod.audit_csv(doc) if args.format == "csv" else serialization.dumps(doc)
+    serialization.atomic_write_text(args.out, text)
+    overflows = sum(n["overflow_count"] for n in doc["norms"])
+    underflows = sum(n["underflow_count"] for n in doc["norms"])
+    print(f"{overflows} overflows, {underflows} underflows over "
+          f"{doc['tokens']} tokens x {len(doc['norms'])} norms")
+    if args.fail_on_overflow and overflows > 0:
         return EXIT_OVERFLOWS
     return EXIT_OK
 
@@ -281,10 +278,10 @@ def _cmd_compare(args) -> int:
     graph = _load_model(args)
     table = _load_scale_table(args.scales)
     inputs, seed = _token_inputs(args, graph.config)
-    compare_report = report_mod.run_compare(graph, inputs, table, seed=seed)
-    sys.stdout.write(compare_report.to_text())
+    doc = report_mod.run_compare(graph, inputs, table, seed=seed)
+    sys.stdout.write(report_mod.compare_text(doc))
     if args.out:
-        serialization.atomic_write_text(args.out, compare_report.to_json_text())
+        serialization.atomic_write_text(args.out, serialization.dumps(doc))
     return EXIT_OK
 
 

@@ -109,18 +109,26 @@ class ModelConfig:
         if not isinstance(doc, dict):
             raise ModelError(f"bad model config: expected a JSON object, got "
                              f"{type(doc).__name__}")
+
+        def number(name: str, kinds=int):
+            value = doc[name]  # JSON true/false parse as bool, an int subclass
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ModelError(f"bad model config: {name} must be {what}, got {value!r}")
+            return value
+
         try:
             return cls(
-                d_model=int(doc["d_model"]),
-                n_heads=int(doc["n_heads"]),
-                head_dim=int(doc["head_dim"]),
-                mlp_hidden=int(doc["mlp_hidden"]),
-                n_layers=int(doc["n_layers"]),
+                d_model=number("d_model"),
+                n_heads=number("n_heads"),
+                head_dim=number("head_dim"),
+                mlp_hidden=number("mlp_hidden"),
+                n_layers=number("n_layers"),
                 norm_kind=NormKind(doc["norm_kind"]),
                 residual_placement=ResidualPlacement(doc["residual_placement"]),
                 mlp_kind=MlpKind(doc["mlp_kind"]),
                 nonlinearity=Nonlinearity(doc["nonlinearity"]),
-                epsilon=float(doc["epsilon"]),
+                epsilon=float(number("epsilon", (int, float))),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ModelError(f"bad model config: {err}") from err

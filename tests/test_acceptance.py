@@ -262,17 +262,16 @@ def test_criterion_4_overflow_audit(flagship):
 
 def test_criterion_5_precision_comparison(flagship):
     graph, tokens, table = flagship
-    report = run_compare(graph, tokens, table, seed=1)
-    fp64_row, fp16_row, scaled_row = report.rows
-    fp16_bad = (not math.isfinite(fp16_row.median_rel_err)
-                or fp16_row.median_rel_err > 0.5)
-    scaled_good = (scaled_row.median_rel_err < 2e-2
-                   and scaled_row.max_rel_err < 2e-1)
+    fp64_row, fp16_row, scaled_row = run_compare(graph, tokens, table, seed=1)["rows"]
+    fp16_bad = (not math.isfinite(fp16_row["median_rel_err"])
+                or fp16_row["median_rel_err"] > 0.5)
+    scaled_good = (scaled_row["median_rel_err"] < 2e-2
+                   and scaled_row["max_rel_err"] < 2e-1)
     _criterion(
         5, "precision comparison",
-        fp64_row.median_rel_err == 0.0 and fp16_bad and scaled_good,
-        f"FP16 median {fp16_row.median_rel_err:.3g}, scaled median "
-        f"{scaled_row.median_rel_err:.3g} max {scaled_row.max_rel_err:.3g}",
+        fp64_row["median_rel_err"] == 0.0 and fp16_bad and scaled_good,
+        f"FP16 median {fp16_row['median_rel_err']:.3g}, scaled median "
+        f"{scaled_row['median_rel_err']:.3g} max {scaled_row['max_rel_err']:.3g}",
     )
 
 

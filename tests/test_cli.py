@@ -342,6 +342,19 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         (["--tokens", "4", "--name-map", str(tmp_path / "map.json")],
          "bad name map: layer_template 'model.layers.{j}' does not format with i=0"),
     ]
+    # A config's sizes must be JSON integers and its epsilon a JSON
+    # number; nothing is truncated or coerced.
+    for name, value, what in [
+        ("d_model", 256.9, "an integer"),
+        ("n_layers", True, "an integer"),
+        ("mlp_hidden", "1024", "an integer"),
+        ("epsilon", "1e-5", "a number"),
+        ("epsilon", True, "a number"),
+    ]:
+        path = tmp_path / f"{name}-{type(value).__name__}.json"
+        path.write_text(json.dumps({**config, name: value}))
+        named.append((["--tokens", "4", "--config", str(path)],
+                      f"bad model config: {name} must be {what}, got {value!r}"))
     for args, message in named:
         assert main(["audit", str(model), *args, "-o", out]) == 1, args
         assert f"slanc: error: {message}" in capsys.readouterr().err

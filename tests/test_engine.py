@@ -480,7 +480,7 @@ def test_execution_order_agrees_across_modules(placement, layers, expected):
     assert list(table.entries) == expected
     assert list(result.audit) == expected
     assert [a.norm_id for a in result.audit.values()] == expected
-    assert [n.norm_id for n in report.norms] == expected
+    assert [n["norm_id"] for n in report["norms"]] == expected
 
 
 def test_fp16_forward_is_deterministic():

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import threading
 import tracemalloc
@@ -103,6 +104,22 @@ def test_config_validation():
     with pytest.raises(ModelError, match="n_layers"):
         _config(layers=-1)
     assert _config(layers=0).n_layers == 0
+    # A config document's sizes must be JSON integers and its epsilon a
+    # JSON number: nothing is truncated, and neither bools nor strings
+    # are coerced.
+    doc = _config().to_dict()
+    for name, value, what in [
+        ("d_model", 16.9, "an integer"),
+        ("n_layers", True, "an integer"),
+        ("mlp_hidden", "32", "an integer"),
+        ("n_heads", 2.0, "an integer"),
+        ("epsilon", "1e-5", "a number"),
+        ("epsilon", True, "a number"),
+    ]:
+        message = f"bad model config: {name} must be {what}, got {value!r}"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            ModelConfig.from_dict({**doc, name: value})
+    assert ModelConfig.from_dict({**doc, "epsilon": 1}).epsilon == 1.0
 
 
 def test_config_dict_round_trip():

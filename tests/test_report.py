@@ -1,18 +1,23 @@
 """Tests for audit and comparison reports.
 
-Oracles: hand-built audit records with known counts, hand-computed
-relative-error fixtures, and pinned one-time measurements for the
-amplified-model comparison.
+Oracles: the engine's own audits with known counts, hand-computed
+relative-error fixtures, pinned one-time measurements for the
+amplified-model comparison, and the pinned bytes of every report the
+CLI writes for one small seeded model.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from slanc.engine import FP16_POLICY, REFERENCE_POLICY, forward
+from slanc import report, serialization
+from slanc.cli import main
+from slanc.engine import FP16_POLICY, NonPositiveVarianceError, forward
 from slanc.model import (
     InitSpec,
     MlpKind,
@@ -23,9 +28,9 @@ from slanc.model import (
     generate_synthetic,
 )
 from slanc.report import (
-    AuditReport,
-    CompareReport,
+    audit_csv,
     build_audit_report,
+    compare_text,
     relative_mismatch,
     run_compare,
 )
@@ -65,28 +70,31 @@ def amplified_model():
 
 def test_build_audit_report_counts(small_run):
     graph, result = small_run
-    report = build_audit_report(result, graph, "fp16", seed=11)
-    assert report.policy == "fp16"
-    assert report.tokens == 8
-    assert report.seed == 11
-    assert [n.norm_id for n in report.norms] == list(graph.norm_ids)
-    for summary, site in zip(report.norms, graph.norm_sites):
-        audit = result.audit[summary.norm_id]
-        assert summary.token_count == 8
-        assert summary.histogram == audit.histogram
-        assert summary.histogram.total == 8
-        assert summary.layer == site.layer
-        assert summary.scale_applied == 1.0
-        assert summary.overflow_count == audit.overflowed.sum()
-        assert summary.underflow_count == audit.underflowed.sum()
-    assert report.total_overflows == sum(
+    doc = build_audit_report(result, graph, "fp16", seed=11)
+    assert doc["policy"] == "fp16"
+    assert doc["tokens"] == 8
+    assert doc["seed"] == 11
+    assert [n["norm_id"] for n in doc["norms"]] == list(graph.norm_ids)
+    for summary, site in zip(doc["norms"], graph.norm_sites):
+        audit = result.audit[summary["norm_id"]]
+        histogram = summary["histogram"]
+        assert summary["token_count"] == 8
+        assert histogram == {"below": audit.histogram.below,
+                             "counts": list(audit.histogram.counts),
+                             "above": audit.histogram.above}
+        assert histogram["below"] + sum(histogram["counts"]) + histogram["above"] == 8
+        assert summary["layer"] == site.layer
+        assert summary["scale_applied"] == 1.0
+        assert summary["overflow_count"] == audit.overflowed.sum()
+        assert summary["underflow_count"] == audit.underflowed.sum()
+    assert sum(n["overflow_count"] for n in doc["norms"]) == sum(
         a.overflowed.sum() for a in result.audit.values()
     )
-    assert report.total_underflows == sum(
+    assert sum(n["underflow_count"] for n in doc["norms"]) == sum(
         a.underflowed.sum() for a in result.audit.values()
     )
-    assert report.fp16_max_finite == 65504.0
-    assert report.fp16_min_normal == 2.0**-14
+    assert doc["fp16_max_finite"] == 65504.0
+    assert doc["fp16_min_normal"] == 2.0**-14
 
 
 def test_audit_report_records_applied_scales(small_run):
@@ -94,25 +102,25 @@ def test_audit_report_records_applied_scales(small_run):
     table = compute_scale_table(graph)
     x0 = np.random.default_rng(11).standard_normal((8, 16))
     result = forward(graph, x0, FP16_POLICY, scales=table)
-    report = build_audit_report(result, graph, "fp16", seed=None)
-    assert report.seed is None
-    for summary in report.norms:
-        assert summary.scale_applied == table.entries[summary.norm_id].s
+    doc = build_audit_report(result, graph, "fp16", seed=None)
+    assert doc["seed"] is None
+    for summary in doc["norms"]:
+        assert summary["scale_applied"] == table.entries[summary["norm_id"]].s
 
 
 def test_audit_report_json_round_trip(small_run):
     graph, result = small_run
-    report = build_audit_report(result, graph, "fp16", seed=11)
-    text = report.to_json_text()
-    assert AuditReport.from_json_text(text) == report
-    assert report.to_json_text() == text  # emission is deterministic
+    doc = build_audit_report(result, graph, "fp16", seed=11)
+    text = serialization.dumps(doc)
+    assert json.loads(text) == doc
+    assert serialization.dumps(build_audit_report(result, graph, "fp16", seed=11)) == text
     assert text.endswith("\n")
 
 
 def test_audit_report_csv_shape_and_sums(small_run):
     graph, result = small_run
-    report = build_audit_report(result, graph, "fp16", seed=11)
-    lines = report.to_csv_text().rstrip("\n").split("\n")
+    doc = build_audit_report(result, graph, "fp16", seed=11)
+    lines = audit_csv(doc).rstrip("\n").split("\n")
     assert lines[0] == "bucket," + ",".join(graph.norm_ids)
     assert len(lines) == 1 + 62  # below + 60 buckets + above
     assert lines[1].startswith("below,")
@@ -121,7 +129,7 @@ def test_audit_report_csv_shape_and_sums(small_run):
     assert lines[-1].startswith("above,")
     table = [[int(c) for c in line.split(",")[1:]] for line in lines[1:]]
     for col in range(len(graph.norm_ids)):
-        assert sum(row[col] for row in table) == report.tokens
+        assert sum(row[col] for row in table) == doc["tokens"]
 
 
 # ── relative mismatch ────────────────────────────────────────────────────
@@ -169,36 +177,36 @@ def test_run_compare_modes_and_pinned_errors(amplified_model):
     # scaled run tracks the reference to ~5e-4.
     graph, tokens = amplified_model
     table = compute_scale_table(graph)
-    report = run_compare(graph, tokens, table, seed=3)
-    assert report.tokens == 32
-    assert report.seed == 3
-    assert [r.mode for r in report.rows] == ["FP64", "FP16", "FP16+SLaNC"]
-    fp64, fp16_row, scaled = report.rows
-    assert (fp64.median_rel_err, fp64.max_rel_err) == (0.0, 0.0)
-    assert fp64.overflow_count == 0 and fp64.underflow_count == 0
-    assert fp16_row.median_rel_err > 0.5
-    assert fp16_row.overflow_count == 32
-    assert scaled.median_rel_err < 5e-3
-    assert scaled.max_rel_err < 5e-2
-    assert scaled.overflow_count == 0
-    assert scaled.underflow_count == 0
+    doc = run_compare(graph, tokens, table, seed=3)
+    assert doc["tokens"] == 32
+    assert doc["seed"] == 3
+    assert [r["mode"] for r in doc["rows"]] == ["FP64", "FP16", "FP16+SLaNC"]
+    fp64, fp16_row, scaled = doc["rows"]
+    assert (fp64["median_rel_err"], fp64["max_rel_err"]) == (0.0, 0.0)
+    assert fp64["overflow_count"] == 0 and fp64["underflow_count"] == 0
+    assert fp16_row["median_rel_err"] > 0.5
+    assert fp16_row["overflow_count"] == 32
+    assert scaled["median_rel_err"] < 5e-3
+    assert scaled["max_rel_err"] < 5e-2
+    assert scaled["overflow_count"] == 0
+    assert scaled["underflow_count"] == 0
 
 
 def test_compare_report_json_round_trip(small_run):
     graph, _ = small_run
     table = compute_scale_table(graph)
     x0 = np.random.default_rng(11).standard_normal((8, 16))
-    report = run_compare(graph, x0, table, seed=11)
-    text = report.to_json_text()
-    assert CompareReport.from_json_text(text) == report
-    assert report.to_json_text() == text
+    doc = run_compare(graph, x0, table, seed=11)
+    text = serialization.dumps(doc)
+    assert json.loads(text) == doc
+    assert serialization.dumps(run_compare(graph, x0, table, seed=11)) == text
 
 
 def test_compare_report_text_rendering(small_run):
     graph, _ = small_run
     table = compute_scale_table(graph)
     x0 = np.random.default_rng(11).standard_normal((8, 16))
-    text = run_compare(graph, x0, table).to_text()
+    text = compare_text(run_compare(graph, x0, table))
     lines = text.rstrip("\n").split("\n")
     assert lines[0].split() == [
         "mode", "median_rel_err", "max_rel_err", "overflows", "underflows",
@@ -213,7 +221,89 @@ def test_reference_run_tracks_fp64_row_exactly(small_run):
     graph, _ = small_run
     table = compute_scale_table(graph)
     x0 = np.random.default_rng(11).standard_normal((8, 16))
-    report = run_compare(graph, x0, table)
-    fp16_row = report.rows[1]
-    assert fp16_row.overflow_count == 0
-    assert fp16_row.median_rel_err < 5e-3  # only rounding noise
+    fp16_row = run_compare(graph, x0, table)["rows"][1]
+    assert fp16_row["overflow_count"] == 0
+    assert fp16_row["median_rel_err"] < 5e-3  # only rounding noise
+
+
+def test_compare_names_the_norm_and_token_that_failed(small_run, monkeypatch):
+    graph, _ = small_run
+    table = compute_scale_table(graph)
+    x0 = np.random.default_rng(11).standard_normal((8, 16))
+    untouched = run_compare(graph, x0, table)
+
+    def dying_forward(model, x, policy, scales=None):
+        if policy is FP16_POLICY and scales is None:
+            raise NonPositiveVarianceError("layer1.norm2", 5, -0.25)
+        return forward(model, x, policy, scales=scales)
+
+    monkeypatch.setattr(report, "forward", dying_forward)
+    doc = run_compare(graph, x0, table)
+    fp64, fp16_row, scaled = doc["rows"]
+    assert fp16_row == {
+        "mode": "FP16", "median_rel_err": math.inf, "max_rel_err": math.inf,
+        "overflow_count": 0, "underflow_count": 0,
+        "failed_norm": "layer1.norm2", "failed_token": 5,
+    }
+    assert (fp64, scaled) == (untouched["rows"][0], untouched["rows"][2])
+    assert json.loads(serialization.dumps(doc)) == doc
+    lines = compare_text(doc).rstrip("\n").split("\n")
+    assert len(lines) == 6  # header, rule, three mode rows, one failure
+    assert lines[3].split() == ["FP16", "inf", "inf", "0", "0"]
+    assert lines[5] == ("FP16 failed: non-positive variance at norm "
+                        "'layer1.norm2', token 5")
+    assert compare_text(untouched).count("\n") == 5  # no failure, no line
+
+
+# ── golden bytes ─────────────────────────────────────────────────────────
+
+# SHA-256 of each report file and the exact stdout of each CLI run, for
+# one small seeded model (d=16, two post-LN gated layers with e and g
+# amplified 128x, so plain FP16 overflows on every token) and 8 Gaussian
+# tokens drawn with seed 11.  Reports must stay byte-identical across
+# refactors; a change that means to move them updates these values and
+# says so.
+GOLDEN_REPORTS = {
+    "audit.json": (
+        "22ab225ee1e9ffe5f25260d728433ecaf93f65315f0b54c9a71fe3e5062ace57",
+        "8 overflows, 0 underflows over 8 tokens x 4 norms\n",
+    ),
+    "audit-scaled.json": (
+        "a01de902ff09bf3c57434329f888b5a29fbb98333edec696c961d10f2c17ac2d",
+        "0 overflows, 0 underflows over 8 tokens x 4 norms\n",
+    ),
+    "audit.csv": (
+        "dc06abceb3a017f36e8b51bfd5b89b17c20675603752331aa9e27a9ae02c6f59",
+        "8 overflows, 0 underflows over 8 tokens x 4 norms\n",
+    ),
+    "compare.json": (
+        "f5c9d9f9bbbee8b02960f19627ac75192e2403350cdb20f3440a8ab1c91e49e1",
+        "mode          median_rel_err     max_rel_err  overflows  underflows\n"
+        "-------------------------------------------------------------------\n"
+        "FP64                       0               0          0           0\n"
+        "FP16                0.720339               1          8           0\n"
+        "FP16+SLaNC       0.000633656      0.00941948          0           0\n",
+    ),
+}
+
+
+def test_report_bytes_match_golden(tmp_path, capsys):
+    model, scales = str(tmp_path / "m.safetensors"), str(tmp_path / "s.json")
+    assert main(["gen-model", "--d", "16", "--layers", "2", "--heads", "2",
+                 "--mlp-hidden", "32", "--seed", "5", "--std", "0.05",
+                 "--amplify", "e,g:128", "-o", model]) == 0
+    assert main(["scales", model, "-o", scales]) == 0
+    capsys.readouterr()
+    runs = {
+        "audit.json": ["audit", model],
+        "audit-scaled.json": ["audit", model, "--scales", scales],
+        "audit.csv": ["audit", model, "--format", "csv"],
+        "compare.json": ["compare", model, "--scales", scales],
+    }
+    seen = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--tokens", "8", "--seed", "11", "-o", str(out)]) == 0
+        seen[name] = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                      capsys.readouterr().out)
+    assert seen == GOLDEN_REPORTS
