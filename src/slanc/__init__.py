@@ -4,7 +4,8 @@ inference, plus the bit-exact binary16 emulator used to prove it works.
 Submodules:
     fp16            batched binary16 kernels and the audited accumulator
     linalg          Frobenius and spectral norms of float64 arrays
-    scales          the closed-form scale factors and the scale table
+    scales          the closed-form scale factors, the scale table
+                    document and its strict reader
     model           configs, synthetic weights, safetensors ingestion
     engine          instrumented forward pass in both precision modes
     report          audit/compare reports
@@ -26,9 +27,9 @@ from .model import (
     load_safetensors,
 )
 from .scales import (
-    ScaleTable,
     adjust_epsilon,
     compute_scale_table,
+    read_scale_table,
     scale_attention,
     scale_llama_mlp,
     scale_standard_mlp,
@@ -44,13 +45,13 @@ __all__ = [
     "NormKind",
     "Nonlinearity",
     "ResidualPlacement",
-    "ScaleTable",
     "adjust_epsilon",
     "calibrate_dynamic",
     "compute_scale_table",
     "forward",
     "generate_synthetic",
     "load_safetensors",
+    "read_scale_table",
     "scale_attention",
     "scale_llama_mlp",
     "scale_standard_mlp",

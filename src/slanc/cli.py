@@ -22,13 +22,7 @@ import numpy as np
 from . import model as model_mod
 from . import report as report_mod
 from . import serialization
-from .engine import (
-    FP16_POLICY,
-    REFERENCE_POLICY,
-    FingerprintMismatchError,
-    NonPositiveVarianceError,
-    forward,
-)
+from .engine import FP16_POLICY, REFERENCE_POLICY, NonPositiveVarianceError, forward
 from .linalg import ConvergenceError
 from .model import (
     InitSpec,
@@ -41,7 +35,7 @@ from .model import (
     ResidualPlacement,
 )
 from .safetensors_io import SafetensorsError
-from .scales import DegenerateScaleError, ScaleTable, compute_scale_table
+from .scales import DegenerateScaleError, ScaleTableError, compute_scale_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,13 +134,14 @@ def _load_model(args):
     return model_mod.load_safetensors(args.model, name_map=name_map, config=config)
 
 
-def _load_scale_table(path: str) -> ScaleTable:
+def _load_scale_table(path: str):
+    """The parsed JSON document; forward checks it against the model."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return ScaleTable.from_json_text(handle.read())
+            return json.load(handle)
     except OSError as err:
         raise UsageError(f"cannot read scale table {path}: {err}") from err
-    except ValueError as err:
+    except ValueError as err:  # bad JSON or bad UTF-8
         raise UsageError(f"bad scale table {path}: {err}") from err
 
 
@@ -251,8 +246,8 @@ def _cmd_gen_model(args) -> int:
 def _cmd_scales(args) -> int:
     graph = _load_model(args)
     table = compute_scale_table(graph)
-    serialization.atomic_write_text(args.out, table.to_json_text())
-    print(f"wrote {len(table.entries)} scales to {args.out}")
+    serialization.atomic_write_text(args.out, serialization.dumps(table))
+    print(f"wrote {len(table['entries'])} scales to {args.out}")
     return EXIT_OK
 
 
@@ -301,7 +296,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"slanc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, SafetensorsError, FingerprintMismatchError) as err:
+    except (ModelError, SafetensorsError, ScaleTableError) as err:
         print(f"slanc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

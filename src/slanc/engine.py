@@ -7,11 +7,12 @@ accumulation in emulated FP16: that accumulation is the one step whose
 dynamic range binary16 cannot cover, and every norm evaluation is
 audited so overflow/underflow can be counted and histogrammed.
 
-A norm with a scale entry multiplies its input by the precomputed
-reciprocal first and swaps epsilon for epsilon/s^2; in exact arithmetic
-the output is unchanged, in FP16 it moves the accumulated sum back into
-range.  The norm epilogue (mean, divide, sqrt, gain) stays in double in
-both modes so that any failure is attributable to the accumulation.
+Each norm multiplies its input by 1/s first and swaps epsilon for
+epsilon/s^2, with s from the scale table (1 without one: the same code,
+since 1/1 and epsilon/1 are exact); in exact arithmetic the output is
+unchanged, in FP16 it moves the accumulated sum back into range.  The
+norm epilogue (mean, divide, sqrt, gain) stays in double in both modes
+so that any failure is attributable to the accumulation.
 
 `forward` walks `ModelGraph.execution_order()`; post-norm and pre-norm
 placement differ only in whether a norm's output replaces the residual
@@ -46,7 +47,7 @@ from .model import (
     ResidualPlacement,
     Sublayer,
 )
-from .scales import Formula, NormScale, ScaleTable, make_norm_scale
+from .scales import Formula, read_scale_table, scale_entry
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,6 @@ class NonPositiveVarianceError(Exception):
             f"non-positive variance {variance:.6g} at norm "
             f"{norm_id!r}, token {token_index}"
         )
-
-
-class FingerprintMismatchError(Exception):
-    """Supplied scale table does not fit the model: other weights, or a norm missing."""
 
 
 # ── histograms ───────────────────────────────────────────────────────────
@@ -166,14 +163,14 @@ def norm_forward(
     epsilon: float,
     kind: NormKind,
     policy: PrecisionPolicy,
-    scale: NormScale | None = None,
+    s: float = 1.0,
     norm_id: str = "norm",
 ) -> tuple[np.ndarray, NormAudit]:
     """Normalize an n_tokens x d block, auditing each row's sum of squares.
 
-    The input is multiplied by the scale reciprocal (1 when no scale),
-    rounded to binary16 under FP16 storage, and each row's squares are
-    summed either exactly or through the batched FP16 accumulator.  Mean,
+    The input is multiplied by 1/s (epsilon becomes epsilon/s^2), rounded
+    to binary16 under FP16 storage, and each row's squares are summed
+    either exactly or through the batched FP16 accumulator.  Mean,
     variance, division and the gain/shift epilogue always run in double.
     Returns the normalized rows and the norm's audit, one entry per row.
     """
@@ -181,10 +178,8 @@ def norm_forward(
     d = gamma.size
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected a block of length-{d} rows, got shape {x.shape}")
-    reciprocal = scale.reciprocal if scale is not None else 1.0
-    eps_adjusted = scale.epsilon_adjusted if scale is not None else epsilon
-    applied = scale.s if scale is not None else 1.0
-    scaled = x * reciprocal
+    scaled = x * (1.0 / s)
+    eps_adjusted = epsilon / (s * s)
     bits = None
     if policy.fp16_storage:
         bits = fp16.encode_array(scaled)
@@ -200,7 +195,7 @@ def norm_forward(
         sum_sq = raw
         sum_bits = fp16.encode_array(raw)
         overflowed, underflowed = np.zeros((2, raw.size), dtype=bool)
-    audit = NormAudit(norm_id, applied, raw, sum_bits, overflowed, underflowed,
+    audit = NormAudit(norm_id, s, raw, sum_bits, overflowed, underflowed,
                       Histogram.from_values(raw))
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is NormKind.LAYER_NORM:
@@ -277,9 +272,12 @@ def forward(
     model: ModelGraph,
     x0: np.ndarray,
     policy: PrecisionPolicy,
-    scales: ScaleTable | None = None,
+    scales: dict | None = None,
 ) -> ForwardResult:
     """Run the decoder chain in execution_order(), auditing every norm.
+
+    scales is a scale table document; read_scale_table checks it against
+    the model before the first layer runs, and each norm divides by its s.
 
     x is the residual stream and h the input of the next sublayer; each
     sublayer adds its output to x.  PostLN normalizes the stream itself
@@ -295,16 +293,7 @@ def forward(
         )
     if not np.isfinite(x).all():
         raise ValueError("input activations must be finite")
-    if scales is not None:
-        if scales.fingerprint != model.fingerprint():
-            raise FingerprintMismatchError(
-                "scale table fingerprint does not match the model weights"
-            )
-        for norm_id in model.norm_ids:
-            if norm_id not in scales.entries:
-                raise FingerprintMismatchError(
-                    f"scale table has no entry for norm {norm_id!r}"
-                )
+    s_by_norm = read_scale_table(scales, model) if scales is not None else {}
     audit: dict[str, NormAudit] = {}
     x = h = _store(x, policy)
     post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
@@ -314,10 +303,9 @@ def forward(
                    if step.mlp else attention_forward(h, step.weights, cfg, policy))
             x = _store(x + out, policy)
         else:
-            entry = scales.entries[step.norm_id] if scales is not None else None
             h, audit[step.norm_id] = norm_forward(
                 x, step.gamma, step.beta, cfg.epsilon, cfg.norm_kind, policy,
-                scale=entry, norm_id=step.norm_id,
+                s=s_by_norm.get(step.norm_id, 1.0), norm_id=step.norm_id,
             )
             if post_ln:
                 x = h
@@ -331,8 +319,9 @@ def calibrate_dynamic(
     model: ModelGraph,
     calibration_inputs: list,
     statistic: str = "Median",
-) -> ScaleTable:
-    """Per-norm scales from observed input norms on calibration data.
+) -> dict:
+    """A scale table document of per-norm scales from observed input
+    norms on calibration data.
 
     Runs the double-precision forward over every calibration matrix,
     collects each norm's pre-scaling input Euclidean norm per token,
@@ -346,11 +335,10 @@ def calibrate_dynamic(
     for x in calibration_inputs:
         for norm_id, audit in forward(model, x, REFERENCE_POLICY).audit.items():
             observed[norm_id].append(np.sqrt(audit.raw_sums))
-    entries: dict[str, NormScale] = {}
+    entries = []
     for site in model.norm_sites:
         values = np.concatenate(observed[site.norm_id])
         s = float(np.mean(values) if statistic == "Mean" else np.median(values))
-        entries[site.norm_id] = make_norm_scale(
-            s, model.config.epsilon, Formula.DYNAMIC, site.layer, site.norm_id,
-        )
-    return ScaleTable(fingerprint=model.fingerprint(), entries=entries)
+        entries.append(scale_entry(site.norm_id, site.layer, Formula.DYNAMIC, s,
+                                   model.config.epsilon))
+    return {"fingerprint": model.fingerprint(), "entries": entries}

@@ -595,34 +595,6 @@ def _tensor_problem(array: np.ndarray, shape: tuple) -> str | None:
     return None
 
 
-def validate(graph: ModelGraph) -> list[str]:
-    """Check every structural invariant of a graph built in memory; an
-    empty list means valid.  load_safetensors checks as it reads."""
-    cfg = graph.config
-    shapes = _role_shapes(cfg)
-    problems: list[str] = []
-    if len(graph.layers) != cfg.n_layers:
-        problems.append(
-            f"graph has {len(graph.layers)} layers, config says {cfg.n_layers}"
-        )
-    slots = [(f"layer {i}: {role}", role, getattr(layer, role))
-             for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
-    slots += [("final norm gamma", "final_gamma", graph.final_gamma),
-              ("final norm beta", "final_beta", graph.final_beta)]
-    for label, role, array in slots:
-        unused = _unused_reason(cfg, role)
-        if array is None:
-            if unused is None:
-                problems.append(f"{label}: missing")
-            continue
-        if unused is not None:
-            problems.append(f"{label}: present but {unused}")
-        problem = _tensor_problem(array, shapes[role])
-        if problem:
-            problems.append(f"{label}: {problem}")
-    return problems
-
-
 # ── config sidecar files ─────────────────────────────────────────────────
 
 

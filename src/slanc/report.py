@@ -29,7 +29,6 @@ from .engine import (
     forward,
 )
 from .model import ModelGraph
-from .scales import ScaleTable
 
 
 def build_audit_report(
@@ -112,7 +111,7 @@ def _row(mode: str, errors: tuple[float, float], audits=()) -> dict:
 def run_compare(
     model: ModelGraph,
     x0: np.ndarray,
-    scales: ScaleTable,
+    scales: dict,
     seed: int | None = None,
 ) -> dict:
     """The comparison document: reference, plain FP16, and FP16+scales
@@ -121,8 +120,10 @@ def run_compare(
     The plain-FP16 run may die of rounding-induced non-positive
     variance; that is a result, not an error: its row reports infinite
     mismatch and names the norm and token that failed.  The reference
-    and scaled runs propagate errors.
+    and scaled runs propagate errors.  The scaled run goes first, so a
+    table that does not fit the model is refused before any other pass.
     """
+    scaled = forward(model, x0, FP16_POLICY, scales=scales)
     reference = forward(model, x0, REFERENCE_POLICY, scales=None)
     rows = [_row("FP64", (0.0, 0.0))]
     try:
@@ -132,7 +133,6 @@ def run_compare(
     except NonPositiveVarianceError as err:
         rows.append(_row("FP16", (math.inf, math.inf))
                     | {"failed_norm": err.norm_id, "failed_token": err.token_index})
-    scaled = forward(model, x0, FP16_POLICY, scales=scales)
     rows.append(_row("FP16+SLaNC", relative_mismatch(reference.output, scaled.output),
                      scaled.audit.values()))
     return {"tokens": x0.shape[0], "seed": seed, "rows": rows}

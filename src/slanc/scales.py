@@ -17,20 +17,20 @@ attention has no softmax term.  These are the paper's estimates of how
 much the sublayer grows a normalized row, not upper bounds: they assume
 it sees a normalized row and acts linearly.  ROADMAP items 2 and 3
 measure counterexamples: deep pre-LN stacks, activation cancellation,
-the gate's missing sqrt(d) and a LayerNorm shift.  The per-norm results
-go into a ScaleTable keyed by the model fingerprint.
+the gate's missing sqrt(d) and a LayerNorm shift.  The table is its
+JSON document, {fingerprint, entries}, each entry built by scale_entry;
+read_scale_table is the one way back from a document to the scales,
+and refuses any table not written for this model and its epsilon.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+import sys
 from enum import Enum
 
 import numpy as np
 
-from . import serialization
 from .linalg import ConvergenceError, frobenius_norm, spectral_norm
 from .model import MlpKind, ModelGraph, Sublayer
 
@@ -60,96 +60,6 @@ class DegenerateScaleError(Exception):
         where = f" at norm {self.norm_id!r}" if self.norm_id else ""
         return (f"degenerate scale {self.value:.6g}{where}: below threshold "
                 f"{DEGENERATE_THRESHOLD:.6g}")
-
-
-@dataclass(frozen=True)
-class NormScale:
-    """One norm's scale: s, its reciprocal, and the adjusted epsilon."""
-
-    s: float
-    reciprocal: float
-    epsilon_adjusted: float
-    formula: Formula
-    layer_index: int
-    norm_id: str
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.s!r}")
-        if abs(self.reciprocal * self.s - 1.0) > 1e-15 * max(1.0, abs(self.s)):
-            raise ValueError(
-                f"reciprocal {self.reciprocal!r} is not 1/{self.s!r}"
-            )
-        if not (math.isfinite(self.epsilon_adjusted) and self.epsilon_adjusted > 0):
-            raise ValueError(
-                f"adjusted epsilon must be positive, got {self.epsilon_adjusted!r}"
-            )
-
-
-def make_norm_scale(
-    s: float,
-    epsilon: float,
-    formula: Formula,
-    layer_index: int,
-    norm_id: str,
-) -> NormScale:
-    """Build a NormScale, filling the reciprocal and adjusted epsilon."""
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"scale must be positive and finite, got {s!r}")
-    if s < DEGENERATE_THRESHOLD:
-        raise DegenerateScaleError(s, norm_id)
-    return NormScale(
-        s=s,
-        reciprocal=1.0 / s,
-        epsilon_adjusted=adjust_epsilon(epsilon, s),
-        formula=formula,
-        layer_index=layer_index,
-        norm_id=norm_id,
-    )
-
-
-@dataclass(frozen=True)
-class ScaleTable:
-    """Ordered per-norm scales plus the weight fingerprint they match."""
-
-    fingerprint: str
-    entries: dict  # norm_id -> NormScale, in graph execution order
-
-    def to_json_text(self) -> str:
-        doc = {
-            "fingerprint": self.fingerprint,
-            "entries": [
-                {
-                    "norm_id": entry.norm_id,
-                    "layer": entry.layer_index,
-                    "formula": entry.formula.value,
-                    "s": entry.s,
-                    "reciprocal": entry.reciprocal,
-                    "eps_adjusted": entry.epsilon_adjusted,
-                }
-                for entry in self.entries.values()
-            ],
-        }
-        return serialization.dumps(doc)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "ScaleTable":
-        doc = json.loads(text)
-        try:
-            entries = {}
-            for row in doc["entries"]:
-                entry = NormScale(
-                    s=float(row["s"]),
-                    reciprocal=float(row["reciprocal"]),
-                    epsilon_adjusted=float(row["eps_adjusted"]),
-                    formula=Formula(row["formula"]),
-                    layer_index=int(row["layer"]),
-                    norm_id=str(row["norm_id"]),
-                )
-                entries[entry.norm_id] = entry
-            return cls(fingerprint=str(doc["fingerprint"]), entries=entries)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValueError(f"bad scale table document: {err}") from err
 
 
 # ── the three closed forms ───────────────────────────────────────────────
@@ -214,25 +124,58 @@ def adjust_epsilon(epsilon: float, s: float) -> float:
     return epsilon / (s * s)
 
 
+
+
 # ── whole-model table ────────────────────────────────────────────────────
 
 
-def _feeding_scale(sublayer: Sublayer | None, gamma: np.ndarray,
-                   mlp_kind: MlpKind) -> tuple[float, Formula]:
-    """s and its formula for a norm fed by sublayer, whose own input
-    came through a norm of gain gamma; Unit when no sublayer ran."""
-    if sublayer is None:
-        return 1.0, Formula.UNIT
+class ScaleTableError(Exception):
+    """A scale table document that is malformed or does not fit the model."""
+
+
+def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
+                epsilon: float) -> dict:
+    """One table entry in document order: s with its reciprocal and the
+    adjusted epsilon.  Refuses an s below DEGENERATE_THRESHOLD."""
+    eps_adjusted = adjust_epsilon(epsilon, s)  # refuses a non-positive s
+    if s < DEGENERATE_THRESHOLD:
+        raise DegenerateScaleError(s, norm_id)
+    return {"norm_id": norm_id, "layer": layer, "formula": formula.value, "s": s,
+            "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
+
+
+def _fed_norms(model: ModelGraph):
+    """Each norm of model.execution_order() with the formula for its s,
+    the sublayer that ran since the previous norm (None when none ran)
+    and the previous norm's gain (all ones at the raw embeddings)."""
+    mlp = (Formula.LLAMA_MLP if model.config.mlp_kind is MlpKind.LLAMA_GATED
+           else Formula.STANDARD_MLP)
+    gamma = np.ones(model.config.d_model)
+    fed_by: Sublayer | None = None
+    for step in model.execution_order():
+        if isinstance(step, Sublayer):
+            fed_by = step
+            continue
+        formula = (Formula.UNIT if fed_by is None
+                   else mlp if fed_by.mlp else Formula.ATTENTION)
+        yield step, formula, fed_by, gamma
+        gamma, fed_by = step.gamma, None
+
+
+def _scale(formula: Formula, sublayer: Sublayer | None, gamma: np.ndarray) -> float:
+    if formula is Formula.UNIT:
+        return 1.0
     w = sublayer.weights
-    if not sublayer.mlp:
-        return scale_attention(gamma, w.w_v, w.p), Formula.ATTENTION
-    if mlp_kind is MlpKind.LLAMA_GATED:
-        return scale_llama_mlp(gamma, w.e, w.b, w.g), Formula.LLAMA_MLP
-    return scale_standard_mlp(gamma, w.e, w.g), Formula.STANDARD_MLP
+    if formula is Formula.ATTENTION:
+        return scale_attention(gamma, w.w_v, w.p)
+    if formula is Formula.LLAMA_MLP:
+        return scale_llama_mlp(gamma, w.e, w.b, w.g)
+    return scale_standard_mlp(gamma, w.e, w.g)
 
 
-def compute_scale_table(model: ModelGraph) -> ScaleTable:
-    """One NormScale per norm operator, in execution order.
+def compute_scale_table(model: ModelGraph) -> dict:
+    """The scale table document: the weight fingerprint and one entry
+    per norm, in execution order.
 
     Walks model.execution_order() as the module docstring describes.
     Deterministic: every formula, the gated-MLP spectral norm included,
@@ -240,21 +183,87 @@ def compute_scale_table(model: ModelGraph) -> ScaleTable:
     bitwise-identical tables.  Degenerate and spectral-norm failures
     name the norm.
     """
-    cfg = model.config
-    gamma = np.ones(cfg.d_model)
-    fed_by: Sublayer | None = None
-    entries: dict[str, NormScale] = {}
-    for step in model.execution_order():
-        if isinstance(step, Sublayer):
-            fed_by = step
-            continue
+    entries = []
+    for site, formula, fed_by, gamma in _fed_norms(model):
         try:
-            s, formula = _feeding_scale(fed_by, gamma, cfg.mlp_kind)
+            s = _scale(formula, fed_by, gamma)
         except (DegenerateScaleError, ConvergenceError) as err:
-            err.norm_id = step.norm_id
+            err.norm_id = site.norm_id
             raise
-        entries[step.norm_id] = make_norm_scale(
-            s, cfg.epsilon, formula, step.layer, step.norm_id
-        )
-        gamma, fed_by = step.gamma, None
-    return ScaleTable(fingerprint=model.fingerprint(), entries=entries)
+        entries.append(scale_entry(site.norm_id, site.layer, formula, s,
+                                   model.config.epsilon))
+    return {"fingerprint": model.fingerprint(), "entries": entries}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
+    """Each norm's s from a scale table document, once the document is
+    shown to be one compute_scale_table or calibrate_dynamic could have
+    written for this model.
+
+    Raises ScaleTableError, naming the norm and the field, when the
+    fingerprint is not the weights'; when a norm of the model has no
+    entry, or an entry names a norm twice or one the model lacks; or
+    when an entry's layer is not the norm's (a JSON integer), its formula
+    is neither the norm's nor Dynamic, its s is not a finite positive
+    number, or its reciprocal or eps_adjusted differs in any bit from
+    1/s or adjust_epsilon(model.config.epsilon, s).  Booleans are not
+    numbers here, and nothing is coerced.
+    """
+    if not isinstance(doc, dict):
+        raise ScaleTableError(f"scale table must be a JSON object, got "
+                              f"{type(doc).__name__}")
+    fingerprint = doc.get("fingerprint")
+    if not isinstance(fingerprint, str):
+        raise ScaleTableError(f"scale table fingerprint must be a string, got "
+                              f"{fingerprint!r}")
+    if fingerprint != model.fingerprint():
+        raise ScaleTableError("scale table fingerprint does not match the model weights")
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise ScaleTableError(f"scale table entries must be a list, got "
+                              f"{type(entries).__name__}")
+    sites = {site.norm_id: (site.layer, formula)
+             for site, formula, _, _ in _fed_norms(model)}
+    found: dict[str, float] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScaleTableError(f"scale table entries[{i}] must be a JSON object, "
+                                  f"got {type(entry).__name__}")
+        norm_id = entry.get("norm_id")
+        if not isinstance(norm_id, str) or norm_id not in sites:
+            raise ScaleTableError(f"scale table entries[{i}]: norm_id {norm_id!r} "
+                                  f"names no norm of the model")
+        if norm_id in found:
+            raise ScaleTableError(f"scale table entry {norm_id!r}: norm_id appears "
+                                  f"more than once")
+        layer, formula = sites[norm_id]
+
+        def refuse(field: str, wanted: str) -> ScaleTableError:
+            return ScaleTableError(f"scale table entry {norm_id!r}: {field} must be "
+                                   f"{wanted}, got {entry.get(field)!r}")
+
+        if type(entry.get("layer")) is not int or entry["layer"] != layer:  # not bool
+            raise refuse("layer", f"the integer {layer}")
+        if entry.get("formula") not in (formula.value, Formula.DYNAMIC.value):
+            raise refuse("formula", f"{formula.value!r} or {Formula.DYNAMIC.value!r}")
+        s = entry.get("s")
+        if not (_number(s) and 0 < s <= sys.float_info.max):
+            raise refuse("s", "a finite positive number")
+        s = float(s)
+        epsilon = model.config.epsilon
+        for field, wanted, how in (
+            ("reciprocal", 1.0 / s, "1/s"),
+            ("eps_adjusted", adjust_epsilon(epsilon, s),
+             f"epsilon/s^2 for the model's epsilon {epsilon!r}"),
+        ):
+            if not (_number(entry.get(field)) and entry[field] == wanted):
+                raise refuse(field, f"{wanted!r} ({how})")
+        found[norm_id] = s
+    for norm_id in sites:
+        if norm_id not in found:
+            raise ScaleTableError(f"scale table has no entry for norm {norm_id!r}")
+    return found

@@ -42,10 +42,9 @@ from slanc.model import (
 from slanc.report import run_compare
 from slanc.scales import (
     DegenerateScaleError,
-    Formula,
     adjust_epsilon,
     compute_scale_table,
-    make_norm_scale,
+    read_scale_table,
     scale_attention,
     scale_llama_mlp,
     scale_standard_mlp,
@@ -151,11 +150,10 @@ def test_criterion_2_scaling_homogeneity():
             for _ in range(167):
                 x = rng.standard_normal(d) * math.exp(rng.uniform(-6.0, 6.0))
                 s = 2.0 ** rng.uniform(-10.0, 14.0)
-                entry = make_norm_scale(s, 1e-5, Formula.UNIT, 0, "probe")
                 (plain,), _ = norm_forward(x[None, :], gamma, beta, 1e-5, kind,
                                            REFERENCE_POLICY)
                 (scaled,), _ = norm_forward(x[None, :], gamma, beta, 1e-5, kind,
-                                            REFERENCE_POLICY, scale=entry)
+                                            REFERENCE_POLICY, s=s)
                 floor = float(np.sqrt(np.mean(plain**2))) or 1.0
                 rel = float(np.max(
                     np.abs(plain - scaled) / np.maximum(np.abs(plain), floor)
@@ -282,12 +280,9 @@ PINNED_DYNAMIC_FACTOR = 8.0
 
 def test_criterion_6_dynamic_baseline(flagship):
     graph, tokens, table = flagship
-    dynamic = calibrate_dynamic(graph, [tokens], "Median")
-    worst = max(
-        max(table.entries[n].s / dynamic.entries[n].s,
-            dynamic.entries[n].s / table.entries[n].s)
-        for n in table.entries
-    )
+    static = read_scale_table(table, graph)
+    dynamic = read_scale_table(calibrate_dynamic(graph, [tokens], "Median"), graph)
+    worst = max(max(static[n] / dynamic[n], dynamic[n] / static[n]) for n in static)
     _criterion(
         6, "dynamic-baseline agreement",
         worst <= PINNED_DYNAMIC_FACTOR <= 32.0,
@@ -304,10 +299,9 @@ def test_criterion_7_real_weights_smoke():
         record_acceptance(line)
         pytest.skip("SLANC_REAL_WEIGHTS is not set")
     graph = load_safetensors(path, name_map=default_name_map())
-    table = compute_scale_table(graph)
+    scales = read_scale_table(compute_scale_table(graph), graph).values()
     _criterion(
         7, "real-weights smoke",
-        len(table.entries) > 0
-        and all(math.isfinite(e.s) and e.s > 0 for e in table.entries.values()),
-        f"{len(table.entries)} scales, all finite and positive",
+        len(scales) > 0 and all(math.isfinite(s) and s > 0 for s in scales),
+        f"{len(scales)} scales, all finite and positive",
     )

@@ -11,6 +11,7 @@ finite value for every token.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -37,7 +38,7 @@ from slanc.model import (
     save_safetensors,
 )
 from slanc.safetensors_io import load_tensors, save_tensors
-from slanc.scales import ScaleTable, compute_scale_table
+from slanc.scales import compute_scale_table
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +130,8 @@ def test_unknown_command_is_usage_error(capsys):
 def test_scales_matches_api_and_reruns_identically(amp, capsys, tmp_path):
     model, scales = amp
     text = scales.read_text()
-    table = ScaleTable.from_json_text(text)
     graph = load_safetensors(str(model))
-    api_table = compute_scale_table(graph)
-    assert table == api_table
+    assert json.loads(text) == compute_scale_table(graph)
     again = tmp_path / "again.json"
     assert main(["scales", str(model), "-o", str(again)]) == 0
     assert capsys.readouterr().out == f"wrote 2 scales to {again}\n"
@@ -146,9 +145,9 @@ def test_zero_weight_model_scales_are_sqrt_d(tmp_path, capsys):
                  "-o", str(model)]) == 0
     assert main(["scales", str(model), "-o", str(scales)]) == 0
     capsys.readouterr()
-    table = ScaleTable.from_json_text(scales.read_text())
-    assert sorted(table.entries) == ["layer0.norm1", "layer0.norm2"]
-    assert all(entry.s == 8.0 for entry in table.entries.values())
+    entries = json.loads(scales.read_text())["entries"]
+    assert [entry["norm_id"] for entry in entries] == ["layer0.norm1", "layer0.norm2"]
+    assert all(entry["s"] == 8.0 for entry in entries)
 
 
 def test_degenerate_model_exits_2_and_names_the_norm(tmp_path, capsys):
@@ -265,9 +264,9 @@ def test_audit_with_scales_removes_overflows(amp, tmp_path, capsys):
         "0 overflows, 0 underflows over 32 tokens x 2 norms\n"
     )
     doc = json.loads(out.read_text())
-    table = ScaleTable.from_json_text(scales.read_text())
-    for norm in doc["norms"]:
-        assert norm["scale_applied"] == table.entries[norm["norm_id"]].s
+    entries = json.loads(scales.read_text())["entries"]
+    assert [norm["scale_applied"] for norm in doc["norms"]] == [
+        entry["s"] for entry in entries]
 
 
 def test_audit_fp64_never_overflows(amp, tmp_path, capsys):
@@ -304,7 +303,7 @@ def test_audit_accepts_npy_inputs(amp, tmp_path, capsys):
 
 
 def test_audit_input_validation(amp, tmp_path, capsys):
-    model, _ = amp
+    model, scales = amp
     out = str(tmp_path / "r.json")
     wrong = tmp_path / "wrong.npy"
     np.save(wrong, np.zeros((4, 255)))
@@ -355,6 +354,43 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         path.write_text(json.dumps({**config, name: value}))
         named.append((["--tokens", "4", "--config", str(path)],
                       f"bad model config: {name} must be {what}, got {value!r}"))
+    # A scale table applies only to the model and epsilon it was written
+    # for, read as written: each edit names the norm (or the entry's
+    # index) and the field.
+    table = json.loads(scales.read_text())
+    norm1, norm2 = table["entries"]
+    s = norm1["s"]
+    for i, (entries, message) in enumerate([
+        ([norm1, {**norm2, "eps_adjusted": 1.0}],
+         "entry 'layer0.norm2': eps_adjusted must be "),
+        ([norm1, norm2, {**norm1, "s": 3 * s, "reciprocal": 1 / (3 * s)}],
+         "entry 'layer0.norm1': norm_id appears more than once"),
+        ([{**norm1, "s": repr(s)}, norm2],
+         f"entry 'layer0.norm1': s must be a finite positive number, got '{s!r}'"),
+        ([{**norm1, "layer": 0.7}, norm2],
+         "entry 'layer0.norm1': layer must be the integer 0, got 0.7"),
+        ([{**norm1, "layer": True}, norm2],
+         "entry 'layer0.norm1': layer must be the integer 0, got True"),
+        ([norm1, {**norm2, "layer": 5}],
+         "entry 'layer0.norm2': layer must be the integer 0, got 5"),
+        ([norm1, norm2, {**norm2, "norm_id": "layer9.norm1"}],
+         "entries[2]: norm_id 'layer9.norm1' names no norm of the model"),
+        ([{**norm1, "formula": norm2["formula"]}, {**norm2, "formula": norm1["formula"]}],
+         "entry 'layer0.norm1': formula must be 'Attention' or 'Dynamic', "
+         "got 'StandardMlp'"),
+        ([{**norm1, "reciprocal": math.nextafter(norm1["reciprocal"], 1.0)}, norm2],
+         "entry 'layer0.norm1': reciprocal must be "),
+        ({"layer0.norm1": norm1, "layer0.norm2": norm2},
+         "entries must be a list, got dict"),
+        ([norm1, [norm2]], "entries[1] must be a JSON object, got list"),
+    ]):
+        path = tmp_path / f"table{i}.json"
+        path.write_text(json.dumps({**table, "entries": entries}))
+        named.append((["--tokens", "4", "--scales", str(path)], f"scale table {message}"))
+    path = tmp_path / "epsilon.json"
+    path.write_text(json.dumps({**config, "epsilon": 1e-2}))
+    named.append((["--tokens", "4", "--config", str(path), "--scales", str(scales)],
+                  "scale table entry 'layer0.norm1': eps_adjusted must be "))
     for args, message in named:
         assert main(["audit", str(model), *args, "-o", out]) == 1, args
         assert f"slanc: error: {message}" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from slanc import engine, fp16
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
-    FingerprintMismatchError,
     Histogram,
     NonPositiveVarianceError,
     NormAudit,
@@ -42,7 +41,13 @@ from slanc.model import (
     generate_synthetic,
 )
 from slanc.report import build_audit_report
-from slanc.scales import Formula, compute_scale_table, make_norm_scale
+from slanc.scales import (
+    Formula,
+    ScaleTableError,
+    adjust_epsilon,
+    compute_scale_table,
+    read_scale_table,
+)
 
 
 def _config(d=16, layers=2, heads=2, mlp=32,
@@ -141,10 +146,9 @@ def test_scale_entry_homogeneity_both_kinds():
         for _ in range(50):
             x = rng.standard_normal((2, 24)) * math.exp(rng.uniform(-4.0, 4.0))
             s = 2.0 ** rng.uniform(-8.0, 12.0)
-            entry = make_norm_scale(s, 1e-5, Formula.UNIT, 0, "n")
             plain, _ = norm_forward(x, gamma, beta, 1e-5, kind, REFERENCE_POLICY)
             scaled, audit = norm_forward(x, gamma, beta, 1e-5, kind,
-                                         REFERENCE_POLICY, scale=entry)
+                                         REFERENCE_POLICY, s=s)
             assert _rel(plain, scaled) < 1e-12
             assert audit.scale_applied == s
 
@@ -433,17 +437,16 @@ def test_fingerprint_mismatch_is_refused():
     other = generate_synthetic(_config(), InitSpec(), seed=2)
     table = compute_scale_table(other)
     x0 = np.zeros((2, 16)) + 1.0
-    with pytest.raises(FingerprintMismatchError):
+    with pytest.raises(ScaleTableError, match="fingerprint"):
         forward(graph, x0, REFERENCE_POLICY, scales=table)
 
 
 def test_missing_scale_entry_is_refused():
     graph = generate_synthetic(_config(), InitSpec(), seed=1)
     table = compute_scale_table(graph)
-    entries = dict(table.entries)
-    del entries["layer1.norm2"]
-    broken = type(table)(fingerprint=table.fingerprint, entries=entries)
-    with pytest.raises(FingerprintMismatchError, match="no entry for norm 'layer1.norm2'"):
+    broken = {**table, "entries": [e for e in table["entries"]
+                                   if e["norm_id"] != "layer1.norm2"]}
+    with pytest.raises(ScaleTableError, match="no entry for norm 'layer1.norm2'"):
         forward(graph, np.ones((2, 16)), REFERENCE_POLICY, scales=broken)
 
 
@@ -477,7 +480,7 @@ def test_execution_order_agrees_across_modules(placement, layers, expected):
                      FP16_POLICY, scales=table)
     report = build_audit_report(result, graph, "fp16", seed=None)
     assert graph.norm_ids == expected
-    assert list(table.entries) == expected
+    assert [entry["norm_id"] for entry in table["entries"]] == expected
     assert list(result.audit) == expected
     assert [a.norm_id for a in result.audit.values()] == expected
     assert [n["norm_id"] for n in report["norms"]] == expected
@@ -515,17 +518,15 @@ def test_normalized_rows_have_unit_mean_square():
     assert np.all(np.abs(mean_square - 1.0) < 1e-4)
 
 
-def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
-                    norm_id="norm"):
+def _per_token_norm(x, gamma, beta, epsilon, kind, policy, s=1.0, norm_id="norm"):
     """Oracle for norm_forward: one token at a time, scalar soft-float.
 
     Storage rounding uses the oracle's scalar encode, the FP16 sum its
     accumulate_sum_of_squares, and the epilogue runs on Python floats.
     """
     d = gamma.size
-    reciprocal = scale.reciprocal if scale is not None else 1.0
-    eps_adjusted = scale.epsilon_adjusted if scale is not None else epsilon
-    applied = scale.s if scale is not None else 1.0
+    reciprocal = 1.0 / s
+    eps_adjusted = adjust_epsilon(epsilon, s)
     rows, raws, flags = [], [], []
     for t, row in enumerate(np.asarray(x, dtype=np.float64)):
         scaled = row * reciprocal
@@ -554,7 +555,7 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, scale=None,
             y = y + beta
         rows.append(fp16.round_array(y) if policy.fp16_storage else y)
     sum_bits, overflowed, underflowed = (np.array(c) for c in zip(*flags))
-    audit = NormAudit(norm_id, applied, np.array(raws), sum_bits.astype(np.uint16),
+    audit = NormAudit(norm_id, s, np.array(raws), sum_bits.astype(np.uint16),
                       overflowed, underflowed, Histogram.from_values(raws))
     return np.array(rows), audit
 
@@ -603,11 +604,12 @@ def _two_branch_forward(graph, x0, policy, table):
     """
     cfg = graph.config
     audit = {}
+    s_by_norm = read_scale_table(table, graph) if table is not None else {}
 
     def run_norm(acts, norm_id, gamma, beta):
-        entry = table.entries[norm_id] if table is not None else None
         rows, audit[norm_id] = norm_forward(acts, gamma, beta, cfg.epsilon,
-                                            cfg.norm_kind, policy, scale=entry,
+                                            cfg.norm_kind, policy,
+                                            s=s_by_norm.get(norm_id, 1.0),
                                             norm_id=norm_id)
         return rows
 
@@ -709,10 +711,12 @@ def test_dynamic_singleton_statistic_is_the_norm():
     x = np.array([[4.0, 4.0, 4.0, 4.0]])  # Euclidean norm 8
     for statistic in ("Mean", "Median"):
         table = calibrate_dynamic(graph, [x], statistic)
-        entry = table.entries["final_norm"]
-        assert entry.s == 8.0
-        assert entry.formula is Formula.DYNAMIC
-        assert table.fingerprint == graph.fingerprint()
+        (entry,) = table["entries"]
+        assert entry["norm_id"] == "final_norm"
+        assert entry["s"] == 8.0
+        assert entry["formula"] == Formula.DYNAMIC
+        assert table["fingerprint"] == graph.fingerprint()
+        assert read_scale_table(table, graph) == {"final_norm": 8.0}
 
 
 def test_dynamic_is_invariant_under_replication():
@@ -720,11 +724,11 @@ def test_dynamic_is_invariant_under_replication():
                                InitSpec(std=0.05), seed=19)
     x = np.random.default_rng(20).standard_normal((4, 8))
     for statistic in ("Mean", "Median"):
-        once = calibrate_dynamic(graph, [x], statistic)
-        tenfold = calibrate_dynamic(graph, [x] * 10, statistic)
-        for norm_id in once.entries:
-            assert math.isclose(once.entries[norm_id].s,
-                                tenfold.entries[norm_id].s, rel_tol=1e-12)
+        once = read_scale_table(calibrate_dynamic(graph, [x], statistic), graph)
+        tenfold = read_scale_table(calibrate_dynamic(graph, [x] * 10, statistic),
+                                   graph)
+        for norm_id in once:
+            assert math.isclose(once[norm_id], tenfold[norm_id], rel_tol=1e-12)
 
 
 def test_dynamic_agrees_with_static_within_pinned_factor():
@@ -732,15 +736,11 @@ def test_dynamic_agrees_with_static_within_pinned_factor():
     # model is 1.161; the order-of-magnitude bound is 32.
     graph = generate_synthetic(_config(d=16, layers=2, mlp=32),
                                InitSpec(std=0.05), seed=5)
-    static = compute_scale_table(graph)
-    dynamic = calibrate_dynamic(
+    static = read_scale_table(compute_scale_table(graph), graph)
+    dynamic = read_scale_table(calibrate_dynamic(
         graph, [np.random.default_rng(11).standard_normal((8, 16))], "Median"
-    )
-    ratios = [
-        max(static.entries[n].s / dynamic.entries[n].s,
-            dynamic.entries[n].s / static.entries[n].s)
-        for n in static.entries
-    ]
+    ), graph)
+    ratios = [max(static[n] / dynamic[n], dynamic[n] / static[n]) for n in static]
     assert max(ratios) < 1.2
     assert max(ratios) < 32.0
 

@@ -20,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from model_validate import validate
 from slanc import engine
 from slanc import model as model_mod
 from slanc.model import (
@@ -40,7 +41,6 @@ from slanc.model import (
     load_safetensors,
     save_safetensors,
     to_tensor_dict,
-    validate,
 )
 from slanc.safetensors_io import save_tensors
 from slanc.scales import Formula, compute_scale_table
@@ -181,7 +181,7 @@ def test_zero_std_gives_sqrt_d_scales():
     assert np.array_equal(graph.layers[0].gamma1, np.ones(16))
     assert not graph.layers[0].e.any()
     table = compute_scale_table(graph)
-    assert [entry.s for entry in table.entries.values()] == [4.0, 4.0]
+    assert [entry["s"] for entry in table["entries"]] == [4.0, 4.0]
 
 
 def test_layer_norm_generation_carries_betas():

@@ -34,7 +34,7 @@ from slanc.report import (
     relative_mismatch,
     run_compare,
 )
-from slanc.scales import compute_scale_table
+from slanc.scales import ScaleTableError, compute_scale_table
 
 
 def _config(d=16, layers=2, heads=2, mlp=32,
@@ -104,8 +104,9 @@ def test_audit_report_records_applied_scales(small_run):
     result = forward(graph, x0, FP16_POLICY, scales=table)
     doc = build_audit_report(result, graph, "fp16", seed=None)
     assert doc["seed"] is None
+    s_by_norm = {entry["norm_id"]: entry["s"] for entry in table["entries"]}
     for summary in doc["norms"]:
-        assert summary["scale_applied"] == table.entries[summary["norm_id"]].s
+        assert summary["scale_applied"] == s_by_norm[summary["norm_id"]]
 
 
 def test_audit_report_json_round_trip(small_run):
@@ -192,6 +193,21 @@ def test_run_compare_modes_and_pinned_errors(amplified_model):
     assert scaled["underflow_count"] == 0
 
 
+def test_compare_refuses_a_foreign_table_before_any_pass(small_run, monkeypatch):
+    graph, _ = small_run
+    other = generate_synthetic(_config(), InitSpec(std=0.05), seed=6)
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(report, "forward", counted)
+    with pytest.raises(ScaleTableError, match="fingerprint"):
+        run_compare(graph, np.ones((2, 16)), compute_scale_table(other))
+    assert len(passes) == 1
+
+
 def test_compare_report_json_round_trip(small_run):
     graph, _ = small_run
     table = compute_scale_table(graph)
@@ -257,13 +273,17 @@ def test_compare_names_the_norm_and_token_that_failed(small_run, monkeypatch):
 
 # ── golden bytes ─────────────────────────────────────────────────────────
 
-# SHA-256 of each report file and the exact stdout of each CLI run, for
-# one small seeded model (d=16, two post-LN gated layers with e and g
-# amplified 128x, so plain FP16 overflows on every token) and 8 Gaussian
-# tokens drawn with seed 11.  Reports must stay byte-identical across
-# refactors; a change that means to move them updates these values and
-# says so.
+# SHA-256 of the scale table and each report file and the exact stdout
+# of each CLI run, for one small seeded model (d=16, two post-LN gated
+# layers with e and g amplified 128x, so plain FP16 overflows on every
+# token) and 8 Gaussian tokens drawn with seed 11.  Tables and reports
+# must stay byte-identical across refactors; a change that means to
+# move them updates these values and says so.
 GOLDEN_REPORTS = {
+    "scales.json": (
+        "6678f388e36a5d25d2147202dff13c833fe54100885e944230e0104b46066de0",
+        "wrote 4 scales to scales.json\n",
+    ),
     "audit.json": (
         "22ab225ee1e9ffe5f25260d728433ecaf93f65315f0b54c9a71fe3e5062ace57",
         "8 overflows, 0 underflows over 8 tokens x 4 norms\n",
@@ -287,23 +307,24 @@ GOLDEN_REPORTS = {
 }
 
 
-def test_report_bytes_match_golden(tmp_path, capsys):
-    model, scales = str(tmp_path / "m.safetensors"), str(tmp_path / "s.json")
+def test_report_bytes_match_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep stdout machine-independent
+    model, scales = "m.safetensors", "scales.json"
     assert main(["gen-model", "--d", "16", "--layers", "2", "--heads", "2",
                  "--mlp-hidden", "32", "--seed", "5", "--std", "0.05",
                  "--amplify", "e,g:128", "-o", model]) == 0
-    assert main(["scales", model, "-o", scales]) == 0
     capsys.readouterr()
+    tokens = ["--tokens", "8", "--seed", "11"]
     runs = {
-        "audit.json": ["audit", model],
-        "audit-scaled.json": ["audit", model, "--scales", scales],
-        "audit.csv": ["audit", model, "--format", "csv"],
-        "compare.json": ["compare", model, "--scales", scales],
+        "scales.json": ["scales", model],
+        "audit.json": ["audit", model, *tokens],
+        "audit-scaled.json": ["audit", model, "--scales", scales, *tokens],
+        "audit.csv": ["audit", model, "--format", "csv", *tokens],
+        "compare.json": ["compare", model, "--scales", scales, *tokens],
     }
     seen = {}
     for name, argv in runs.items():
-        out = tmp_path / name
-        assert main([*argv, "--tokens", "8", "--seed", "11", "-o", str(out)]) == 0
-        seen[name] = (hashlib.sha256(out.read_bytes()).hexdigest(),
+        assert main([*argv, "-o", name]) == 0
+        seen[name] = (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(),
                       capsys.readouterr().out)
     assert seen == GOLDEN_REPORTS

@@ -7,11 +7,13 @@ formulas (dense SVD for the gate's spectral factor) for seeded models.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from slanc import serialization
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
     DecoderWeights,
@@ -28,14 +30,14 @@ from slanc.scales import (
     DEGENERATE_THRESHOLD,
     DegenerateScaleError,
     Formula,
-    NormScale,
-    ScaleTable,
+    ScaleTableError,
     adjust_epsilon,
     compute_scale_table,
-    make_norm_scale,
+    read_scale_table,
     scale_attention,
     scale_llama_mlp,
     scale_standard_mlp,
+    scale_entry,
 )
 
 
@@ -143,33 +145,36 @@ def test_adjust_epsilon_rejects_bad_arguments():
             adjust_epsilon(epsilon, s)
 
 
-# ── NormScale invariants ─────────────────────────────────────────────────
+# ── table entries ────────────────────────────────────────────────────────
 
 
 def test_make_norm_scale_fills_derived_fields():
-    entry = make_norm_scale(4.0, 1e-5, Formula.ATTENTION, 2, "layer2.norm1")
-    assert entry.reciprocal == 0.25
-    assert entry.epsilon_adjusted == 1e-5 / 16.0
-    assert entry.formula is Formula.ATTENTION
-    assert entry.norm_id == "layer2.norm1"
+    entry = scale_entry("layer2.norm1", 2, Formula.ATTENTION, 4.0, 1e-5)
+    assert entry == {"norm_id": "layer2.norm1", "layer": 2, "formula": "Attention",
+                     "s": 4.0, "reciprocal": 0.25, "eps_adjusted": 1e-5 / 16.0}
+    assert list(entry) == ["norm_id", "layer", "formula", "s", "reciprocal",
+                           "eps_adjusted"]
 
 
 def test_norm_scale_rejects_inconsistent_reciprocal():
-    with pytest.raises(ValueError, match="reciprocal"):
-        NormScale(s=4.0, reciprocal=0.3, epsilon_adjusted=1e-5,
-                  formula=Formula.UNIT, layer_index=0, norm_id="n")
-    with pytest.raises(ValueError):
-        NormScale(s=-1.0, reciprocal=-1.0, epsilon_adjusted=1e-5,
-                  formula=Formula.UNIT, layer_index=0, norm_id="n")
+    graph = generate_synthetic(_config(d=16, layers=1), InitSpec(), seed=0)
+    table = compute_scale_table(graph)
+    table["entries"][1]["reciprocal"] = 0.3
+    with pytest.raises(ScaleTableError,
+                       match="entry 'layer0.norm2': reciprocal must be .*, got 0.3"):
+        read_scale_table(table, graph)
+    for s in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            scale_entry("n", 0, Formula.UNIT, s, 1e-5)
 
 
 def test_degenerate_threshold_boundary():
     assert DEGENERATE_THRESHOLD == 2.0**-24
-    entry = make_norm_scale(2.0**-24, 1e-5, Formula.UNIT, 0, "n")
-    assert entry.s == 2.0**-24
+    entry = scale_entry("n", 0, Formula.UNIT, 2.0**-24, 1e-5)
+    assert entry["s"] == 2.0**-24
     below = math.nextafter(2.0**-24, 0.0)
     with pytest.raises(DegenerateScaleError) as info:
-        make_norm_scale(below, 1e-5, Formula.UNIT, 0, "layer0.norm1")
+        scale_entry("layer0.norm1", 0, Formula.UNIT, below, 1e-5)
     assert info.value.norm_id == "layer0.norm1"
     assert "layer0.norm1" in str(info.value)
 
@@ -193,12 +198,13 @@ def _config(d=16, layers=2, heads=2, mlp=32,
 def test_zero_weight_post_ln_table_is_sqrt_d():
     graph = generate_synthetic(_config(d=16, layers=1), InitSpec(std=0.0), seed=0)
     table = compute_scale_table(graph)
-    assert list(table.entries) == ["layer0.norm1", "layer0.norm2"]
-    for entry in table.entries.values():
-        assert entry.s == 4.0
-        assert math.isclose(entry.epsilon_adjusted, 1e-5 / 16.0, rel_tol=1e-15)
-    assert table.entries["layer0.norm1"].formula is Formula.ATTENTION
-    assert table.entries["layer0.norm2"].formula is Formula.LLAMA_MLP
+    assert [entry["norm_id"] for entry in table["entries"]] == [
+        "layer0.norm1", "layer0.norm2"]
+    for entry in table["entries"]:
+        assert entry["s"] == 4.0
+        assert math.isclose(entry["eps_adjusted"], 1e-5 / 16.0, rel_tol=1e-15)
+    assert [entry["formula"] for entry in table["entries"]] == [
+        Formula.ATTENTION, Formula.LLAMA_MLP]
 
 
 def test_pre_ln_table_has_unit_first_entry():
@@ -206,14 +212,15 @@ def test_pre_ln_table_has_unit_first_entry():
         _config(layers=2, placement=ResidualPlacement.PRE_LN), InitSpec(), seed=0
     )
     table = compute_scale_table(graph)
-    formulas = [entry.formula for entry in table.entries.values()]
+    formulas = [entry["formula"] for entry in table["entries"]]
     assert formulas == [
         Formula.UNIT, Formula.ATTENTION, Formula.LLAMA_MLP,
         Formula.ATTENTION, Formula.LLAMA_MLP,
     ]
-    first = table.entries["layer0.norm1"]
-    assert first.s == 1.0
-    assert sum(f is Formula.UNIT for f in formulas) == 1
+    first = table["entries"][0]
+    assert first["norm_id"] == "layer0.norm1"
+    assert first["s"] == 1.0
+    assert sum(f == Formula.UNIT for f in formulas) == 1
 
 
 def test_zero_layer_pre_ln_table_is_single_unit():
@@ -221,8 +228,7 @@ def test_zero_layer_pre_ln_table_is_single_unit():
         _config(layers=0, placement=ResidualPlacement.PRE_LN), InitSpec(), seed=0
     )
     table = compute_scale_table(graph)
-    assert list(table.entries) == ["final_norm"]
-    assert table.entries["final_norm"].formula is Formula.UNIT
+    assert table["entries"] == [scale_entry("final_norm", 0, Formula.UNIT, 1.0, 1e-5)]
 
 
 def test_table_completeness_matches_norm_count():
@@ -234,8 +240,8 @@ def test_table_completeness_matches_norm_count():
     ):
         graph = generate_synthetic(cfg, InitSpec(), seed=9)
         table = compute_scale_table(graph)
-        assert list(table.entries) == graph.norm_ids
-        assert table.fingerprint == graph.fingerprint()
+        assert [entry["norm_id"] for entry in table["entries"]] == graph.norm_ids
+        assert table["fingerprint"] == graph.fingerprint()
 
 
 def _oracle_table(graph: ModelGraph) -> dict:
@@ -287,13 +293,14 @@ def test_seeded_tables_match_independent_reimplementation():
         graph = generate_synthetic(cfg, InitSpec(std=0.02), seed=42)
         table = compute_scale_table(graph)
         oracle = _oracle_table(graph)
-        assert set(table.entries) == set(oracle)
+        entries = {entry["norm_id"]: entry for entry in table["entries"]}
+        assert set(entries) == set(oracle)
         for norm_id, expected in oracle.items():
-            entry = table.entries[norm_id]
-            assert math.isclose(entry.s, expected, rel_tol=1e-6), norm_id
-            assert math.isclose(entry.reciprocal * entry.s, 1.0, rel_tol=1e-15)
+            entry = entries[norm_id]
+            assert math.isclose(entry["s"], expected, rel_tol=1e-6), norm_id
+            assert math.isclose(entry["reciprocal"] * entry["s"], 1.0, rel_tol=1e-15)
             assert math.isclose(
-                entry.epsilon_adjusted, cfg.epsilon / expected**2, rel_tol=1e-6
+                entry["eps_adjusted"], cfg.epsilon / expected**2, rel_tol=1e-6
             )
 
 
@@ -301,10 +308,8 @@ def test_table_is_bitwise_deterministic():
     graph = generate_synthetic(_config(d=32, layers=2, mlp=64), InitSpec(), seed=13)
     first = compute_scale_table(graph)
     second = compute_scale_table(graph)
-    assert [e.s for e in first.entries.values()] == [
-        e.s for e in second.entries.values()
-    ]
-    assert first.to_json_text() == second.to_json_text()
+    assert [e["s"] for e in first["entries"]] == [e["s"] for e in second["entries"]]
+    assert serialization.dumps(first) == serialization.dumps(second)
 
 
 def test_degenerate_table_names_offending_norm():
@@ -357,27 +362,30 @@ def test_pre_ln_errors_name_the_norm():
 def test_table_json_round_trip_is_exact():
     graph = generate_synthetic(_config(d=32, layers=2, mlp=64), InitSpec(), seed=21)
     table = compute_scale_table(graph)
-    text = table.to_json_text()
-    parsed = ScaleTable.from_json_text(text)
-    assert parsed.fingerprint == table.fingerprint
-    assert list(parsed.entries) == list(table.entries)
-    for norm_id, entry in table.entries.items():
-        back = parsed.entries[norm_id]
-        assert back.s == entry.s
-        assert back.reciprocal == entry.reciprocal
-        assert back.epsilon_adjusted == entry.epsilon_adjusted
-        assert back.formula is entry.formula
-        assert back.layer_index == entry.layer_index
-    assert parsed.to_json_text() == text
+    text = serialization.dumps(table)
+    parsed = json.loads(text)
+    assert parsed == table
+    assert serialization.dumps(parsed) == text
+    read = read_scale_table(parsed, graph)
+    assert list(read) == graph.norm_ids
+    assert [s.hex() for s in read.values()] == [e["s"].hex() for e in table["entries"]]
 
 
 def test_table_json_rejects_malformed_documents():
-    with pytest.raises(ValueError, match="bad scale table"):
-        ScaleTable.from_json_text('{"fingerprint": "x"}')
-    with pytest.raises(ValueError, match="bad scale table"):
-        ScaleTable.from_json_text(
-            '{"fingerprint": "x", "entries": [{"norm_id": "n"}]}'
-        )
+    graph = generate_synthetic(_config(d=16, layers=1), InitSpec(), seed=0)
+    fingerprint = graph.fingerprint()
+    for doc, message in [
+        ([], "scale table must be a JSON object, got list"),
+        ({"fingerprint": 7}, "fingerprint must be a string, got 7"),
+        ({"fingerprint": "x"}, "fingerprint does not match the model weights"),
+        ({"fingerprint": fingerprint}, "entries must be a list, got NoneType"),
+        ({"fingerprint": fingerprint, "entries": [{"norm_id": "n"}]},
+         "entries\\[0\\]: norm_id 'n' names no norm of the model"),
+        ({"fingerprint": fingerprint, "entries": [{"norm_id": "layer0.norm1"}]},
+         "entry 'layer0.norm1': layer must be the integer 0, got None"),
+    ]:
+        with pytest.raises(ScaleTableError, match=message):
+            read_scale_table(doc, graph)
 
 
 # Pinned float.hex of every s, and the weight fingerprint, for three
@@ -427,5 +435,5 @@ def test_table_bits_match_golden_values(name):
     cfg, init, seed, fingerprint, expected = GOLDEN_TABLES[name]
     graph = generate_synthetic(cfg, init, seed)
     table = compute_scale_table(graph)
-    assert table.fingerprint == fingerprint
-    assert [(norm_id, entry.s.hex()) for norm_id, entry in table.entries.items()] == expected
+    assert table["fingerprint"] == fingerprint
+    assert [(e["norm_id"], e["s"].hex()) for e in table["entries"]] == expected
