@@ -121,7 +121,7 @@ def _load_name_map(path: str | None) -> NameMap | None:
             return NameMap.from_dict(json.load(handle))
     except OSError as err:
         raise UsageError(f"cannot read name map {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON or bad UTF-8
         raise UsageError(f"malformed name map JSON in {path}: {err}") from err
 
 

@@ -445,26 +445,27 @@ def save_safetensors(graph: ModelGraph, path: str, name_map: NameMap | None = No
     safetensors_io.save_tensors(path, to_tensor_dict(graph, name_map), dtype=dtype)
 
 
-def _infer_config(tensors: dict, nm: NameMap) -> ModelConfig:
-    """Best-effort config from tensor names/shapes (real checkpoints).
+def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
+    """Best-effort config from the header's tensor names and shapes
+    (real checkpoints).
 
     Head count is not recoverable from fused projection shapes, so it
     defaults to a single head; scale computation never consults it.
     """
     n_layers = 0
-    while nm.tensor_name("gamma1", n_layers) in tensors:
+    while nm.tensor_name("gamma1", n_layers) in entries:
         n_layers += 1
     if n_layers == 0:
         raise ModelError("cannot infer a configuration: no decoder layers found")
-    d_model = int(tensors[nm.tensor_name("gamma1", 0)].size)
+    d_model = math.prod(entries[nm.tensor_name("gamma1", 0)].shape)
     e_name = nm.tensor_name("e", 0)
-    if e_name not in tensors:
+    if e_name not in entries:
         raise ModelError(f"missing required tensor {e_name!r}")
-    e_shape = tensors[e_name].shape
+    e_shape = entries[e_name].shape
     mlp_hidden = int(e_shape[0] if "e" in nm.transpose else e_shape[1])
-    layer_norm = nm.tensor_name("beta1", 0) in tensors
-    gated = nm.tensor_name("b", 0) in tensors
-    final = nm.tensor_name("final_gamma") in tensors
+    layer_norm = nm.tensor_name("beta1", 0) in entries
+    gated = nm.tensor_name("b", 0) in entries
+    final = nm.tensor_name("final_gamma") in entries
     return ModelConfig(
         d_model=d_model,
         n_heads=1,
@@ -488,19 +489,52 @@ def load_safetensors(
 ) -> ModelGraph:
     """Load a checkpoint into a validated double-precision graph.
 
-    Each tensor the config needs is checked once, for shape (in storage
-    orientation) and finiteness, in its stored precision; errors name
-    the checkpoint tensor.  A tensor the config has no place for is an
-    error too.  Widening to float64 and transposing to the row-vector
-    convention is one copy per tensor, made in cache-sized blocks.
+    The file is opened once and its header validated.  Every tensor the
+    config needs must be there, and a tensor the config has no place for
+    is an error, before any payload is read.  Then each tensor in turn is
+    read into one staging buffer, sized for the largest of them, and
+    checked once, for shape (in storage orientation) and finiteness, in
+    its stored precision; errors name the checkpoint tensor.  Widening to
+    float64 and transposing to the row-vector convention is one copy per
+    tensor, made in cache-sized blocks.  So the load holds the float64
+    weights and one stored payload, never the whole file.
 
     The widened arrays are read-only.  One worker thread hashes each of
-    them, in fingerprint order, while the next one is checked and
+    them, in fingerprint order, while the next one is read, checked and
     widened; the graph keeps that digest for fingerprint().
     """
     nm = name_map or default_name_map()
-    tensors = safetensors_io.load_tensors(path)
-    cfg = config if config is not None else _infer_config(tensors, nm)
+    with safetensors_io.open_file(path) as handle:
+        entries = safetensors_io.read_header(handle)
+        cfg = config if config is not None else _infer_config(entries, nm)
+
+        def entry_for(role: str, layer: int | None = None
+                      ) -> safetensors_io.TensorEntry | None:
+            """The header entry holding role; None where cfg has no place for it."""
+            unused = _unused_reason(cfg, role)
+            if unused is not None and role not in nm.roles:
+                return None
+            name = nm.tensor_name(role, layer)
+            if name not in entries:
+                if unused is None:
+                    raise ModelError(f"missing required tensor {name!r}")
+                return None
+            if unused is not None:
+                raise ModelError(f"unexpected tensor {name!r}: {unused}")
+            return entries[name]
+
+        plan = [(role, i, entry_for(role, i))
+                for i in range(cfg.n_layers) for role in LAYER_ROLES]
+        plan += [(role, None, entry_for(role)) for role in FINAL_ROLES]
+        staging = np.empty(max((entry.nbytes for _, _, entry in plan if entry),
+                               default=0), dtype=np.uint8)
+        return _read_graph(handle, cfg, nm, plan, staging)
+
+
+def _read_graph(handle, cfg: ModelConfig, nm: NameMap, plan: list,
+                staging: np.ndarray) -> ModelGraph:
+    """The graph whose (role, layer, entry) plan load_safetensors made,
+    each tensor read through staging and hashed on a worker thread."""
     shapes = _role_shapes(cfg)
     hashed: list[tuple[str, np.ndarray]] = []
     pending: queue.SimpleQueue = queue.SimpleQueue()
@@ -516,22 +550,15 @@ def load_safetensors(
         else:
             outcome.append(digest.hexdigest())
 
-    def take(role: str, layer: int | None = None) -> np.ndarray | None:
-        unused = _unused_reason(cfg, role)
-        if unused is not None and role not in nm.roles:
+    def take(role: str, layer: int | None,
+             entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
+        if entry is None:
             return None
-        name = nm.tensor_name(role, layer)
-        if name not in tensors:
-            if unused is None:
-                raise ModelError(f"missing required tensor {name!r}")
-            return None
-        if unused is not None:
-            raise ModelError(f"unexpected tensor {name!r}: {unused}")
         flip = role in nm.transpose
-        stored = tensors[name]
+        stored = safetensors_io.read_tensor(handle, entry, staging)
         problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
         if problem:
-            raise ModelError(f"bad tensor {name!r}: {problem}")
+            raise ModelError(f"bad tensor {entry.name!r}: {problem}")
         array = safetensors_io.cast_c_order(stored.T if flip else stored, np.float64)
         array.flags.writeable = False
         hashed.append((_canonical_name(role, layer), array))
@@ -541,18 +568,20 @@ def load_safetensors(
     worker = threading.Thread(target=hash_in_order, name="slanc-fingerprint")
     worker.start()
     try:
-        layers = tuple(
-            DecoderWeights(**{role: take(role, i) for role in LAYER_ROLES})
-            for i in range(cfg.n_layers)
-        )
-        graph = ModelGraph(config=cfg, layers=layers,
-                           final_gamma=take("final_gamma"), final_beta=take("final_beta"))
+        loaded = {(role, layer): take(role, layer, entry) for role, layer, entry in plan}
     finally:
         pending.put(None)
         worker.join()
     (result,) = outcome
     if isinstance(result, BaseException):
         raise result
+    graph = ModelGraph(
+        config=cfg,
+        layers=tuple(DecoderWeights(**{role: loaded[role, i] for role in LAYER_ROLES})
+                     for i in range(cfg.n_layers)),
+        final_gamma=loaded["final_gamma", None],
+        final_beta=loaded["final_beta", None],
+    )
     object.__setattr__(graph, "_loaded_digest", (result, tuple(hashed)))
     return graph
 
@@ -610,6 +639,6 @@ def load_config(path: str) -> ModelConfig:
             doc = json.load(handle)
     except OSError as err:
         raise ModelError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON or bad UTF-8
         raise ModelError(f"malformed config JSON in {path}: {err}") from err
     return ModelConfig.from_dict(doc)

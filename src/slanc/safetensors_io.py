@@ -6,8 +6,14 @@ bytes of UTF-8 JSON mapping tensor name to {"dtype", "shape",
 section.  Shapes and offsets are lists of non-negative integers;
 offsets are relative to the first byte after the header; tensor
 payloads are little-endian row-major and must not overlap.
-Supported dtypes are F32, F16 and BF16.  Loading keeps the stored
-precision (BF16 widens exactly to float32); callers widen to float64.
+Supported dtypes are F32, F16 and BF16.
+
+Reading streams: read_header validates the header of an open file
+without touching a payload, and read_tensor reads one payload by offset
+into a buffer the caller owns, so a loader can pass every tensor through
+one reused buffer instead of holding the whole file.  load_tensors is
+the two composed.  Tensors keep their stored precision (BF16 widens
+exactly to float32); callers widen to float64.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +42,6 @@ class SafetensorsError(Exception):
     def __init__(self, message: str, tensor: str | None = None):
         self.tensor = tensor
         super().__init__(message if tensor is None else f"{message} (tensor {tensor!r})")
-
-
-def _decode_payload(dtype: str, buf: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """View count values of buf at offset in their stored precision."""
-    flat = np.frombuffer(buf, dtype=_STORAGE_DTYPE[dtype], count=count, offset=offset)
-    if dtype == "BF16":
-        # BF16 is the high half of a float32: widen exactly, zero-filled.
-        return (flat.astype(np.uint32) << 16).view(np.float32)
-    return flat
 
 
 # Columns per block of a strided cast: a block of a transposed 2-D view
@@ -86,39 +84,55 @@ def _is_index_list(value) -> bool:
     return isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)
 
 
-def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read every tensor in the file in one pass, in stored precision.
+@dataclass(frozen=True)
+class TensorEntry:
+    """One tensor of a validated header.  Its payload is the nbytes
+    bytes at offset, counted from the start of the file."""
 
-    The file is read once into a single buffer; F32 and F16 tensors are
-    writable views of it, BF16 tensors are widened exactly to float32.
-    Payloads must not overlap, so no two arrays share memory.  The
-    buffer is not zero-filled first: a read that falls short of the
-    file size is an error, so no uninitialised byte reaches an array.
-    """
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+    nbytes: int
+
+
+def open_file(path: str):
+    """path opened for binary reading; SafetensorsError if it cannot be."""
     try:
-        with open(path, "rb") as handle:
-            blob = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
-            size = handle.readinto(blob)
+        return open(path, "rb")
     except OSError as err:
         raise SafetensorsError(f"cannot read {path}: {err}") from err
-    if size != len(blob):
-        raise SafetensorsError(f"short read of {path}: {size} of {len(blob)} bytes")
-    if len(blob) < 8:
+
+
+def read_header(handle) -> dict[str, TensorEntry]:
+    """The tensor entries of an open file, in header order.
+
+    Every entry has a known dtype, a shape and data_offsets that are
+    lists of non-negative integers, a payload of exactly the bytes its
+    shape needs that lies inside the file, and no payload overlaps
+    another.  The "__metadata__" entry is skipped.  No payload is read.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    handle.seek(0)
+    head = handle.read(8)
+    if len(head) < 8:
         raise SafetensorsError("file too short for the 8-byte header length")
-    (header_len,) = struct.unpack_from("<Q", blob, 0)
-    if 8 + header_len > len(blob):
-        raise SafetensorsError(
-            f"header length {header_len} exceeds file size {len(blob)}"
-        )
+    (header_len,) = struct.unpack("<Q", head)
+    if 8 + header_len > size:
+        raise SafetensorsError(f"header length {header_len} exceeds file size {size}")
+    raw = handle.read(header_len)
+    if len(raw) != header_len:
+        raise SafetensorsError(f"short read of the header: {len(raw)} of "
+                               f"{header_len} bytes")
     try:
-        header = json.loads(blob[8 : 8 + header_len].tobytes().decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SafetensorsError(f"malformed header JSON: {err}") from err
     if not isinstance(header, dict):
         raise SafetensorsError("header is not a JSON object")
     data_start = 8 + header_len
-    data_len = len(blob) - data_start
-    tensors: dict[str, np.ndarray] = {}
+    data_len = size - data_start
+    entries: dict[str, TensorEntry] = {}
     spans: list[tuple[int, int, str]] = []
     for name, entry in header.items():
         if name == "__metadata__":
@@ -146,8 +160,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
                 tensor=name,
             )
         begin, end = offsets
-        count = math.prod(shape)
-        expected = count * _STORAGE_DTYPE[dtype].itemsize
+        expected = math.prod(shape) * _STORAGE_DTYPE[dtype].itemsize
         if end > data_len or begin > end:
             raise SafetensorsError(
                 f"data_offsets [{begin}, {end}] outside data section "
@@ -162,13 +175,8 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             )
         if begin < end:
             spans.append((begin, end, name))
-        flat = _decode_payload(dtype, blob, data_start + begin, count)
-        try:
-            tensors[name] = flat.reshape(shape)
-        except ValueError as err:
-            # An empty tensor whose other dimensions overflow numpy's size.
-            raise SafetensorsError(f"shape {shape} is too large: {err}",
-                                   tensor=name) from err
+        entries[name] = TensorEntry(name, dtype, tuple(shape), data_start + begin,
+                                    expected)
     spans.sort()
     for (_, prev_end, prev_name), (begin, end, name) in zip(spans, spans[1:]):
         if begin < prev_end:
@@ -176,7 +184,47 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
                 f"data_offsets [{begin}, {end}] overlap those of {prev_name!r}",
                 tensor=name,
             )
-    return tensors
+    return entries
+
+
+def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray) -> np.ndarray:
+    """entry's tensor, in stored precision, read from the open file into
+    the head of buffer (a uint8 array of at least entry.nbytes).
+
+    F32 and F16 tensors are views of buffer, so they hold only until
+    buffer is read into again; BF16 tensors are widened exactly to a new
+    float32 array.  buffer need not be zero-filled: a read that stops
+    short of the payload is an error, so no stale byte reaches a tensor.
+    """
+    view = buffer[: entry.nbytes]
+    handle.seek(entry.offset)
+    got = handle.readinto(view)
+    if got != entry.nbytes:
+        raise SafetensorsError(f"short read: the file ends {got} bytes into a "
+                               f"{entry.nbytes}-byte payload", tensor=entry.name)
+    flat = np.frombuffer(view, dtype=_STORAGE_DTYPE[entry.dtype])
+    if entry.dtype == "BF16":
+        # BF16 is the high half of a float32: widen exactly, zero-filled.
+        wide = flat.astype(np.uint32)
+        wide <<= 16
+        flat = wide.view(np.float32)
+    try:
+        return flat.reshape(entry.shape)
+    except ValueError as err:
+        # An empty tensor whose other dimensions overflow numpy's size.
+        raise SafetensorsError(f"shape {list(entry.shape)} is too large: {err}",
+                               tensor=entry.name) from err
+
+
+def load_tensors(path: str) -> dict[str, np.ndarray]:
+    """Every tensor in the file, in stored precision, in header order.
+
+    Each tensor is read by read_tensor into a buffer of its own, so every
+    array is writable and no two share memory.
+    """
+    with open_file(path) as handle:
+        return {name: read_tensor(handle, entry, np.empty(entry.nbytes, dtype=np.uint8))
+                for name, entry in read_header(handle).items()}
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray], dtype: str = "F32") -> None:

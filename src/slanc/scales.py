@@ -208,10 +208,11 @@ def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
     fingerprint is not the weights'; when a norm of the model has no
     entry, or an entry names a norm twice or one the model lacks; or
     when an entry's layer is not the norm's (a JSON integer), its formula
-    is neither the norm's nor Dynamic, its s is not a finite positive
-    number, or its reciprocal or eps_adjusted differs in any bit from
-    1/s or adjust_epsilon(model.config.epsilon, s).  Booleans are not
-    numbers here, and nothing is coerced.
+    is neither the norm's nor Dynamic, or is Dynamic in a static table or
+    static in a Dynamic one (entries[0] sets the kind), its s is not a
+    finite positive number, or its reciprocal or eps_adjusted differs in
+    any bit from 1/s or adjust_epsilon(model.config.epsilon, s).
+    Booleans are not numbers here, and nothing is coerced.
     """
     if not isinstance(doc, dict):
         raise ScaleTableError(f"scale table must be a JSON object, got "
@@ -248,8 +249,14 @@ def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
 
         if type(entry.get("layer")) is not int or entry["layer"] != layer:  # not bool
             raise refuse("layer", f"the integer {layer}")
-        if entry.get("formula") not in (formula.value, Formula.DYNAMIC.value):
-            raise refuse("formula", f"{formula.value!r} or {Formula.DYNAMIC.value!r}")
+        allowed = (formula.value, Formula.DYNAMIC.value)
+        if i > 0:  # entries[0] set the table's kind: all Dynamic or all static
+            allowed = allowed[1:] if dynamic else allowed[:1]
+        if entry.get("formula") not in allowed:
+            kind = "" if i == 0 else (f" (entries[0] makes the table "
+                                      f"{'dynamic' if dynamic else 'static'})")
+            raise refuse("formula", " or ".join(map(repr, allowed)) + kind)
+        dynamic = entry["formula"] == Formula.DYNAMIC.value
         s = entry.get("s")
         if not (_number(s) and 0 < s <= sys.float_info.max):
             raise refuse("s", "a finite positive number")

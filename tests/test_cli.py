@@ -37,7 +37,7 @@ from slanc.model import (
     load_safetensors,
     save_safetensors,
 )
-from slanc.safetensors_io import load_tensors, save_tensors
+from slanc.safetensors_io import load_tensors, read_header, save_tensors
 from slanc.scales import compute_scale_table
 
 
@@ -328,6 +328,7 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     name_map = default_name_map().to_dict()
     name_map["layer_template"] = "model.layers.{j}"
     (tmp_path / "map.json").write_text(json.dumps(name_map))
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{")  # not UTF-8
     named = [
         (["--inputs", str(tmp_path / "text.npy")],
          "activations must be integer or floating point, got dtype <U1"),
@@ -340,6 +341,11 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         (["--tokens", "4", "--config", str(tmp_path / "null.json")], "bad model config"),
         (["--tokens", "4", "--name-map", str(tmp_path / "map.json")],
          "bad name map: layer_template 'model.layers.{j}' does not format with i=0"),
+        (["--tokens", "4", "--config", str(tmp_path / "utf16.json")],
+         f"malformed config JSON in {tmp_path / 'utf16.json'}: 'utf-8' codec can't decode"),
+        (["--tokens", "4", "--name-map", str(tmp_path / "utf16.json")],
+         f"malformed name map JSON in {tmp_path / 'utf16.json'}: 'utf-8' codec can't "
+         f"decode"),
     ]
     # A config's sizes must be JSON integers and its epsilon a JSON
     # number; nothing is truncated or coerced.
@@ -383,6 +389,13 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         ({"layer0.norm1": norm1, "layer0.norm2": norm2},
          "entries must be a list, got dict"),
         ([norm1, [norm2]], "entries[1] must be a JSON object, got list"),
+        # A table is all Dynamic (calibrate_dynamic's) or all static.
+        ([norm1, {**norm2, "formula": "Dynamic"}],
+         "entry 'layer0.norm2': formula must be 'StandardMlp' (entries[0] makes the "
+         "table static), got 'Dynamic'"),
+        ([{**norm1, "formula": "Dynamic"}, norm2],
+         "entry 'layer0.norm2': formula must be 'Dynamic' (entries[0] makes the "
+         "table dynamic), got 'StandardMlp'"),
     ]):
         path = tmp_path / f"table{i}.json"
         path.write_text(json.dumps({**table, "entries": entries}))
@@ -414,6 +427,23 @@ def test_non_finite_values_exit_1_naming_the_culprit(amp, tmp_path, capsys):
     assert main(["scales", str(pre_ln), "-o", str(tmp_path / "t.json")]) == 1
     assert "slanc: error: bad tensor 'model.norm.bias': non-finite" in (
         capsys.readouterr().err)
+
+
+def test_checkpoint_truncated_inside_a_payload_exits_1_naming_the_tensor(
+        tmp_path, capsys):
+    path = tmp_path / "m.safetensors"
+    assert main(["gen-model", "--d", "32", "--layers", "2", "-o", str(path)]) == 0
+    name = "model.layers.1.mlp.down_proj.weight"
+    with open(path, "rb") as handle:
+        entry = read_header(handle)[name]
+    os.truncate(path, entry.offset + entry.nbytes // 2)  # the header stays intact
+    for command in (["scales", "-o", str(tmp_path / "t.json")],
+                    ["audit", "--tokens", "4", "-o", str(tmp_path / "r.json")]):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("slanc: error: data_offsets [")
+        assert "outside data section" in err
+        assert err.rstrip().endswith(f"(tensor {name!r})")
 
 
 def test_scale_table_missing_a_norm_exits_1_naming_it(amp, tmp_path, capsys):

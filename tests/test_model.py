@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ from slanc.model import (
     save_safetensors,
     to_tensor_dict,
 )
-from slanc.safetensors_io import save_tensors
+from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
 from slanc.scales import Formula, compute_scale_table
 
 
@@ -380,22 +383,69 @@ def test_saved_bytes_of_a_model_wider_than_a_cast_block(tmp_path):
                                           config=cfg), graph)
 
 
-def test_load_peak_memory_is_file_plus_float64_weights(tmp_path):
-    # One read of the file plus one float64 copy per tensor; no
-    # intermediate copies of the payload.
+# Stored as blocks.{i}.<role>, with only some matrices transposed.
+_BLOCKS_MAP = NameMap(
+    layer_template="blocks.{i}",
+    roles={role: role for role in LAYER_ROLES},
+    transpose=frozenset(["w_v", "e", "g"]),
+)
+
+
+@pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
+                         ids=["default-map", "blocks-map"])
+def test_load_peak_memory_is_float64_weights_plus_one_payload(tmp_path, name_map):
+    # The float64 weights plus one staging buffer the size of the largest
+    # stored payload: the file is never held whole, and no tensor is
+    # copied on its way from the file to its float64 array.
     cfg = _config(d=256, layers=2, heads=4, mlp=512)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path))
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
+                     name_map=name_map)
+    with open(path, "rb") as handle:
+        largest = max(entry.nbytes for entry in read_header(handle).values())
     tracemalloc.start()
     try:
-        graph = load_safetensors(str(path), config=cfg)
+        graph = load_safetensors(str(path), name_map=name_map, config=cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    weights = sum(getattr(layer, role).nbytes for layer in graph.layers
-                  for role in ("gamma1", "gamma2", "w_q", "w_k", "w_v", "p",
-                               "e", "b", "g"))
-    assert peak <= 1.05 * (path.stat().st_size + weights)
+    weights = sum(array.nbytes for _, array in graph._canonical_tensors())
+    assert largest < path.stat().st_size / 8
+    assert peak <= 1.05 * (weights + largest)
+
+
+_GATE = "model.layers.0.mlp.gate_proj.weight"
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("bad shape", "bad tensor .*gate_proj.*expected shape 32x16, got 3x3"),
+    ("non-finite entry", "bad tensor .*gate_proj.*non-finite entry at flat index 5"),
+    ("truncated payload", "outside data section .*gate_proj"),
+    ("missing tensor", "missing required tensor .*gate_proj"),
+], ids=["bad-shape", "non-finite", "truncated", "missing"])
+def test_failing_load_closes_the_file(tmp_path, damage, message):
+    cfg = _config(layers=1)
+    tensors = to_tensor_dict(generate_synthetic(cfg, InitSpec(), seed=2))
+    if damage == "bad shape":
+        tensors[_GATE] = np.zeros((3, 3))
+    elif damage == "non-finite entry":
+        tensors[_GATE] = tensors[_GATE].copy()
+        tensors[_GATE].flat[5] = np.nan
+    elif damage == "missing tensor":
+        del tensors[_GATE]
+    path = tmp_path / "m.safetensors"
+    save_tensors(str(path), tensors)
+    if damage == "truncated payload":  # the header stays intact
+        with open(path, "rb") as handle:
+            entry = read_header(handle)[_GATE]
+        os.truncate(path, entry.offset + entry.nbytes // 2)
+    # A file object collected while still open warns; no load may leave one.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises((ModelError, SafetensorsError), match=message):
+            load_safetensors(str(path), config=cfg)
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
 
 
 def test_loaded_arrays_are_c_contiguous_float64(tmp_path):

@@ -20,6 +20,8 @@ from slanc.safetensors_io import (
     SafetensorsError,
     cast_c_order,
     load_tensors,
+    read_header,
+    read_tensor,
     save_tensors,
 )
 
@@ -246,17 +248,39 @@ def test_missing_file_is_an_error(tmp_path):
 
 
 def test_short_read_is_an_error(tmp_path, monkeypatch):
-    # The read buffer is not zero-filled: a file that yields fewer bytes
-    # than its reported size must fail before any array is made.
+    # Read buffers are not zero-filled: a payload the file stops short of
+    # (it shrank after its size was taken) must fail, naming the tensor,
+    # before any array is made from it.
     path = tmp_path / "m.safetensors"
     save_tensors(str(path), {"w": np.arange(6.0).reshape(2, 3)})
+    os.truncate(path, path.stat().st_size - 16)
     real_fstat = os.fstat
     monkeypatch.setattr(
         safetensors_io.os, "fstat",
         lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 16),
     )
-    with pytest.raises(SafetensorsError, match="short read"):
+    with pytest.raises(SafetensorsError,
+                       match="short read: the file ends 8 bytes into a 24-byte payload.*'w'"):
         load_tensors(str(path))
+
+
+def test_tensors_stream_through_one_caller_buffer(tmp_path):
+    # read_header reads no payload; read_tensor fills the head of the
+    # caller's buffer, and F32/F16 tensors are views of it.
+    values = {"big": np.arange(12.0).reshape(3, 4) - 5.5, "small": np.array([0.25, -8.0])}
+    for dtype in ("F32", "F16", "BF16"):
+        path = tmp_path / f"{dtype}.safetensors"
+        save_tensors(str(path), values, dtype=dtype)
+        with open(path, "rb") as handle:
+            entries = read_header(handle)
+            assert handle.tell() == 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
+            assert [(e.name, e.shape) for e in entries.values()] == [
+                ("big", (3, 4)), ("small", (2,))]
+            buffer = np.empty(max(e.nbytes for e in entries.values()), dtype=np.uint8)
+            for name, entry in entries.items():
+                tensor = read_tensor(handle, entry, buffer)
+                assert tensor.tolist() == values[name].tolist(), (dtype, name)
+                assert np.shares_memory(tensor, buffer) == (dtype != "BF16"), dtype
 
 
 def test_load_keeps_stored_precision_in_writable_arrays(tmp_path):
