@@ -163,6 +163,8 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
             raise UsageError(
                 f"activations must be n_tokens x {config.d_model}, got {acts.shape}"
             )
+        if acts.shape[0] == 0:
+            raise UsageError(f"activations must hold at least one token, got {acts.shape}")
         bad = np.argwhere(~np.isfinite(acts))
         if bad.size:
             token, element = (int(i) for i in bad[0])

@@ -235,7 +235,6 @@ def attention_forward(
     for h in range(config.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
         scores = _store(q[:, cols] @ k[:, cols].T / math.sqrt(dh), policy)
-        scores = scores.copy()
         scores[mask] = -math.inf
         # Max-subtraction softmax in double; rows are convex weights.
         peak = scores.max(axis=1, keepdims=True)

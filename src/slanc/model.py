@@ -17,7 +17,7 @@ import json
 import math
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -91,18 +91,7 @@ class ModelConfig:
         return self.residual_placement is ResidualPlacement.PRE_LN
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "head_dim": self.head_dim,
-            "mlp_hidden": self.mlp_hidden,
-            "n_layers": self.n_layers,
-            "norm_kind": self.norm_kind.value,
-            "residual_placement": self.residual_placement.value,
-            "mlp_kind": self.mlp_kind.value,
-            "nonlinearity": self.nonlinearity.value,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)  # the enums are str enums: json writes their values
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -234,13 +223,42 @@ class ModelGraph:
         return digest.hexdigest()
 
     def _canonical_tensors(self):
-        tagged = [(_canonical_name(role, i), getattr(layer, role))
-                  for i, layer in enumerate(self.layers) for role in LAYER_ROLES]
-        tagged += [(_canonical_name(role), getattr(self, role)) for role in FINAL_ROLES]
-        return ((name, array) for name, array in tagged if array is not None)
+        return ((_canonical_name(role, layer), array)
+                for role, layer, array in _held_tensors(self))
 
 
-def _canonical_name(role: str, layer: int | None = None) -> str:
+def _slots(n_layers: int):
+    """Every (role, layer) tensor slot of a model with n_layers decoder
+    layers, in canonical (generation, checkpoint and fingerprint) order:
+    each layer's LAYER_ROLES, then FINAL_ROLES with layer None.  Whether
+    a config has a slot is _unused_reason's answer; its shape is
+    _role_shapes'."""
+    for i in range(n_layers):
+        yield from ((role, i) for role in LAYER_ROLES)
+    yield from ((role, None) for role in FINAL_ROLES)
+
+
+def _held_tensors(graph: ModelGraph):
+    """(role, layer, array) for every array graph holds, in slot order."""
+    for role, layer in _slots(len(graph.layers)):
+        array = getattr(graph if layer is None else graph.layers[layer], role)
+        if array is not None:
+            yield role, layer, array
+
+
+def _assemble(cfg: ModelConfig, arrays: dict) -> ModelGraph:
+    """The graph of cfg holding {(role, layer): array}; an absent slot is None."""
+    return ModelGraph(
+        config=cfg,
+        layers=tuple(
+            DecoderWeights(**{role: arrays.get((role, i)) for role in LAYER_ROLES})
+            for i in range(cfg.n_layers)
+        ),
+        **{role: arrays.get((role, None)) for role in FINAL_ROLES},
+    )
+
+
+def _canonical_name(role: str, layer: int | None) -> str:
     """A tensor's name in the fingerprint: "<layer>:<role>" or "final:<gamma|beta>"."""
     return f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
 
@@ -301,51 +319,29 @@ def _representable_in_float32(values: np.ndarray, role: str,
 
 
 def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelGraph:
-    """Deterministic synthetic weights: a pure function of (config, init, seed)."""
+    """Deterministic synthetic weights: a pure function of (config, init, seed).
+
+    One draw per slot the config has, walked in slot order (_slots), each
+    of its _role_shapes shape: a matrix role gets N(0, (std * factor)^2),
+    a gain 1 + N(0, std^2), a shift N(0, std^2).
+    """
+    outside = [i for i in init.amplify_layers or () if not 0 <= i < config.n_layers]
+    if outside:
+        raise ModelError(f"amplify layer {outside[0]} is outside [0, {config.n_layers})")
     rng = np.random.default_rng(seed)
-    d, m = config.d_model, config.mlp_hidden
-    layer_norm = config.norm_kind is NormKind.LAYER_NORM
-    gated = config.mlp_kind is MlpKind.LLAMA_GATED
-
-    def vec(offset: float, role: str, layer: int | None = None) -> np.ndarray:
-        draw = offset + rng.standard_normal(d) * init.std
-        return _representable_in_float32(draw, role, layer)
-
-    def mat(rows: int, cols: int, role: str, layer: int) -> np.ndarray:
-        draw = rng.standard_normal((rows, cols)) * (init.std * init.factor(role, layer))
-        return _representable_in_float32(draw, role, layer)
-
-    layers = []
-    for i in range(config.n_layers):
-        gamma1 = vec(1.0, "gamma1", i)
-        beta1 = vec(0.0, "beta1", i) if layer_norm else None
-        gamma2 = vec(1.0, "gamma2", i)
-        beta2 = vec(0.0, "beta2", i) if layer_norm else None
-        layers.append(
-            DecoderWeights(
-                gamma1=gamma1,
-                beta1=beta1,
-                gamma2=gamma2,
-                beta2=beta2,
-                w_q=mat(d, d, "w_q", i),
-                w_k=mat(d, d, "w_k", i),
-                w_v=mat(d, d, "w_v", i),
-                p=mat(d, d, "p", i),
-                e=mat(d, m, "e", i),
-                b=mat(d, m, "b", i) if gated else None,
-                g=mat(m, d, "g", i),
-            )
-        )
-    final_gamma = final_beta = None
-    if config.has_final_norm:
-        final_gamma = vec(1.0, "final_gamma")
-        final_beta = vec(0.0, "final_beta") if layer_norm else None
-    return ModelGraph(
-        config=config,
-        layers=tuple(layers),
-        final_gamma=final_gamma,
-        final_beta=final_beta,
-    )
+    shapes = _role_shapes(config)
+    arrays = {}
+    for role, layer in _slots(config.n_layers):
+        if _unused_reason(config, role) is not None:
+            continue
+        draw = rng.standard_normal(shapes[role])
+        if role in MATRIX_ROLES:
+            draw = draw * (init.std * init.factor(role, layer))
+        else:
+            offset = 1.0 if "gamma" in role else 0.0  # a gain, else a shift
+            draw = offset + draw * init.std
+        arrays[role, layer] = _representable_in_float32(draw, role, layer)
+    return _assemble(config, arrays)
 
 
 # ── name maps and checkpoint IO ──────────────────────────────────────────
@@ -376,22 +372,35 @@ class NameMap:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NameMap":
+        """The name map a JSON document describes, read as written: the
+        template and every tensor name are strings, and every transpose
+        entry names a role."""
+        def bad(problem: str) -> ModelError:
+            return ModelError(f"bad name map: {problem}")
+
+        if not isinstance(doc, dict):
+            raise bad(f"expected a JSON object, got {type(doc).__name__}")
+        template, roles = doc.get("layer_template"), doc.get("roles")
+        transpose = doc.get("transpose", [])
+        if not isinstance(template, str):
+            raise bad(f"layer_template must be a string, got {template!r}")
+        if not isinstance(roles, dict):
+            raise bad(f"roles must be a JSON object, got {roles!r}")
+        for role, name in roles.items():
+            if not isinstance(name, str):
+                raise bad(f"roles[{role!r}] must be a string, got {name!r}")
+        if not isinstance(transpose, list):
+            raise bad(f"transpose must be a list, got {transpose!r}")
+        for role in transpose:
+            if role not in LAYER_ROLES + FINAL_ROLES:
+                raise bad(f"transpose entry {role!r} names no role")
         try:
-            name_map = cls(
-                layer_template=str(doc["layer_template"]),
-                roles=dict(doc["roles"]),
-                transpose=frozenset(doc.get("transpose", [])),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ModelError(f"bad name map: {err}") from err
-        try:
-            name_map.layer_template.format(i=0)
+            template.format(i=0)
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
-            raise ModelError(
-                f"bad name map: layer_template {name_map.layer_template!r} does not "
-                f"format with i=0: {type(err).__name__}: {err}"
-            ) from err
-        return name_map
+            raise bad(f"layer_template {template!r} does not format with i=0: "
+                      f"{type(err).__name__}: {err}") from err
+        return cls(layer_template=template, roles=dict(roles),
+                   transpose=frozenset(transpose))
 
     def to_dict(self) -> dict:
         return {
@@ -420,24 +429,16 @@ def default_name_map() -> NameMap:
             "final_gamma": "model.norm.weight",
             "final_beta": "model.norm.bias",
         },
-        transpose=frozenset(["w_q", "w_k", "w_v", "p", "e", "b", "g"]),
+        transpose=frozenset(MATRIX_ROLES),
     )
 
 
 def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
-    """Flatten a graph to {tensor name: array} in storage orientation."""
+    """Flatten a graph to {tensor name: array} in storage orientation, in
+    slot order (_slots), the order load_safetensors reads and hashes."""
     nm = name_map or default_name_map()
-    out: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(graph.layers):
-        for role in LAYER_ROLES:
-            arr = getattr(layer, role)
-            if arr is not None:
-                out[nm.tensor_name(role, i)] = arr.T if role in nm.transpose else arr
-    if graph.final_gamma is not None:
-        out[nm.tensor_name("final_gamma")] = graph.final_gamma
-    if graph.final_beta is not None:
-        out[nm.tensor_name("final_beta")] = graph.final_beta
-    return out
+    return {nm.tensor_name(role, layer): array.T if role in nm.transpose else array
+            for role, layer, array in _held_tensors(graph)}
 
 
 def save_safetensors(graph: ModelGraph, path: str, name_map: NameMap | None = None,
@@ -489,9 +490,11 @@ def load_safetensors(
 ) -> ModelGraph:
     """Load a checkpoint into a validated double-precision graph.
 
-    The file is opened once and its header validated.  Every tensor the
-    config needs must be there, and a tensor the config has no place for
-    is an error, before any payload is read.  Then each tensor in turn is
+    The file is opened once and its header validated.  The plan walks the
+    config's slots (_slots), the one list that generation, saving and the
+    fingerprint walk too: every tensor the config needs must be there,
+    and a tensor the config has no place for is an error, before any
+    payload is read.  Then each tensor in turn is
     read into one staging buffer, sized for the largest of them, and
     checked once, for shape (in storage orientation) and finiteness, in
     its stored precision; errors name the checkpoint tensor.  Widening to
@@ -523,9 +526,8 @@ def load_safetensors(
                 raise ModelError(f"unexpected tensor {name!r}: {unused}")
             return entries[name]
 
-        plan = [(role, i, entry_for(role, i))
-                for i in range(cfg.n_layers) for role in LAYER_ROLES]
-        plan += [(role, None, entry_for(role)) for role in FINAL_ROLES]
+        plan = [(role, layer, entry_for(role, layer))
+                for role, layer in _slots(cfg.n_layers)]
         staging = np.empty(max((entry.nbytes for _, _, entry in plan if entry),
                                default=0), dtype=np.uint8)
         return _read_graph(handle, cfg, nm, plan, staging)
@@ -575,13 +577,7 @@ def _read_graph(handle, cfg: ModelConfig, nm: NameMap, plan: list,
     (result,) = outcome
     if isinstance(result, BaseException):
         raise result
-    graph = ModelGraph(
-        config=cfg,
-        layers=tuple(DecoderWeights(**{role: loaded[role, i] for role in LAYER_ROLES})
-                     for i in range(cfg.n_layers)),
-        final_gamma=loaded["final_gamma", None],
-        final_beta=loaded["final_beta", None],
-    )
+    graph = _assemble(cfg, loaded)
     object.__setattr__(graph, "_loaded_digest", (result, tuple(hashed)))
     return graph
 

@@ -102,6 +102,15 @@ def test_gen_model_rejects_bad_arguments(tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 1, argv
         assert "slanc:" in capsys.readouterr().err
+    # Amplifying a layer the model does not have names the first such
+    # index instead of writing an unamplified model.
+    argv = ["gen-model", "--d", "32", "--layers", "2", "--amplify", "e:4",
+            "--amplify-layers", "1,7,-1", "-o", out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slanc: error: amplify layer 7 is outside [0, 2)" in captured.err
+    assert not (tmp_path / "m.safetensors").exists()
 
 
 def test_gen_model_refuses_weights_beyond_float32(tmp_path, capsys):
@@ -329,6 +338,7 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     name_map["layer_template"] = "model.layers.{j}"
     (tmp_path / "map.json").write_text(json.dumps(name_map))
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{")  # not UTF-8
+    np.save(tmp_path / "empty.npy", np.zeros((0, 256)))
     named = [
         (["--inputs", str(tmp_path / "text.npy")],
          "activations must be integer or floating point, got dtype <U1"),
@@ -347,6 +357,19 @@ def test_audit_input_validation(amp, tmp_path, capsys):
          f"malformed name map JSON in {tmp_path / 'utf16.json'}: 'utf-8' codec can't "
          f"decode"),
     ]
+    # A name map is read as written: strings stay strings, and a
+    # transpose entry must name a role (a typo there would load v_proj
+    # untransposed without a word).
+    for i, (edit, message) in enumerate([
+        ({"layer_template": 5}, "layer_template must be a string, got 5"),
+        ({"roles": {**name_map["roles"], "w_v": 3}}, "roles['w_v'] must be a string, got 3"),
+        ({"roles": ["w_v"]}, "roles must be a JSON object, got ['w_v']"),
+        ({"transpose": "w_q"}, "transpose must be a list, got 'w_q'"),
+        ({"transpose": ["w_q", "wv"]}, "transpose entry 'wv' names no role"),
+    ]):
+        path = tmp_path / f"map{i}.json"
+        path.write_text(json.dumps({**default_name_map().to_dict(), **edit}))
+        named.append((["--tokens", "4", "--name-map", str(path)], f"bad name map: {message}"))
     # A config's sizes must be JSON integers and its epsilon a JSON
     # number; nothing is truncated or coerced.
     for name, value, what in [
@@ -407,6 +430,16 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     for args, message in named:
         assert main(["audit", str(model), *args, "-o", out]) == 1, args
         assert f"slanc: error: {message}" in capsys.readouterr().err
+    # An activation file with no tokens is refused before the forward pass,
+    # by both commands that read one.
+    empty = ["--inputs", str(tmp_path / "empty.npy")]
+    for argv in (["audit", str(model), *empty, "-o", out],
+                 ["compare", str(model), "--scales", str(scales), *empty]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert ("slanc: error: activations must hold at least one token, got (0, 256)"
+                in captured.err)
+        assert "Traceback" not in captured.err
 
 
 def test_non_finite_values_exit_1_naming_the_culprit(amp, tmp_path, capsys):

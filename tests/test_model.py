@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -249,17 +250,19 @@ def test_amplification_eight_overflows_unscaled_audit():
 
 
 def test_save_load_round_trip_f32(tmp_path):
-    for cfg in (
-        _config(),
-        _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN,
-                mlp_kind=MlpKind.STANDARD),
+    # Every norm kind x placement x MLP kind: generation, save, load and
+    # the fingerprint walk the same slots.
+    for norm_kind, placement, mlp_kind in itertools.product(
+        NormKind, ResidualPlacement, MlpKind
     ):
+        cfg = _config(norm_kind=norm_kind, placement=placement, mlp_kind=mlp_kind)
         graph = generate_synthetic(cfg, InitSpec(std=0.05), seed=11)
         path = tmp_path / "model.safetensors"
         save_safetensors(graph, str(path))
         loaded = load_safetensors(str(path), config=cfg)
-        assert _graphs_equal(loaded, graph)
-        assert loaded.fingerprint() == graph.fingerprint()
+        assert _graphs_equal(loaded, graph), cfg
+        assert loaded.fingerprint() == graph.fingerprint(), cfg
+        assert validate(loaded) == [], cfg
 
 
 def test_load_infers_config_without_sidecar(tmp_path):
