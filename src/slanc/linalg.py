@@ -1,10 +1,12 @@
 """Double-precision matrix norms for offline scale computation.
 
-Everything here runs in float64 on plain ndarrays; reduced precision
-exists only in the simulated inference data path.  The spectral norm is
-one symmetric eigenvalue solve on the smaller Gram matrix (a aᵀ or aᵀa),
-so it is deterministic and needs no iteration count or tolerance; dense
-SVD is used only as a test oracle.
+Everything here runs in float64 on plain ndarrays, whatever the input
+dtype: a float32 weight is widened before it is squared, so no norm is
+taken in single precision.  Reduced precision exists only in the
+simulated inference data path.  The spectral norm is one symmetric
+eigenvalue solve on the smaller Gram matrix (a aᵀ or aᵀa), so it is
+deterministic and needs no iteration count or tolerance; dense SVD is
+used only as a test oracle.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ class ConvergenceError(Exception):
 
 def frobenius_norm(a: np.ndarray) -> float:
     """Square root of the sum of squared entries, in double precision."""
+    a = np.asarray(a, dtype=np.float64)
     return math.sqrt(float(np.sum(a * a)))
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a 2-D array.
+    """Largest singular value of a 2-D array, in double precision.
 
     Forms the Gram matrix on the smaller side (a aᵀ when a has no more
     rows than columns, else aᵀa) and takes the square root of its
@@ -43,6 +46,7 @@ def spectral_norm(a: np.ndarray) -> float:
     is not finite (non-finite input, or entries large enough to
     overflow when squared) or the solver fails.
     """
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"spectral_norm needs a 2-D array, got shape {a.shape}")
     if not a.any():

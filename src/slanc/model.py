@@ -53,6 +53,14 @@ LAYER_ROLES = VECTOR_ROLES + MATRIX_ROLES
 FINAL_ROLES = ("final_gamma", "final_beta")
 
 
+def _held_dtype(role: str) -> type:
+    """The dtype a graph holds role in.  Every storage dtype widens
+    exactly to float32, so a matrix is held as float32 and widened to
+    float64 only inside the product that uses it; gains and shifts are
+    float64."""
+    return np.float32 if role in MATRIX_ROLES else np.float64
+
+
 class ModelError(Exception):
     """Configuration or checkpoint content that cannot form a model."""
 
@@ -125,7 +133,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DecoderWeights:
-    """One decoder layer of C-contiguous float64 arrays.  beta* only for
+    """One decoder layer of C-contiguous arrays: float32 matrices and
+    float64 gains and shifts (see _held_dtype).  beta* only for
     LayerNorm; b only for gated MLP."""
 
     gamma1: np.ndarray
@@ -263,14 +272,22 @@ def _canonical_name(role: str, layer: int | None) -> str:
     return f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
 
 
+# Values per widening block of _hash_tensor: 32 KiB of float64.
+_HASH_BLOCK = 4096
+
+
 def _hash_tensor(digest, name: str, array: np.ndarray) -> None:
     """Feed one canonical tensor to a SHA-256: its name and shape, a NUL
     byte, then its values as float64 little-endian in C order."""
     digest.update(f"{name}:{_dims(array.shape)}".encode("utf-8") + b"\x00")
-    # hashlib reads the array's buffer in place, without the GIL for
-    # large buffers: no copy of a weight that is already float64 in C
-    # order.
-    digest.update(np.ascontiguousarray(array, dtype="<f8"))
+    # Widened through one reused block, never copied whole; hashlib
+    # reads each block without the GIL, so a worker thread can hash.
+    flat = array.reshape(-1) if array.flags.c_contiguous else array.flat
+    block = np.empty(min(array.size, _HASH_BLOCK), dtype="<f8")
+    for start in range(0, array.size, _HASH_BLOCK):
+        chunk = block[: min(_HASH_BLOCK, array.size - start)]
+        chunk[...] = flat[start : start + chunk.size]
+        digest.update(chunk)
 
 
 # ── synthetic generation ─────────────────────────────────────────────────
@@ -305,8 +322,9 @@ class InitSpec:
 
 def _representable_in_float32(values: np.ndarray, role: str,
                               layer: int | None = None) -> np.ndarray:
-    """Snap a draw to float32 so an F32 checkpoint round-trips bit-exactly;
-    a draw beyond float32's range is an error, not a weight of inf."""
+    """A draw snapped to float32, so an F32 checkpoint round-trips
+    bit-exactly; a draw beyond float32's range is an error, not a weight
+    of inf."""
     with np.errstate(over="ignore"):
         snapped = values.astype(np.float32)
     if not np.isfinite(snapped).all():
@@ -315,7 +333,7 @@ def _representable_in_float32(values: np.ndarray, role: str,
             f"generated {role!r}{where} does not fit float32 (largest |entry| "
             f"{float(np.abs(values).max()):.6g}); lower the std or the amplification"
         )
-    return snapped.astype(np.float64)
+    return snapped
 
 
 def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelGraph:
@@ -323,7 +341,8 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
 
     One draw per slot the config has, walked in slot order (_slots), each
     of its _role_shapes shape: a matrix role gets N(0, (std * factor)^2),
-    a gain 1 + N(0, std^2), a shift N(0, std^2).
+    a gain 1 + N(0, std^2), a shift N(0, std^2), each snapped to float32
+    and held as _held_dtype says.
     """
     outside = [i for i in init.amplify_layers or () if not 0 <= i < config.n_layers]
     if outside:
@@ -340,7 +359,8 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
         else:
             offset = 1.0 if "gamma" in role else 0.0  # a gain, else a shift
             draw = offset + draw * init.std
-        arrays[role, layer] = _representable_in_float32(draw, role, layer)
+        snapped = _representable_in_float32(draw, role, layer)
+        arrays[role, layer] = snapped.astype(_held_dtype(role), copy=False)
     return _assemble(config, arrays)
 
 
@@ -389,6 +409,14 @@ class NameMap:
         for role, name in roles.items():
             if not isinstance(name, str):
                 raise bad(f"roles[{role!r}] must be a string, got {name!r}")
+        # Two roles naming one tensor would load it into both slots.
+        # Per-layer names are relative to the template, final-norm names
+        # absolute, so each kind is compared among its own.
+        named_by: dict = {}
+        for role, name in roles.items():
+            other = named_by.setdefault((role in FINAL_ROLES, name), role)
+            if other != role:
+                raise bad(f"roles {other!r} and {role!r} both name tensor {name!r}")
         if not isinstance(transpose, list):
             raise bad(f"transpose must be a list, got {transpose!r}")
         for role in transpose:
@@ -488,7 +516,7 @@ def load_safetensors(
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
 ) -> ModelGraph:
-    """Load a checkpoint into a validated double-precision graph.
+    """Load a checkpoint into a validated graph.
 
     The file is opened once and its header validated.  The plan walks the
     config's slots (_slots), the one list that generation, saving and the
@@ -497,14 +525,17 @@ def load_safetensors(
     payload is read.  Then each tensor in turn is
     read into one staging buffer, sized for the largest of them, and
     checked once, for shape (in storage orientation) and finiteness, in
-    its stored precision; errors name the checkpoint tensor.  Widening to
-    float64 and transposing to the row-vector convention is one copy per
-    tensor, made in cache-sized blocks.  So the load holds the float64
-    weights and one stored payload, never the whole file.
+    its stored precision; errors name the checkpoint tensor.  Casting to
+    the held dtype (float32 matrices, float64 gains and shifts; see
+    _held_dtype) and transposing to the row-vector convention is one copy
+    per tensor, made in cache-sized blocks.  So the load holds the
+    float32 matrices, the float64 vectors and one stored payload, never
+    the whole file.
 
-    The widened arrays are read-only.  One worker thread hashes each of
-    them, in fingerprint order, while the next one is read, checked and
-    widened; the graph keeps that digest for fingerprint().
+    The held arrays are read-only and share no memory with each other or
+    with the staging buffer.  One worker thread hashes each of them, in
+    fingerprint order, while the next one is read, checked and cast; the
+    graph keeps that digest for fingerprint().
     """
     nm = name_map or default_name_map()
     with safetensors_io.open_file(path) as handle:
@@ -561,7 +592,10 @@ def _read_graph(handle, cfg: ModelConfig, nm: NameMap, plan: list,
         problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
         if problem:
             raise ModelError(f"bad tensor {entry.name!r}: {problem}")
-        array = safetensors_io.cast_c_order(stored.T if flip else stored, np.float64)
+        array = safetensors_io.cast_c_order(stored.T if flip else stored,
+                                            _held_dtype(role))
+        if np.may_share_memory(array, staging):  # an F32 matrix read in place
+            array = array.copy()
         array.flags.writeable = False
         hashed.append((_canonical_name(role, layer), array))
         pending.put(hashed[-1])

@@ -12,8 +12,10 @@ Reading streams: read_header validates the header of an open file
 without touching a payload, and read_tensor reads one payload by offset
 into a buffer the caller owns, so a loader can pass every tensor through
 one reused buffer instead of holding the whole file.  load_tensors is
-the two composed.  Tensors keep their stored precision (BF16 widens
-exactly to float32); callers widen to float64.
+the two composed.  Tensors keep their stored precision, except that
+BF16 widens exactly to float32.  Every supported dtype widens exactly
+to float32, so slanc.model holds weight matrices as float32 and only
+gains and shifts as float64.
 """
 
 from __future__ import annotations

@@ -21,6 +21,11 @@ the gate's missing sqrt(d) and a LayerNorm shift.  The table is its
 JSON document, {fingerprint, entries}, each entry built by scale_entry;
 read_scale_table is the one way back from a document to the scales,
 and refuses any table not written for this model and its epsilon.
+
+A graph holds its matrices as float32, yet every formula runs in
+float64: a product of two weights widens its left operand first, since
+numpy multiplies two float32 operands in single precision, and every
+other product meets a float64 gain.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ def scale_standard_mlp(gamma: np.ndarray, e: np.ndarray, g: np.ndarray) -> float
     """||Gamma (E G + I)||_F for a plain two-projection MLP."""
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("g", g, (m, d))])
-    return _finish(frobenius_norm(gamma[:, None] * (e @ g + np.eye(d))))
+    eg = np.asarray(e, dtype=np.float64) @ g
+    return _finish(frobenius_norm(gamma[:, None] * (eg + np.eye(d))))
 
 
 def scale_llama_mlp(
@@ -100,7 +106,8 @@ def scale_llama_mlp(
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
     gate_gain = spectral_norm(gamma[:, None] * e)
-    return _finish(frobenius_norm(gamma[:, None] * (gate_gain * (b @ g) + np.eye(d))))
+    bg = np.asarray(b, dtype=np.float64) @ g
+    return _finish(frobenius_norm(gamma[:, None] * (gate_gain * bg + np.eye(d))))
 
 
 def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
@@ -112,7 +119,8 @@ def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
     """
     d, k = gamma.size, np.shape(w_v)[-1]
     _check_dims(gamma, [("w_v", w_v, (d, k)), ("p", p, (k, d))])
-    return _finish(frobenius_norm(gamma[:, None] * (w_v @ p + np.eye(d))))
+    vp = np.asarray(w_v, dtype=np.float64) @ p
+    return _finish(frobenius_norm(gamma[:, None] * (vp + np.eye(d))))
 
 
 def adjust_epsilon(epsilon: float, s: float) -> float:

@@ -366,6 +366,11 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         ({"roles": ["w_v"]}, "roles must be a JSON object, got ['w_v']"),
         ({"transpose": "w_q"}, "transpose must be a list, got 'w_q'"),
         ({"transpose": ["w_q", "wv"]}, "transpose entry 'wv' names no role"),
+        # Two roles naming one tensor would load k_proj as both w_k and w_v.
+        ({"roles": {**name_map["roles"], "w_v": "self_attn.k_proj.weight"}},
+         "roles 'w_k' and 'w_v' both name tensor 'self_attn.k_proj.weight'"),
+        ({"roles": {**name_map["roles"], "final_beta": "model.norm.weight"}},
+         "roles 'final_gamma' and 'final_beta' both name tensor 'model.norm.weight'"),
     ]):
         path = tmp_path / f"map{i}.json"
         path.write_text(json.dumps({**default_name_map().to_dict(), **edit}))

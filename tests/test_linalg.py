@@ -175,3 +175,18 @@ def test_spectral_transpose_invariant():
     rng = np.random.default_rng(59)
     a = rng.normal(size=(7, 4))
     assert spectral_norm(a) == pytest.approx(spectral_norm(a.T), rel=1e-5)
+
+
+def test_float32_input_is_computed_in_double():
+    # A graph holds its matrices as float32; a norm taken of one directly
+    # must not run in single precision.  Entries near 1e20 square past
+    # float32's range, so a single-precision Gram matrix would not be
+    # finite, and a single-precision sum of squares would overflow.
+    rng = np.random.default_rng(61)
+    for m in (rng.normal(size=(37, 53)).astype(np.float32),
+              rng.normal(size=(53, 37)).astype(np.float32),
+              np.full((3, 4), 1e20, dtype=np.float32)):
+        wide = m.astype(np.float64)
+        assert frobenius_norm(m) == frobenius_norm(wide), m.shape
+        assert spectral_norm(m) == spectral_norm(wide), m.shape
+        assert math.isfinite(spectral_norm(m)), m.shape

@@ -396,10 +396,11 @@ _BLOCKS_MAP = NameMap(
 
 @pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
                          ids=["default-map", "blocks-map"])
-def test_load_peak_memory_is_float64_weights_plus_one_payload(tmp_path, name_map):
-    # The float64 weights plus one staging buffer the size of the largest
-    # stored payload: the file is never held whole, and no tensor is
-    # copied on its way from the file to its float64 array.
+def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, name_map):
+    # The float32 matrices and float64 vectors, one staging buffer the
+    # size of the largest stored payload and the fingerprint's widening
+    # block: the file is never held whole, and no tensor is copied twice
+    # on its way from the file to its held array.
     cfg = _config(d=256, layers=2, heads=4, mlp=512)
     path = tmp_path / "m.safetensors"
     save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
@@ -413,8 +414,9 @@ def test_load_peak_memory_is_float64_weights_plus_one_payload(tmp_path, name_map
     finally:
         tracemalloc.stop()
     weights = sum(array.nbytes for _, array in graph._canonical_tensors())
+    hash_block = model_mod._HASH_BLOCK * 8
     assert largest < path.stat().st_size / 8
-    assert peak <= 1.05 * (weights + largest)
+    assert peak <= 1.05 * (weights + largest + hash_block)
 
 
 _GATE = "model.layers.0.mlp.gate_proj.weight"
@@ -451,16 +453,49 @@ def test_failing_load_closes_the_file(tmp_path, damage, message):
     assert [w.message for w in caught if w.category is ResourceWarning] == []
 
 
-def test_loaded_arrays_are_c_contiguous_float64(tmp_path):
+def test_loaded_arrays_are_c_contiguous_float32_matrices_float64_vectors(tmp_path):
     # Transposed roles are stored flipped; the loader hands out row-major
-    # copies so every product and norm sees the same memory layout.
-    cfg = _config(layers=1)
+    # copies so every product and norm sees the same memory layout.  A
+    # matrix is held as float32, which every storage dtype widens to
+    # exactly; gains and shifts are float64.
+    cfg = _config(layers=1, norm_kind=NormKind.LAYER_NORM,
+                  placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(), seed=2)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=2), str(path))
-    layer = load_safetensors(str(path), config=cfg).layers[0]
-    for role in ("gamma1", "w_v", "e", "b", "g"):
-        array = getattr(layer, role)
-        assert array.dtype == np.float64 and array.flags.c_contiguous, role
+    save_safetensors(graph, str(path))
+    for held in (graph, load_safetensors(str(path), config=cfg)):
+        for role, _, array in model_mod._held_tensors(held):
+            wanted = np.float32 if role in model_mod.MATRIX_ROLES else np.float64
+            assert array.dtype == wanted and array.flags.c_contiguous, role
+
+
+@pytest.mark.parametrize("name_map", [NameMap("blocks.{i}", _BLOCKS_MAP.roles,
+                                              frozenset()), _BLOCKS_MAP],
+                         ids=["untransposed", "blocks-map"])
+def test_loaded_arrays_share_no_memory(tmp_path, monkeypatch, name_map):
+    # An F32 matrix stored untransposed is read in place into the staging
+    # buffer; the next read would overwrite it if the loader kept that view.
+    cfg = _config()
+    graph = generate_synthetic(cfg, InitSpec(std=0.05), seed=12)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(graph, str(path), name_map=name_map, dtype="F32")
+    buffers = []
+    real = model_mod.safetensors_io.read_tensor
+
+    def recording(handle, entry, buffer):
+        buffers.append(buffer)
+        return real(handle, entry, buffer)
+
+    monkeypatch.setattr(model_mod.safetensors_io, "read_tensor", recording)
+    loaded = load_safetensors(str(path), name_map=name_map, config=cfg)
+    (staging,) = {id(buffer): buffer for buffer in buffers}.values()
+    arrays = [array for _, _, array in model_mod._held_tensors(loaded)]
+    for i, array in enumerate(arrays):
+        assert not np.shares_memory(array, staging), i
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(array, other), i
+    assert _graphs_equal(loaded, graph)
+    assert loaded.fingerprint() == _copying_fingerprint(loaded) == graph.fingerprint()
 
 
 def test_name_map_round_trip_and_default_names():
@@ -601,7 +636,8 @@ def test_fingerprint_matches_the_copying_definition():
 
 
 def test_fingerprint_hashes_weights_in_place():
-    # Each float64 matrix here is 0.5-1 MiB; hashing allocates none of it.
+    # Each matrix here is 0.5-1 MiB as float64; hashing widens the
+    # float32 ones through one small block and allocates none of them.
     cfg = _config(d=256, layers=1, heads=4, mlp=512)
     graph = generate_synthetic(cfg, InitSpec(), seed=7)
     tracemalloc.start()
@@ -644,6 +680,53 @@ def test_load_time_digest_is_the_copying_definition(tmp_path, monkeypatch, cfg, 
     calls = _count_hashes(monkeypatch)
     assert loaded.fingerprint() == _copying_fingerprint(loaded)
     assert calls[0] == 0
+
+
+def _widened(graph: ModelGraph) -> ModelGraph:
+    """graph with every matrix widened to float64."""
+    return dataclasses.replace(graph, layers=tuple(
+        dataclasses.replace(layer, **{
+            role: getattr(layer, role).astype(np.float64)
+            for role in model_mod.MATRIX_ROLES if getattr(layer, role) is not None
+        })
+        for layer in graph.layers
+    ))
+
+
+def _forward_bits(graph: ModelGraph, tokens, policy, table) -> list:
+    """The bytes of a forward pass's output and of every field of its audit."""
+    result = engine.forward(graph, tokens, policy, scales=table)
+    bits = [result.output.tobytes()]
+    for audit in result.audit.values():
+        bits += [audit.norm_id, audit.scale_applied, audit.histogram]
+        bits += [array.tobytes() for array in (audit.raw_sums, audit.fp16_sums,
+                                                audit.overflowed, audit.underflowed)]
+    return bits
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+@pytest.mark.parametrize("cfg", [
+    _config(),
+    _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN,
+            mlp_kind=MlpKind.STANDARD),
+], ids=["rms-postln-gated", "layernorm-preln-standard"])
+def test_float32_matrices_give_the_bits_of_float64_ones(tmp_path, cfg, dtype):
+    # Every float32 matrix is widened inside the products that use it, so
+    # the table, the forward outputs and the audits are those of the same
+    # weights held as float64.
+    path = tmp_path / "m.safetensors"
+    init = InitSpec(std=0.05, amplify={"e": 30.0, "w_v": 4.0})
+    save_safetensors(generate_synthetic(cfg, init, seed=13), str(path), dtype=dtype)
+    held = load_safetensors(str(path), config=cfg)
+    wide = _widened(held)
+    assert held.layers[0].e.dtype == np.float32 and wide.layers[0].e.dtype == np.float64
+    table = compute_scale_table(held)
+    assert table == compute_scale_table(wide)
+    tokens = np.random.default_rng(14).standard_normal((8, cfg.d_model)) * 40.0
+    for policy in (engine.REFERENCE_POLICY, engine.FP16_POLICY):
+        for scales in (None, table):
+            assert (_forward_bits(held, tokens, policy, scales)
+                    == _forward_bits(wide, tokens, policy, scales)), (policy, scales)
 
 
 def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
