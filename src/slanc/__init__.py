@@ -25,6 +25,7 @@ from .model import (
     ResidualPlacement,
     generate_synthetic,
     load_safetensors,
+    open_safetensors,
 )
 from .scales import (
     adjust_epsilon,
@@ -51,6 +52,7 @@ __all__ = [
     "forward",
     "generate_synthetic",
     "load_safetensors",
+    "open_safetensors",
     "read_scale_table",
     "scale_attention",
     "scale_llama_mlp",

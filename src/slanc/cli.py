@@ -125,13 +125,16 @@ def _load_name_map(path: str | None) -> NameMap | None:
         raise UsageError(f"malformed name map JSON in {path}: {err}") from err
 
 
-def _load_model(args):
+def _load_model(args, streamed: bool = False):
+    """The model the options name: a ModelGraph, or with streamed a
+    ModelStream that reads one layer at a time."""
     name_map = _load_name_map(args.name_map)
     config = None
     config_path = args.config or model_mod.config_sidecar_path(args.model)
     if args.config or os.path.exists(config_path):
         config = model_mod.load_config(config_path)
-    return model_mod.load_safetensors(args.model, name_map=name_map, config=config)
+    read = model_mod.open_safetensors if streamed else model_mod.load_safetensors
+    return read(args.model, name_map=name_map, config=config)
 
 
 def _load_scale_table(path: str):
@@ -246,8 +249,10 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_scales(args) -> int:
-    graph = _load_model(args)
-    table = compute_scale_table(graph)
+    # The formulas need one layer at a time, so the checkpoint is never
+    # held whole; leaving the block closes a walk that failed part way.
+    with _load_model(args, streamed=True) as model:
+        table = compute_scale_table(model)
     serialization.atomic_write_text(args.out, serialization.dumps(table))
     print(f"wrote {len(table['entries'])} scales to {args.out}")
     return EXIT_OK

@@ -8,11 +8,18 @@ row-vector convention throughout: activations are row vectors and every
 projection multiplies from the right, so e is d_model x mlp_hidden and
 a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
+
+A checkpoint comes in through one reader.  open_safetensors streams it
+one decoder layer at a time and holds at most two layers: `slanc
+scales` walks that stream.  load_safetensors collects the same walk
+into a ModelGraph that holds the whole model, as `audit` and `compare`
+need.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import queue
@@ -183,19 +190,11 @@ class ModelGraph:
 
     def execution_order(self):
         """Each NormSite and Sublayer in the order engine.forward runs them:
-        per layer attention, norm1, MLP, norm2 (PostLN) or norm1, attention,
-        norm2, MLP (PreLN), then any final norm."""
+        each layer's _layer_steps, then any final norm."""
         post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
         for i, layer in enumerate(self.layers):
-            norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1, layer.beta1)
-            norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2, layer.beta2)
-            attention = Sublayer(mlp=False, weights=layer)
-            mlp = Sublayer(mlp=True, weights=layer)
-            yield from ((attention, norm1, mlp, norm2) if post_ln
-                        else (norm1, attention, norm2, mlp))
-        if self.final_gamma is not None:
-            yield NormSite("final_norm", len(self.layers), self.final_gamma,
-                           self.final_beta)
+            yield from _layer_steps(i, layer, post_ln)
+        yield from _final_steps(len(self.layers), self.final_gamma, self.final_beta)
 
     @property
     def norm_sites(self) -> list[NormSite]:
@@ -234,6 +233,23 @@ class ModelGraph:
     def _canonical_tensors(self):
         return ((_canonical_name(role, layer), array)
                 for role, layer, array in _held_tensors(self))
+
+
+def _layer_steps(i: int, layer: DecoderWeights, post_ln: bool) -> tuple:
+    """Decoder layer i's norms and sublayers in the order engine.forward
+    runs them: attention, norm1, MLP, norm2 (PostLN) or norm1, attention,
+    norm2, MLP (PreLN).  The one place norm order is defined."""
+    norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1, layer.beta1)
+    norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2, layer.beta2)
+    attention = Sublayer(mlp=False, weights=layer)
+    mlp = Sublayer(mlp=True, weights=layer)
+    return (attention, norm1, mlp, norm2) if post_ln else (norm1, attention, norm2, mlp)
+
+
+def _final_steps(n_layers: int, gamma: np.ndarray | None,
+                 beta: np.ndarray | None) -> tuple:
+    """The final norm after n_layers decoder layers, when there is one."""
+    return () if gamma is None else (NormSite("final_norm", n_layers, gamma, beta),)
 
 
 def _slots(n_layers: int):
@@ -481,9 +497,13 @@ def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
     Head count is not recoverable from fused projection shapes, so it
     defaults to a single head; scale computation never consults it.
     """
-    n_layers = 0
-    while nm.tensor_name("gamma1", n_layers) in entries:
-        n_layers += 1
+    # Counting stops at a name seen before: a template that ignores i
+    # names one layer, not endlessly many.
+    names: set = set()
+    while ((name := nm.tensor_name("gamma1", len(names))) in entries
+           and name not in names):
+        names.add(name)
+    n_layers = len(names)
     if n_layers == 0:
         raise ModelError("cannot infer a configuration: no decoder layers found")
     d_model = math.prod(entries[nm.tensor_name("gamma1", 0)].shape)
@@ -492,9 +512,12 @@ def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
         raise ModelError(f"missing required tensor {e_name!r}")
     e_shape = entries[e_name].shape
     mlp_hidden = int(e_shape[0] if "e" in nm.transpose else e_shape[1])
-    layer_norm = nm.tensor_name("beta1", 0) in entries
-    gated = nm.tensor_name("b", 0) in entries
-    final = nm.tensor_name("final_gamma") in entries
+
+    def present(role: str, layer: int | None = None) -> bool:
+        return role in nm.roles and nm.tensor_name(role, layer) in entries
+
+    layer_norm, gated = present("beta1", 0), present("b", 0)
+    final = present("final_gamma")
     return ModelConfig(
         d_model=d_model,
         n_heads=1,
@@ -516,104 +539,214 @@ def load_safetensors(
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
 ) -> ModelGraph:
-    """Load a checkpoint into a validated graph.
+    """Load a checkpoint into a validated graph: the one walk of
+    open_safetensors, with every layer it reads kept.
+
+    So the load holds the float32 matrices, the float64 vectors and one
+    stored payload, never the whole file.  The held arrays are read-only
+    and share no memory with each other or with the staging buffer; the
+    graph keeps the digest taken as they were read for fingerprint().
+    """
+    with open_safetensors(path, name_map, config) as stream:
+        arrays = {(role, layer): array for layer, held in stream._read()
+                  for role, array in held.items()}
+        graph = _assemble(stream.config, arrays)
+        object.__setattr__(graph, "_loaded_digest",
+                           (stream.fingerprint(), tuple(graph._canonical_tensors())))
+    return graph
+
+
+def open_safetensors(
+    path: str,
+    name_map: NameMap | None = None,
+    config: ModelConfig | None = None,
+) -> "ModelStream":
+    """A checkpoint opened for one walk, one decoder layer at a time.
 
     The file is opened once and its header validated.  The plan walks the
     config's slots (_slots), the one list that generation, saving and the
-    fingerprint walk too: every tensor the config needs must be there,
-    and a tensor the config has no place for is an error, before any
-    payload is read.  Then each tensor in turn is
-    read into one staging buffer, sized for the largest of them, and
-    checked once, for shape (in storage orientation) and finiteness, in
-    its stored precision; errors name the checkpoint tensor.  Casting to
-    the held dtype (float32 matrices, float64 gains and shifts; see
-    _held_dtype) and transposing to the row-vector convention is one copy
-    per tensor, made in cache-sized blocks.  So the load holds the
-    float32 matrices, the float64 vectors and one stored payload, never
-    the whole file.
-
-    The held arrays are read-only and share no memory with each other or
-    with the staging buffer.  One worker thread hashes each of them, in
-    fingerprint order, while the next one is read, checked and cast; the
-    graph keeps that digest for fingerprint().
+    fingerprint walk too, and checks, before any payload is read: every
+    tensor the config needs is there, with its shape (in storage
+    orientation); no tensor is one the config has no place for; and no
+    two slots resolve to one tensor.  Errors name the checkpoint tensor.
+    Only a non-finite entry or a short read can then fail the walk.
     """
     nm = name_map or default_name_map()
-    with safetensors_io.open_file(path) as handle:
+    handle = safetensors_io.open_file(path)
+    try:
         entries = safetensors_io.read_header(handle)
         cfg = config if config is not None else _infer_config(entries, nm)
-
-        def entry_for(role: str, layer: int | None = None
-                      ) -> safetensors_io.TensorEntry | None:
-            """The header entry holding role; None where cfg has no place for it."""
-            unused = _unused_reason(cfg, role)
-            if unused is not None and role not in nm.roles:
-                return None
-            name = nm.tensor_name(role, layer)
-            if name not in entries:
-                if unused is None:
-                    raise ModelError(f"missing required tensor {name!r}")
-                return None
-            if unused is not None:
-                raise ModelError(f"unexpected tensor {name!r}: {unused}")
-            return entries[name]
-
-        plan = [(role, layer, entry_for(role, layer))
-                for role, layer in _slots(cfg.n_layers)]
-        staging = np.empty(max((entry.nbytes for _, _, entry in plan if entry),
-                               default=0), dtype=np.uint8)
-        return _read_graph(handle, cfg, nm, plan, staging)
+        return ModelStream(handle, cfg, _plan(entries, cfg, nm), nm.transpose)
+    except BaseException:
+        handle.close()
+        raise
 
 
-def _read_graph(handle, cfg: ModelConfig, nm: NameMap, plan: list,
-                staging: np.ndarray) -> ModelGraph:
-    """The graph whose (role, layer, entry) plan load_safetensors made,
-    each tensor read through staging and hashed on a worker thread."""
+def _plan(entries: dict, cfg: ModelConfig, nm: NameMap) -> list:
+    """(role, layer, header entry) for every slot of cfg, in slot order;
+    the entry is None where cfg has no place for the role."""
+    slots = []
+    for role, layer in _slots(cfg.n_layers):
+        unused = _unused_reason(cfg, role)
+        name = nm.tensor_name(role, layer) if unused is None or role in nm.roles else None
+        slots.append((role, layer, unused, name))
+    # One tensor in two slots would be loaded into both.
+    named_by: dict = {}
+    for role, layer, _, name in slots:
+        other = named_by.setdefault(name, (role, layer))
+        if name is not None and other != (role, layer):
+            raise ModelError(f"bad name map: roles {_slot_label(*other)} and "
+                             f"{_slot_label(role, layer)} both name tensor {name!r}")
     shapes = _role_shapes(cfg)
-    hashed: list[tuple[str, np.ndarray]] = []
-    pending: queue.SimpleQueue = queue.SimpleQueue()
-    outcome: list = []
+    plan = []
+    for role, layer, unused, name in slots:
+        entry = entries.get(name)
+        if entry is None and unused is None:
+            raise ModelError(f"missing required tensor {name!r}")
+        if entry is not None and unused is not None:
+            raise ModelError(f"unexpected tensor {name!r}: {unused}")
+        if entry is not None:
+            wanted = shapes[role][::-1] if role in nm.transpose else shapes[role]
+            problem = _shape_problem(entry.shape, wanted)
+            if problem:
+                raise ModelError(f"bad tensor {name!r}: {problem}")
+        plan.append((role, layer, entry))
+    return plan
 
-    def hash_in_order() -> None:
-        digest = hashlib.sha256()
-        try:
-            for name, array in iter(pending.get, None):
-                _hash_tensor(digest, name, array)
-        except BaseException as err:  # re-raised by load_safetensors
-            outcome.append(err)
-        else:
-            outcome.append(digest.hexdigest())
 
-    def take(role: str, layer: int | None,
-             entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
-        if entry is None:
-            return None
-        flip = role in nm.transpose
-        stored = safetensors_io.read_tensor(handle, entry, staging)
-        problem = _tensor_problem(stored, shapes[role][::-1] if flip else shapes[role])
-        if problem:
-            raise ModelError(f"bad tensor {entry.name!r}: {problem}")
-        array = safetensors_io.cast_c_order(stored.T if flip else stored,
-                                            _held_dtype(role))
-        if np.may_share_memory(array, staging):  # an F32 matrix read in place
-            array = array.copy()
-        array.flags.writeable = False
-        hashed.append((_canonical_name(role, layer), array))
-        pending.put(hashed[-1])
-        return array
+def _slot_label(role: str, layer: int | None) -> str:
+    return repr(role) if layer is None else f"{role!r} of layer {layer}"
 
-    worker = threading.Thread(target=hash_in_order, name="slanc-fingerprint")
-    worker.start()
-    try:
-        loaded = {(role, layer): take(role, layer, entry) for role, layer, entry in plan}
-    finally:
-        pending.put(None)
-        worker.join()
-    (result,) = outcome
-    if isinstance(result, BaseException):
-        raise result
-    graph = _assemble(cfg, loaded)
-    object.__setattr__(graph, "_loaded_digest", (result, tuple(hashed)))
-    return graph
+
+class ModelStream:
+    """A planned checkpoint, walked once, one decoder layer at a time.
+
+    It offers what compute_scale_table reads of a ModelGraph: config, an
+    execution_order() that may be walked once, and a fingerprint() that
+    is known once that walk is done.  A layer is dropped once the walk
+    has moved past it, so the walk holds at most two layers (pre-LN's
+    norm1 is fed by the previous layer's MLP), counting the tensors still
+    waiting to be hashed.  A context manager: leaving it closes the file
+    and stops the hash worker, however far the walk got.
+    """
+
+    def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
+        self.config = config
+        self._handle = handle
+        self._plan = plan
+        self._transpose = transpose
+        self._walk = None  # the reader, once started
+        self._digest: str | None = None
+
+    def __enter__(self) -> "ModelStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._walk is not None:
+            self._walk.close()
+        self._handle.close()
+
+    def execution_order(self):
+        """Each NormSite and Sublayer of the checkpoint, in the order of
+        ModelGraph.execution_order(), each layer read as the walk reaches it."""
+        post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
+        for layer, held in self._read():
+            if layer is None:
+                yield from _final_steps(self.config.n_layers, held["final_gamma"],
+                                        held["final_beta"])
+            else:
+                yield from _layer_steps(layer, DecoderWeights(**held), post_ln)
+
+    def fingerprint(self) -> str:
+        """The SHA-256 of ModelGraph.fingerprint(), taken as the walk read
+        each tensor; known once the walk is done."""
+        if self._digest is None:
+            raise RuntimeError("a streamed checkpoint's fingerprint is known only "
+                               "once its walk is done")
+        return self._digest
+
+    def _read(self):
+        """The reader: each slot group of the plan in turn, as (layer or
+        None for the final norm, {role: held array or None}).  Starts the
+        one walk the stream allows."""
+        if self._walk is not None:
+            raise RuntimeError("a streamed checkpoint can be walked only once")
+        self._walk = self._read_groups()
+        return self._walk
+
+    def _read_groups(self):
+        """Each tensor is read into one staging buffer, sized for the
+        largest of them, and checked for finiteness in its stored
+        precision.  Casting to the held dtype (see _held_dtype) and
+        transposing to the row-vector convention is one copy per tensor,
+        made in cache-sized blocks; the held array is read-only.  One
+        worker thread hashes the held arrays in slot order while the walk
+        goes on; a tensor is read only once the worker has finished every
+        tensor of the layer before the previous one."""
+        staging = np.empty(max((entry.nbytes for _, _, entry in self._plan if entry),
+                               default=0), dtype=np.uint8)
+        per_layer = sum(entry is not None for _, layer, entry in self._plan if layer == 0)
+        room = threading.Semaphore(per_layer + 1)
+        pending: queue.SimpleQueue = queue.SimpleQueue()
+        outcome: list = []
+
+        def hash_next(digest) -> bool:
+            # The tensor is dropped on return, before room is released.
+            item = pending.get()
+            if item is not None:
+                _hash_tensor(digest, *item)
+            return item is not None
+
+        def hash_in_order() -> None:
+            digest = hashlib.sha256()
+            try:
+                while hash_next(digest):
+                    room.release()
+            except BaseException as err:  # re-raised by the walk
+                outcome.append(err)
+                room.release()
+                while pending.get() is not None:  # let the walk finish
+                    room.release()
+            else:
+                outcome.append(digest.hexdigest())
+
+        def take(role: str, layer: int | None,
+                 entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
+            if entry is None:
+                return None
+            room.acquire()
+            stored = safetensors_io.read_tensor(self._handle, entry, staging)
+            problem = _value_problem(stored)
+            if problem:
+                raise ModelError(f"bad tensor {entry.name!r}: {problem}")
+            flip = role in self._transpose
+            array = safetensors_io.cast_c_order(stored.T if flip else stored,
+                                                _held_dtype(role))
+            if np.may_share_memory(array, staging):  # an F32 matrix read in place
+                array = array.copy()
+            array.flags.writeable = False
+            pending.put((_canonical_name(role, layer), array))
+            return array
+
+        with self._handle:
+            # A daemon: a walk abandoned unclosed must not hold up exit.
+            worker = threading.Thread(target=hash_in_order, name="slanc-fingerprint",
+                                      daemon=True)
+            worker.start()
+            try:
+                for layer, slots in itertools.groupby(self._plan, lambda slot: slot[1]):
+                    yield layer, {role: take(role, layer, entry)
+                                  for role, _, entry in slots}
+            finally:
+                pending.put(None)
+                worker.join()
+        (result,) = outcome
+        if isinstance(result, BaseException):
+            raise result
+        self._digest = result
 
 
 # ── validation ───────────────────────────────────────────────────────────
@@ -643,10 +776,15 @@ def _dims(shape: tuple) -> str:
     return "x".join(str(n) for n in shape)
 
 
-def _tensor_problem(array: np.ndarray, shape: tuple) -> str | None:
-    """What makes array unfit for a tensor of this shape; None if nothing."""
-    if array.shape != shape:
-        return f"expected shape {_dims(shape)}, got {_dims(array.shape)}"
+def _shape_problem(shape: tuple, wanted: tuple) -> str | None:
+    """What makes shape unfit for a tensor of shape wanted; None if nothing."""
+    if shape != wanted:
+        return f"expected shape {_dims(wanted)}, got {_dims(shape)}"
+    return None
+
+
+def _value_problem(array: np.ndarray) -> str | None:
+    """The first non-finite entry of array; None if there is none."""
     finite = np.isfinite(array)
     if not finite.all():
         first = int(np.flatnonzero(~finite)[0])

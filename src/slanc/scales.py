@@ -2,10 +2,12 @@
 
 Because normalization is scale-invariant, a norm's input can be
 multiplied by a fixed 1/s without changing the model's output, provided
-epsilon is divided by s^2.  The table walks ModelGraph.execution_order()
-and takes each norm's s from the sublayer that ran since the previous
-norm, with the previous norm's diagonal gain as Gamma (all ones at the
-raw embeddings; s = 1, "Unit", when no sublayer ran):
+epsilon is divided by s^2.  The table walks the execution_order() of a
+ModelGraph, or of a ModelStream that reads one decoder layer at a time
+(model.open_safetensors), and takes each norm's s from the sublayer
+that ran since the previous norm, with the previous norm's diagonal
+gain as Gamma (all ones at the raw embeddings; s = 1, "Unit", when no
+sublayer ran):
 
   standard MLP   s = ||Gamma (E G + I)||_F
   gated MLP      s = ||Gamma (||Gamma E|| B G + I)||_F
@@ -37,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import ConvergenceError, frobenius_norm, spectral_norm
-from .model import MlpKind, ModelGraph, Sublayer
+from .model import MlpKind, ModelGraph, ModelStream, Sublayer
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
@@ -152,7 +154,7 @@ def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
             "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
 
 
-def _fed_norms(model: ModelGraph):
+def _fed_norms(model: ModelGraph | ModelStream):
     """Each norm of model.execution_order() with the formula for its s,
     the sublayer that ran since the previous norm (None when none ran)
     and the previous norm's gain (all ones at the raw embeddings)."""
@@ -181,11 +183,13 @@ def _scale(formula: Formula, sublayer: Sublayer | None, gamma: np.ndarray) -> fl
     return scale_standard_mlp(gamma, w.e, w.g)
 
 
-def compute_scale_table(model: ModelGraph) -> dict:
+def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
     """The scale table document: the weight fingerprint and one entry
     per norm, in execution order.
 
-    Walks model.execution_order() as the module docstring describes.
+    Walks model.execution_order() once, as the module docstring
+    describes, and reads model.fingerprint() after it, so a ModelStream
+    holds at most two layers and fails at the first fault in walk order.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
     bitwise-identical tables.  Degenerate and spectral-norm failures

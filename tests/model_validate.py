@@ -1,6 +1,7 @@
 """Structural check of a graph built in memory, for tests.
 
-`slanc.model.load_safetensors` checks each tensor as it reads it, so the
+`slanc.model.load_safetensors` checks each tensor as it plans and reads
+it, so the
 package needs no separate pass; tests that build or edit graphs by hand
 use this one to see every broken invariant at once.  Test files import
 it as they import `conftest`; pytest does not collect it.
@@ -12,8 +13,9 @@ from slanc.model import (
     LAYER_ROLES,
     ModelGraph,
     _role_shapes,
-    _tensor_problem,
+    _shape_problem,
     _unused_reason,
+    _value_problem,
 )
 
 
@@ -39,7 +41,7 @@ def validate(graph: ModelGraph) -> list[str]:
             continue
         if unused is not None:
             problems.append(f"{label}: present but {unused}")
-        problem = _tensor_problem(array, shapes[role])
+        problem = _shape_problem(array.shape, shapes[role]) or _value_problem(array)
         if problem:
             problems.append(f"{label}: {problem}")
     return problems

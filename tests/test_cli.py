@@ -10,12 +10,16 @@ finite value for every token.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,7 @@ from slanc.model import (
     DecoderWeights,
     MlpKind,
     ModelConfig,
+    ModelError,
     ModelGraph,
     NormKind,
     Nonlinearity,
@@ -35,10 +40,11 @@ from slanc.model import (
     config_sidecar_path,
     default_name_map,
     load_safetensors,
+    open_safetensors,
     save_safetensors,
 )
-from slanc.safetensors_io import load_tensors, read_header, save_tensors
-from slanc.scales import compute_scale_table
+from slanc.safetensors_io import SafetensorsError, load_tensors, read_header, save_tensors
+from slanc.scales import DegenerateScaleError, compute_scale_table
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +213,83 @@ def test_malformed_tensor_shape_exits_1_naming_the_tensor(tmp_path, capsys):
     assert "'model.layers.0.input_layernorm.weight'" in err
 
 
+def test_scales_refuses_a_final_norm_named_like_a_layer_tensor(tmp_path, capsys):
+    # Two slots resolving to one tensor would load it into both, and
+    # model.norm.weight would never be read.
+    path = tmp_path / "pre.safetensors"
+    assert main(["gen-model", "--d", "16", "--layers", "2", "--placement", "pre-ln",
+                 "-o", str(path)]) == 0
+    name_map = default_name_map().to_dict()
+    name_map["roles"]["final_gamma"] = "model.layers.0.input_layernorm.weight"
+    (tmp_path / "map.json").write_text(json.dumps(name_map))
+    table = tmp_path / "t.json"
+    assert main(["scales", str(path), "--name-map", str(tmp_path / "map.json"),
+                 "-o", str(table)]) == 1
+    assert capsys.readouterr().err == (
+        "slanc: error: bad name map: roles 'gamma1' of layer 0 and 'final_gamma' both "
+        "name tensor 'model.layers.0.input_layernorm.weight'\n")
+    assert not table.exists()
+
+
+def _fingerprint_threads() -> list:
+    return [t for t in threading.enumerate() if t.name == "slanc-fingerprint"]
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "truncated", "degenerate"])
+def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
+    # Two layers in a file several read buffers long.  A non-finite entry
+    # or a short read in layer 1 stops the streamed walk after layer 0's
+    # scales; a degenerate scale stops it in layer 0.  Neither the walk
+    # nor `slanc scales` may leave the file open or the hash worker
+    # running, and `scales` writes no table.
+    d = 32
+    config = ModelConfig(
+        d_model=d, n_heads=1, head_dim=d, mlp_hidden=d, n_layers=2,
+        norm_kind=NormKind.RMS_NORM, residual_placement=ResidualPlacement.POST_LN,
+        mlp_kind=MlpKind.STANDARD, nonlinearity=Nonlinearity.RELU, epsilon=1e-5)
+    rng = np.random.default_rng(3)
+    matrices = ("w_q", "w_k", "w_v", "p", "e", "g")
+    layers = [DecoderWeights(gamma1=np.ones(d), gamma2=np.ones(d),
+                             **{role: rng.standard_normal((d, d)) * 0.1
+                                for role in matrices})
+              for _ in range(2)]
+    if damage == "degenerate":  # layer 0's MLP cancels its residual: e @ g = -I
+        layers[0] = dataclasses.replace(layers[0], e=np.eye(d), g=-np.eye(d))
+    if damage == "non-finite":
+        g = layers[1].g.copy()
+        g[2, 1] = np.nan  # stored transposed: flat index 1 * d + 2
+        layers[1] = dataclasses.replace(layers[1], g=g)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(ModelGraph(config=config, layers=tuple(layers)), str(path))
+    serialization.atomic_write_text(config_sidecar_path(str(path)),
+                                    serialization.dumps(config.to_dict()))
+    with open(path, "rb") as handle:
+        last = max(read_header(handle).values(), key=lambda entry: entry.offset)
+    expected = {
+        "non-finite": (ModelError, "bad tensor 'model.layers.1.mlp.down_proj.weight': "
+                                   "non-finite entry at flat index 34", 1),
+        "truncated": (SafetensorsError, f"short read: .*tensor {last.name!r}", 1),
+        "degenerate": (DegenerateScaleError, "layer0.norm2", 2),
+    }[damage]
+    error, message, code = expected
+    assert last.name.startswith("model.layers.1.")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with open_safetensors(str(path)) as stream:
+            if damage == "truncated":  # after the plan: the walk reads short
+                os.truncate(path, last.offset + last.nbytes // 2)
+            with pytest.raises(error, match=message):
+                compute_scale_table(stream)
+        assert _fingerprint_threads() == []
+        table = tmp_path / "t.json"
+        assert main(["scales", str(path), "-o", str(table)]) == code
+        assert "slanc:" in capsys.readouterr().err
+        assert not table.exists()
+        assert _fingerprint_threads() == []
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
+
+
 # ── audit ────────────────────────────────────────────────────────────────
 
 
@@ -371,6 +454,11 @@ def test_audit_input_validation(amp, tmp_path, capsys):
          "roles 'w_k' and 'w_v' both name tensor 'self_attn.k_proj.weight'"),
         ({"roles": {**name_map["roles"], "final_beta": "model.norm.weight"}},
          "roles 'final_gamma' and 'final_beta' both name tensor 'model.norm.weight'"),
+        # Nor may a final-norm name be a resolved per-layer one.
+        ({"roles": {**name_map["roles"],
+                    "final_gamma": "model.layers.0.input_layernorm.weight"}},
+         "roles 'gamma1' of layer 0 and 'final_gamma' both name tensor "
+         "'model.layers.0.input_layernorm.weight'"),
     ]):
         path = tmp_path / f"map{i}.json"
         path.write_text(json.dumps({**default_name_map().to_dict(), **edit}))

@@ -20,12 +20,14 @@ import struct
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from model_validate import validate
-from slanc import engine
+from slanc import engine, serialization
+from slanc.cli import main
 from slanc import model as model_mod
 from slanc.model import (
     DecoderWeights,
@@ -37,12 +39,14 @@ from slanc.model import (
     ModelGraph,
     NameMap,
     NormKind,
+    NormSite,
     Nonlinearity,
     ResidualPlacement,
     config_sidecar_path,
     default_name_map,
     generate_synthetic,
     load_safetensors,
+    open_safetensors,
     save_safetensors,
     to_tensor_dict,
 )
@@ -788,3 +792,114 @@ def test_hash_failure_fails_the_load(tmp_path, monkeypatch):
         graph = load_safetensors(str(path), config=_config())
     assert graph is None
     assert threading.active_count() == threads
+
+
+# ── the streamed walk ────────────────────────────────────────────────────
+
+
+def _streamed_table(path, name_map=None, config=None) -> tuple[dict, str]:
+    with open_safetensors(str(path), name_map, config) as stream:
+        table = compute_scale_table(stream)
+        return table, stream.fingerprint()
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+@pytest.mark.parametrize("norm_kind, placement, mlp_kind",
+                         list(itertools.product(NormKind, ResidualPlacement, MlpKind)),
+                         ids=lambda kind: kind.value)
+def test_streamed_table_is_the_loaded_graphs(tmp_path, norm_kind, placement,
+                                             mlp_kind, dtype):
+    # The one reader serves both: walked once, or collected into a graph.
+    cfg = _config(norm_kind=norm_kind, placement=placement, mlp_kind=mlp_kind)
+    init = InitSpec(std=0.05, amplify={"e": 8.0, "w_v": 4.0})
+    graph = generate_synthetic(cfg, init, seed=17)
+    has_final = placement is ResidualPlacement.PRE_LN
+    for name_map in [None] + ([] if has_final else [_BLOCKS_MAP]):
+        path = tmp_path / "m.safetensors"
+        save_safetensors(graph, str(path), name_map=name_map, dtype=dtype)
+        loaded = load_safetensors(str(path), name_map=name_map, config=cfg)
+        table, fingerprint = _streamed_table(path, name_map, cfg)
+        assert (serialization.dumps(table)
+                == serialization.dumps(compute_scale_table(loaded))), name_map
+        assert fingerprint == loaded.fingerprint() == _copying_fingerprint(loaded)
+
+
+def test_streamed_walk_runs_once_and_is_fingerprinted_after(tmp_path):
+    cfg = _config(placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(), seed=4)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(graph, str(path))
+    with open_safetensors(str(path), config=cfg) as stream:
+        assert stream.config == cfg
+        with pytest.raises(RuntimeError, match="known only once its walk is done"):
+            stream.fingerprint()
+        steps = stream.execution_order()
+        first = next(steps)
+        with pytest.raises(RuntimeError, match="known only once its walk is done"):
+            stream.fingerprint()
+        rest = list(steps)
+        with pytest.raises(RuntimeError, match="walked only once"):
+            next(stream.execution_order())
+        assert stream.fingerprint() == graph.fingerprint()
+    walked, expected = [first, *rest], list(graph.execution_order())
+    assert [type(step) for step in walked] == [type(step) for step in expected]
+    for got, want in zip(walked, expected):
+        if isinstance(want, NormSite):
+            assert (got.norm_id, got.layer) == (want.norm_id, want.layer)
+            assert np.array_equal(got.gamma, want.gamma)
+        else:
+            assert got.mlp == want.mlp
+            for role in LAYER_ROLES:
+                wanted = getattr(want.weights, role)
+                assert (getattr(got.weights, role) is None if wanted is None
+                        else np.array_equal(getattr(got.weights, role), wanted)), role
+
+
+def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
+    # Memory gate: `slanc scales` holds at most two layers' arrays, the
+    # staging buffer, the hash worker's widening block and the float64
+    # temporaries of the formulas; collecting the whole graph first does
+    # not fit in that.  Pre-LN is the worst case: a layer's norm1 is fed
+    # by the previous layer's MLP.
+    cfg = _config(d=256, layers=8, heads=4, mlp=512,
+                  placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(), seed=5)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(graph, str(path))
+    Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
+    with open(path, "rb") as handle:
+        staging = max(entry.nbytes for entry in read_header(handle).values())
+    layer = sum(array.nbytes for _, i, array in model_mod._held_tensors(graph) if i == 0)
+
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
+                              layers=graph.layers[:1])
+    temporaries = traced_peak(lambda: compute_scale_table(one))
+    bound = 2 * layer + staging + model_mod._HASH_BLOCK * 8 + temporaries
+    streamed = traced_peak(
+        lambda: main(["scales", str(path), "-o", str(tmp_path / "t.json")]))
+    whole = traced_peak(lambda: compute_scale_table(load_safetensors(str(path))))
+    assert streamed <= 1.05 * bound, (streamed, bound)
+    assert whole > 1.05 * bound, (whole, bound)
+
+
+def test_a_template_without_i_names_one_layer(tmp_path):
+    # Counting layers stops at a name seen before instead of looping.
+    cfg = _config(layers=1)
+    blocks = NameMap("blocks", _BLOCKS_MAP.roles, frozenset())
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=6), str(path),
+                     name_map=blocks)
+    assert load_safetensors(str(path), name_map=blocks).config.n_layers == 1
+    with pytest.raises(ModelError, match="bad name map: roles 'gamma1' of layer 0 and "
+                                         "'gamma1' of layer 1 both name tensor "
+                                         "'blocks.gamma1'"):
+        load_safetensors(str(path), name_map=blocks,
+                         config=dataclasses.replace(cfg, n_layers=2))
