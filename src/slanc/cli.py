@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or IO error, 2 degenerate scale,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -116,36 +115,19 @@ def _build_parser() -> _Parser:
 def _load_name_map(path: str | None) -> NameMap | None:
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return NameMap.from_dict(json.load(handle))
-    except OSError as err:
-        raise UsageError(f"cannot read name map {path}: {err}") from err
-    except ValueError as err:  # bad JSON or bad UTF-8
-        raise UsageError(f"malformed name map JSON in {path}: {err}") from err
+    return NameMap.from_dict(serialization.read_json(path, "name map", UsageError))
 
 
-def _load_model(args, streamed: bool = False):
-    """The model the options name: a ModelGraph, or with streamed a
-    ModelStream that reads one layer at a time."""
+def _load_model(args):
+    """The checkpoint the options name, opened for one walk: a ModelStream
+    that reads one decoder layer at a time.  Leaving its block closes a
+    walk that failed part way."""
     name_map = _load_name_map(args.name_map)
     config = None
     config_path = args.config or model_mod.config_sidecar_path(args.model)
     if args.config or os.path.exists(config_path):
         config = model_mod.load_config(config_path)
-    read = model_mod.open_safetensors if streamed else model_mod.load_safetensors
-    return read(args.model, name_map=name_map, config=config)
-
-
-def _load_scale_table(path: str):
-    """The parsed JSON document; forward checks it against the model."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as err:
-        raise UsageError(f"cannot read scale table {path}: {err}") from err
-    except ValueError as err:  # bad JSON or bad UTF-8
-        raise UsageError(f"bad scale table {path}: {err}") from err
+    return model_mod.open_safetensors(args.model, name_map=name_map, config=config)
 
 
 def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
@@ -249,9 +231,7 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_scales(args) -> int:
-    # The formulas need one layer at a time, so the checkpoint is never
-    # held whole; leaving the block closes a walk that failed part way.
-    with _load_model(args, streamed=True) as model:
+    with _load_model(args) as model:
         table = compute_scale_table(model)
     serialization.atomic_write_text(args.out, serialization.dumps(table))
     print(f"wrote {len(table['entries'])} scales to {args.out}")
@@ -259,12 +239,13 @@ def _cmd_scales(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    graph = _load_model(args)
-    table = _load_scale_table(args.scales) if args.scales else None
-    inputs, seed = _token_inputs(args, graph.config)
-    policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
-    result = forward(graph, inputs, policy, scales=table)
-    doc = report_mod.build_audit_report(result, graph, args.policy, seed)
+    with _load_model(args) as model:
+        table = (serialization.read_json(args.scales, "scale table", UsageError)
+                 if args.scales else None)
+        inputs, seed = _token_inputs(args, model.config)
+        policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
+        result = forward(model, inputs, policy, scales=table)
+    doc = report_mod.build_audit_report(result, model, args.policy, seed)
     text = report_mod.audit_csv(doc) if args.format == "csv" else serialization.dumps(doc)
     serialization.atomic_write_text(args.out, text)
     overflows = sum(n["overflow_count"] for n in doc["norms"])
@@ -277,10 +258,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    graph = _load_model(args)
-    table = _load_scale_table(args.scales)
-    inputs, seed = _token_inputs(args, graph.config)
-    doc = report_mod.run_compare(graph, inputs, table, seed=seed)
+    with _load_model(args) as model:
+        table = serialization.read_json(args.scales, "scale table", UsageError)
+        inputs, seed = _token_inputs(args, model.config)
+        doc = report_mod.run_compare(model, inputs, table, seed=seed)
     sys.stdout.write(report_mod.compare_text(doc))
     if args.out:
         serialization.atomic_write_text(args.out, serialization.dumps(doc))

@@ -14,18 +14,20 @@ unchanged, in FP16 it moves the accumulated sum back into range.  The
 norm epilogue (mean, divide, sqrt, gain) stays in double in both modes
 so that any failure is attributable to the accumulation.
 
-`forward` walks `ModelGraph.execution_order()`; post-norm and pre-norm
-placement differ only in whether a norm's output replaces the residual
-stream.  Each norm runs once over the whole n_tokens x d block and
-returns one `NormAudit`: per-token columns (raw FP64 sum, FP16 sum bits,
-overflow and underflow flags) and a histogram of the raw sums.  The FP16
-accumulation loops over the d columns strictly left to right and
-vectorises over the tokens (`fp16.sum_of_squares_rows`): every step
-squares or adds binary16 values exactly in double and rounds once, so
-each token's sum is bit-identical to a scalar per-token binary16
-accumulation (the test suite's soft-float oracle).
-The raw FP64 sums stay one BLAS dot per row, so they, the histograms
-and the FP64 outputs match a per-token pass bit for bit.
+`forward_passes` advances one or more passes step by step in one walk
+of the `execution_order()` of a `ModelGraph` or of a `ModelStream`;
+post-norm and pre-norm placement differ only in whether a norm's output
+replaces the residual stream.  Each norm runs once over the whole
+n_tokens x d block and returns one `NormAudit`: per-token columns
+(raw FP64 sum, FP16 sum bits, overflow and underflow flags) and a
+histogram of the raw sums.  The FP16 accumulation loops over the d
+columns strictly left to right and vectorises over the tokens
+(`fp16.sum_of_squares_rows`): every step squares or adds binary16
+values exactly in double and rounds once, so each token's sum is
+bit-identical to a scalar per-token binary16 accumulation (the test
+suite's soft-float oracle).  The raw FP64 sums stay one BLAS dot per
+row, so they, the histograms and the FP64 outputs match a per-token
+pass bit for bit.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from .model import (
     MlpKind,
     ModelConfig,
     ModelGraph,
+    ModelStream,
     Nonlinearity,
     NormKind,
     ResidualPlacement,
     Sublayer,
 )
-from .scales import Formula, read_scale_table, scale_entry
+from .scales import Formula, ScaleTableError, entry_scales, read_scale_table, scale_entry
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
         from scipy.special import erf  # here, so only GELU models pay for scipy
 
         return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
-    return z / (1.0 + np.exp(-z))  # SiLU
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0 (or -0)
+        return z / (1.0 + np.exp(-z))  # SiLU
 
 
 def norm_forward(
@@ -238,7 +242,8 @@ def attention_forward(
         scores[mask] = -math.inf
         # Max-subtraction softmax in double; rows are convex weights.
         peak = scores.max(axis=1, keepdims=True)
-        weights_exp = np.exp(scores - peak)
+        with np.errstate(invalid="ignore"):  # an inf score: inf - inf is NaN
+            weights_exp = np.exp(scores - peak)
         s = weights_exp / weights_exp.sum(axis=1, keepdims=True)
         s = _store(s, policy)
         heads.append(_store(s @ v[:, cols], policy))
@@ -267,48 +272,83 @@ def mlp_forward(
 # ── the full pass ────────────────────────────────────────────────────────
 
 
-def forward(
-    model: ModelGraph,
-    x0: np.ndarray,
-    policy: PrecisionPolicy,
-    scales: dict | None = None,
-) -> ForwardResult:
-    """Run the decoder chain in execution_order(), auditing every norm.
-
-    scales is a scale table document; read_scale_table checks it against
-    the model before the first layer runs, and each norm divides by its s.
+class _Pass:
+    """One forward pass, advanced a step at a time by forward_passes; once
+    it fails it keeps its error and computes nothing more.
 
     x is the residual stream and h the input of the next sublayer; each
     sublayer adds its output to x.  PostLN normalizes the stream itself
     (x = h after each norm); PreLN normalizes only the sublayer input and
     ends with the final norm.  The output is h: the last norm's rows, or
-    the stored input when no norm ran.
+    the stored input when no norm ran."""
+
+    def __init__(self, cfg: ModelConfig, x: np.ndarray, policy: PrecisionPolicy,
+                 scales: dict | None):
+        self.cfg, self.policy, self.audit, self.error = cfg, policy, {}, None
+        self.x = self.h = _store(x, policy)
+        try:
+            self.s_by_norm = {} if scales is None else entry_scales(scales, cfg)
+        except ScaleTableError as err:
+            self.error = err
+
+    def advance(self, step) -> None:
+        cfg, policy = self.cfg, self.policy
+        if self.error is not None:
+            return
+        if isinstance(step, Sublayer):
+            out = (mlp_forward(self.h, step.weights, cfg.mlp_kind, cfg.nonlinearity, policy)
+                   if step.mlp else attention_forward(self.h, step.weights, cfg, policy))
+            self.x = _store(self.x + out, policy)
+            return
+        try:
+            self.h, self.audit[step.norm_id] = norm_forward(
+                self.x, step.gamma, step.beta, cfg.epsilon, cfg.norm_kind, policy,
+                s=self.s_by_norm.get(step.norm_id, 1.0), norm_id=step.norm_id,
+            )
+        except NonPositiveVarianceError as err:
+            self.error = err
+        if cfg.residual_placement is ResidualPlacement.POST_LN:
+            self.x = self.h
+
+
+def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
+                   passes: list[tuple[PrecisionPolicy, dict | None]]) -> list:
+    """One forward pass per (policy, scale table or None), advanced step
+    by step in one walk of model.execution_order(); per pass, its
+    ForwardResult or the NonPositiveVarianceError that stopped it.
+
+    A pass whose table entry_scales refuses, or that meets a non-positive
+    variance, stops computing while the walk reads on.  So a fault of the
+    walk (a bad payload) comes first; then, once the walk is done,
+    read_scale_table's fingerprint and entry checks; the returned errors
+    last.  Bad inputs raise ValueError before the walk.
     """
     cfg = model.config
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.d_model or x.shape[0] < 1:
-        raise ValueError(
-            f"input activations must be n_tokens x {cfg.d_model}, got {x.shape}"
-        )
+        raise ValueError(f"input activations must be n_tokens x {cfg.d_model}, "
+                         f"got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("input activations must be finite")
-    s_by_norm = read_scale_table(scales, model) if scales is not None else {}
-    audit: dict[str, NormAudit] = {}
-    x = h = _store(x, policy)
-    post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
+    runs = [_Pass(cfg, x, policy, scales) for policy, scales in passes]
     for step in model.execution_order():
-        if isinstance(step, Sublayer):
-            out = (mlp_forward(h, step.weights, cfg.mlp_kind, cfg.nonlinearity, policy)
-                   if step.mlp else attention_forward(h, step.weights, cfg, policy))
-            x = _store(x + out, policy)
-        else:
-            h, audit[step.norm_id] = norm_forward(
-                x, step.gamma, step.beta, cfg.epsilon, cfg.norm_kind, policy,
-                s=s_by_norm.get(step.norm_id, 1.0), norm_id=step.norm_id,
-            )
-            if post_ln:
-                x = h
-    return ForwardResult(output=h, audit=audit)
+        for run in runs:
+            run.advance(step)
+    for _, scales in passes:
+        if scales is not None:
+            read_scale_table(scales, model)
+    return [run.error or ForwardResult(output=run.h, audit=run.audit) for run in runs]
+
+
+def forward(model: ModelGraph | ModelStream, x0: np.ndarray, policy: PrecisionPolicy,
+            scales: dict | None = None) -> ForwardResult:
+    """Run the decoder chain of a ModelGraph or a ModelStream, auditing
+    every norm: the one pass of forward_passes, its error raised.  Each
+    norm divides by its s from scales, a scale table document."""
+    (result,) = forward_passes(model, x0, [(policy, scales)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ── dynamic calibration baseline ─────────────────────────────────────────

@@ -9,18 +9,16 @@ projection multiplies from the right, so e is d_model x mlp_hidden and
 a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
 
-A checkpoint comes in through one reader.  open_safetensors streams it
-one decoder layer at a time and holds at most two layers: `slanc
-scales` walks that stream.  load_safetensors collects the same walk
-into a ModelGraph that holds the whole model, as `audit` and `compare`
-need.
+A checkpoint comes in through one reader: open_safetensors streams it
+one decoder layer at a time and holds at most two layers.  Every `slanc`
+command walks that stream once; load_safetensors collects the walk into
+a ModelGraph for tests and library use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import queue
 import threading
@@ -29,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import safetensors_io
+from . import safetensors_io, serialization
 
 
 class NormKind(str, Enum):
@@ -175,18 +173,27 @@ class Sublayer:
     weights: DecoderWeights
 
 
+class _Norms:
+    """norm_sites and norm_ids from the config alone, known before a walk."""
+
+    @property
+    def norm_sites(self) -> list[NormSite]:
+        return [step for step in outline(self.config).execution_order()
+                if isinstance(step, NormSite)]
+
+    @property
+    def norm_ids(self) -> list[str]:
+        return [site.norm_id for site in self.norm_sites]
+
+
 @dataclass(frozen=True)
-class ModelGraph:
+class ModelGraph(_Norms):
     """Immutable model: config, decoder weights, optional final norm."""
 
     config: ModelConfig
     layers: tuple[DecoderWeights, ...]
     final_gamma: np.ndarray | None = None
     final_beta: np.ndarray | None = None
-    # (digest, ((name, array), ...)) recorded by load_safetensors as it
-    # hashed each array; see fingerprint().
-    _loaded_digest: tuple | None = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     def execution_order(self):
         """Each NormSite and Sublayer in the order engine.forward runs them:
@@ -194,39 +201,12 @@ class ModelGraph:
         post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
         for i, layer in enumerate(self.layers):
             yield from _layer_steps(i, layer, post_ln)
-        yield from _final_steps(len(self.layers), self.final_gamma, self.final_beta)
-
-    @property
-    def norm_sites(self) -> list[NormSite]:
-        """The norms of execution_order(), in order."""
-        return [step for step in self.execution_order() if isinstance(step, NormSite)]
-
-    @property
-    def norm_ids(self) -> list[str]:
-        """Norm operator ids in execution order."""
-        return [site.norm_id for site in self.norm_sites]
+        yield from _final_steps(self.config, self.final_gamma, self.final_beta)
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE).
-
-        A graph from load_safetensors keeps the digest taken while it
-        loaded.  That digest is returned while every canonical array is
-        still one that was hashed and none of them is writeable; any
-        other graph (generated, dataclasses.replace, copy.deepcopy, or
-        with writes re-enabled on an array) is hashed again.  Re-enabling
-        writes, editing and disabling them again defeats this check.
-        """
-        tensors = tuple(self._canonical_tensors())
-        if self._loaded_digest is not None:
-            digest, hashed = self._loaded_digest
-            if len(hashed) == len(tensors) and all(
-                name == hashed_name and array is hashed_array
-                and not array.flags.writeable
-                for (name, array), (hashed_name, hashed_array) in zip(tensors, hashed)
-            ):
-                return digest
+        """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE)."""
         digest = hashlib.sha256()
-        for name, array in tensors:
+        for name, array in self._canonical_tensors():
             _hash_tensor(digest, name, array)
         return digest.hexdigest()
 
@@ -246,10 +226,17 @@ def _layer_steps(i: int, layer: DecoderWeights, post_ln: bool) -> tuple:
     return (attention, norm1, mlp, norm2) if post_ln else (norm1, attention, norm2, mlp)
 
 
-def _final_steps(n_layers: int, gamma: np.ndarray | None,
+def _final_steps(cfg: ModelConfig, gamma: np.ndarray | None,
                  beta: np.ndarray | None) -> tuple:
-    """The final norm after n_layers decoder layers, when there is one."""
-    return () if gamma is None else (NormSite("final_norm", n_layers, gamma, beta),)
+    """The final norm after cfg's decoder layers, when cfg has one."""
+    return ((NormSite("final_norm", cfg.n_layers, gamma, beta),)
+            if cfg.has_final_norm else ())
+
+
+def outline(cfg: ModelConfig) -> ModelGraph:
+    """cfg's graph with every gain, shift and weight None: the order of its
+    norms and sublayers, known before any weight is read."""
+    return _assemble(cfg, {})
 
 
 def _slots(n_layers: int):
@@ -539,21 +526,13 @@ def load_safetensors(
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
 ) -> ModelGraph:
-    """Load a checkpoint into a validated graph: the one walk of
-    open_safetensors, with every layer it reads kept.
-
-    So the load holds the float32 matrices, the float64 vectors and one
-    stored payload, never the whole file.  The held arrays are read-only
-    and share no memory with each other or with the staging buffer; the
-    graph keeps the digest taken as they were read for fingerprint().
-    """
+    """The whole graph of a checkpoint: the one walk of open_safetensors
+    with every layer it reads kept, for tests and library use.  Its
+    arrays are read-only and share no memory with each other."""
     with open_safetensors(path, name_map, config) as stream:
-        arrays = {(role, layer): array for layer, held in stream._read()
-                  for role, array in held.items()}
-        graph = _assemble(stream.config, arrays)
-        object.__setattr__(graph, "_loaded_digest",
-                           (stream.fingerprint(), tuple(graph._canonical_tensors())))
-    return graph
+        return _assemble(stream.config, {(role, layer): array
+                                         for layer, held in stream._read()
+                                         for role, array in held.items()})
 
 
 def open_safetensors(
@@ -618,17 +597,17 @@ def _slot_label(role: str, layer: int | None) -> str:
     return repr(role) if layer is None else f"{role!r} of layer {layer}"
 
 
-class ModelStream:
+class ModelStream(_Norms):
     """A planned checkpoint, walked once, one decoder layer at a time.
 
-    It offers what compute_scale_table reads of a ModelGraph: config, an
-    execution_order() that may be walked once, and a fingerprint() that
-    is known once that walk is done.  A layer is dropped once the walk
-    has moved past it, so the walk holds at most two layers (pre-LN's
-    norm1 is fed by the previous layer's MLP), counting the tensors still
-    waiting to be hashed.  A context manager: leaving it closes the file
-    and stops the hash worker, however far the walk got.
-    """
+    It offers what compute_scale_table and engine.forward read of a
+    ModelGraph: config, norm_sites, an execution_order() that may be
+    walked once, and a fingerprint() known once that walk is done.  A
+    layer is dropped once the walk has moved past it, so the walk holds
+    at most two layers (pre-LN's norm1 is fed by the previous layer's
+    MLP), counting the tensors still waiting to be hashed.  A context
+    manager: leaving it closes the file and stops the hash worker,
+    however far the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
         self.config = config
@@ -655,8 +634,7 @@ class ModelStream:
         post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
         for layer, held in self._read():
             if layer is None:
-                yield from _final_steps(self.config.n_layers, held["final_gamma"],
-                                        held["final_beta"])
+                yield from _final_steps(self.config, held["final_gamma"], held["final_beta"])
             else:
                 yield from _layer_steps(layer, DecoderWeights(**held), post_ln)
 
@@ -802,11 +780,4 @@ def config_sidecar_path(model_path: str) -> str:
 
 
 def load_config(path: str) -> ModelConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        raise ModelError(f"cannot read config {path}: {err}") from err
-    except ValueError as err:  # bad JSON or bad UTF-8
-        raise ModelError(f"malformed config JSON in {path}: {err}") from err
-    return ModelConfig.from_dict(doc)
+    return ModelConfig.from_dict(serialization.read_json(path, "config", ModelError))

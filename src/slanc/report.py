@@ -7,9 +7,9 @@ counts plus a log2 histogram of the raw sums of squares, with the
 binary16 landmarks (max finite 65504, min normal 2^-14) alongside for
 plotting cut-off lines; `audit_csv` renders its histograms as a table.
 The comparison document runs the same inputs through the reference
-mode, plain FP16, and FP16 with a scale table, and summarizes how far
-each final hidden state drifts from the reference; `compare_text`
-renders it for the terminal.
+mode, plain FP16, and FP16 with a scale table in one walk of the model,
+and summarizes how far each final hidden state drifts from the
+reference; `compare_text` renders it for the terminal.
 """
 
 from __future__ import annotations
@@ -26,17 +26,13 @@ from .engine import (
     REFERENCE_POLICY,
     ForwardResult,
     NonPositiveVarianceError,
-    forward,
+    forward_passes,
 )
-from .model import ModelGraph
+from .model import ModelGraph, ModelStream
 
 
-def build_audit_report(
-    result: ForwardResult,
-    model: ModelGraph,
-    policy_name: str,
-    seed: int | None,
-) -> dict:
+def build_audit_report(result: ForwardResult, model: ModelGraph | ModelStream,
+                       policy_name: str, seed: int | None) -> dict:
     """The audit document: one entry per norm, in execution order."""
     norms = []
     for site in model.norm_sites:
@@ -108,31 +104,28 @@ def _row(mode: str, errors: tuple[float, float], audits=()) -> dict:
     }
 
 
-def run_compare(
-    model: ModelGraph,
-    x0: np.ndarray,
-    scales: dict,
-    seed: int | None = None,
-) -> dict:
+def run_compare(model: ModelGraph | ModelStream, x0: np.ndarray, scales: dict,
+                seed: int | None = None) -> dict:
     """The comparison document: reference, plain FP16, and FP16+scales
-    on identical inputs.
+    on identical inputs, three passes in one walk of model.
 
     The plain-FP16 run may die of rounding-induced non-positive
     variance; that is a result, not an error: its row reports infinite
-    mismatch and names the norm and token that failed.  The reference
-    and scaled runs propagate errors.  The scaled run goes first, so a
-    table that does not fit the model is refused before any other pass.
+    mismatch and names the norm and token that failed.  The scaled and
+    then the reference run raise theirs, as forward_passes orders them.
     """
-    scaled = forward(model, x0, FP16_POLICY, scales=scales)
-    reference = forward(model, x0, REFERENCE_POLICY, scales=None)
+    scaled, reference, plain = forward_passes(model, x0, [
+        (FP16_POLICY, scales), (REFERENCE_POLICY, None), (FP16_POLICY, None)])
+    for result in (scaled, reference):
+        if isinstance(result, Exception):
+            raise result
     rows = [_row("FP64", (0.0, 0.0))]
-    try:
-        plain = forward(model, x0, FP16_POLICY, scales=None)
+    if isinstance(plain, NonPositiveVarianceError):
+        rows.append(_row("FP16", (math.inf, math.inf))
+                    | {"failed_norm": plain.norm_id, "failed_token": plain.token_index})
+    else:
         rows.append(_row("FP16", relative_mismatch(reference.output, plain.output),
                          plain.audit.values()))
-    except NonPositiveVarianceError as err:
-        rows.append(_row("FP16", (math.inf, math.inf))
-                    | {"failed_norm": err.norm_id, "failed_token": err.token_index})
     rows.append(_row("FP16+SLaNC", relative_mismatch(reference.output, scaled.output),
                      scaled.audit.values()))
     return {"tokens": x0.shape[0], "seed": seed, "rows": rows}

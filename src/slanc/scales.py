@@ -20,9 +20,10 @@ much the sublayer grows a normalized row, not upper bounds: they assume
 it sees a normalized row and acts linearly.  ROADMAP items 2 and 3
 measure counterexamples: deep pre-LN stacks, activation cancellation,
 the gate's missing sqrt(d) and a LayerNorm shift.  The table is its
-JSON document, {fingerprint, entries}, each entry built by scale_entry;
+JSON document, {fingerprint, entries}, each entry built by scale_entry.
 read_scale_table is the one way back from a document to the scales,
-and refuses any table not written for this model and its epsilon.
+and refuses any table not written for this model and its epsilon;
+entry_scales runs its entry checks alone, before a stream's walk.
 
 A graph holds its matrices as float32, yet every formula runs in
 float64: a product of two weights widens its left operand first, since
@@ -39,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import ConvergenceError, frobenius_norm, spectral_norm
-from .model import MlpKind, ModelGraph, ModelStream, Sublayer
+from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, Sublayer, outline
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
@@ -81,7 +82,9 @@ def _check_dims(gamma: np.ndarray, pairs: list[tuple[str, np.ndarray, tuple[int,
             )
 
 
-def _finish(value: float) -> float:
+def _grown(gamma: np.ndarray, product: np.ndarray) -> float:
+    """||Gamma (product + I)||_F; a value below DEGENERATE_THRESHOLD is refused."""
+    value = frobenius_norm(gamma[:, None] * (product + np.eye(gamma.size)))
     if value < DEGENERATE_THRESHOLD:
         raise DegenerateScaleError(value)
     return value
@@ -91,8 +94,7 @@ def scale_standard_mlp(gamma: np.ndarray, e: np.ndarray, g: np.ndarray) -> float
     """||Gamma (E G + I)||_F for a plain two-projection MLP."""
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("g", g, (m, d))])
-    eg = np.asarray(e, dtype=np.float64) @ g
-    return _finish(frobenius_norm(gamma[:, None] * (eg + np.eye(d))))
+    return _grown(gamma, np.asarray(e, dtype=np.float64) @ g)
 
 
 def scale_llama_mlp(
@@ -108,8 +110,7 @@ def scale_llama_mlp(
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
     gate_gain = spectral_norm(gamma[:, None] * e)
-    bg = np.asarray(b, dtype=np.float64) @ g
-    return _finish(frobenius_norm(gamma[:, None] * (gate_gain * bg + np.eye(d))))
+    return _grown(gamma, gate_gain * (np.asarray(b, dtype=np.float64) @ g))
 
 
 def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
@@ -121,8 +122,7 @@ def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
     """
     d, k = gamma.size, np.shape(w_v)[-1]
     _check_dims(gamma, [("w_v", w_v, (d, k)), ("p", p, (k, d))])
-    vp = np.asarray(w_v, dtype=np.float64) @ p
-    return _finish(frobenius_norm(gamma[:, None] * (vp + np.eye(d))))
+    return _grown(gamma, np.asarray(w_v, dtype=np.float64) @ p)
 
 
 def adjust_epsilon(epsilon: float, s: float) -> float:
@@ -132,8 +132,6 @@ def adjust_epsilon(epsilon: float, s: float) -> float:
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"scale must be positive and finite, got {s!r}")
     return epsilon / (s * s)
-
-
 
 
 # ── whole-model table ────────────────────────────────────────────────────
@@ -211,21 +209,12 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
+def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:
     """Each norm's s from a scale table document, once the document is
     shown to be one compute_scale_table or calibrate_dynamic could have
-    written for this model.
-
-    Raises ScaleTableError, naming the norm and the field, when the
-    fingerprint is not the weights'; when a norm of the model has no
-    entry, or an entry names a norm twice or one the model lacks; or
-    when an entry's layer is not the norm's (a JSON integer), its formula
-    is neither the norm's nor Dynamic, or is Dynamic in a static table or
-    static in a Dynamic one (entries[0] sets the kind), its s is not a
-    finite positive number, or its reciprocal or eps_adjusted differs in
-    any bit from 1/s or adjust_epsilon(model.config.epsilon, s).
-    Booleans are not numbers here, and nothing is coerced.
-    """
+    written for this model: its fingerprint is model.fingerprint() (a
+    stream's is known once its walk is done), then entry_scales accepts
+    it.  Raises ScaleTableError, naming the field, when it is not."""
     if not isinstance(doc, dict):
         raise ScaleTableError(f"scale table must be a JSON object, got "
                               f"{type(doc).__name__}")
@@ -235,12 +224,26 @@ def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
                               f"{fingerprint!r}")
     if fingerprint != model.fingerprint():
         raise ScaleTableError("scale table fingerprint does not match the model weights")
-    entries = doc.get("entries")
+    return entry_scales(doc, model.config)
+
+
+def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
+    """Each norm's s from the entries of a scale table document, checked
+    against cfg alone.  Raises ScaleTableError, naming the norm and the
+    field, when a norm of the model has no entry, or an entry names a
+    norm twice or one the model lacks; or when an entry's layer is not
+    the norm's (a JSON integer), its formula is neither the norm's nor
+    Dynamic, or is Dynamic in a static table or static in a Dynamic one
+    (entries[0] sets the kind), its s is not a finite positive number,
+    or its reciprocal or eps_adjusted differs in any bit from 1/s or
+    adjust_epsilon(cfg.epsilon, s).  Booleans are not numbers here, and
+    nothing is coerced."""
+    entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ScaleTableError(f"scale table entries must be a list, got "
                               f"{type(entries).__name__}")
     sites = {site.norm_id: (site.layer, formula)
-             for site, formula, _, _ in _fed_norms(model)}
+             for site, formula, _, _ in _fed_norms(outline(cfg))}
     found: dict[str, float] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -273,7 +276,7 @@ def read_scale_table(doc, model: ModelGraph) -> dict[str, float]:
         if not (_number(s) and 0 < s <= sys.float_info.max):
             raise refuse("s", "a finite positive number")
         s = float(s)
-        epsilon = model.config.epsilon
+        epsilon = cfg.epsilon
         for field, wanted, how in (
             ("reciprocal", 1.0 / s, "1/s"),
             ("eps_adjusted", adjust_epsilon(epsilon, s),

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission and atomic file writes.
+"""JSON reading, deterministic JSON emission and atomic file writes.
 
 Reports and tables are plain json.dumps output: Python writes each
 float as its shortest repr, which parses back to the exact bit pattern,
@@ -12,6 +12,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+
+
+def read_json(path: str, what: str, error: type[Exception]):
+    """The JSON document at path; an error naming what and path when it
+    cannot be read or is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: {err}") from err
+    except ValueError as err:  # bad JSON or bad UTF-8
+        raise error(f"malformed {what} JSON in {path}: {err}") from err
 
 
 def dumps(value) -> str:

@@ -1,9 +1,9 @@
 """Structural check of a graph built in memory, for tests.
 
-`slanc.model.load_safetensors` checks each tensor as it plans and reads
-it, so the
-package needs no separate pass; tests that build or edit graphs by hand
-use this one to see every broken invariant at once.  Test files import
+`slanc.model.open_safetensors`, the one way a checkpoint is read, checks
+each tensor as it plans and walks it, so the package needs no separate
+pass; tests that build or edit graphs by hand use this one to see every
+broken invariant at once.  Test files import
 it as they import `conftest`; pytest does not collect it.
 """
 

@@ -15,6 +15,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -44,7 +45,7 @@ from slanc.model import (
     save_safetensors,
 )
 from slanc.safetensors_io import SafetensorsError, load_tensors, read_header, save_tensors
-from slanc.scales import DegenerateScaleError, compute_scale_table
+from slanc.scales import DegenerateScaleError, Formula, compute_scale_table, scale_entry
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +242,9 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
     # or a short read in layer 1 stops the streamed walk after layer 0's
     # scales; a degenerate scale stops it in layer 0.  Neither the walk
     # nor `slanc scales` may leave the file open or the hash worker
-    # running, and `scales` writes no table.
+    # running, and `scales` writes no table.  The bad payload stops
+    # `audit` and `compare` part way through their walk too, before the
+    # table's fingerprint or entries are checked.
     d = 32
     config = ModelConfig(
         d_model=d, n_heads=1, head_dim=d, mlp_hidden=d, n_layers=2,
@@ -286,6 +289,16 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
         assert "slanc:" in capsys.readouterr().err
         assert not table.exists()
         assert _fingerprint_threads() == []
+        if damage != "degenerate":  # audit and compare fail in layer 1 too
+            table.write_text(json.dumps({"fingerprint": "0" * 64, "entries": []}))
+            report = tmp_path / "r.json"
+            for argv in (["audit", str(path), "--tokens", "4", "-o", str(report)],
+                         ["compare", str(path), "--scales", str(table),
+                          "--tokens", "4", "-o", str(report)]):
+                assert main(argv) == code, argv
+                assert "tensor 'model.layers.1." in capsys.readouterr().err, argv
+                assert not report.exists()
+                assert _fingerprint_threads() == []
         gc.collect()
     assert [w.message for w in caught if w.category is ResourceWarning] == []
 
@@ -596,6 +609,86 @@ def test_audit_refuses_foreign_scale_table(amp, tmp_path, capsys):
     assert main(["audit", str(model), "--tokens", "4", "--scales",
                  str(other_scales), "-o", str(tmp_path / "r.json")]) == 1
     assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def blowup(tmp_path_factory):
+    """A LayerNorm model whose layer-0 MLP, amplified 2000x, overflows
+    SiLU's exp and then FP16, so every FP16 pass dies of a NaN variance
+    at layer0.norm2; plus its own scale table."""
+    root = tmp_path_factory.mktemp("blowup")
+    model, scales = root / "model.safetensors", root / "scales.json"
+    assert main(["gen-model", "--d", "64", "--layers", "3", "--seed", "1",
+                 "--norm-kind", "layernorm", "--amplify", "e,g:2000",
+                 "--amplify-layers", "0", "-o", str(model)]) == 0
+    assert main(["scales", str(model), "-o", str(scales)]) == 0
+    return model, scales
+
+
+def test_silu_overflow_reports_only_the_numerical_failure(blowup, tmp_path, capsys):
+    model, _ = blowup
+    capsys.readouterr()
+    out = str(tmp_path / "r.json")
+    assert main(["audit", str(model), "--tokens", "8", "-o", out]) == 3
+    assert capsys.readouterr().err == ("slanc: numerical failure: non-positive "
+                                       "variance nan at norm 'layer0.norm2', token 7\n")
+    assert main(["audit", str(model), "--policy", "fp64", "--tokens", "8",
+                 "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_softmax_of_an_inf_score_reports_only_the_numerical_failure(tmp_path, capsys):
+    # Query and key amplified 3000x: FP16 scores round to inf, and the
+    # max-subtraction meets inf - inf.
+    model = tmp_path / "m.safetensors"
+    assert main(["gen-model", "--d", "64", "--layers", "1", "--seed", "1",
+                 "--amplify", "w_q,w_k:3000", "-o", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["audit", str(model), "--tokens", "8",
+                 "-o", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == ("slanc: numerical failure: non-positive "
+                                       "variance nan at norm 'layer0.norm1', token 2\n")
+
+
+def _commands(model: Path, scales: Path, out: Path) -> list:
+    tokens = ["--tokens", "8"]
+    return [["audit", str(model), "--scales", str(scales), *tokens, "-o", str(out)],
+            ["compare", str(model), "--scales", str(scales), *tokens, "-o", str(out)]]
+
+
+def test_a_late_bad_payload_beats_an_early_numerical_failure(blowup, tmp_path, capsys):
+    # Undamaged, the model exits 3 at layer0.norm2 (pinned above).
+    model, scales = blowup
+    damaged, out = tmp_path / "m.safetensors", tmp_path / "r.json"
+    shutil.copy(config_sidecar_path(str(model)), config_sidecar_path(str(damaged)))
+    name = "model.layers.2.mlp.down_proj.weight"
+    tensors = load_tensors(str(model))
+    tensors[name][0, 0] = np.nan
+    save_tensors(str(damaged), tensors)
+    for argv in _commands(damaged, scales, out):
+        assert main(argv) == 1, argv
+        assert f"slanc: error: bad tensor {name!r}: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_foreign_fingerprint_beats_a_numerical_failure(blowup, tmp_path, capsys):
+    # s = 2^-20 multiplies every norm input by 2^20: FP16 storage makes
+    # it inf and the first LayerNorm's variance NaN.
+    model, scales = blowup
+    doc = json.loads(scales.read_text())
+    epsilon = json.loads(Path(config_sidecar_path(str(model))).read_text())["epsilon"]
+    doc["entries"] = [scale_entry(e["norm_id"], e["layer"], Formula(e["formula"]),
+                                  2.0**-20, epsilon) for e in doc["entries"]]
+    tiny, out = tmp_path / "tiny.json", tmp_path / "r.json"
+    tiny.write_text(json.dumps(doc))
+    for argv in _commands(model, tiny, out):  # the model's own fingerprint
+        assert main(argv) == 3, argv
+    capsys.readouterr()
+    tiny.write_text(json.dumps(doc | {"fingerprint": "0" * 64}))
+    for argv in _commands(model, tiny, out):
+        assert main(argv) == 1, argv
+        assert "fingerprint" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ── compare ──────────────────────────────────────────────────────────────

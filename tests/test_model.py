@@ -50,7 +50,8 @@ from slanc.model import (
     save_safetensors,
     to_tensor_dict,
 )
-from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
+from slanc.report import run_compare
+from slanc.safetensors_io import SafetensorsError, load_tensors, read_header, save_tensors
 from slanc.scales import Formula, compute_scale_table
 
 
@@ -676,14 +677,18 @@ def _count_hashes(monkeypatch) -> list:
              mlp_kind=MlpKind.STANDARD), "F32"),
 ])
 def test_load_time_digest_is_the_copying_definition(tmp_path, monkeypatch, cfg, dtype):
-    # The default name map stores every matrix transposed.
+    # The default name map stores every matrix transposed.  The stream
+    # hashes each tensor once, as its walk reads it.
     path = tmp_path / "m.safetensors"
     save_safetensors(generate_synthetic(cfg, InitSpec(std=0.05), seed=8), str(path),
                      dtype=dtype)
-    loaded = load_safetensors(str(path), config=cfg)
     calls = _count_hashes(monkeypatch)
-    assert loaded.fingerprint() == _copying_fingerprint(loaded)
-    assert calls[0] == 0
+    with open_safetensors(str(path), config=cfg) as stream:
+        for _ in stream.execution_order():
+            pass
+        fingerprint = stream.fingerprint()
+    assert calls[0] == len(load_tensors(str(path)))
+    assert fingerprint == _copying_fingerprint(load_safetensors(str(path), config=cfg))
 
 
 def _widened(graph: ModelGraph) -> ModelGraph:
@@ -750,18 +755,6 @@ def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
     loaded.layers[0].g[0, 0] += 1.0
     assert loaded.fingerprint() != before
     assert loaded.fingerprint() == _copying_fingerprint(loaded)
-
-
-def test_forward_with_a_table_does_not_rehash_a_loaded_graph(tmp_path, monkeypatch):
-    path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=10), str(path))
-    loaded = load_safetensors(str(path), config=_config())
-    table = compute_scale_table(loaded)
-    tokens = np.random.default_rng(1).standard_normal((4, 16))
-    calls = _count_hashes(monkeypatch)
-    for _ in range(2):
-        engine.forward(loaded, tokens, engine.FP16_POLICY, scales=table)
-    assert calls[0] == 0
 
 
 def test_failed_load_joins_its_hash_thread(tmp_path):
@@ -855,12 +848,21 @@ def test_streamed_walk_runs_once_and_is_fingerprinted_after(tmp_path):
                         else np.array_equal(getattr(got.weights, role), wanted)), role
 
 
-def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
-    # Memory gate: `slanc scales` holds at most two layers' arrays, the
-    # staging buffer, the hash worker's widening block and the float64
-    # temporaries of the formulas; collecting the whole graph first does
-    # not fit in that.  Pre-LN is the worst case: a layer's norm1 is fed
-    # by the previous layer's MLP.
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _gated_checkpoint(tmp_path) -> tuple:
+    """The memory gates' checkpoint, 8 pre-LN layers with a config
+    sidecar (pre-LN is the worst case: a layer's norm1 is fed by the
+    previous layer's MLP); its one-layer graph; and what a streamed walk
+    may hold besides a command's temporaries: two layers' arrays, the
+    staging buffer and the hash worker's widening block."""
     cfg = _config(d=256, layers=8, heads=4, mlp=512,
                   placement=ResidualPlacement.PRE_LN)
     graph = generate_synthetic(cfg, InitSpec(), seed=5)
@@ -870,24 +872,62 @@ def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
     with open(path, "rb") as handle:
         staging = max(entry.nbytes for entry in read_header(handle).values())
     layer = sum(array.nbytes for _, i, array in model_mod._held_tensors(graph) if i == 0)
-
-    def traced_peak(run) -> int:
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
                               layers=graph.layers[:1])
-    temporaries = traced_peak(lambda: compute_scale_table(one))
-    bound = 2 * layer + staging + model_mod._HASH_BLOCK * 8 + temporaries
-    streamed = traced_peak(
+    return path, one, 2 * layer + staging + model_mod._HASH_BLOCK * 8
+
+
+def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
+    # Memory gate: `slanc scales` holds at most two layers' arrays, the
+    # staging buffer, the hash worker's widening block and the float64
+    # temporaries of the formulas; collecting the whole graph first does
+    # not fit in that.
+    path, one, held = _gated_checkpoint(tmp_path)
+    bound = held + _traced_peak(lambda: compute_scale_table(one))
+    streamed = _traced_peak(
         lambda: main(["scales", str(path), "-o", str(tmp_path / "t.json")]))
-    whole = traced_peak(lambda: compute_scale_table(load_safetensors(str(path))))
+    whole = _traced_peak(lambda: compute_scale_table(load_safetensors(str(path))))
     assert streamed <= 1.05 * bound, (streamed, bound)
     assert whole > 1.05 * bound, (whole, bound)
+
+
+def test_streamed_audit_and_compare_hold_two_layers_not_the_graph(tmp_path):
+    # The same gate for `audit` and `compare`, whose temporaries are those
+    # of their passes: compare's three over the one-layer graph bound
+    # audit's one.
+    path, one, held = _gated_checkpoint(tmp_path)
+    table_path = tmp_path / "t.json"
+    assert main(["scales", str(path), "-o", str(table_path)]) == 0
+    tokens = np.random.default_rng(6).standard_normal((16, one.config.d_model))
+    np.save(tmp_path / "x.npy", tokens)
+    one_table = compute_scale_table(one)
+    bound = held + _traced_peak(lambda: run_compare(one, tokens, one_table))
+    inputs = ["--scales", str(table_path), "--inputs", str(tmp_path / "x.npy")]
+    for argv in (["audit", str(path), *inputs, "-o", str(tmp_path / "r.json")],
+                 ["compare", str(path), *inputs]):
+        streamed = _traced_peak(lambda: main(argv))
+        assert streamed <= 1.05 * bound, (argv[0], streamed, bound)
+    table = json.loads(table_path.read_text())
+    whole = _traced_peak(lambda: engine.forward(load_safetensors(str(path)), tokens,
+                                                engine.FP16_POLICY, scales=table))
+    assert whole > 1.05 * bound, (whole, bound)
+
+
+def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
+    path, table = tmp_path / "m.safetensors", tmp_path / "t.json"
+    assert main(["gen-model", "--d", "16", "--layers", "2", "--heads", "2",
+                 "--placement", "pre-ln", "-o", str(path)]) == 0
+    assert main(["scales", str(path), "-o", str(table)]) == 0
+    tensors = len(load_tensors(str(path)))
+    calls = _count_hashes(monkeypatch)
+    tokens = ["--tokens", "4"]
+    for argv in (["audit", str(path), *tokens, "-o", str(tmp_path / "r.json")],
+                 ["audit", str(path), "--scales", str(table), *tokens,
+                  "-o", str(tmp_path / "r.json")],
+                 ["compare", str(path), "--scales", str(table), *tokens]):
+        hashed = calls[0]
+        assert main(argv) == 0
+        assert calls[0] - hashed == tensors, argv
 
 
 def test_a_template_without_i_names_one_layer(tmp_path):

@@ -17,7 +17,7 @@ import pytest
 
 from slanc import report, serialization
 from slanc.cli import main
-from slanc.engine import FP16_POLICY, NonPositiveVarianceError, forward
+from slanc.engine import FP16_POLICY, NonPositiveVarianceError, forward, forward_passes
 from slanc.model import (
     InitSpec,
     MlpKind,
@@ -193,19 +193,24 @@ def test_run_compare_modes_and_pinned_errors(amplified_model):
     assert scaled["underflow_count"] == 0
 
 
-def test_compare_refuses_a_foreign_table_before_any_pass(small_run, monkeypatch):
+def test_compare_refuses_a_foreign_table_after_one_walk(small_run, monkeypatch):
+    # The three passes share one walk; a stream's fingerprint is known
+    # only once it is done, so the table is refused then.
     graph, _ = small_run
     other = generate_synthetic(_config(), InitSpec(std=0.05), seed=6)
-    passes = []
+    walks = []
 
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return forward(*args, **kwargs)
+    class Counted:
+        config = graph.config
+        fingerprint = graph.fingerprint
 
-    monkeypatch.setattr(report, "forward", counted)
+        def execution_order(self):
+            walks.append(1)
+            return graph.execution_order()
+
     with pytest.raises(ScaleTableError, match="fingerprint"):
-        run_compare(graph, np.ones((2, 16)), compute_scale_table(other))
-    assert len(passes) == 1
+        run_compare(Counted(), np.ones((2, 16)), compute_scale_table(other))
+    assert len(walks) == 1
 
 
 def test_compare_report_json_round_trip(small_run):
@@ -248,12 +253,13 @@ def test_compare_names_the_norm_and_token_that_failed(small_run, monkeypatch):
     x0 = np.random.default_rng(11).standard_normal((8, 16))
     untouched = run_compare(graph, x0, table)
 
-    def dying_forward(model, x, policy, scales=None):
-        if policy is FP16_POLICY and scales is None:
-            raise NonPositiveVarianceError("layer1.norm2", 5, -0.25)
-        return forward(model, x, policy, scales=scales)
+    def plain_dies(model, x, passes):
+        results = forward_passes(model, x, passes)
+        return [NonPositiveVarianceError("layer1.norm2", 5, -0.25)
+                if (policy, scales) == (FP16_POLICY, None) else result
+                for (policy, scales), result in zip(passes, results)]
 
-    monkeypatch.setattr(report, "forward", dying_forward)
+    monkeypatch.setattr(report, "forward_passes", plain_dies)
     doc = run_compare(graph, x0, table)
     fp64, fp16_row, scaled = doc["rows"]
     assert fp16_row == {
