@@ -204,15 +204,12 @@ class ModelGraph(_Norms):
         yield from _final_steps(self.config, self.final_gamma, self.final_beta)
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical weight bytes (shape-tagged, float64 LE)."""
+        """SHA-256 over every held tensor in slot order, each tagged with
+        its name, shape and held dtype (see _hash_tensor)."""
         digest = hashlib.sha256()
-        for name, array in self._canonical_tensors():
-            _hash_tensor(digest, name, array)
+        for role, layer, array in _held_tensors(self):
+            _hash_tensor(digest, role, layer, array)
         return digest.hexdigest()
-
-    def _canonical_tensors(self):
-        return ((_canonical_name(role, layer), array)
-                for role, layer, array in _held_tensors(self))
 
 
 def _layer_steps(i: int, layer: DecoderWeights, post_ln: bool) -> tuple:
@@ -275,22 +272,22 @@ def _canonical_name(role: str, layer: int | None) -> str:
     return f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
 
 
-# Values per widening block of _hash_tensor: 32 KiB of float64.
-_HASH_BLOCK = 4096
-
-
-def _hash_tensor(digest, name: str, array: np.ndarray) -> None:
-    """Feed one canonical tensor to a SHA-256: its name and shape, a NUL
-    byte, then its values as float64 little-endian in C order."""
-    digest.update(f"{name}:{_dims(array.shape)}".encode("utf-8") + b"\x00")
-    # Widened through one reused block, never copied whole; hashlib
-    # reads each block without the GIL, so a worker thread can hash.
-    flat = array.reshape(-1) if array.flags.c_contiguous else array.flat
-    block = np.empty(min(array.size, _HASH_BLOCK), dtype="<f8")
-    for start in range(0, array.size, _HASH_BLOCK):
-        chunk = block[: min(_HASH_BLOCK, array.size - start)]
-        chunk[...] = flat[start : start + chunk.size]
-        digest.update(chunk)
+def _hash_tensor(digest, role: str, layer: int | None, array: np.ndarray) -> None:
+    """Feed one tensor to a SHA-256: its name, shape and held dtype (see
+    _held_dtype), a NUL byte, then its values in that dtype, little-endian
+    and in C order.  An array already held so is hashed in place, in one
+    update that hashlib runs without the GIL, so a worker thread can hash.
+    Any other is converted once and refused if that changes a value."""
+    name = _canonical_name(role, layer)
+    dtype = np.dtype(_held_dtype(role)).newbyteorder("<")
+    with np.errstate(over="ignore"):
+        held = np.ascontiguousarray(array, dtype=dtype)
+    converted = not np.may_share_memory(held, array)
+    if converted and not np.array_equal(held, array, equal_nan=True):
+        raise ModelError(f"cannot fingerprint tensor {name!r}: its values are not "
+                         f"exact as {dtype.name}")
+    digest.update(f"{name}:{_dims(array.shape)}:{dtype.name}".encode("utf-8") + b"\x00")
+    digest.update(held)
 
 
 # ── synthetic generation ─────────────────────────────────────────────────
@@ -639,8 +636,8 @@ class ModelStream(_Norms):
                 yield from _layer_steps(layer, DecoderWeights(**held), post_ln)
 
     def fingerprint(self) -> str:
-        """The SHA-256 of ModelGraph.fingerprint(), taken as the walk read
-        each tensor; known once the walk is done."""
+        """ModelGraph.fingerprint() of the checkpoint's graph, hashed in
+        place as the walk read each held array; known once the walk is done."""
         if self._digest is None:
             raise RuntimeError("a streamed checkpoint's fingerprint is known only "
                                "once its walk is done")
@@ -706,7 +703,7 @@ class ModelStream(_Norms):
             if np.may_share_memory(array, staging):  # an F32 matrix read in place
                 array = array.copy()
             array.flags.writeable = False
-            pending.put((_canonical_name(role, layer), array))
+            pending.put((role, layer, array))
             return array
 
         with self._handle:

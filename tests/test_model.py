@@ -402,10 +402,10 @@ _BLOCKS_MAP = NameMap(
 @pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
                          ids=["default-map", "blocks-map"])
 def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, name_map):
-    # The float32 matrices and float64 vectors, one staging buffer the
-    # size of the largest stored payload and the fingerprint's widening
-    # block: the file is never held whole, and no tensor is copied twice
-    # on its way from the file to its held array.
+    # The float32 matrices and float64 vectors and one staging buffer the
+    # size of the largest stored payload: the file is never held whole,
+    # no tensor is copied twice on its way from the file to its held
+    # array, and the fingerprint hashes the held arrays in place.
     cfg = _config(d=256, layers=2, heads=4, mlp=512)
     path = tmp_path / "m.safetensors"
     save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
@@ -418,10 +418,9 @@ def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, name_map):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    weights = sum(array.nbytes for _, array in graph._canonical_tensors())
-    hash_block = model_mod._HASH_BLOCK * 8
+    weights = sum(array.nbytes for _, _, array in model_mod._held_tensors(graph))
     assert largest < path.stat().st_size / 8
-    assert peak <= 1.05 * (weights + largest + hash_block)
+    assert peak <= 1.05 * (weights + largest)
 
 
 _GATE = "model.layers.0.mlp.gate_proj.weight"
@@ -607,16 +606,19 @@ def test_fingerprint_tracks_weight_bytes():
 
 
 def _copying_fingerprint(graph: ModelGraph) -> str:
-    """The fingerprint's definition, hashing a bytes copy of each tensor."""
+    """The fingerprint's definition, hashing a bytes copy of each tensor
+    in its held dtype: float32 matrices, float64 gains and shifts."""
     digest = hashlib.sha256()
-    tagged = [(f"{i}:{role}", getattr(layer, role))
+    tagged = [(f"{i}:{role}", getattr(layer, role), role in model_mod.MATRIX_ROLES)
               for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
-    tagged += [("final:gamma", graph.final_gamma), ("final:beta", graph.final_beta)]
-    for tag, array in tagged:
+    tagged += [("final:gamma", graph.final_gamma, False),
+               ("final:beta", graph.final_beta, False)]
+    for tag, array, matrix in tagged:
         if array is not None:
+            dtype = np.dtype("<f4" if matrix else "<f8")
             dims = "x".join(str(n) for n in array.shape)
-            digest.update(f"{tag}:{dims}".encode("utf-8") + b"\x00")
-            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            digest.update(f"{tag}:{dims}:{dtype.name}".encode("utf-8") + b"\x00")
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return digest.hexdigest()
 
 
@@ -624,25 +626,43 @@ def test_fingerprint_matches_the_copying_definition():
     cfg = _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN)
     graph = generate_synthetic(cfg, InitSpec(), seed=6)
     assert graph.fingerprint() == _copying_fingerprint(graph)
-    # Fortran-ordered and float32 arrays hash as their float64 C-order
-    # values; generated weights are float32-representable, so the
-    # fingerprint does not move.
+    # Fortran-ordered arrays and arrays in another dtype hash as their
+    # values in the held dtype and C order; the conversions are exact
+    # here, so the fingerprint does not move.
     layer = graph.layers[0]
     mixed = dataclasses.replace(
         layer,
         gamma1=layer.gamma1.astype(np.float32),
         w_q=np.asfortranarray(layer.w_q),
-        e=layer.e.astype(np.float32),
-        g=np.asfortranarray(layer.g, dtype=np.float32),
+        e=layer.e.astype(np.float64),
+        g=np.asfortranarray(layer.g, dtype=np.float64),
     )
     other = dataclasses.replace(graph, layers=(mixed,) + graph.layers[1:])
     assert other.fingerprint() == _copying_fingerprint(other)
     assert other.fingerprint() == graph.fingerprint()
 
 
+@pytest.mark.parametrize("value", [1 + 2.0**-40, 1e39],
+                         ids=["rounds-to-1", "overflows-to-inf"])
+def test_fingerprint_refuses_a_value_its_held_dtype_cannot_hold(value):
+    # Hashing the converted value would give this graph the fingerprint
+    # of other weights.
+    cfg = _config(norm_kind=NormKind.LAYER_NORM)
+    graph = generate_synthetic(cfg, InitSpec(), seed=6)
+    layer = graph.layers[0]
+    e = layer.e.astype(np.float64)
+    e[1, 2] = value
+    rounded = dataclasses.replace(graph, layers=(dataclasses.replace(layer, e=e),)
+                                  + graph.layers[1:])
+    with pytest.raises(ModelError, match="'0:e'.*float32"):
+        rounded.fingerprint()
+    e[1, 2] = 1.0
+    assert rounded.fingerprint() == _copying_fingerprint(rounded)
+
+
 def test_fingerprint_hashes_weights_in_place():
-    # Each matrix here is 0.5-1 MiB as float64; hashing widens the
-    # float32 ones through one small block and allocates none of them.
+    # Each matrix here is 0.25-0.5 MiB as float32; hashing reads the held
+    # arrays in place and allocates none of them.
     cfg = _config(d=256, layers=1, heads=4, mlp=512)
     graph = generate_synthetic(cfg, InitSpec(), seed=7)
     tracemalloc.start()
@@ -861,8 +881,8 @@ def _gated_checkpoint(tmp_path) -> tuple:
     """The memory gates' checkpoint, 8 pre-LN layers with a config
     sidecar (pre-LN is the worst case: a layer's norm1 is fed by the
     previous layer's MLP); its one-layer graph; and what a streamed walk
-    may hold besides a command's temporaries: two layers' arrays, the
-    staging buffer and the hash worker's widening block."""
+    may hold besides a command's temporaries: two layers' arrays and the
+    staging buffer."""
     cfg = _config(d=256, layers=8, heads=4, mlp=512,
                   placement=ResidualPlacement.PRE_LN)
     graph = generate_synthetic(cfg, InitSpec(), seed=5)
@@ -874,14 +894,13 @@ def _gated_checkpoint(tmp_path) -> tuple:
     layer = sum(array.nbytes for _, i, array in model_mod._held_tensors(graph) if i == 0)
     one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
                               layers=graph.layers[:1])
-    return path, one, 2 * layer + staging + model_mod._HASH_BLOCK * 8
+    return path, one, 2 * layer + staging
 
 
 def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
     # Memory gate: `slanc scales` holds at most two layers' arrays, the
-    # staging buffer, the hash worker's widening block and the float64
-    # temporaries of the formulas; collecting the whole graph first does
-    # not fit in that.
+    # staging buffer and the float64 temporaries of the formulas;
+    # collecting the whole graph first does not fit in that.
     path, one, held = _gated_checkpoint(tmp_path)
     bound = held + _traced_peak(lambda: compute_scale_table(one))
     streamed = _traced_peak(

@@ -396,7 +396,7 @@ GOLDEN_TABLES = {
     "post_ln_gated": (
         _config(d=32, layers=2, heads=2, mlp=64),
         InitSpec(std=0.05, amplify={"e": 8.0, "g": 8.0}), 101,
-        "2da57518045a63e840bc9b8b2b9ab38c666ad2b152bc136b2c60dd71d3cbac83",
+        "4f5419ae9f68648117f367fe1b72649fabefdd362d160e864101ec1da6ffde5f",
         [("layer0.norm1", "0x1.6b28bf919b100p+2"),
          ("layer0.norm2", "0x1.ad44fbc59a5f5p+4"),
          ("layer1.norm1", "0x1.700ac541d1c41p+2"),
@@ -406,7 +406,7 @@ GOLDEN_TABLES = {
         _config(d=32, layers=3, heads=4, mlp=48,
                 placement=ResidualPlacement.PRE_LN, epsilon=1e-6),
         InitSpec(std=0.05, amplify={"e": 16.0, "b": 4.0}), 202,
-        "bbd33df3dd3bdbbb546a3393e8c8671aaa8eaac5d904b868ab58ec20b4f29411",
+        "0eda31324c08aac52fcbc451febf0c1441c2680edb5d2fe104dbf9f24bfe2c65",
         [("layer0.norm1", "0x1.0000000000000p+0"),
          ("layer0.norm2", "0x1.6db86f9921f38p+2"),
          ("layer1.norm1", "0x1.65ccc5f899255p+4"),
@@ -420,7 +420,7 @@ GOLDEN_TABLES = {
                 placement=ResidualPlacement.PRE_LN, mlp_kind=MlpKind.STANDARD,
                 nonlinearity=Nonlinearity.GELU),
         InitSpec(std=0.05, amplify={"w_v": 4.0}), 303,
-        "403b2030a3ccde0f82ea8300851da51d52fc81958bb8d0bae65226a065fd94ee",
+        "d9935a0a78ef933799c4688445a42283cf17d08a907312d5576f9d2a48414e97",
         [("layer0.norm1", "0x1.0000000000000p+0"),
          ("layer0.norm2", "0x1.3f058706e4a97p+2"),
          ("layer1.norm1", "0x1.363020c74ccb5p+2"),
