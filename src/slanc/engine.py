@@ -1,8 +1,9 @@
 """Instrumented decoder forward pass in two precision modes.
 
 The reference mode runs everything in double.  The reduced mode keeps
-matmuls in double (wide MAC accumulators) but rounds every activation
-to binary16 between ops and, crucially, runs each norm's sum-of-squares
+matmuls in double (wide MAC accumulators; linalg.matmul widens a
+float32 weight one tile at a time) but rounds every activation to
+binary16 between ops and, crucially, runs each norm's sum-of-squares
 accumulation in emulated FP16: that accumulation is the one step whose
 dynamic range binary16 cannot cover, and every norm evaluation is
 audited so overflow/underflow can be counted and histogrammed.
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fp16
+from .linalg import matmul
 from .model import (
     DecoderWeights,
     MlpKind,
@@ -231,9 +233,9 @@ def attention_forward(
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected n_tokens x {d} activations, got {x.shape}")
     n = x.shape[0]
-    q = _store(x @ weights.w_q, policy)
-    k = _store(x @ weights.w_k, policy)
-    v = _store(x @ weights.w_v, policy)
+    q = _store(matmul(x, weights.w_q), policy)
+    k = _store(matmul(x, weights.w_k), policy)
+    v = _store(matmul(x, weights.w_v), policy)
     mask = np.triu_indices(n, k=1)
     heads = []
     for h in range(config.n_heads):
@@ -247,7 +249,7 @@ def attention_forward(
         s = weights_exp / weights_exp.sum(axis=1, keepdims=True)
         s = _store(s, policy)
         heads.append(_store(s @ v[:, cols], policy))
-    return _store(np.hstack(heads) @ weights.p, policy)
+    return _store(matmul(np.hstack(heads), weights.p), policy)
 
 
 def mlp_forward(
@@ -262,11 +264,11 @@ def mlp_forward(
     e = weights.e
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
-    gate = _store(_nonlinearity(_store(x @ e, policy), nonlinearity), policy)
+    gate = _store(_nonlinearity(_store(matmul(x, e), policy), nonlinearity), policy)
     if mlp_kind is MlpKind.LLAMA_GATED:
-        up = _store(x @ weights.b, policy)
+        up = _store(matmul(x, weights.b), policy)
         gate = _store(gate * up, policy)
-    return _store(gate @ weights.g, policy)
+    return _store(matmul(gate, weights.g), policy)
 
 
 # ── the full pass ────────────────────────────────────────────────────────
@@ -334,6 +336,7 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
     for step in model.execution_order():
         for run in runs:
             run.advance(step)
+        del step  # a sublayer's weights go before the walk reads the next layer
     for _, scales in passes:
         if scales is not None:
             read_scale_table(scales, model)

@@ -10,9 +10,9 @@ a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
 
 A checkpoint comes in through one reader: open_safetensors streams it
-one decoder layer at a time and holds at most two layers.  Every `slanc`
-command walks that stream once; load_safetensors collects the walk into
-a ModelGraph for tests and library use.
+one decoder layer at a time and drops each layer before it reads the
+next.  Every `slanc` command walks that stream once; load_safetensors
+collects the walk into a ModelGraph for tests and library use.
 """
 
 from __future__ import annotations
@@ -600,11 +600,12 @@ class ModelStream(_Norms):
     It offers what compute_scale_table and engine.forward read of a
     ModelGraph: config, norm_sites, an execution_order() that may be
     walked once, and a fingerprint() known once that walk is done.  A
-    layer is dropped once the walk has moved past it, so the walk holds
-    at most two layers (pre-LN's norm1 is fed by the previous layer's
-    MLP), counting the tensors still waiting to be hashed.  A context
-    manager: leaving it closes the file and stops the hash worker,
-    however far the walk got."""
+    layer is dropped before the next one is read, so a walk holds one
+    layer unless its consumer keeps a step (compute_scale_table keeps
+    pre-LN's last MLP for the next norm1), besides the tensors still
+    waiting to be hashed (at most a layer's).  A context manager:
+    leaving it closes the file and stops the hash worker, however far
+    the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
         self.config = config
@@ -634,6 +635,7 @@ class ModelStream(_Norms):
                 yield from _final_steps(self.config, held["final_gamma"], held["final_beta"])
             else:
                 yield from _layer_steps(layer, DecoderWeights(**held), post_ln)
+            del held  # the layer goes before the reader reads the next one
 
     def fingerprint(self) -> str:
         """ModelGraph.fingerprint() of the checkpoint's graph, hashed in

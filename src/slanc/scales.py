@@ -26,9 +26,9 @@ and refuses any table not written for this model and its epsilon;
 entry_scales runs its entry checks alone, before a stream's walk.
 
 A graph holds its matrices as float32, yet every formula runs in
-float64: a product of two weights widens its left operand first, since
-numpy multiplies two float32 operands in single precision, and every
-other product meets a float64 gain.
+float64: linalg widens each weight one tile at a time, with the bits of
+the one-shot products, and _grown works in place on the d x d product,
+so a formula holds that product or the Gram matrix and two tiles.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import ConvergenceError, frobenius_norm, spectral_norm
+from .linalg import ConvergenceError, matmul, spectral_norm
 from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, Sublayer, outline
 
 # Scales below binary16 subnormal resolution mean the feeding block
@@ -82,9 +82,14 @@ def _check_dims(gamma: np.ndarray, pairs: list[tuple[str, np.ndarray, tuple[int,
             )
 
 
-def _grown(gamma: np.ndarray, product: np.ndarray) -> float:
-    """||Gamma (product + I)||_F; a value below DEGENERATE_THRESHOLD is refused."""
-    value = frobenius_norm(gamma[:, None] * (product + np.eye(gamma.size)))
+def _grown(gamma: np.ndarray, m: np.ndarray) -> float:
+    """||Gamma (m + I)||_F in place on m, a float64 d x d product; a value
+    below DEGENERATE_THRESHOLD is refused.  Adding I only on the diagonal
+    skips the off-diagonal -0.0 + 0.0, whose square is +0 either way."""
+    m.flat[:: gamma.size + 1] += 1.0
+    m *= gamma[:, None]
+    m *= m
+    value = math.sqrt(float(np.sum(m)))
     if value < DEGENERATE_THRESHOLD:
         raise DegenerateScaleError(value)
     return value
@@ -94,7 +99,7 @@ def scale_standard_mlp(gamma: np.ndarray, e: np.ndarray, g: np.ndarray) -> float
     """||Gamma (E G + I)||_F for a plain two-projection MLP."""
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("g", g, (m, d))])
-    return _grown(gamma, np.asarray(e, dtype=np.float64) @ g)
+    return _grown(gamma, matmul(e, g))
 
 
 def scale_llama_mlp(
@@ -109,8 +114,10 @@ def scale_llama_mlp(
     """
     d, m = gamma.size, np.shape(e)[-1]
     _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
-    gate_gain = spectral_norm(gamma[:, None] * e)
-    return _grown(gamma, gate_gain * (np.asarray(b, dtype=np.float64) @ g))
+    gate_gain = spectral_norm(e, gamma)  # its Gram matrix is freed first
+    gated = matmul(b, g)
+    gated *= gate_gain
+    return _grown(gamma, gated)
 
 
 def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
@@ -122,7 +129,7 @@ def scale_attention(gamma: np.ndarray, w_v: np.ndarray, p: np.ndarray) -> float:
     """
     d, k = gamma.size, np.shape(w_v)[-1]
     _check_dims(gamma, [("w_v", w_v, (d, k)), ("p", p, (k, d))])
-    return _grown(gamma, np.asarray(w_v, dtype=np.float64) @ p)
+    return _grown(gamma, matmul(w_v, p))
 
 
 def adjust_epsilon(epsilon: float, s: float) -> float:
@@ -187,7 +194,8 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
 
     Walks model.execution_order() once, as the module docstring
     describes, and reads model.fingerprint() after it, so a ModelStream
-    holds at most two layers and fails at the first fault in walk order.
+    holds one layer (two pre-LN, where norm1 is fed by the previous
+    layer's MLP) and fails at the first fault in walk order.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
     bitwise-identical tables.  Degenerate and spectral-norm failures
@@ -202,6 +210,7 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
             raise
         entries.append(scale_entry(site.norm_id, site.layer, formula, s,
                                    model.config.epsilon))
+        del fed_by  # its weights go before the walk reads the next layer
     return {"fingerprint": model.fingerprint(), "entries": entries}
 
 

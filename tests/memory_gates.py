@@ -1,0 +1,60 @@
+"""What the memory gates measure with, for tests.
+
+`traced_peak` is the one measure every gate uses: the largest total of
+allocations tracemalloc traced (numpy arrays included) while a call
+ran.  `gate_checkpoint` writes the checkpoint the streamed-walk gates
+read and says what a walk over it may hold besides a command's
+temporaries.  Test files import this module as they import `conftest`;
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+from pathlib import Path
+
+from slanc import serialization
+from slanc.model import (
+    InitSpec,
+    ModelConfig,
+    ModelGraph,
+    _held_tensors,
+    config_sidecar_path,
+    generate_synthetic,
+    save_safetensors,
+)
+from slanc.safetensors_io import read_header
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced while run() ran, its result included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@dataclasses.dataclass(frozen=True)
+class GateCheckpoint:
+    path: Path  # the checkpoint, with a config sidecar
+    one: ModelGraph  # its first layer alone, as a one-layer graph
+    layer: int  # bytes of one layer's held arrays
+    staging: int  # bytes of the walk's staging buffer: the largest payload
+
+
+def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateCheckpoint:
+    """A synthetic checkpoint of cfg in directory, saved with its config
+    sidecar, and the sizes a streamed walk over it is bounded by."""
+    graph = generate_synthetic(cfg, InitSpec(), seed=seed)
+    path = directory / "m.safetensors"
+    save_safetensors(graph, str(path))
+    Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
+    with open(path, "rb") as handle:
+        staging = max(entry.nbytes for entry in read_header(handle).values())
+    layer = sum(array.nbytes for _, i, array in _held_tensors(graph) if i == 0)
+    one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
+                              layers=graph.layers[:1])
+    return GateCheckpoint(path, one, layer, staging)

@@ -1,8 +1,9 @@
-"""Tests for the double-precision matrix norms.
+"""Tests for the double-precision matrix norms and tiled products.
 
-Oracles: direct elementwise summation for the Frobenius norm, and dense
-SVD of the matrix itself (a different LAPACK driver from the symmetric
-eigensolver on the Gram matrix) for the spectral norm.
+Oracles: direct elementwise summation for the Frobenius norm, dense SVD
+of the matrix itself (a different LAPACK driver from the symmetric
+eigensolver on the Gram matrix) for the spectral norm, and the one-shot
+float64 product and Gram matrix, bit for bit, for the tiled ones.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from memory_gates import traced_peak
+from slanc import linalg
 from slanc.linalg import ConvergenceError, frobenius_norm, spectral_norm
 from slanc.model import (
     DecoderWeights,
@@ -190,3 +193,107 @@ def test_float32_input_is_computed_in_double():
         assert frobenius_norm(m) == frobenius_norm(wide), m.shape
         assert spectral_norm(m) == spectral_norm(wide), m.shape
         assert math.isfinite(spectral_norm(m)), m.shape
+
+
+# ── tiled products ───────────────────────────────────────────────────────
+# matmul and gram_lower widen float32 weights one tile at a time.  Each
+# output tile is one BLAS call over the full inner dimension, so it must
+# sum in the one-shot product's order: a BLAS whose kernels sum in
+# another order for a tile (an edge kernel, a small-matrix kernel) fails
+# here instead of silently moving a scale table.
+
+
+def _counting_matmul(monkeypatch) -> list:
+    """Count the BLAS calls linalg makes from here on."""
+    calls, real = [0], np.matmul
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.np, "matmul", counting)
+    return calls
+
+
+# (rows, inner, columns) and whether the product is tiled: by columns
+# when b is float32, by rows when a is float32 and has 256 rows or more
+_PRODUCTS = [
+    ((1, 512, 12288), True),  # one row: matrix-vector calls
+    ((16, 1024, 1008), True),
+    ((256, 700, 1040), True),  # 1040 columns: not a multiple of a tile
+    ((512, 1500, 512), True),
+    ((8, 8, 8), False),  # below every tile bound
+    ((512, 1408, 1001), False),  # a ragged column count is not tiled
+]
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float32),
+                                    (np.float32, np.float64), (np.float64, np.float64)],
+                         ids=lambda pair: "@".join(t.__name__ for t in pair))
+def test_matmul_is_the_one_shot_product_bit_for_bit(small_tiles, monkeypatch, dtypes):
+    rng = np.random.default_rng(67)
+    calls = _counting_matmul(monkeypatch)
+    for (n, k, p), tiled in _PRODUCTS:
+        a = rng.standard_normal((n, k)).astype(dtypes[0])
+        b = rng.standard_normal((k, p)).astype(dtypes[1])
+        want = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        before = calls[0]
+        assert np.array_equal(linalg.matmul(a, b), want), (n, k, p)
+        by_columns = dtypes[1] is np.float32
+        by_rows = dtypes[0] is np.float32 and n >= 256
+        assert (calls[0] - before > 1) == (tiled and (by_columns or by_rows)), (n, k, p)
+
+
+def test_matmul_of_the_wide_shapes_is_the_one_shot_product(monkeypatch):
+    # The bench's wide model (d=1024, m=2816) at the real tile bounds:
+    # the gated formula's B G, the attention formula's W_V P, and the
+    # engine's 16-token products with E and G.
+    rng = np.random.default_rng(71)
+    d, m = 1024, 2816
+    calls = _counting_matmul(monkeypatch)
+    f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+    for a, b in [(f32(d, m), f32(m, d)), (f32(d, d), f32(d, d)),
+                 (rng.standard_normal((16, d)), f32(d, m)),
+                 (rng.standard_normal((16, m)), f32(m, d))]:
+        before = calls[0]
+        want = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        assert np.array_equal(linalg.matmul(a, b), want), (a.shape, b.shape)
+        assert calls[0] - before > 1, (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("shape", [(512, 1408), (256, 700), (700, 256), (1000, 300),
+                                   (48, 48), (300, 1001)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_gram_lower_is_the_one_shot_gram_bit_for_bit(small_tiles, shape):
+    # Against a aᵀ (or aᵀa, when a is tall), which numpy computes with one
+    # syrk; LAPACK's symmetric solver reads only the lower triangle.
+    rng = np.random.default_rng(73)
+    a = rng.standard_normal(shape).astype(np.float32)
+    scale = rng.standard_normal(shape[0])
+    x = scale[:, None] * a
+    want = x @ x.T if shape[0] <= shape[1] else x.T @ x
+    got = linalg.gram_lower(a, scale)
+    lower = np.tril_indices(min(shape))
+    assert np.array_equal(got[lower], want[lower])
+    assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(want))
+
+
+def test_tiled_products_hold_two_tiles(monkeypatch):
+    # Memory gate, bound from shapes: the float64 result and the widest
+    # outer and inner tile, nothing the size of a widened operand.
+    monkeypatch.setattr(linalg, "_TILE_BYTES", 1 << 20)
+    monkeypatch.setattr(linalg, "_OUTER_BYTES", 4 << 20)
+    rng = np.random.default_rng(79)
+    d, m = 512, 2048
+    a = rng.standard_normal((d, m)).astype(np.float32)
+    b = rng.standard_normal((m, d)).astype(np.float32)
+    scale = rng.standard_normal(d)
+    tile_bytes = [8 * m * max(span.stop - span.start
+                              for span in linalg._tiles(0, d, m, d, bound))
+                  for bound in (linalg._OUTER_BYTES, linalg._TILE_BYTES)]
+    bound = 8 * d * d + sum(tile_bytes)
+    assert sum(tile_bytes) < 8 * d * m  # so one widened operand would not fit
+    assert traced_peak(lambda: linalg.matmul(a, b)) <= 1.05 * bound
+    assert traced_peak(lambda: linalg.gram_lower(a, scale)) <= 1.05 * bound
+    whole = traced_peak(lambda: np.asarray(a, dtype=np.float64) @ b)
+    assert whole > 1.05 * bound

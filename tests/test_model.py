@@ -18,13 +18,12 @@ import os
 import re
 import struct
 import threading
-import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memory_gates import gate_checkpoint, traced_peak
 from model_validate import validate
 from slanc import engine, serialization
 from slanc.cli import main
@@ -412,12 +411,8 @@ def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, name_map):
                      name_map=name_map)
     with open(path, "rb") as handle:
         largest = max(entry.nbytes for entry in read_header(handle).values())
-    tracemalloc.start()
-    try:
-        graph = load_safetensors(str(path), name_map=name_map, config=cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: load_safetensors(str(path), name_map=name_map, config=cfg))
+    graph = load_safetensors(str(path), name_map=name_map, config=cfg)
     weights = sum(array.nbytes for _, _, array in model_mod._held_tensors(graph))
     assert largest < path.stat().st_size / 8
     assert peak <= 1.05 * (weights + largest)
@@ -665,13 +660,7 @@ def test_fingerprint_hashes_weights_in_place():
     # arrays in place and allocates none of them.
     cfg = _config(d=256, layers=1, heads=4, mlp=512)
     graph = generate_synthetic(cfg, InitSpec(), seed=7)
-    tracemalloc.start()
-    try:
-        graph.fingerprint()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert traced_peak(graph.fingerprint) < 64 * 1024
 
 
 def _count_hashes(monkeypatch) -> list:
@@ -868,68 +857,55 @@ def test_streamed_walk_runs_once_and_is_fingerprinted_after(tmp_path):
                         else np.array_equal(getattr(got.weights, role), wanted)), role
 
 
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _gate_config(placement: ResidualPlacement) -> ModelConfig:
+    return _config(d=256, layers=8, heads=4, mlp=512, placement=placement)
 
 
-def _gated_checkpoint(tmp_path) -> tuple:
-    """The memory gates' checkpoint, 8 pre-LN layers with a config
-    sidecar (pre-LN is the worst case: a layer's norm1 is fed by the
-    previous layer's MLP); its one-layer graph; and what a streamed walk
-    may hold besides a command's temporaries: two layers' arrays and the
-    staging buffer."""
-    cfg = _config(d=256, layers=8, heads=4, mlp=512,
-                  placement=ResidualPlacement.PRE_LN)
-    graph = generate_synthetic(cfg, InitSpec(), seed=5)
-    path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
-    Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
-    with open(path, "rb") as handle:
-        staging = max(entry.nbytes for entry in read_header(handle).values())
-    layer = sum(array.nbytes for _, i, array in model_mod._held_tensors(graph) if i == 0)
-    one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
-                              layers=graph.layers[:1])
-    return path, one, 2 * layer + staging
+def test_streamed_scales_hold_one_layer_post_ln_two_pre_ln(tmp_path, small_tiles):
+    # Memory gate: `slanc scales` holds the staging buffer, the float64
+    # temporaries of the formulas and one layer's arrays; pre-LN keeps a
+    # second, since a layer's norm1 is fed by the previous layer's MLP.
+    # Collecting the whole graph first fits in neither.  Small tiles keep
+    # the temporaries below a layer, so a layer held too long shows.
+    for placement, layers in ((ResidualPlacement.POST_LN, 1), (ResidualPlacement.PRE_LN, 2)):
+        directory = tmp_path / placement.value
+        directory.mkdir()
+        gate = gate_checkpoint(directory, _gate_config(placement))
+        bound = (layers * gate.layer + gate.staging
+                 + traced_peak(lambda: compute_scale_table(gate.one)))
+        streamed = traced_peak(
+            lambda: main(["scales", str(gate.path), "-o", str(directory / "t.json")]))
+        whole = traced_peak(
+            lambda: compute_scale_table(load_safetensors(str(gate.path))))
+        assert streamed <= 1.05 * bound, (placement, streamed, bound)
+        assert whole > 1.05 * bound, (placement, whole, bound)
 
 
-def test_streamed_scales_hold_two_layers_not_the_graph(tmp_path):
-    # Memory gate: `slanc scales` holds at most two layers' arrays, the
-    # staging buffer and the float64 temporaries of the formulas;
-    # collecting the whole graph first does not fit in that.
-    path, one, held = _gated_checkpoint(tmp_path)
-    bound = held + _traced_peak(lambda: compute_scale_table(one))
-    streamed = _traced_peak(
-        lambda: main(["scales", str(path), "-o", str(tmp_path / "t.json")]))
-    whole = _traced_peak(lambda: compute_scale_table(load_safetensors(str(path))))
-    assert streamed <= 1.05 * bound, (streamed, bound)
-    assert whole > 1.05 * bound, (whole, bound)
-
-
-def test_streamed_audit_and_compare_hold_two_layers_not_the_graph(tmp_path):
-    # The same gate for `audit` and `compare`, whose temporaries are those
-    # of their passes: compare's three over the one-layer graph bound
-    # audit's one.
-    path, one, held = _gated_checkpoint(tmp_path)
-    table_path = tmp_path / "t.json"
-    assert main(["scales", str(path), "-o", str(table_path)]) == 0
-    tokens = np.random.default_rng(6).standard_normal((16, one.config.d_model))
-    np.save(tmp_path / "x.npy", tokens)
-    one_table = compute_scale_table(one)
-    bound = held + _traced_peak(lambda: run_compare(one, tokens, one_table))
-    inputs = ["--scales", str(table_path), "--inputs", str(tmp_path / "x.npy")]
-    for argv in (["audit", str(path), *inputs, "-o", str(tmp_path / "r.json")],
-                 ["compare", str(path), *inputs]):
-        streamed = _traced_peak(lambda: main(argv))
-        assert streamed <= 1.05 * bound, (argv[0], streamed, bound)
-    table = json.loads(table_path.read_text())
-    whole = _traced_peak(lambda: engine.forward(load_safetensors(str(path)), tokens,
-                                                engine.FP16_POLICY, scales=table))
-    assert whole > 1.05 * bound, (whole, bound)
+def test_streamed_audit_and_compare_hold_one_layer_not_the_graph(tmp_path, small_tiles):
+    # The gate for `audit` and `compare`, in both placements: one layer's
+    # arrays, the staging buffer and the temporaries of their passes
+    # (compare's three over the one-layer graph bound audit's one).  A
+    # step's weights are dropped before the walk reads the next layer.
+    for placement in ResidualPlacement:
+        directory = tmp_path / placement.value
+        directory.mkdir()
+        gate = gate_checkpoint(directory, _gate_config(placement))
+        table_path = directory / "t.json"
+        assert main(["scales", str(gate.path), "-o", str(table_path)]) == 0
+        tokens = np.random.default_rng(6).standard_normal((16, gate.one.config.d_model))
+        np.save(directory / "x.npy", tokens)
+        one_table = compute_scale_table(gate.one)
+        bound = (gate.layer + gate.staging
+                 + traced_peak(lambda: run_compare(gate.one, tokens, one_table)))
+        inputs = ["--scales", str(table_path), "--inputs", str(directory / "x.npy")]
+        for argv in (["audit", str(gate.path), *inputs, "-o", str(directory / "r.json")],
+                     ["compare", str(gate.path), *inputs]):
+            streamed = traced_peak(lambda: main(argv))
+            assert streamed <= 1.05 * bound, (placement, argv[0], streamed, bound)
+        table = json.loads(table_path.read_text())
+        whole = traced_peak(lambda: engine.forward(load_safetensors(str(gate.path)), tokens,
+                                                   engine.FP16_POLICY, scales=table))
+        assert whole > 1.05 * bound, (placement, whole, bound)
 
 
 def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from slanc import serialization
-from slanc.linalg import ConvergenceError, spectral_norm
+from memory_gates import traced_peak
+from slanc import linalg, serialization
+from slanc.linalg import ConvergenceError, frobenius_norm, spectral_norm
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -125,6 +126,50 @@ def test_formula_identity_for_unit_gamma():
     expected = float(np.linalg.norm(e @ g + np.eye(6), "fro"))
     s = scale_standard_mlp(np.ones(6), e, g)
     assert math.isclose(s, expected, rel_tol=1e-13)
+
+
+def _llama_widened_whole(gamma, e, b, g) -> float:
+    """scale_llama_mlp as written before its products were tiled: every
+    weight widened whole, the identity added as np.eye."""
+    x = gamma[:, None] * e
+    gate_gain = math.sqrt(max(float(np.linalg.eigvalsh(x @ x.T)[-1]), 0.0))
+    grown = gate_gain * (np.asarray(b, dtype=np.float64) @ g) + np.eye(gamma.size)
+    return frobenius_norm(gamma[:, None] * grown)
+
+
+def _attention_widened_whole(gamma, w_v, p) -> float:
+    grown = np.asarray(w_v, dtype=np.float64) @ p + np.eye(gamma.size)
+    return frobenius_norm(gamma[:, None] * grown)
+
+
+def test_formulas_hold_a_product_a_gram_and_two_tiles():
+    # Memory gate, bound from shapes (d=512, m=1408): the d x d float64
+    # product, the d x d Gram and the widest outer and inner tile of a
+    # weight (see linalg), 5% over; the tiles give the same bits.  The
+    # gated formula widened each weight whole before, which does not
+    # fit; attention's 512 x 512 weights are each below one tile.
+    rng = np.random.default_rng(5)
+    d, m = 512, 1408
+    gamma = rng.standard_normal(d)
+    e, b = (rng.standard_normal((d, m)).astype(np.float32) for _ in range(2))
+    g = rng.standard_normal((m, d)).astype(np.float32)
+    w_v, p = (rng.standard_normal((d, d)).astype(np.float32) for _ in range(2))
+
+    def widest(k: int, bound: int) -> int:  # bytes of the widest tile
+        return 8 * k * max(span.stop - span.start
+                           for span in linalg._tiles(0, d, k, d, bound))
+
+    for formula, whole, weights, k, whole_fits in (
+        (scale_llama_mlp, _llama_widened_whole, (e, b, g), m, False),
+        (scale_attention, _attention_widened_whole, (w_v, p), d, True),
+    ):
+        tiles = widest(k, linalg._OUTER_BYTES) + widest(k, linalg._TILE_BYTES)
+        bound = 1.05 * (2 * 8 * d * d + tiles)
+        peak = traced_peak(lambda: formula(gamma, *weights))
+        assert peak <= bound, (formula.__name__, peak, bound)
+        widened = traced_peak(lambda: whole(gamma, *weights))
+        assert (widened <= bound) == whole_fits, (formula.__name__, widened, bound)
+        assert formula(gamma, *weights) == whole(gamma, *weights)
 
 
 # ── epsilon adjustment ───────────────────────────────────────────────────
