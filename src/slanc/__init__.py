@@ -3,7 +3,7 @@ inference, plus the bit-exact binary16 emulator used to prove it works.
 
 Submodules:
     fp16            batched binary16 kernels and the audited accumulator
-    linalg          Frobenius and spectral norms, in float64
+    linalg          spectral norms and tiled products, in float64
     scales          the closed-form scale factors, the scale table
                     document and its strict reader
     model           configs, synthetic weights, safetensors ingestion

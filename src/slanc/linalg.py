@@ -45,12 +45,6 @@ class ConvergenceError(Exception):
         return f"{self.message}{where}"
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entries, in double precision."""
-    a = np.asarray(a, dtype=np.float64)
-    return math.sqrt(float(np.sum(a * a)))
-
-
 def _tiles(start: int, stop: int, k: int, other: int, bound: int) -> list[slice]:
     """range(start, stop) in about equal tiles of k float64 per row, edges
     at multiples of _ALIGN from start, each at most bound bytes (plus

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import queue
 import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -267,18 +266,14 @@ def _assemble(cfg: ModelConfig, arrays: dict) -> ModelGraph:
     )
 
 
-def _canonical_name(role: str, layer: int | None) -> str:
-    """A tensor's name in the fingerprint: "<layer>:<role>" or "final:<gamma|beta>"."""
-    return f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
-
-
 def _hash_tensor(digest, role: str, layer: int | None, array: np.ndarray) -> None:
-    """Feed one tensor to a SHA-256: its name, shape and held dtype (see
-    _held_dtype), a NUL byte, then its values in that dtype, little-endian
-    and in C order.  An array already held so is hashed in place, in one
-    update that hashlib runs without the GIL, so a worker thread can hash.
-    Any other is converted once and refused if that changes a value."""
-    name = _canonical_name(role, layer)
+    """Feed one tensor to a SHA-256: its name ("<layer>:<role>" or
+    "final:<gamma|beta>"), shape and held dtype (see _held_dtype), a NUL
+    byte, then its values in that dtype, little-endian and in C order.  An
+    array already held so is hashed in place, in one update that hashlib
+    runs without the GIL, so a second thread can hash.  Any other is
+    converted once and refused if that changes a value."""
+    name = f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
     dtype = np.dtype(_held_dtype(role)).newbyteorder("<")
     with np.errstate(over="ignore"):
         held = np.ascontiguousarray(array, dtype=dtype)
@@ -465,8 +460,11 @@ def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
     """Flatten a graph to {tensor name: array} in storage orientation, in
     slot order (_slots), the order load_safetensors reads and hashes."""
     nm = name_map or default_name_map()
-    return {nm.tensor_name(role, layer): array.T if role in nm.transpose else array
-            for role, layer, array in _held_tensors(graph)}
+    named = [(role, layer, nm.tensor_name(role, layer), array)
+             for role, layer, array in _held_tensors(graph)]
+    _check_distinct(named)
+    return {name: array.T if role in nm.transpose else array
+            for role, _, name, array in named}
 
 
 def save_safetensors(graph: ModelGraph, path: str, name_map: NameMap | None = None,
@@ -565,17 +563,11 @@ def _plan(entries: dict, cfg: ModelConfig, nm: NameMap) -> list:
     for role, layer in _slots(cfg.n_layers):
         unused = _unused_reason(cfg, role)
         name = nm.tensor_name(role, layer) if unused is None or role in nm.roles else None
-        slots.append((role, layer, unused, name))
-    # One tensor in two slots would be loaded into both.
-    named_by: dict = {}
-    for role, layer, _, name in slots:
-        other = named_by.setdefault(name, (role, layer))
-        if name is not None and other != (role, layer):
-            raise ModelError(f"bad name map: roles {_slot_label(*other)} and "
-                             f"{_slot_label(role, layer)} both name tensor {name!r}")
+        slots.append((role, layer, name, unused))
+    _check_distinct(slots)
     shapes = _role_shapes(cfg)
     plan = []
-    for role, layer, unused, name in slots:
+    for role, layer, name, unused in slots:
         entry = entries.get(name)
         if entry is None and unused is None:
             raise ModelError(f"missing required tensor {name!r}")
@@ -590,6 +582,17 @@ def _plan(entries: dict, cfg: ModelConfig, nm: NameMap) -> list:
     return plan
 
 
+def _check_distinct(named: list) -> None:
+    """Refuse two (role, layer, tensor name, ...) slots naming one tensor,
+    which would be loaded into both or saved as one; None names none."""
+    named_by: dict = {}
+    for role, layer, name, _ in named:
+        other = named_by.setdefault(name, (role, layer))
+        if name is not None and other != (role, layer):
+            raise ModelError(f"bad name map: roles {_slot_label(*other)} and "
+                             f"{_slot_label(role, layer)} both name tensor {name!r}")
+
+
 def _slot_label(role: str, layer: int | None) -> str:
     return repr(role) if layer is None else f"{role!r} of layer {layer}"
 
@@ -602,10 +605,9 @@ class ModelStream(_Norms):
     walked once, and a fingerprint() known once that walk is done.  A
     layer is dropped before the next one is read, so a walk holds one
     layer unless its consumer keeps a step (compute_scale_table keeps
-    pre-LN's last MLP for the next norm1), besides the tensors still
-    waiting to be hashed (at most a layer's).  A context manager:
-    leaving it closes the file and stops the hash worker, however far
-    the walk got."""
+    pre-LN's last MLP for the next norm1), besides at most one layer
+    still waiting to be hashed.  A context manager: leaving it closes the
+    file and waits for the hash thread, however far the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
         self.config = config
@@ -659,42 +661,26 @@ class ModelStream(_Norms):
         largest of them, and checked for finiteness in its stored
         precision.  Casting to the held dtype (see _held_dtype) and
         transposing to the row-vector convention is one copy per tensor,
-        made in cache-sized blocks; the held array is read-only.  One
-        worker thread hashes the held arrays in slot order while the walk
-        goes on; a tensor is read only once the worker has finished every
-        tensor of the layer before the previous one."""
+        made in cache-sized blocks; the held array is read-only.  Once a
+        layer is read, a short-lived thread hashes its held arrays in slot
+        order while the walk goes on; the next layer is read only once the
+        thread hashing the layer before this one is done."""
         staging = np.empty(max((entry.nbytes for _, _, entry in self._plan if entry),
                                default=0), dtype=np.uint8)
-        per_layer = sum(entry is not None for _, layer, entry in self._plan if layer == 0)
-        room = threading.Semaphore(per_layer + 1)
-        pending: queue.SimpleQueue = queue.SimpleQueue()
-        outcome: list = []
+        digest = hashlib.sha256()
+        failed: list = []  # a hash error, raised once the walk is done
 
-        def hash_next(digest) -> bool:
-            # The tensor is dropped on return, before room is released.
-            item = pending.get()
-            if item is not None:
-                _hash_tensor(digest, *item)
-            return item is not None
-
-        def hash_in_order() -> None:
-            digest = hashlib.sha256()
+        def hash_layer(layer: int | None, held: dict) -> None:
             try:
-                while hash_next(digest):
-                    room.release()
-            except BaseException as err:  # re-raised by the walk
-                outcome.append(err)
-                room.release()
-                while pending.get() is not None:  # let the walk finish
-                    room.release()
-            else:
-                outcome.append(digest.hexdigest())
+                for role, array in held.items():
+                    if array is not None:
+                        _hash_tensor(digest, role, layer, array)
+            except BaseException as err:
+                failed.append(err)
 
-        def take(role: str, layer: int | None,
-                 entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
+        def take(role: str, entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
             if entry is None:
                 return None
-            room.acquire()
             stored = safetensors_io.read_tensor(self._handle, entry, staging)
             problem = _value_problem(stored)
             if problem:
@@ -705,25 +691,27 @@ class ModelStream(_Norms):
             if np.may_share_memory(array, staging):  # an F32 matrix read in place
                 array = array.copy()
             array.flags.writeable = False
-            pending.put((role, layer, array))
             return array
 
+        hasher = None
         with self._handle:
-            # A daemon: a walk abandoned unclosed must not hold up exit.
-            worker = threading.Thread(target=hash_in_order, name="slanc-fingerprint",
-                                      daemon=True)
-            worker.start()
             try:
                 for layer, slots in itertools.groupby(self._plan, lambda slot: slot[1]):
-                    yield layer, {role: take(role, layer, entry)
-                                  for role, _, entry in slots}
+                    held = {role: take(role, entry) for role, _, entry in slots}
+                    if hasher is not None:
+                        hasher.join()
+                    # A daemon: a walk abandoned unclosed must not hold up exit.
+                    hasher = threading.Thread(target=hash_layer, args=(layer, held),
+                                              name="slanc-fingerprint", daemon=True)
+                    hasher.start()
+                    yield layer, held
+                    del held  # only the hash thread keeps it while the next is read
             finally:
-                pending.put(None)
-                worker.join()
-        (result,) = outcome
-        if isinstance(result, BaseException):
-            raise result
-        self._digest = result
+                if hasher is not None:
+                    hasher.join()
+        if failed:
+            raise failed[0]
+        self._digest = digest.hexdigest()
 
 
 # ── validation ───────────────────────────────────────────────────────────

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import slanc
+from slanc import model as model_mod
 from slanc import serialization
 from slanc.cli import main
 from slanc.model import (
@@ -234,6 +235,25 @@ def test_scales_refuses_a_final_norm_named_like_a_layer_tensor(tmp_path, capsys)
 
 def _fingerprint_threads() -> list:
     return [t for t in threading.enumerate() if t.name == "slanc-fingerprint"]
+
+
+def test_a_walk_hashes_on_a_fingerprint_thread(tmp_path, monkeypatch):
+    # The emptiness checks below test something only while the hash runs
+    # on a thread of this name: every tensor is hashed on a live one.
+    path = tmp_path / "m.safetensors"
+    assert main(["gen-model", "--d", "16", "--layers", "2", "-o", str(path)]) == 0
+    on_thread = []
+    real = model_mod._hash_tensor
+
+    def recording(*args):
+        on_thread.append(threading.current_thread() in _fingerprint_threads())
+        real(*args)
+
+    monkeypatch.setattr(model_mod, "_hash_tensor", recording)
+    with open_safetensors(str(path)) as stream:
+        compute_scale_table(stream)
+    assert len(on_thread) == len(load_tensors(str(path))) and all(on_thread)
+    assert _fingerprint_threads() == []
 
 
 @pytest.mark.parametrize("damage", ["non-finite", "truncated", "degenerate"])

@@ -18,6 +18,7 @@ import os
 import re
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -522,6 +523,25 @@ def test_tensor_dict_applies_transpose():
     assert np.array_equal(stored.T, e)
 
 
+def test_saving_refuses_two_slots_naming_one_tensor(tmp_path):
+    # A final-norm name equal to a per-layer one passes NameMap.from_dict
+    # (each kind is compared among its own); saving must not store one of
+    # the two tensors under the other's name.
+    graph = generate_synthetic(_config(placement=ResidualPlacement.PRE_LN),
+                               InitSpec(), seed=4)
+    doc = default_name_map().to_dict()
+    doc["roles"]["final_gamma"] = "model.layers.0.input_layernorm.weight"
+    nm = NameMap.from_dict(doc)
+    message = ("bad name map: roles 'gamma1' of layer 0 and 'final_gamma' both "
+               "name tensor 'model.layers.0.input_layernorm.weight'")
+    with pytest.raises(ModelError, match=re.escape(message)):
+        to_tensor_dict(graph, nm)
+    path = tmp_path / "m.safetensors"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        save_safetensors(graph, str(path), name_map=nm)
+    assert not path.exists()
+
+
 # ── validation ───────────────────────────────────────────────────────────
 
 
@@ -923,6 +943,38 @@ def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
         hashed = calls[0]
         assert main(argv) == 0
         assert calls[0] - hashed == tensors, argv
+
+
+def test_a_layer_is_read_once_the_layer_two_before_is_hashed(tmp_path, monkeypatch):
+    # Back-pressure: with a slow hash, the walk reads a tensor of layer k
+    # only once every tensor of layer k - 2 is hashed, so at most one
+    # layer waits for the hash besides the one being read.
+    cfg = _config(layers=4)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=4), str(path))
+    nm = default_name_map()
+    layer_of = {nm.tensor_name(role, layer): layer
+                for role, layer in model_mod._slots(cfg.n_layers)}
+    events = []  # ("read" | "hashed", layer), in the order they happened
+    real_hash, real_read = model_mod._hash_tensor, model_mod.safetensors_io.read_tensor
+
+    def slow_hash(digest, role, layer, array):
+        time.sleep(0.02)
+        real_hash(digest, role, layer, array)
+        events.append(("hashed", layer))
+
+    def reading(handle, entry, buffer):
+        events.append(("read", layer_of[entry.name]))
+        return real_read(handle, entry, buffer)
+
+    monkeypatch.setattr(model_mod, "_hash_tensor", slow_hash)
+    monkeypatch.setattr(model_mod.safetensors_io, "read_tensor", reading)
+    load_safetensors(str(path), config=cfg)
+    per_layer = events.count(("read", 0))
+    assert per_layer == 9 and events.count(("hashed", 0)) == per_layer
+    for i, (kind, layer) in enumerate(events):
+        if kind == "read" and layer >= 2:
+            assert events[:i].count(("hashed", layer - 2)) == per_layer, (i, layer)
 
 
 def test_a_template_without_i_names_one_layer(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 from memory_gates import traced_peak
 from slanc import linalg, serialization
-from slanc.linalg import ConvergenceError, frobenius_norm, spectral_norm
+from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
     DecoderWeights,
     InitSpec,
@@ -134,12 +134,18 @@ def _llama_widened_whole(gamma, e, b, g) -> float:
     x = gamma[:, None] * e
     gate_gain = math.sqrt(max(float(np.linalg.eigvalsh(x @ x.T)[-1]), 0.0))
     grown = gate_gain * (np.asarray(b, dtype=np.float64) @ g) + np.eye(gamma.size)
-    return frobenius_norm(gamma[:, None] * grown)
+    return _frobenius(gamma[:, None] * grown)
 
 
 def _attention_widened_whole(gamma, w_v, p) -> float:
     grown = np.asarray(w_v, dtype=np.float64) @ p + np.eye(gamma.size)
-    return frobenius_norm(gamma[:, None] * grown)
+    return _frobenius(gamma[:, None] * grown)
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """The square root of the sum of a's squared entries, summed as
+    scales._grown sums them."""
+    return math.sqrt(float(np.sum(a * a)))
 
 
 def test_formulas_hold_a_product_a_gram_and_two_tiles():
