@@ -162,6 +162,8 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
         raise UsageError("either --tokens or --inputs is required")
     if args.tokens <= 0:
         raise UsageError(f"--tokens must be positive, got {args.tokens}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     return rng.standard_normal((args.tokens, config.d_model)), args.seed
 
@@ -198,6 +200,8 @@ def _cmd_gen_model(args) -> int:
         raise UsageError(f"--d must be positive, got {args.d}")
     if args.layers < 0:
         raise UsageError(f"--layers must be non-negative, got {args.layers}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     heads = args.heads
     if heads is None:
         heads = args.d // 64 if args.d % 64 == 0 else 4

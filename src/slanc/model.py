@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -270,8 +269,7 @@ def _hash_tensor(digest, role: str, layer: int | None, array: np.ndarray) -> Non
     """Feed one tensor to a SHA-256: its name ("<layer>:<role>" or
     "final:<gamma|beta>"), shape and held dtype (see _held_dtype), a NUL
     byte, then its values in that dtype, little-endian and in C order.  An
-    array already held so is hashed in place, in one update that hashlib
-    runs without the GIL, so a second thread can hash.  Any other is
+    array already held so is hashed in place, in one update.  Any other is
     converted once and refused if that changes a value."""
     name = f"final:{role.removeprefix('final_')}" if layer is None else f"{layer}:{role}"
     dtype = np.dtype(_held_dtype(role)).newbyteorder("<")
@@ -493,6 +491,9 @@ def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
     if e_name not in entries:
         raise ModelError(f"missing required tensor {e_name!r}")
     e_shape = entries[e_name].shape
+    if len(e_shape) != 2:
+        raise ModelError(f"bad tensor {e_name!r}: expected a matrix, got shape "
+                         f"{list(e_shape)}")
     mlp_hidden = int(e_shape[0] if "e" in nm.transpose else e_shape[1])
 
     def present(role: str, layer: int | None = None) -> bool:
@@ -541,8 +542,8 @@ def open_safetensors(
     config's slots (_slots), the one list that generation, saving and the
     fingerprint walk too, and checks, before any payload is read: every
     tensor the config needs is there, with its shape (in storage
-    orientation); no tensor is one the config has no place for; and no
-    two slots resolve to one tensor.  Errors name the checkpoint tensor.
+    orientation); no tensor is one the config has no place for, nor one
+    of a layer past its last; and no two slots resolve to one tensor.  Errors name the checkpoint tensor.
     Only a non-finite entry or a short read can then fail the walk.
     """
     nm = name_map or default_name_map()
@@ -565,6 +566,13 @@ def _plan(entries: dict, cfg: ModelConfig, nm: NameMap) -> list:
         name = nm.tensor_name(role, layer) if unused is None or role in nm.roles else None
         slots.append((role, layer, name, unused))
     _check_distinct(slots)
+    # A tensor of layer n_layers is one of a layer cfg does not have.
+    named = {name for _, _, name, _ in slots}
+    for role in LAYER_ROLES:
+        name = nm.tensor_name(role, cfg.n_layers) if role in nm.roles else None
+        if name in entries and name not in named:
+            raise ModelError(f"unexpected tensor {name!r}: the config's n_layers "
+                             f"is {cfg.n_layers}")
     shapes = _role_shapes(cfg)
     plan = []
     for role, layer, name, unused in slots:
@@ -605,9 +613,8 @@ class ModelStream(_Norms):
     walked once, and a fingerprint() known once that walk is done.  A
     layer is dropped before the next one is read, so a walk holds one
     layer unless its consumer keeps a step (compute_scale_table keeps
-    pre-LN's last MLP for the next norm1), besides at most one layer
-    still waiting to be hashed.  A context manager: leaving it closes the
-    file and waits for the hash thread, however far the walk got."""
+    pre-LN's last MLP for the next norm1).  A context manager: leaving it
+    closes the file, however far the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
         self.config = config
@@ -661,24 +668,14 @@ class ModelStream(_Norms):
         largest of them, and checked for finiteness in its stored
         precision.  Casting to the held dtype (see _held_dtype) and
         transposing to the row-vector convention is one copy per tensor,
-        made in cache-sized blocks; the held array is read-only.  Once a
-        layer is read, a short-lived thread hashes its held arrays in slot
-        order while the walk goes on; the next layer is read only once the
-        thread hashing the layer before this one is done."""
+        made in cache-sized blocks; the held array is read-only and is
+        hashed, in slot order, before the next tensor is read."""
         staging = np.empty(max((entry.nbytes for _, _, entry in self._plan if entry),
                                default=0), dtype=np.uint8)
         digest = hashlib.sha256()
-        failed: list = []  # a hash error, raised once the walk is done
 
-        def hash_layer(layer: int | None, held: dict) -> None:
-            try:
-                for role, array in held.items():
-                    if array is not None:
-                        _hash_tensor(digest, role, layer, array)
-            except BaseException as err:
-                failed.append(err)
-
-        def take(role: str, entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
+        def take(role: str, layer: int | None,
+                 entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
             if entry is None:
                 return None
             stored = safetensors_io.read_tensor(self._handle, entry, staging)
@@ -691,26 +688,14 @@ class ModelStream(_Norms):
             if np.may_share_memory(array, staging):  # an F32 matrix read in place
                 array = array.copy()
             array.flags.writeable = False
+            _hash_tensor(digest, role, layer, array)
             return array
 
-        hasher = None
         with self._handle:
-            try:
-                for layer, slots in itertools.groupby(self._plan, lambda slot: slot[1]):
-                    held = {role: take(role, entry) for role, _, entry in slots}
-                    if hasher is not None:
-                        hasher.join()
-                    # A daemon: a walk abandoned unclosed must not hold up exit.
-                    hasher = threading.Thread(target=hash_layer, args=(layer, held),
-                                              name="slanc-fingerprint", daemon=True)
-                    hasher.start()
-                    yield layer, held
-                    del held  # only the hash thread keeps it while the next is read
-            finally:
-                if hasher is not None:
-                    hasher.join()
-        if failed:
-            raise failed[0]
+            for layer, slots in itertools.groupby(self._plan, lambda slot: slot[1]):
+                held = {role: take(role, layer, entry) for role, _, entry in slots}
+                yield layer, held
+                del held  # the layer goes before the next one is read
         self._digest = digest.hexdigest()
 
 

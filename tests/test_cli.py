@@ -104,6 +104,7 @@ def test_gen_model_rejects_bad_arguments(tmp_path, capsys):
         ["gen-model", "--d", "32", "--layers", "1", "--amplify", ":8", "-o", out],
         ["gen-model", "--d", "32", "--layers", "1",
          "--amplify-layers", "a", "-o", out],
+        ["gen-model", "--d", "32", "--layers", "1", "--seed", "-1", "-o", out],
         ["gen-model", "--d", "32", "--layers", "1"],  # missing -o
         ["gen-model", "--layers", "1", "-o", out],  # missing --d
     ]
@@ -233,38 +234,15 @@ def test_scales_refuses_a_final_norm_named_like_a_layer_tensor(tmp_path, capsys)
     assert not table.exists()
 
 
-def _fingerprint_threads() -> list:
-    return [t for t in threading.enumerate() if t.name == "slanc-fingerprint"]
-
-
-def test_a_walk_hashes_on_a_fingerprint_thread(tmp_path, monkeypatch):
-    # The emptiness checks below test something only while the hash runs
-    # on a thread of this name: every tensor is hashed on a live one.
-    path = tmp_path / "m.safetensors"
-    assert main(["gen-model", "--d", "16", "--layers", "2", "-o", str(path)]) == 0
-    on_thread = []
-    real = model_mod._hash_tensor
-
-    def recording(*args):
-        on_thread.append(threading.current_thread() in _fingerprint_threads())
-        real(*args)
-
-    monkeypatch.setattr(model_mod, "_hash_tensor", recording)
-    with open_safetensors(str(path)) as stream:
-        compute_scale_table(stream)
-    assert len(on_thread) == len(load_tensors(str(path))) and all(on_thread)
-    assert _fingerprint_threads() == []
-
-
 @pytest.mark.parametrize("damage", ["non-finite", "truncated", "degenerate"])
 def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
     # Two layers in a file several read buffers long.  A non-finite entry
     # or a short read in layer 1 stops the streamed walk after layer 0's
     # scales; a degenerate scale stops it in layer 0.  Neither the walk
-    # nor `slanc scales` may leave the file open or the hash worker
-    # running, and `scales` writes no table.  The bad payload stops
-    # `audit` and `compare` part way through their walk too, before the
-    # table's fingerprint or entries are checked.
+    # nor `slanc scales` may leave the file open or a thread running, and
+    # `scales` writes no table.  The bad payload stops `audit` and
+    # `compare` part way through their walk too, before the table's
+    # fingerprint or entries are checked.
     d = 32
     config = ModelConfig(
         d_model=d, n_heads=1, head_dim=d, mlp_hidden=d, n_layers=2,
@@ -296,6 +274,7 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
     }[damage]
     error, message, code = expected
     assert last.name.startswith("model.layers.1.")
+    threads = threading.active_count()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with open_safetensors(str(path)) as stream:
@@ -303,12 +282,12 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
                 os.truncate(path, last.offset + last.nbytes // 2)
             with pytest.raises(error, match=message):
                 compute_scale_table(stream)
-        assert _fingerprint_threads() == []
+        assert threading.active_count() == threads
         table = tmp_path / "t.json"
         assert main(["scales", str(path), "-o", str(table)]) == code
         assert "slanc:" in capsys.readouterr().err
         assert not table.exists()
-        assert _fingerprint_threads() == []
+        assert threading.active_count() == threads
         if damage != "degenerate":  # audit and compare fail in layer 1 too
             table.write_text(json.dumps({"fingerprint": "0" * 64, "entries": []}))
             report = tmp_path / "r.json"
@@ -318,7 +297,7 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
                 assert main(argv) == code, argv
                 assert "tensor 'model.layers.1." in capsys.readouterr().err, argv
                 assert not report.exists()
-                assert _fingerprint_threads() == []
+                assert threading.active_count() == threads
         gc.collect()
     assert [w.message for w in caught if w.category is ResourceWarning] == []
 
@@ -456,6 +435,7 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{")  # not UTF-8
     np.save(tmp_path / "empty.npy", np.zeros((0, 256)))
     named = [
+        (["--tokens", "4", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["--inputs", str(tmp_path / "text.npy")],
          "activations must be integer or floating point, got dtype <U1"),
         (["--inputs", str(tmp_path / "complex.npy")],
@@ -556,6 +536,9 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     for args, message in named:
         assert main(["audit", str(model), *args, "-o", out]) == 1, args
         assert f"slanc: error: {message}" in capsys.readouterr().err
+    assert main(["compare", str(model), "--scales", str(scales), "--tokens", "4",
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "slanc: error: --seed must be non-negative, got -1\n"
     # An activation file with no tokens is refused before the forward pass,
     # by both commands that read one.
     empty = ["--inputs", str(tmp_path / "empty.npy")]

@@ -18,7 +18,6 @@ import os
 import re
 import struct
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -945,36 +944,93 @@ def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
         assert calls[0] - hashed == tensors, argv
 
 
-def test_a_layer_is_read_once_the_layer_two_before_is_hashed(tmp_path, monkeypatch):
-    # Back-pressure: with a slow hash, the walk reads a tensor of layer k
-    # only once every tensor of layer k - 2 is hashed, so at most one
-    # layer waits for the hash besides the one being read.
+def test_each_tensor_is_hashed_before_the_next_is_read(tmp_path, monkeypatch):
+    # The walk hashes each tensor as it reads it, in slot order: no
+    # tensor is read while one before it waits for its hash.
     cfg = _config(layers=4)
+    graph = generate_synthetic(cfg, InitSpec(), seed=4)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=4), str(path))
+    save_safetensors(graph, str(path))
     nm = default_name_map()
-    layer_of = {nm.tensor_name(role, layer): layer
-                for role, layer in model_mod._slots(cfg.n_layers)}
-    events = []  # ("read" | "hashed", layer), in the order they happened
+    events = []  # ("read" | "hashed", tensor name), in the order they happened
     real_hash, real_read = model_mod._hash_tensor, model_mod.safetensors_io.read_tensor
 
-    def slow_hash(digest, role, layer, array):
-        time.sleep(0.02)
+    def hashing(digest, role, layer, array):
         real_hash(digest, role, layer, array)
-        events.append(("hashed", layer))
+        events.append(("hashed", nm.tensor_name(role, layer)))
 
     def reading(handle, entry, buffer):
-        events.append(("read", layer_of[entry.name]))
+        events.append(("read", entry.name))
         return real_read(handle, entry, buffer)
 
-    monkeypatch.setattr(model_mod, "_hash_tensor", slow_hash)
+    names, fingerprint = list(to_tensor_dict(graph)), graph.fingerprint()
+    monkeypatch.setattr(model_mod, "_hash_tensor", hashing)
     monkeypatch.setattr(model_mod.safetensors_io, "read_tensor", reading)
-    load_safetensors(str(path), config=cfg)
-    per_layer = events.count(("read", 0))
-    assert per_layer == 9 and events.count(("hashed", 0)) == per_layer
-    for i, (kind, layer) in enumerate(events):
-        if kind == "read" and layer >= 2:
-            assert events[:i].count(("hashed", layer - 2)) == per_layer, (i, layer)
+    with open_safetensors(str(path), config=cfg) as stream:
+        compute_scale_table(stream)
+        assert stream.fingerprint() == fingerprint
+    assert len(names) == 4 * 9
+    assert events == [(kind, name) for name in names for kind in ("read", "hashed")]
+
+
+def test_a_config_with_fewer_layers_than_the_checkpoint_is_refused(tmp_path, monkeypatch,
+                                                                   capsys):
+    # A config that stops short of the checkpoint's layers would scale
+    # and fingerprint a truncated model.  The plan refuses it, naming the
+    # first tensor of the layer the config does not have, before any
+    # payload is read.  Names outside the template are still ignored.
+    cfg = _config(layers=3)
+    tensors = to_tensor_dict(generate_synthetic(cfg, InitSpec(), seed=5))
+    tensors["model.embed_tokens.weight"] = np.ones((8, cfg.d_model))
+    tensors["lm_head.weight"] = np.ones((8, cfg.d_model))
+    path = tmp_path / "m.safetensors"
+    save_tensors(str(path), tensors)
+    assert load_safetensors(str(path), config=cfg).config.n_layers == 3
+    assert load_safetensors(str(path)).config.n_layers == 3
+    read = []
+    real_read = model_mod.safetensors_io.read_tensor
+    monkeypatch.setattr(model_mod.safetensors_io, "read_tensor",
+                        lambda *args: read.append(args) or real_read(*args))
+    for layers in (1, 2):
+        short = dataclasses.replace(cfg, n_layers=layers)
+        with pytest.raises(ModelError, match=re.escape(
+                f"unexpected tensor 'model.layers.{layers}.input_layernorm.weight': "
+                f"the config's n_layers is {layers}")):
+            load_safetensors(str(path), config=short)
+    assert read == []
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dataclasses.replace(cfg, n_layers=1).to_dict()))
+    table = tmp_path / "t.json"
+    assert main(["scales", str(path), "--config", str(config), "-o", str(table)]) == 1
+    assert capsys.readouterr().err == (
+        "slanc: error: unexpected tensor 'model.layers.1.input_layernorm.weight': "
+        "the config's n_layers is 1\n")
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("shape, transpose", [((), model_mod.MATRIX_ROLES), ((32,), ())],
+                         ids=["0-d", "1-d-untransposed"])
+def test_inferring_a_config_refuses_a_gate_that_is_not_a_matrix(tmp_path, shape,
+                                                                 transpose):
+    # Without a config the MLP width comes from the gate's shape; a gate
+    # that is not 2-D is refused by name instead of ending in IndexError.
+    nm = NameMap(default_name_map().layer_template, default_name_map().roles,
+                 frozenset(transpose))
+    tensors = to_tensor_dict(generate_synthetic(_config(layers=1), InitSpec(), seed=2),
+                             nm)
+    tensors[_GATE] = np.zeros(shape or (1,))
+    path = tmp_path / "m.safetensors"
+    save_tensors(str(path), tensors)
+    # save_tensors writes a 0-d array as shape [1]; the header says [].
+    raw = path.read_bytes()
+    size = struct.unpack("<Q", raw[:8])[0]
+    header = json.loads(raw[8:8 + size])
+    header[_GATE]["shape"] = list(shape)
+    head = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(head)) + head + raw[8 + size:])
+    with pytest.raises(ModelError, match=re.escape(
+            f"bad tensor {_GATE!r}: expected a matrix, got shape {list(shape)}")):
+        load_safetensors(str(path), name_map=nm)
 
 
 def test_a_template_without_i_names_one_layer(tmp_path):
