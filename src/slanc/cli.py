@@ -120,8 +120,9 @@ def _load_name_map(path: str | None) -> NameMap | None:
 
 def _load_model(args):
     """The checkpoint the options name, opened for one walk: a ModelStream
-    that reads one decoder layer at a time.  Leaving its block closes a
-    walk that failed part way."""
+    that reads one sublayer's tensors at a time through a staging buffer
+    of about 1 MiB.  Leaving its block closes a walk that failed part
+    way."""
     name_map = _load_name_map(args.name_map)
     config = None
     config_path = args.config or model_mod.config_sidecar_path(args.model)

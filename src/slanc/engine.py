@@ -336,7 +336,7 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
     for step in model.execution_order():
         for run in runs:
             run.advance(step)
-        del step  # a sublayer's weights go before the walk reads the next layer
+        del step  # a sublayer's weights go before the walk reads the next one
     for _, scales in passes:
         if scales is not None:
             read_scale_table(scales, model)

@@ -10,9 +10,12 @@ a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
 
 A checkpoint comes in through one reader: open_safetensors streams it
-one decoder layer at a time and drops each layer before it reads the
-next.  Every `slanc` command walks that stream once; load_safetensors
-collects the walk into a ModelGraph for tests and library use.
+one group of tensors at a time (a layer's gains and shifts, then each
+sublayer's matrices), yields each step as soon as its group is read and
+drops a sublayer's matrices before it reads the next sublayer's.  Every
+tensor passes through one staging buffer of about a MiB.  Every `slanc`
+command walks that stream once; load_safetensors collects the walk into
+a ModelGraph for tests and library use.
 """
 
 from __future__ import annotations
@@ -51,9 +54,16 @@ class Nonlinearity(str, Enum):
 
 # Per-layer tensor roles, in canonical (generation and fingerprint) order.
 VECTOR_ROLES = ("gamma1", "beta1", "gamma2", "beta2")
-MATRIX_ROLES = ("w_q", "w_k", "w_v", "p", "e", "b", "g")
+ATTENTION_ROLES = ("w_q", "w_k", "w_v", "p")
+MLP_ROLES = ("e", "b", "g")
+MATRIX_ROLES = ATTENTION_ROLES + MLP_ROLES
 LAYER_ROLES = VECTOR_ROLES + MATRIX_ROLES
 FINAL_ROLES = ("final_gamma", "final_beta")
+# The groups a walk reads together, each a run of slot order: a layer's
+# gains and shifts, its attention matrices, its MLP matrices; then the
+# final norm's.
+_GROUP = {role: group for group in (VECTOR_ROLES, ATTENTION_ROLES, MLP_ROLES, FINAL_ROLES)
+          for role in group}
 
 
 def _held_dtype(role: str) -> type:
@@ -136,18 +146,19 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DecoderWeights:
-    """One decoder layer of C-contiguous arrays: float32 matrices and
-    float64 gains and shifts (see _held_dtype).  beta* only for
-    LayerNorm; b only for gated MLP."""
+    """One decoder layer of C-contiguous arrays, or one sublayer's part
+    of it: float32 matrices and float64 gains and shifts (see
+    _held_dtype).  beta* only for LayerNorm; b only for gated MLP; a
+    sublayer's holds its own matrices only."""
 
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    p: np.ndarray
-    e: np.ndarray
-    g: np.ndarray
+    gamma1: np.ndarray | None = None
+    gamma2: np.ndarray | None = None
+    w_q: np.ndarray | None = None
+    w_k: np.ndarray | None = None
+    w_v: np.ndarray | None = None
+    p: np.ndarray | None = None
+    e: np.ndarray | None = None
+    g: np.ndarray | None = None
     beta1: np.ndarray | None = None
     beta2: np.ndarray | None = None
     b: np.ndarray | None = None
@@ -165,7 +176,8 @@ class NormSite:
 
 @dataclass(frozen=True)
 class Sublayer:
-    """The attention or MLP sublayer of one decoder layer."""
+    """The attention or MLP sublayer of one decoder layer, with its own
+    matrices only."""
 
     mlp: bool  # False for attention
     weights: DecoderWeights
@@ -194,12 +206,15 @@ class ModelGraph(_Norms):
     final_beta: np.ndarray | None = None
 
     def execution_order(self):
-        """Each NormSite and Sublayer in the order engine.forward runs them:
-        each layer's _layer_steps, then any final norm."""
-        post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
-        for i, layer in enumerate(self.layers):
-            yield from _layer_steps(i, layer, post_ln)
-        yield from _final_steps(self.config, self.final_gamma, self.final_beta)
+        """Each NormSite and Sublayer in the order engine.forward runs
+        them, built from the graph's role groups as a stream builds them
+        from its reads (see _steps)."""
+        def array(role: str, layer: int | None) -> np.ndarray | None:
+            return getattr(self if layer is None else self.layers[layer], role)
+
+        yield from _steps(self.config, (
+            (key, {role: array(role, layer) for role, layer in slots})
+            for key, slots in _grouped(_slots(len(self.layers)))))
 
     def fingerprint(self) -> str:
         """SHA-256 over every held tensor in slot order, each tagged with
@@ -210,22 +225,35 @@ class ModelGraph(_Norms):
         return digest.hexdigest()
 
 
-def _layer_steps(i: int, layer: DecoderWeights, post_ln: bool) -> tuple:
-    """Decoder layer i's norms and sublayers in the order engine.forward
-    runs them: attention, norm1, MLP, norm2 (PostLN) or norm1, attention,
-    norm2, MLP (PreLN).  The one place norm order is defined."""
-    norm1 = NormSite(f"layer{i}.norm1", i, layer.gamma1, layer.beta1)
-    norm2 = NormSite(f"layer{i}.norm2", i, layer.gamma2, layer.beta2)
-    attention = Sublayer(mlp=False, weights=layer)
-    mlp = Sublayer(mlp=True, weights=layer)
-    return (attention, norm1, mlp, norm2) if post_ln else (norm1, attention, norm2, mlp)
-
-
-def _final_steps(cfg: ModelConfig, gamma: np.ndarray | None,
-                 beta: np.ndarray | None) -> tuple:
-    """The final norm after cfg's decoder layers, when cfg has one."""
-    return ((NormSite("final_norm", cfg.n_layers, gamma, beta),)
-            if cfg.has_final_norm else ())
+def _steps(cfg: ModelConfig, groups):
+    """Each NormSite and Sublayer of cfg in the order engine.forward runs
+    them, from the role groups of a walk in slot order, each ((layer,
+    roles), {role: array or None}); see _grouped.  A decoder layer runs
+    attention, norm1, MLP, norm2 (PostLN) or norm1, attention, norm2,
+    MLP (PreLN); PreLN ends with the final norm.  Each step comes as soon
+    as the groups it needs are in: a sublayer once its own matrices are
+    (it holds no others), a norm once its gain and shift are and the
+    sublayer feeding it has run.  So PreLN's norm1 comes before its
+    layer's attention matrices are read.  The one place norm order is
+    defined."""
+    post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
+    for (layer, roles), held in groups:
+        if roles == FINAL_ROLES:
+            if cfg.has_final_norm:
+                yield NormSite("final_norm", cfg.n_layers, held["final_gamma"],
+                               held["final_beta"])
+        elif roles == VECTOR_ROLES:
+            norm1 = NormSite(f"layer{layer}.norm1", layer, held["gamma1"], held["beta1"])
+            norm2 = NormSite(f"layer{layer}.norm2", layer, held["gamma2"], held["beta2"])
+            if not post_ln:
+                yield norm1
+        else:
+            yield Sublayer(mlp=roles == MLP_ROLES, weights=DecoderWeights(**held))
+            if post_ln:
+                yield norm2 if roles == MLP_ROLES else norm1
+            elif roles == ATTENTION_ROLES:
+                yield norm2
+        del held  # a sublayer's matrices go before the next group is read
 
 
 def outline(cfg: ModelConfig) -> ModelGraph:
@@ -243,6 +271,12 @@ def _slots(n_layers: int):
     for i in range(n_layers):
         yield from ((role, i) for role in LAYER_ROLES)
     yield from ((role, None) for role in FINAL_ROLES)
+
+
+def _grouped(slots):
+    """slots, (role, layer, ...) tuples in slot order, as runs of one
+    layer's _GROUP: ((layer, roles), slots of the run)."""
+    return itertools.groupby(slots, lambda slot: (slot[1], _GROUP[slot[0]]))
 
 
 def _held_tensors(graph: ModelGraph):
@@ -527,7 +561,7 @@ def load_safetensors(
     arrays are read-only and share no memory with each other."""
     with open_safetensors(path, name_map, config) as stream:
         return _assemble(stream.config, {(role, layer): array
-                                         for layer, held in stream._read()
+                                         for (layer, _), held in stream._read()
                                          for role, array in held.items()})
 
 
@@ -536,7 +570,7 @@ def open_safetensors(
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
 ) -> "ModelStream":
-    """A checkpoint opened for one walk, one decoder layer at a time.
+    """A checkpoint opened for one walk, one group of tensors at a time.
 
     The file is opened once and its header validated.  The plan walks the
     config's slots (_slots), the one list that generation, saving and the
@@ -606,15 +640,17 @@ def _slot_label(role: str, layer: int | None) -> str:
 
 
 class ModelStream(_Norms):
-    """A planned checkpoint, walked once, one decoder layer at a time.
+    """A planned checkpoint, walked once, one group of tensors at a time.
 
     It offers what compute_scale_table and engine.forward read of a
     ModelGraph: config, norm_sites, an execution_order() that may be
-    walked once, and a fingerprint() known once that walk is done.  A
-    layer is dropped before the next one is read, so a walk holds one
-    layer unless its consumer keeps a step (compute_scale_table keeps
-    pre-LN's last MLP for the next norm1).  A context manager: leaving it
-    closes the file, however far the walk got."""
+    walked once, and a fingerprint() known once that walk is done.  Each
+    step is yielded as soon as its group is read (see _steps), and a
+    group is dropped before the next one is read, so a walk holds one
+    sublayer's matrices unless its consumer keeps a step longer
+    (compute_scale_table keeps pre-LN's last MLP until the next norm1,
+    which comes before the next attention is read).  A context manager:
+    leaving it closes the file, however far the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
         self.config = config
@@ -637,14 +673,8 @@ class ModelStream(_Norms):
 
     def execution_order(self):
         """Each NormSite and Sublayer of the checkpoint, in the order of
-        ModelGraph.execution_order(), each layer read as the walk reaches it."""
-        post_ln = self.config.residual_placement is ResidualPlacement.POST_LN
-        for layer, held in self._read():
-            if layer is None:
-                yield from _final_steps(self.config, held["final_gamma"], held["final_beta"])
-            else:
-                yield from _layer_steps(layer, DecoderWeights(**held), post_ln)
-            del held  # the layer goes before the reader reads the next one
+        ModelGraph.execution_order(), each group read as the walk reaches it."""
+        yield from _steps(self.config, self._read())
 
     def fingerprint(self) -> str:
         """ModelGraph.fingerprint() of the checkpoint's graph, hashed in
@@ -655,48 +685,74 @@ class ModelStream(_Norms):
         return self._digest
 
     def _read(self):
-        """The reader: each slot group of the plan in turn, as (layer or
-        None for the final norm, {role: held array or None}).  Starts the
-        one walk the stream allows."""
+        """The reader: each role group of the plan in turn (see _grouped),
+        as ((layer or None for the final norm, roles), {role: held array
+        or None}).  Starts the one walk the stream allows."""
         if self._walk is not None:
             raise RuntimeError("a streamed checkpoint can be walked only once")
         self._walk = self._read_groups()
         return self._walk
 
     def _read_groups(self):
-        """Each tensor is read into one staging buffer, sized for the
-        largest of them, and checked for finiteness in its stored
-        precision.  Casting to the held dtype (see _held_dtype) and
-        transposing to the row-vector convention is one copy per tensor,
-        made in cache-sized blocks; the held array is read-only and is
-        hashed, in slot order, before the next tensor is read."""
-        staging = np.empty(max((entry.nbytes for _, _, entry in self._plan if entry),
-                               default=0), dtype=np.uint8)
+        """Every tensor passes through one staging buffer (see
+        _staging_bytes and _read_held); its held array is read-only and
+        is hashed, in slot order, before the next tensor is read.  A group
+        is dropped before the next one is read."""
+        staging = np.empty(_staging_bytes(entry for _, _, entry in self._plan if entry),
+                           dtype=np.uint8)
         digest = hashlib.sha256()
 
         def take(role: str, layer: int | None,
                  entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
             if entry is None:
                 return None
-            stored = safetensors_io.read_tensor(self._handle, entry, staging)
-            problem = _value_problem(stored)
-            if problem:
-                raise ModelError(f"bad tensor {entry.name!r}: {problem}")
-            flip = role in self._transpose
-            array = safetensors_io.cast_c_order(stored.T if flip else stored,
-                                                _held_dtype(role))
-            if np.may_share_memory(array, staging):  # an F32 matrix read in place
-                array = array.copy()
+            array = _read_held(self._handle, entry, staging, role, role in self._transpose)
             array.flags.writeable = False
             _hash_tensor(digest, role, layer, array)
             return array
 
         with self._handle:
-            for layer, slots in itertools.groupby(self._plan, lambda slot: slot[1]):
-                held = {role: take(role, layer, entry) for role, _, entry in slots}
-                yield layer, held
-                del held  # the layer goes before the next one is read
+            for key, slots in _grouped(self._plan):
+                held = {role: take(role, layer, entry) for role, layer, entry in slots}
+                yield key, held
+                del held  # the group goes before the next one is read
         self._digest = digest.hexdigest()
+
+
+# Bytes of the one staging buffer a walk reads every payload through.
+_STAGING_BYTES = 1 << 20
+
+
+def _staging_bytes(entries) -> int:
+    """Bytes of the staging buffer for a walk over entries: _STAGING_BYTES,
+    rounded up to the longest stored row and down to the largest payload."""
+    return max((min(entry.nbytes, max(_STAGING_BYTES, entry.nbytes // entry.shape[0]))
+                for entry in entries), default=0)
+
+
+def _read_held(handle, entry: safetensors_io.TensorEntry, staging: np.ndarray,
+               role: str, flip: bool) -> np.ndarray:
+    """entry's tensor as role is held (see _held_dtype), transposed to the
+    row-vector convention when flip: read through staging in chunks of as
+    many stored rows as fit, each checked for finiteness in its stored
+    precision, then cast, in cache-sized blocks of columns, into a new
+    C-order array.  A non-finite entry is reported once the whole payload
+    is read, so a short read anywhere in it comes first, as for a payload
+    read whole; its flat index counts in stored orientation from the
+    tensor's start."""
+    n_rows, row = entry.shape[0], math.prod(entry.shape[1:])
+    step = staging.nbytes // (entry.nbytes // n_rows)
+    held = np.empty(entry.shape[::-1] if flip else entry.shape, dtype=_held_dtype(role))
+    problem = None
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        stored = safetensors_io.read_tensor(handle, entry, staging, range(start, stop))
+        problem = problem or _value_problem(stored, start * row)
+        safetensors_io.cast_into(held[:, start:stop] if flip else held[start:stop],
+                                 stored.T if flip else stored)
+    if problem:
+        raise ModelError(f"bad tensor {entry.name!r}: {problem}")
+    return held
 
 
 # ── validation ───────────────────────────────────────────────────────────
@@ -733,12 +789,14 @@ def _shape_problem(shape: tuple, wanted: tuple) -> str | None:
     return None
 
 
-def _value_problem(array: np.ndarray) -> str | None:
-    """The first non-finite entry of array; None if there is none."""
+def _value_problem(array: np.ndarray, offset: int = 0) -> str | None:
+    """The first non-finite entry of array, at its flat index plus offset
+    (where array starts in a larger tensor); None if there is none."""
     finite = np.isfinite(array)
     if not finite.all():
         first = int(np.flatnonzero(~finite)[0])
-        return f"non-finite entry at flat index {first} ({float(array.flat[first])!r})"
+        return (f"non-finite entry at flat index {offset + first} "
+                f"({float(array.flat[first])!r})")
     return None
 
 

@@ -9,10 +9,11 @@ payloads are little-endian row-major and must not overlap.
 Supported dtypes are F32, F16 and BF16.
 
 Reading streams: read_header validates the header of an open file
-without touching a payload, and read_tensor reads one payload by offset
-into a buffer the caller owns, so a loader can pass every tensor through
-one reused buffer instead of holding the whole file.  load_tensors is
-the two composed.  Tensors keep their stored precision, except that
+without touching a payload, and read_tensor reads one payload, or a
+range of its rows, by offset into a buffer the caller owns, so a loader
+can pass every tensor through one reused buffer of a fixed size instead
+of holding the whole file or a whole payload.  load_tensors is the two
+composed.  Tensors keep their stored precision, except that
 BF16 widens exactly to float32.  Every supported dtype widens exactly
 to float32, so slanc.model holds weight matrices as float32 and only
 gains and shifts as float64.
@@ -51,19 +52,27 @@ class SafetensorsError(Exception):
 _CAST_BLOCK = 128
 
 
-def cast_c_order(values: np.ndarray, dtype) -> np.ndarray:
-    """values cast to dtype in C order: the bits of
-    np.ascontiguousarray(values, dtype=dtype).
+def cast_into(out: np.ndarray, values: np.ndarray) -> None:
+    """out[...] = values.
 
     A non-C-contiguous 2-D view (a transposed tensor) is copied one
     block of columns at a time; one strided cast over the whole view
     misses the cache on nearly every element.
     """
     if values.ndim != 2 or values.flags.c_contiguous:
-        return np.ascontiguousarray(values, dtype=dtype)
-    out = np.empty(values.shape, dtype=dtype)
+        out[...] = values
+        return
     for j in range(0, values.shape[1], _CAST_BLOCK):
         out[:, j : j + _CAST_BLOCK] = values[:, j : j + _CAST_BLOCK]
+
+
+def cast_c_order(values: np.ndarray, dtype) -> np.ndarray:
+    """values cast to dtype in C order: the bits of
+    np.ascontiguousarray(values, dtype=dtype), made by cast_into."""
+    if values.ndim != 2 or values.flags.c_contiguous:
+        return np.ascontiguousarray(values, dtype=dtype)
+    out = np.empty(values.shape, dtype=dtype)
+    cast_into(out, values)
     return out
 
 
@@ -189,20 +198,28 @@ def read_header(handle) -> dict[str, TensorEntry]:
     return entries
 
 
-def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray) -> np.ndarray:
-    """entry's tensor, in stored precision, read from the open file into
-    the head of buffer (a uint8 array of at least entry.nbytes).
+def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray,
+                rows: range | None = None) -> np.ndarray:
+    """entry's tensor, or only the rows of its first axis that rows names,
+    in stored precision, read by offset from the open file into the head
+    of buffer (a uint8 array at least as long as the bytes read).
 
     F32 and F16 tensors are views of buffer, so they hold only until
     buffer is read into again; BF16 tensors are widened exactly to a new
     float32 array.  buffer need not be zero-filled: a read that stops
-    short of the payload is an error, so no stale byte reaches a tensor.
+    short is an error, so no stale byte reaches a tensor.  The error
+    counts the bytes the file holds from the start of the payload, not
+    of the rows, so a payload read in row ranges fails as one read whole.
     """
-    view = buffer[: entry.nbytes]
-    handle.seek(entry.offset)
+    shape, skip, nbytes = entry.shape, 0, entry.nbytes
+    if rows is not None:
+        row = math.prod(entry.shape[1:]) * _STORAGE_DTYPE[entry.dtype].itemsize
+        shape, skip, nbytes = (len(rows), *entry.shape[1:]), rows.start * row, len(rows) * row
+    view = buffer[:nbytes]
+    handle.seek(entry.offset + skip)
     got = handle.readinto(view)
-    if got != entry.nbytes:
-        raise SafetensorsError(f"short read: the file ends {got} bytes into a "
+    if got != nbytes:
+        raise SafetensorsError(f"short read: the file ends {skip + got} bytes into a "
                                f"{entry.nbytes}-byte payload", tensor=entry.name)
     flat = np.frombuffer(view, dtype=_STORAGE_DTYPE[entry.dtype])
     if entry.dtype == "BF16":
@@ -211,7 +228,7 @@ def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray) -> np.ndarray:
         wide <<= 16
         flat = wide.view(np.float32)
     try:
-        return flat.reshape(entry.shape)
+        return flat.reshape(shape)
     except ValueError as err:
         # An empty tensor whose other dimensions overflow numpy's size.
         raise SafetensorsError(f"shape {list(entry.shape)} is too large: {err}",

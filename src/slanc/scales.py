@@ -3,7 +3,7 @@
 Because normalization is scale-invariant, a norm's input can be
 multiplied by a fixed 1/s without changing the model's output, provided
 epsilon is divided by s^2.  The table walks the execution_order() of a
-ModelGraph, or of a ModelStream that reads one decoder layer at a time
+ModelGraph, or of a ModelStream that reads one sublayer at a time
 (model.open_safetensors), and takes each norm's s from the sublayer
 that ran since the previous norm, with the previous norm's diagonal
 gain as Gamma (all ones at the raw embeddings; s = 1, "Unit", when no
@@ -194,8 +194,10 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
 
     Walks model.execution_order() once, as the module docstring
     describes, and reads model.fingerprint() after it, so a ModelStream
-    holds one layer (two pre-LN, where norm1 is fed by the previous
-    layer's MLP) and fails at the first fault in walk order.
+    holds one sublayer (pre-LN's norm1, fed by the previous layer's MLP,
+    comes before the layer's attention is read) and fails at the first
+    fault in walk order: a degenerate scale comes before a bad payload
+    in a later sublayer.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
     bitwise-identical tables.  Degenerate and spectral-norm failures
@@ -210,7 +212,7 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
             raise
         entries.append(scale_entry(site.norm_id, site.layer, formula, s,
                                    model.config.epsilon))
-        del fed_by  # its weights go before the walk reads the next layer
+        del fed_by  # its weights go before the walk reads the next sublayer
     return {"fingerprint": model.fingerprint(), "entries": entries}
 
 

@@ -16,10 +16,13 @@ from pathlib import Path
 
 from slanc import serialization
 from slanc.model import (
+    ATTENTION_ROLES,
+    MLP_ROLES,
     InitSpec,
     ModelConfig,
     ModelGraph,
     _held_tensors,
+    _staging_bytes,
     config_sidecar_path,
     generate_synthetic,
     save_safetensors,
@@ -40,9 +43,11 @@ def traced_peak(run) -> int:
 @dataclasses.dataclass(frozen=True)
 class GateCheckpoint:
     path: Path  # the checkpoint, with a config sidecar
-    one: ModelGraph  # its first layer alone, as a one-layer graph
-    layer: int  # bytes of one layer's held arrays
-    staging: int  # bytes of the walk's staging buffer: the largest payload
+    # Its first layer n_layers times over, one set of arrays: a walk over
+    # it runs every step and keeps every norm's results, holding one layer.
+    repeated: ModelGraph
+    sublayer: int  # bytes of the larger sublayer's held matrices
+    staging: int  # bytes of the walk's staging buffer (model._staging_bytes)
 
 
 def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateCheckpoint:
@@ -53,8 +58,9 @@ def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateChe
     save_safetensors(graph, str(path))
     Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
     with open(path, "rb") as handle:
-        staging = max(entry.nbytes for entry in read_header(handle).values())
-    layer = sum(array.nbytes for _, i, array in _held_tensors(graph) if i == 0)
-    one = dataclasses.replace(graph, config=dataclasses.replace(cfg, n_layers=1),
-                              layers=graph.layers[:1])
-    return GateCheckpoint(path, one, layer, staging)
+        staging = _staging_bytes(read_header(handle).values())
+    sublayer = max(sum(array.nbytes for role, i, array in _held_tensors(graph)
+                       if i == 0 and role in roles)
+                   for roles in (ATTENTION_ROLES, MLP_ROLES))
+    repeated = dataclasses.replace(graph, layers=graph.layers[:1] * cfg.n_layers)
+    return GateCheckpoint(path, repeated, sublayer, staging)

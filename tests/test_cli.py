@@ -31,16 +31,20 @@ from slanc import model as model_mod
 from slanc import serialization
 from slanc.cli import main
 from slanc.model import (
+    LAYER_ROLES,
     DecoderWeights,
+    InitSpec,
     MlpKind,
     ModelConfig,
     ModelError,
     ModelGraph,
+    NameMap,
     NormKind,
     Nonlinearity,
     ResidualPlacement,
     config_sidecar_path,
     default_name_map,
+    generate_synthetic,
     load_safetensors,
     open_safetensors,
     save_safetensors,
@@ -586,6 +590,98 @@ def test_checkpoint_truncated_inside_a_payload_exits_1_naming_the_tensor(
         assert err.startswith("slanc: error: data_offsets [")
         assert "outside data section" in err
         assert err.rstrip().endswith(f"(tensor {name!r})")
+
+
+# One layer whose tensor names sort in slot order, so the file holds
+# its payloads in the order the walk reads them; e is stored transposed,
+# b as held.
+_SLOT_ORDER_MAP = NameMap("blocks.{i}", {role: f"r{k:02d}_{role}"
+                                         for k, role in enumerate(LAYER_ROLES)},
+                          frozenset(["e"]))
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "truncated"])
+@pytest.mark.parametrize("role", ["e", "b"], ids=["transposed", "untransposed"])
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+def test_an_error_past_the_first_staging_chunk_reads_as_for_a_whole_payload(
+        tmp_path, monkeypatch, capsys, dtype, role, damage):
+    # A 256-byte staging buffer reads each 16 x 40 matrix in many chunks.
+    # The flat index of a non-finite entry counts in stored orientation
+    # from the tensor's first entry, and a short read counts the bytes
+    # the file holds from the payload's start, as when a payload is read
+    # whole.
+    monkeypatch.setattr(model_mod, "_STAGING_BYTES", 256)
+    config = ModelConfig(
+        d_model=16, n_heads=2, head_dim=8, mlp_hidden=40, n_layers=1,
+        norm_kind=NormKind.RMS_NORM, residual_placement=ResidualPlacement.POST_LN,
+        mlp_kind=MlpKind.LLAMA_GATED, nonlinearity=Nonlinearity.SILU, epsilon=1e-5)
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(config, InitSpec(), seed=4), str(path),
+                     name_map=_SLOT_ORDER_MAP, dtype=dtype)
+    (tmp_path / "map.json").write_text(json.dumps(_SLOT_ORDER_MAP.to_dict()))
+    serialization.atomic_write_text(config_sidecar_path(str(path)),
+                                    serialization.dumps(config.to_dict()))
+    name = _SLOT_ORDER_MAP.tensor_name(role, 0)
+    with open(path, "rb") as handle:
+        entry = read_header(handle)[name]
+    if damage == "non-finite":
+        tensors = load_tensors(str(path))
+        tensors[name].flat[301] = np.inf
+        save_tensors(str(path), tensors, dtype=dtype)
+        expected = f"bad tensor {name!r}: non-finite entry at flat index 301 (inf)"
+    else:  # the header was read from the whole file; the payload ends early
+        size = path.stat().st_size
+        cut = entry.nbytes - 5
+        os.truncate(path, entry.offset + cut)
+        real_fstat = os.fstat
+        monkeypatch.setattr(model_mod.safetensors_io.os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], size, *real_fstat(fd)[7:])))
+        expected = (f"short read: the file ends {cut} bytes into a {entry.nbytes}-byte "
+                    f"payload (tensor {name!r})")
+    table = tmp_path / "t.json"
+    assert main(["scales", str(path), "--name-map", str(tmp_path / "map.json"),
+                 "-o", str(table)]) == 1
+    assert capsys.readouterr().err == f"slanc: error: {expected}\n"
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("placement, norm_id", [(ResidualPlacement.POST_LN, "layer0.norm1"),
+                                                (ResidualPlacement.PRE_LN, "layer0.norm2")])
+def test_scales_stops_at_a_degenerate_scale_before_the_next_sublayer_is_read(
+        tmp_path, capsys, placement, norm_id):
+    # Layer 0's attention cancels the residual (W_V P = -I), so the norm
+    # it feeds is degenerate; the MLP payload after it is non-finite.
+    # `scales` computes that norm's scale before it reads the MLP, so it
+    # exits 2 naming the norm (it exited 1 while a walk read whole
+    # layers); `audit` and `compare` still report the bad payload first.
+    d = 8
+    config = ModelConfig(
+        d_model=d, n_heads=1, head_dim=d, mlp_hidden=d, n_layers=1,
+        norm_kind=NormKind.RMS_NORM, residual_placement=placement,
+        mlp_kind=MlpKind.STANDARD, nonlinearity=Nonlinearity.RELU, epsilon=1e-5)
+    eye, g = np.eye(d), np.full((d, d), 0.1)
+    g[3, 5] = np.nan
+    final = {"final_gamma": np.ones(d)} if config.has_final_norm else {}
+    graph = ModelGraph(config=config, **final, layers=(DecoderWeights(
+        gamma1=np.ones(d), gamma2=np.ones(d), w_q=eye, w_k=eye, w_v=eye, p=-eye,
+        e=eye, g=g),))
+    path = tmp_path / "m.safetensors"
+    save_safetensors(graph, str(path))
+    serialization.atomic_write_text(config_sidecar_path(str(path)),
+                                    serialization.dumps(config.to_dict()))
+    table, report = tmp_path / "t.json", tmp_path / "r.json"
+    assert main(["scales", str(path), "-o", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("slanc: degenerate scale: ") and repr(norm_id) in err
+    assert not table.exists()
+    table.write_text(json.dumps({"fingerprint": "0" * 64, "entries": []}))
+    for argv in (["audit", str(path), "--tokens", "4", "-o", str(report)],
+                 ["compare", str(path), "--scales", str(table), "--tokens", "4"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == (
+            "slanc: error: bad tensor 'model.layers.0.mlp.down_proj.weight': "
+            "non-finite entry at flat index 43 (nan)\n"), argv
+        assert not report.exists()
 
 
 def test_scale_table_missing_a_norm_exits_1_naming_it(amp, tmp_path, capsys):

@@ -400,22 +400,26 @@ _BLOCKS_MAP = NameMap(
 
 @pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
                          ids=["default-map", "blocks-map"])
-def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, name_map):
-    # The float32 matrices and float64 vectors and one staging buffer the
-    # size of the largest stored payload: the file is never held whole,
-    # no tensor is copied twice on its way from the file to its held
-    # array, and the fingerprint hashes the held arrays in place.
+def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, monkeypatch,
+                                                           name_map):
+    # The float32 matrices and float64 vectors and one staging buffer of
+    # a fixed size, here an eighth of the largest stored payload: the
+    # file and no payload is ever held whole, no tensor is copied twice
+    # on its way from the file to its held array, and the fingerprint
+    # hashes the held arrays in place.
+    monkeypatch.setattr(model_mod, "_STAGING_BYTES", 64 << 10)
     cfg = _config(d=256, layers=2, heads=4, mlp=512)
     path = tmp_path / "m.safetensors"
     save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
                      name_map=name_map)
     with open(path, "rb") as handle:
-        largest = max(entry.nbytes for entry in read_header(handle).values())
+        entries = read_header(handle).values()
+    largest, staging = max(entry.nbytes for entry in entries), model_mod._staging_bytes(entries)
     peak = traced_peak(lambda: load_safetensors(str(path), name_map=name_map, config=cfg))
     graph = load_safetensors(str(path), name_map=name_map, config=cfg)
     weights = sum(array.nbytes for _, _, array in model_mod._held_tensors(graph))
-    assert largest < path.stat().st_size / 8
-    assert peak <= 1.05 * (weights + largest)
+    assert staging == largest / 8
+    assert peak <= 1.05 * (weights + staging)
 
 
 _GATE = "model.layers.0.mlp.gate_proj.weight"
@@ -481,9 +485,9 @@ def test_loaded_arrays_share_no_memory(tmp_path, monkeypatch, name_map):
     buffers = []
     real = model_mod.safetensors_io.read_tensor
 
-    def recording(handle, entry, buffer):
+    def recording(handle, entry, buffer, rows=None):
         buffers.append(buffer)
-        return real(handle, entry, buffer)
+        return real(handle, entry, buffer, rows)
 
     monkeypatch.setattr(model_mod.safetensors_io, "read_tensor", recording)
     loaded = load_safetensors(str(path), name_map=name_map, config=cfg)
@@ -882,16 +886,19 @@ def _gate_config(placement: ResidualPlacement) -> ModelConfig:
 
 def test_streamed_scales_hold_one_layer_post_ln_two_pre_ln(tmp_path, small_tiles):
     # Memory gate: `slanc scales` holds the staging buffer, the float64
-    # temporaries of the formulas and one layer's arrays; pre-LN keeps a
-    # second, since a layer's norm1 is fed by the previous layer's MLP.
-    # Collecting the whole graph first fits in neither.  Small tiles keep
-    # the temporaries below a layer, so a layer held too long shows.
-    for placement, layers in ((ResidualPlacement.POST_LN, 1), (ResidualPlacement.PRE_LN, 2)):
+    # temporaries of the formulas and one sublayer's matrices, in both
+    # placements: pre-LN's norm1, fed by the previous layer's MLP, comes
+    # before the layer's attention is read.  The temporaries and the
+    # entries are measured over the first layer repeated, which holds
+    # one layer.  Holding a whole layer fits in neither placement, nor
+    # does collecting the whole graph first.  Small tiles keep the
+    # temporaries below a sublayer, so one held too long shows.
+    for placement in ResidualPlacement:
         directory = tmp_path / placement.value
         directory.mkdir()
         gate = gate_checkpoint(directory, _gate_config(placement))
-        bound = (layers * gate.layer + gate.staging
-                 + traced_peak(lambda: compute_scale_table(gate.one)))
+        bound = (gate.sublayer + gate.staging
+                 + traced_peak(lambda: compute_scale_table(gate.repeated)))
         streamed = traced_peak(
             lambda: main(["scales", str(gate.path), "-o", str(directory / "t.json")]))
         whole = traced_peak(
@@ -901,21 +908,22 @@ def test_streamed_scales_hold_one_layer_post_ln_two_pre_ln(tmp_path, small_tiles
 
 
 def test_streamed_audit_and_compare_hold_one_layer_not_the_graph(tmp_path, small_tiles):
-    # The gate for `audit` and `compare`, in both placements: one layer's
-    # arrays, the staging buffer and the temporaries of their passes
-    # (compare's three over the one-layer graph bound audit's one).  A
-    # step's weights are dropped before the walk reads the next layer.
+    # The gate for `audit` and `compare`, in both placements: one
+    # sublayer's matrices, the staging buffer, and the temporaries and
+    # kept audits of their passes (compare's three over the first layer
+    # repeated bound audit's one).  A step's weights are dropped before
+    # the walk reads the next sublayer's.
     for placement in ResidualPlacement:
         directory = tmp_path / placement.value
         directory.mkdir()
         gate = gate_checkpoint(directory, _gate_config(placement))
         table_path = directory / "t.json"
         assert main(["scales", str(gate.path), "-o", str(table_path)]) == 0
-        tokens = np.random.default_rng(6).standard_normal((16, gate.one.config.d_model))
+        tokens = np.random.default_rng(6).standard_normal((16, gate.repeated.config.d_model))
         np.save(directory / "x.npy", tokens)
-        one_table = compute_scale_table(gate.one)
-        bound = (gate.layer + gate.staging
-                 + traced_peak(lambda: run_compare(gate.one, tokens, one_table)))
+        repeated_table = compute_scale_table(gate.repeated)
+        bound = (gate.sublayer + gate.staging
+                 + traced_peak(lambda: run_compare(gate.repeated, tokens, repeated_table)))
         inputs = ["--scales", str(table_path), "--inputs", str(directory / "x.npy")]
         for argv in (["audit", str(gate.path), *inputs, "-o", str(directory / "r.json")],
                      ["compare", str(gate.path), *inputs]):
@@ -959,9 +967,9 @@ def test_each_tensor_is_hashed_before_the_next_is_read(tmp_path, monkeypatch):
         real_hash(digest, role, layer, array)
         events.append(("hashed", nm.tensor_name(role, layer)))
 
-    def reading(handle, entry, buffer):
+    def reading(handle, entry, buffer, rows=None):
         events.append(("read", entry.name))
-        return real_read(handle, entry, buffer)
+        return real_read(handle, entry, buffer, rows)
 
     names, fingerprint = list(to_tensor_dict(graph)), graph.fingerprint()
     monkeypatch.setattr(model_mod, "_hash_tensor", hashing)
