@@ -577,8 +577,9 @@ def open_safetensors(
     fingerprint walk too, and checks, before any payload is read: every
     tensor the config needs is there, with its shape (in storage
     orientation); no tensor is one the config has no place for, nor one
-    of a layer past its last; and no two slots resolve to one tensor.  Errors name the checkpoint tensor.
-    Only a non-finite entry or a short read can then fail the walk.
+    of a layer past its last; and no two slots resolve to one tensor.
+    Errors name the checkpoint tensor.  Only a non-finite entry or a short
+    read can then fail the walk.
     """
     nm = name_map or default_name_map()
     handle = safetensors_io.open_file(path)

@@ -17,10 +17,15 @@ composed.  Tensors keep their stored precision, except that
 BF16 widens exactly to float32.  Every supported dtype widens exactly
 to float32, so slanc.model holds weight matrices as float32 and only
 gains and shifts as float64.
+
+Writing streams too: save_tensors lays the header out from the tensors'
+shapes alone, then encodes and writes one payload at a time, each cast
+into C order by the same cast_into the reader uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -66,27 +71,19 @@ def cast_into(out: np.ndarray, values: np.ndarray) -> None:
         out[:, j : j + _CAST_BLOCK] = values[:, j : j + _CAST_BLOCK]
 
 
-def cast_c_order(values: np.ndarray, dtype) -> np.ndarray:
-    """values cast to dtype in C order: the bits of
-    np.ascontiguousarray(values, dtype=dtype), made by cast_into."""
-    if values.ndim != 2 or values.flags.c_contiguous:
-        return np.ascontiguousarray(values, dtype=dtype)
-    out = np.empty(values.shape, dtype=dtype)
-    cast_into(out, values)
-    return out
-
-
 def _encode_payload(dtype: str, values: np.ndarray) -> np.ndarray:
     """values cast once to the little-endian storage dtype, C order."""
+    out = np.empty(np.shape(values), "<f2" if dtype == "F16" else "<f4")
     if dtype == "F16":
         with np.errstate(over="ignore"):
-            return cast_c_order(values, "<f2")
+            cast_into(out, values)
+        return out
+    cast_into(out, values)
     if dtype == "BF16":
-        bits = cast_c_order(values, np.float32).view(np.uint32)
+        bits = out.view(np.uint32)
         # Round to nearest even on the dropped 16 bits.
-        rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-        return rounded.astype("<u2")
-    return cast_c_order(values, "<f4")
+        return ((bits + 0x7FFF + ((bits >> 16) & 1)) >> 16).astype("<u2")
+    return out
 
 
 def _is_index_list(value) -> bool:
@@ -249,26 +246,23 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
 def save_tensors(path: str, tensors: dict[str, np.ndarray], dtype: str = "F32") -> None:
     """Write tensors (any float array in, stored as dtype) atomically.
 
-    Each tensor is cast once to its storage dtype and streamed to the
-    file after the header.  Names are laid out in sorted order with a
-    sorted-key header, so the same tensors always produce the same
-    bytes.
+    The header is laid out from each tensor's shape alone, names in
+    sorted order with sorted keys, so the same tensors always produce
+    the same bytes.  Each tensor is then cast to its storage dtype and
+    written after the header one at a time, so only one encoded payload
+    is held.
     """
     if dtype not in _STORAGE_DTYPE:
         raise SafetensorsError(f"unknown dtype {dtype!r}")
     header: dict[str, dict] = {}
-    payloads: list[np.ndarray] = []
     offset = 0
     for name in sorted(tensors):
-        raw = _encode_payload(dtype, tensors[name])
-        header[name] = {
-            "dtype": dtype,
-            "shape": list(raw.shape),
-            "data_offsets": [offset, offset + raw.nbytes],
-        }
-        payloads.append(raw)
-        offset += raw.nbytes
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    serialization.atomic_write_bytes(
-        path, struct.pack("<Q", len(header_bytes)), header_bytes, *payloads
-    )
+        shape = list(np.shape(tensors[name]))
+        nbytes = math.prod(shape) * _STORAGE_DTYPE[dtype].itemsize
+        header[name] = {"dtype": dtype, "shape": shape,
+                        "data_offsets": [offset, offset + nbytes]}
+        offset += nbytes
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    serialization.atomic_write_bytes(path, itertools.chain(
+        (struct.pack("<Q", len(head)), head),
+        (_encode_payload(dtype, tensors[name]) for name in header)))

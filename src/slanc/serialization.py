@@ -35,18 +35,20 @@ def dumps(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
-def atomic_write_bytes(path: str, *chunks) -> None:
+def atomic_write_bytes(path: str, chunks) -> None:
     """Write a file via temp-and-rename so it appears atomically.
 
-    The chunks are bytes-like objects (C-contiguous arrays included),
-    written in order without being joined first.
+    chunks is an iterable of bytes-like objects (C-contiguous arrays
+    included), written in order without being joined first.  writelines
+    drops each chunk before it takes the next (a for loop would hold
+    two), so a lazy iterable is held one chunk at a time.  If a chunk
+    cannot be made or written, the file at path keeps its old bytes.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-slanc-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -55,4 +57,4 @@ def atomic_write_bytes(path: str, *chunks) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])

@@ -6,6 +6,7 @@ layout definition, and numpy's float32/float16 codecs for payloads.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import struct
@@ -15,10 +16,11 @@ import warnings
 import numpy as np
 import pytest
 
+from memory_gates import traced_peak
 from slanc import safetensors_io
 from slanc.safetensors_io import (
     SafetensorsError,
-    cast_c_order,
+    cast_into,
     load_tensors,
     read_header,
     read_tensor,
@@ -184,12 +186,14 @@ def test_save_load_round_trip_f32(tmp_path):
     tensors = {
         "a": rng.standard_normal((3, 4)).astype(np.float32).astype(np.float64),
         "b": rng.standard_normal(6).astype(np.float32).astype(np.float64),
+        "s": np.float64(3.0),  # 0-d: stored with shape [], not [1]
     }
     path = tmp_path / "rt.safetensors"
     save_tensors(str(path), tensors, dtype="F32")
     loaded = load_tensors(str(path))
     assert set(loaded) == set(tensors)
     for name in tensors:
+        assert loaded[name].shape == np.shape(tensors[name]), name
         assert np.array_equal(loaded[name], tensors[name])
 
 
@@ -240,6 +244,47 @@ def test_save_is_deterministic(tmp_path):
     save_tensors(str(first), tensors)
     save_tensors(str(second), dict(reversed(tensors.items())))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_failed_encode_leaves_the_old_file(tmp_path, monkeypatch):
+    # Payloads are encoded while the temp file is open: a failure there
+    # keeps the destination's bytes, removes the temp file and leaks no
+    # file handle.
+    path = tmp_path / "m.safetensors"
+    path.write_bytes(b"old bytes")
+    encode, calls = safetensors_io._encode_payload, []
+
+    def failing_encode(dtype, values):
+        calls.append(dtype)
+        if len(calls) == 2:
+            raise RuntimeError("encode failed")
+        return encode(dtype, values)
+
+    monkeypatch.setattr(safetensors_io, "_encode_payload", failing_encode)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="encode failed"):
+            save_tensors(str(path), {"a": np.ones(3), "b": np.ones(3), "c": np.ones(3)})
+        gc.collect()
+    assert len(calls) == 2
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["m.safetensors"]
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_save_holds_one_encoded_payload(tmp_path):
+    # Eight transposed ~1 MiB payloads: each is encoded and written in
+    # turn, so the peak is about one payload and the header, not all 8.
+    rng = np.random.default_rng(13)
+    tensors = {f"t{i}": rng.standard_normal((512, 512 + 8 * i), dtype=np.float32).T
+               for i in range(8)}
+    path = tmp_path / "m.safetensors"
+    peak = traced_peak(lambda: save_tensors(str(path), tensors))
+    largest = max(array.nbytes for array in tensors.values())
+    header = 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
+    assert peak <= 1.5 * largest + header, (peak, largest, header)
+    loaded = load_tensors(str(path))
+    assert all(np.array_equal(loaded[name], tensors[name]) for name in tensors)
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -338,13 +383,12 @@ def _cast_inputs():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, "<f4", "<f2"])
-def test_cast_c_order_matches_the_plain_cast(dtype):
+def test_cast_into_matches_the_plain_cast(dtype):
     for label, values in _cast_inputs():
+        got = np.empty(values.shape, dtype)
         with np.errstate(over="ignore"):
-            got = cast_c_order(values, dtype)
+            cast_into(got, values)
             want = np.ascontiguousarray(values, dtype=dtype)
-        assert got.flags.c_contiguous, label
-        assert got.dtype == want.dtype and got.shape == want.shape, label
         assert got.tobytes() == want.tobytes(), label
 
 

@@ -88,7 +88,7 @@ def test_atomic_write_replaces_contents(tmp_path):
     atomic_write_text(str(path), "first\n")
     atomic_write_text(str(path), "second\n")
     assert path.read_text() == "second\n"
-    atomic_write_bytes(str(path), b"\x00\x01")
+    atomic_write_bytes(str(path), [b"\x00", b"\x01"])
     assert path.read_bytes() == b"\x00\x01"
     # No temp litter left behind.
     assert os.listdir(tmp_path) == ["out.json"]
