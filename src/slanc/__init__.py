@@ -8,7 +8,7 @@ Submodules:
                     document and its strict reader
     model           configs, synthetic weights, safetensors ingestion
     engine          instrumented forward pass in both precision modes
-    report          audit/compare reports
+    report          audit/compare reports: histograms and summaries
     cli             the `slanc` command-line tool
 """
 

@@ -21,7 +21,13 @@ import numpy as np
 from . import model as model_mod
 from . import report as report_mod
 from . import serialization
-from .engine import FP16_POLICY, REFERENCE_POLICY, NonPositiveVarianceError, forward
+from .engine import (
+    FP16_POLICY,
+    REFERENCE_POLICY,
+    InputError,
+    NonPositiveVarianceError,
+    forward,
+)
 from .linalg import ConvergenceError
 from .model import (
     InitSpec,
@@ -144,21 +150,7 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
         if acts.dtype.kind not in "iuf":
             raise UsageError(f"activations must be integer or floating point, "
                              f"got dtype {acts.dtype}")
-        acts = np.asarray(acts, dtype=np.float64)
-        if acts.ndim != 2 or acts.shape[1] != config.d_model:
-            raise UsageError(
-                f"activations must be n_tokens x {config.d_model}, got {acts.shape}"
-            )
-        if acts.shape[0] == 0:
-            raise UsageError(f"activations must hold at least one token, got {acts.shape}")
-        bad = np.argwhere(~np.isfinite(acts))
-        if bad.size:
-            token, element = (int(i) for i in bad[0])
-            raise UsageError(
-                f"activations must be finite: token {token}, element {element} "
-                f"is {acts[token, element]!r}"
-            )
-        return acts, None
+        return acts, None  # engine.forward_passes checks its shape and values
     if args.tokens is None:
         raise UsageError("either --tokens or --inputs is required")
     if args.tokens <= 0:
@@ -289,7 +281,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"slanc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, SafetensorsError, ScaleTableError) as err:
+    except (InputError, ModelError, SafetensorsError, ScaleTableError) as err:
         print(f"slanc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

@@ -1,11 +1,13 @@
 """Audit and comparison reports over engine runs.
 
 Each report is its JSON document: a plain dict built once, in schema
-order, which `serialization.dumps` writes as it stands.  The audit
+order, which `serialization.dumps` writes as it stands.  The engine
+returns per-token columns; this module summarizes them.  The audit
 document condenses a forward pass into per-norm overflow and underflow
-counts plus a log2 histogram of the raw sums of squares, with the
-binary16 landmarks (max finite 65504, min normal 2^-14) alongside for
-plotting cut-off lines; `audit_csv` renders its histograms as a table.
+counts plus a log2 histogram of the raw sums of squares (`histogram`,
+whose bucket layout lives here alone), with the binary16 landmarks
+(max finite 65504, min normal 2^-14) alongside for plotting cut-off
+lines; `audit_csv` renders its histograms as a table.
 The comparison document runs the same inputs through the reference
 mode, plain FP16, and FP16 with a scale table in one walk of the model,
 and summarizes how far each final hidden state drifts from the
@@ -20,9 +22,7 @@ import numpy as np
 
 from . import fp16
 from .engine import (
-    BUCKET_MIN_EXP,
     FP16_POLICY,
-    N_BUCKETS,
     REFERENCE_POLICY,
     ForwardResult,
     NonPositiveVarianceError,
@@ -31,13 +31,30 @@ from .engine import (
 from .model import ModelGraph, ModelStream
 
 
+BUCKET_MIN_EXP = -30
+BUCKET_MAX_EXP = 30
+N_BUCKETS = BUCKET_MAX_EXP - BUCKET_MIN_EXP
+
+
+def histogram(values) -> dict:
+    """log2-bucketed counts: bucket k covers [2^(k-30), 2^(k-29)); below
+    holds zero, negatives, -inf and anything under 2^-30, above NaN and
+    anything from 2^30 up."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    above = np.isnan(v) | (v >= 2.0**BUCKET_MAX_EXP)
+    below = v < 2.0**BUCKET_MIN_EXP
+    _, exponent = np.frexp(v[~(above | below)])  # v = mantissa * 2^exponent
+    counts = np.bincount(exponent - 1 - BUCKET_MIN_EXP, minlength=N_BUCKETS)
+    return {"below": int(below.sum()), "counts": counts.tolist(),
+            "above": int(above.sum())}
+
+
 def build_audit_report(result: ForwardResult, model: ModelGraph | ModelStream,
                        policy_name: str, seed: int | None) -> dict:
     """The audit document: one entry per norm, in execution order."""
     norms = []
     for site in model.norm_sites:
         audit = result.audit[site.norm_id]
-        histogram = audit.histogram
         norms.append({
             "norm_id": site.norm_id,
             "layer": site.layer,
@@ -45,11 +62,7 @@ def build_audit_report(result: ForwardResult, model: ModelGraph | ModelStream,
             "token_count": audit.raw_sums.size,
             "overflow_count": int(audit.overflowed.sum()),
             "underflow_count": int(audit.underflowed.sum()),
-            "histogram": {
-                "below": histogram.below,
-                "counts": list(histogram.counts),
-                "above": histogram.above,
-            },
+            "histogram": histogram(audit.raw_sums),
         })
     return {
         "policy": policy_name,  # "fp16" or "fp64"

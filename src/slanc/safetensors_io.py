@@ -80,9 +80,16 @@ def _encode_payload(dtype: str, values: np.ndarray) -> np.ndarray:
         return out
     cast_into(out, values)
     if dtype == "BF16":
+        # Round to nearest even on the dropped 16 bits, in place: bits +=
+        # 0x7FFF + (bits >> 16 & 1), then bits >>= 16.
         bits = out.view(np.uint32)
-        # Round to nearest even on the dropped 16 bits.
-        return ((bits + 0x7FFF + ((bits >> 16) & 1)) >> 16).astype("<u2")
+        carry = bits >> 16
+        carry &= 1
+        carry += 0x7FFF
+        bits += carry
+        del carry
+        bits >>= 16
+        return bits.astype("<u2")
     return out
 
 

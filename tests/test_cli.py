@@ -347,6 +347,22 @@ def test_overflowing_fp16_audit_keeps_stderr_clean(amp, tmp_path):
     assert proc.stderr == ""
 
 
+def test_huge_finite_inputs_fail_with_one_stderr_line(amp, tmp_path):
+    # Finite tokens of 1e300 overflow inside the forward's products; each
+    # command ends in exit 3 naming the norm, and no numpy RuntimeWarning
+    # reaches stderr.
+    model, scales = amp
+    np.save(tmp_path / "big.npy", np.full((2, 256), 1e300))
+    for args in (["audit", "--policy", "fp16", "-o", "r.json"],
+                 ["audit", "--policy", "fp64", "-o", "r.json"],
+                 ["compare", "--scales", str(scales)]):
+        proc = _fresh_python(["-m", "slanc.cli", args[0], str(model), *args[1:],
+                              "--inputs", "big.npy"], tmp_path)
+        assert proc.returncode == 3, (args, proc.stderr)
+        assert proc.stderr == ("slanc: numerical failure: non-positive variance nan "
+                               "at norm 'layer0.norm1', token 0\n"), args
+
+
 def test_importing_the_cli_does_not_load_scipy(tmp_path):
     proc = _fresh_python(["-c", "import sys, slanc.cli; print(sorted("
                           "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],

@@ -19,7 +19,7 @@ from slanc import engine, fp16
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
-    Histogram,
+    InputError,
     NonPositiveVarianceError,
     NormAudit,
     PrecisionPolicy,
@@ -40,7 +40,7 @@ from slanc.model import (
     ResidualPlacement,
     generate_synthetic,
 )
-from slanc.report import build_audit_report
+from slanc.report import build_audit_report, histogram
 from slanc.scales import (
     Formula,
     ScaleTableError,
@@ -78,7 +78,7 @@ def _audit_bits(audit: dict) -> list:
     return [
         (norm_id, a.norm_id, a.scale_applied, a.raw_sums.view(np.uint64).tolist(),
          a.raw_sums.dtype.name, a.fp16_sums.dtype.name, a.fp16_sums.tolist(),
-         a.overflowed.tolist(), a.underflowed.tolist(), a.histogram)
+         a.overflowed.tolist(), a.underflowed.tolist())
         for norm_id, a in audit.items()
     ]
 
@@ -395,7 +395,6 @@ def test_zero_layer_pre_ln_runs_only_the_final_norm():
     assert list(result.audit) == ["final_norm"]
     assert result.audit["final_norm"].norm_id == "final_norm"
     assert result.audit["final_norm"].raw_sums.size == 5
-    assert result.audit["final_norm"].histogram.total == 5
 
 
 def test_fp64_scales_change_nothing():
@@ -462,7 +461,6 @@ def test_audit_is_complete_and_ordered():
             for column in (audit.raw_sums, audit.fp16_sums, audit.overflowed,
                            audit.underflowed):
                 assert column.shape == (7,)
-            assert audit.histogram.total == 7
 
 
 @pytest.mark.parametrize("placement,layers,expected", [
@@ -497,13 +495,21 @@ def test_fp16_forward_is_deterministic():
 
 def test_forward_rejects_bad_inputs():
     graph = generate_synthetic(_config(), InitSpec(), seed=1)
-    with pytest.raises(ValueError, match="n_tokens x 16"):
+    with pytest.raises(InputError, match="n_tokens x 16"):
         forward(graph, np.ones((2, 15)), REFERENCE_POLICY)
-    with pytest.raises(ValueError, match="n_tokens x 16"):
+    with pytest.raises(InputError, match="n_tokens x 16"):
         forward(graph, np.ones(16), REFERENCE_POLICY)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(InputError, match=r"at least one token, got \(0, 16\)"):
+        forward(graph, np.ones((0, 16)), REFERENCE_POLICY)
+    with pytest.raises(InputError, match="finite"):
         bad = np.ones((2, 16))
         bad[0, 0] = math.inf
+        forward(graph, bad, REFERENCE_POLICY)
+    # The first non-finite value is named, whether NaN or inf.
+    bad = np.ones((3, 16))
+    bad[1, 5] = math.nan
+    bad[2, 0] = math.inf
+    with pytest.raises(InputError, match="finite: token 1, element 5 is "):
         forward(graph, bad, REFERENCE_POLICY)
 
 
@@ -556,7 +562,7 @@ def _per_token_norm(x, gamma, beta, epsilon, kind, policy, s=1.0, norm_id="norm"
         rows.append(fp16.round_array(y) if policy.fp16_storage else y)
     sum_bits, overflowed, underflowed = (np.array(c) for c in zip(*flags))
     audit = NormAudit(norm_id, s, np.array(raws), sum_bits.astype(np.uint16),
-                      overflowed, underflowed, Histogram.from_values(raws))
+                      overflowed, underflowed)
     return np.array(rows), audit
 
 
@@ -659,11 +665,11 @@ def test_forward_matches_two_branch_residual_loop(placement):
             assert _audit_bits(result.audit) == _audit_bits(audit)
 
 
-# ── histogram type ───────────────────────────────────────────────────────
+# ── the report's histogram of raw sums ───────────────────────────────────
 
 
 def test_histogram_bucket_edges():
-    h = Histogram.from_values([
+    h = histogram([
         1.0,            # [2^0, 2^1) -> bucket 30
         0.75,           # [2^-1, 2^0) -> bucket 29
         2.0**-30,       # lowest bucket
@@ -684,20 +690,21 @@ def test_histogram_bucket_edges():
         1e300,          # above range
         -math.nan,      # above range, whatever the sign bit
     ])
-    assert h.counts[30] == 1
-    assert h.counts[29] == 1
-    assert h.counts[0] == 2
-    assert h.counts[1] == 1
-    assert h.counts[31] == 1
-    assert h.counts[59] == 2
-    assert sum(h.counts) == 8
-    assert h.below == 6
-    assert h.above == 5
-    assert h.total == 19
-    assert len(h.counts) == 60
-    assert all(type(c) is int for c in (h.below, h.above, *h.counts))
-    empty = Histogram.from_values([])
-    assert empty.total == 0 and len(empty.counts) == 60
+    counts = h["counts"]
+    assert counts[30] == 1
+    assert counts[29] == 1
+    assert counts[0] == 2
+    assert counts[1] == 1
+    assert counts[31] == 1
+    assert counts[59] == 2
+    assert sum(counts) == 8
+    assert h["below"] == 6
+    assert h["above"] == 5
+    assert h["below"] + sum(counts) + h["above"] == 19
+    assert len(counts) == 60
+    assert all(type(c) is int for c in (h["below"], h["above"], *counts))
+    empty = histogram([])
+    assert empty == {"below": 0, "counts": [0] * 60, "above": 0}
 
 
 # ── dynamic calibration ──────────────────────────────────────────────────

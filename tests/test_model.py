@@ -739,7 +739,7 @@ def _forward_bits(graph: ModelGraph, tokens, policy, table) -> list:
     result = engine.forward(graph, tokens, policy, scales=table)
     bits = [result.output.tobytes()]
     for audit in result.audit.values():
-        bits += [audit.norm_id, audit.scale_applied, audit.histogram]
+        bits += [audit.norm_id, audit.scale_applied]
         bits += [array.tobytes() for array in (audit.raw_sums, audit.fp16_sums,
                                                 audit.overflowed, audit.underflowed)]
     return bits

@@ -79,9 +79,7 @@ def test_build_audit_report_counts(small_run):
         audit = result.audit[summary["norm_id"]]
         histogram = summary["histogram"]
         assert summary["token_count"] == 8
-        assert histogram == {"below": audit.histogram.below,
-                             "counts": list(audit.histogram.counts),
-                             "above": audit.histogram.above}
+        assert histogram == report.histogram(audit.raw_sums)
         assert histogram["below"] + sum(histogram["counts"]) + histogram["above"] == 8
         assert summary["layer"] == site.layer
         assert summary["scale_applied"] == 1.0

@@ -275,16 +275,25 @@ def test_a_failed_encode_leaves_the_old_file(tmp_path, monkeypatch):
 def test_save_holds_one_encoded_payload(tmp_path):
     # Eight transposed ~1 MiB payloads: each is encoded and written in
     # turn, so the peak is about one payload and the header, not all 8.
+    # Every dtype encodes through one float32 buffer (F16 straight into
+    # its own); BF16 rounds on that buffer in place with one uint32
+    # carry the buffer's size, then keeps the high halves.
     rng = np.random.default_rng(13)
     tensors = {f"t{i}": rng.standard_normal((512, 512 + 8 * i), dtype=np.float32).T
                for i in range(8)}
-    path = tmp_path / "m.safetensors"
-    peak = traced_peak(lambda: save_tensors(str(path), tensors))
-    largest = max(array.nbytes for array in tensors.values())
-    header = 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
-    assert peak <= 1.5 * largest + header, (peak, largest, header)
-    loaded = load_tensors(str(path))
-    assert all(np.array_equal(loaded[name], tensors[name]) for name in tensors)
+    largest = max(array.nbytes for array in tensors.values())  # as float32
+    for dtype, bound, storage in (("F32", 1.5, np.float32), ("F16", 1.0, np.float16),
+                                  ("BF16", 2.25, None)):
+        path = tmp_path / f"{dtype}.safetensors"
+        peak = traced_peak(lambda: save_tensors(str(path), tensors, dtype=dtype))
+        header = 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
+        assert peak <= bound * largest + header, (dtype, peak, largest, header)
+        loaded = load_tensors(str(path))
+        for name, array in tensors.items():
+            if storage is None:  # BF16 keeps 8 significand bits
+                np.testing.assert_allclose(loaded[name], array, rtol=2.0**-8)
+            else:
+                assert np.array_equal(loaded[name], array.astype(storage)), (dtype, name)
 
 
 def test_missing_file_is_an_error(tmp_path):
