@@ -124,17 +124,19 @@ def _load_name_map(path: str | None) -> NameMap | None:
     return NameMap.from_dict(serialization.read_json(path, "name map", UsageError))
 
 
-def _load_model(args):
+def _load_model(args, fingerprint: bool = True):
     """The checkpoint the options name, opened for one walk: a ModelStream
-    that reads one sublayer's tensors at a time through a staging buffer
-    of about 1 MiB.  Leaving its block closes a walk that failed part
-    way."""
+    that reads one group of tensors at a time through a staging buffer
+    of about 1 MiB, hashing them only if fingerprint (a command that
+    writes or checks a scale table).  Leaving its block closes a walk
+    that failed part way."""
     name_map = _load_name_map(args.name_map)
     config = None
     config_path = args.config or model_mod.config_sidecar_path(args.model)
     if args.config or os.path.exists(config_path):
         config = model_mod.load_config(config_path)
-    return model_mod.open_safetensors(args.model, name_map=name_map, config=config)
+    return model_mod.open_safetensors(args.model, name_map=name_map, config=config,
+                                      fingerprint=fingerprint)
 
 
 def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
@@ -236,7 +238,7 @@ def _cmd_scales(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    with _load_model(args) as model:
+    with _load_model(args, fingerprint=args.scales is not None) as model:
         table = (serialization.read_json(args.scales, "scale table", UsageError)
                  if args.scales else None)
         inputs, seed = _token_inputs(args, model.config)

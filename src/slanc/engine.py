@@ -17,8 +17,10 @@ so that any failure is attributable to the accumulation.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
-`ModelGraph` or of a `ModelStream`; post-norm and pre-norm placement
-differ only in whether a norm's output replaces the residual stream.
+`ModelGraph` or of a `ModelStream`, keeping an MLP's gate projection,
+a step of its own, until the rest of its MLP is read; post-norm and
+pre-norm placement differ only in whether a norm's output replaces the
+residual stream.
 Each norm runs once over the whole n_tokens x d block and returns one
 `NormAudit` of per-token columns: raw FP64 sum, FP16 sum bits,
 overflow and underflow flags.  Summaries of those columns (counts,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -311,11 +313,18 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
         raise InputError(f"activations must be finite: token {token}, element "
                          f"{element} is {x[token, element]!r}")
     runs = [_Pass(cfg, x, policy, scales) for policy, scales in passes]
+    gate = None  # an MLP's e, kept until the rest of its MLP is read
     with np.errstate(over="ignore", invalid="ignore"):
         for step in model.execution_order():
-            for run in runs:
-                run.advance(step)
-            del step  # a sublayer's weights go before the walk reads the next one
+            if isinstance(step, Sublayer) and step.gate:
+                gate = step.weights.e
+            else:
+                if isinstance(step, Sublayer) and step.mlp:
+                    step = Sublayer(mlp=True, weights=replace(step.weights, e=gate))
+                    gate = None
+                for run in runs:
+                    run.advance(step)
+            del step  # a step's weights go before the walk reads the next group
     for _, scales in passes:
         if scales is not None:
             read_scale_table(scales, model)

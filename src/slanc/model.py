@@ -10,12 +10,13 @@ a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
 
 A checkpoint comes in through one reader: open_safetensors streams it
-one group of tensors at a time (a layer's gains and shifts, then each
-sublayer's matrices), yields each step as soon as its group is read and
-drops a sublayer's matrices before it reads the next sublayer's.  Every
-tensor passes through one staging buffer of about a MiB.  Every `slanc`
-command walks that stream once; load_safetensors collects the walk into
-a ModelGraph for tests and library use.
+one group of tensors at a time (a layer's gains and shifts, its
+attention matrices, its MLP's gate projection, then the rest of its
+MLP), yields each step as soon as its group is read and drops a group's
+matrices before it reads the next group's.  Every tensor passes through
+one staging buffer of about a MiB.  Every `slanc` command walks that
+stream once; load_safetensors collects the walk into a ModelGraph for
+tests and library use.
 """
 
 from __future__ import annotations
@@ -55,14 +56,17 @@ class Nonlinearity(str, Enum):
 # Per-layer tensor roles, in canonical (generation and fingerprint) order.
 VECTOR_ROLES = ("gamma1", "beta1", "gamma2", "beta2")
 ATTENTION_ROLES = ("w_q", "w_k", "w_v", "p")
-MLP_ROLES = ("e", "b", "g")
+GATE_ROLES = ("e",)
+UP_DOWN_ROLES = ("b", "g")
+MLP_ROLES = GATE_ROLES + UP_DOWN_ROLES
 MATRIX_ROLES = ATTENTION_ROLES + MLP_ROLES
 LAYER_ROLES = VECTOR_ROLES + MATRIX_ROLES
 FINAL_ROLES = ("final_gamma", "final_beta")
 # The groups a walk reads together, each a run of slot order: a layer's
-# gains and shifts, its attention matrices, its MLP matrices; then the
-# final norm's.
-_GROUP = {role: group for group in (VECTOR_ROLES, ATTENTION_ROLES, MLP_ROLES, FINAL_ROLES)
+# gains and shifts, its attention matrices, its MLP's gate projection,
+# the rest of its MLP; then the final norm's.
+_GROUP = {role: group for group in (VECTOR_ROLES, ATTENTION_ROLES, GATE_ROLES,
+                                    UP_DOWN_ROLES, FINAL_ROLES)
           for role in group}
 
 
@@ -176,11 +180,13 @@ class NormSite:
 
 @dataclass(frozen=True)
 class Sublayer:
-    """The attention or MLP sublayer of one decoder layer, with its own
-    matrices only."""
+    """The attention sublayer of one decoder layer, or one of the two
+    steps of its MLP: the gate projection e alone (gate), then b and g.
+    Each holds its own matrices only."""
 
     mlp: bool  # False for attention
     weights: DecoderWeights
+    gate: bool = False  # an MLP's e, read before the rest of its MLP
 
 
 class _Norms:
@@ -230,12 +236,13 @@ def _steps(cfg: ModelConfig, groups):
     them, from the role groups of a walk in slot order, each ((layer,
     roles), {role: array or None}); see _grouped.  A decoder layer runs
     attention, norm1, MLP, norm2 (PostLN) or norm1, attention, norm2,
-    MLP (PreLN); PreLN ends with the final norm.  Each step comes as soon
-    as the groups it needs are in: a sublayer once its own matrices are
-    (it holds no others), a norm once its gain and shift are and the
-    sublayer feeding it has run.  So PreLN's norm1 comes before its
-    layer's attention matrices are read.  The one place norm order is
-    defined."""
+    MLP (PreLN); PreLN ends with the final norm.  An MLP comes as two
+    Sublayers: its gate projection e alone (gate=True), then b and g.
+    Each step comes as soon as the groups it needs are in: a Sublayer
+    once its own matrices are (it holds no others), a norm once its gain
+    and shift are and the sublayer feeding it has run.  So PreLN's norm1
+    comes before its layer's attention matrices are read.  The one place
+    norm order is defined."""
     post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
     for (layer, roles), held in groups:
         if roles == FINAL_ROLES:
@@ -247,13 +254,15 @@ def _steps(cfg: ModelConfig, groups):
             norm2 = NormSite(f"layer{layer}.norm2", layer, held["gamma2"], held["beta2"])
             if not post_ln:
                 yield norm1
+        elif roles == GATE_ROLES:
+            yield Sublayer(mlp=True, weights=DecoderWeights(**held), gate=True)
         else:
-            yield Sublayer(mlp=roles == MLP_ROLES, weights=DecoderWeights(**held))
+            yield Sublayer(mlp=roles == UP_DOWN_ROLES, weights=DecoderWeights(**held))
             if post_ln:
-                yield norm2 if roles == MLP_ROLES else norm1
+                yield norm2 if roles == UP_DOWN_ROLES else norm1
             elif roles == ATTENTION_ROLES:
                 yield norm2
-        del held  # a sublayer's matrices go before the next group is read
+        del held  # a group's matrices go before the next group is read
 
 
 def outline(cfg: ModelConfig) -> ModelGraph:
@@ -569,8 +578,10 @@ def open_safetensors(
     path: str,
     name_map: NameMap | None = None,
     config: ModelConfig | None = None,
+    fingerprint: bool = True,
 ) -> "ModelStream":
-    """A checkpoint opened for one walk, one group of tensors at a time.
+    """A checkpoint opened for one walk, one group of tensors at a time,
+    hashing each tensor as it is read unless fingerprint is False.
 
     The file is opened once and its header validated.  The plan walks the
     config's slots (_slots), the one list that generation, saving and the
@@ -586,7 +597,8 @@ def open_safetensors(
     try:
         entries = safetensors_io.read_header(handle)
         cfg = config if config is not None else _infer_config(entries, nm)
-        return ModelStream(handle, cfg, _plan(entries, cfg, nm), nm.transpose)
+        return ModelStream(handle, cfg, _plan(entries, cfg, nm), nm.transpose,
+                           fingerprint)
     except BaseException:
         handle.close()
         raise
@@ -645,19 +657,22 @@ class ModelStream(_Norms):
 
     It offers what compute_scale_table and engine.forward read of a
     ModelGraph: config, norm_sites, an execution_order() that may be
-    walked once, and a fingerprint() known once that walk is done.  Each
-    step is yielded as soon as its group is read (see _steps), and a
-    group is dropped before the next one is read, so a walk holds one
-    sublayer's matrices unless its consumer keeps a step longer
-    (compute_scale_table keeps pre-LN's last MLP until the next norm1,
-    which comes before the next attention is read).  A context manager:
+    walked once, and a fingerprint() known once that walk is done, if
+    the stream hashes.  Each step is yielded as soon as its group is read
+    (see _steps), and a group is dropped before the next one is read, so
+    a walk holds one group's matrices (attention's four, an MLP's gate
+    projection, or its b and g) unless its consumer keeps a step longer:
+    the engine, and compute_scale_table for a standard MLP, keep the gate
+    projection until the rest of its MLP is read.  A context manager:
     leaving it closes the file, however far the walk got."""
 
-    def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset):
+    def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset,
+                 hashing: bool):
         self.config = config
         self._handle = handle
         self._plan = plan
         self._transpose = transpose
+        self._hashing = hashing
         self._walk = None  # the reader, once started
         self._digest: str | None = None
 
@@ -680,6 +695,9 @@ class ModelStream(_Norms):
     def fingerprint(self) -> str:
         """ModelGraph.fingerprint() of the checkpoint's graph, hashed in
         place as the walk read each held array; known once the walk is done."""
+        if not self._hashing:
+            raise RuntimeError("this streamed checkpoint was opened without "
+                               "a fingerprint")
         if self._digest is None:
             raise RuntimeError("a streamed checkpoint's fingerprint is known only "
                                "once its walk is done")
@@ -696,12 +714,12 @@ class ModelStream(_Norms):
 
     def _read_groups(self):
         """Every tensor passes through one staging buffer (see
-        _staging_bytes and _read_held); its held array is read-only and
-        is hashed, in slot order, before the next tensor is read.  A group
-        is dropped before the next one is read."""
+        _staging_bytes and _read_held); its held array is read-only and,
+        if the stream hashes, is hashed, in slot order, before the next
+        tensor is read.  A group is dropped before the next one is read."""
         staging = np.empty(_staging_bytes(entry for _, _, entry in self._plan if entry),
                            dtype=np.uint8)
-        digest = hashlib.sha256()
+        digest = hashlib.sha256() if self._hashing else None
 
         def take(role: str, layer: int | None,
                  entry: safetensors_io.TensorEntry | None) -> np.ndarray | None:
@@ -709,7 +727,8 @@ class ModelStream(_Norms):
                 return None
             array = _read_held(self._handle, entry, staging, role, role in self._transpose)
             array.flags.writeable = False
-            _hash_tensor(digest, role, layer, array)
+            if digest is not None:
+                _hash_tensor(digest, role, layer, array)
             return array
 
         with self._handle:
@@ -717,7 +736,8 @@ class ModelStream(_Norms):
                 held = {role: take(role, layer, entry) for role, layer, entry in slots}
                 yield key, held
                 del held  # the group goes before the next one is read
-        self._digest = digest.hexdigest()
+        if digest is not None:
+            self._digest = digest.hexdigest()
 
 
 # Bytes of the one staging buffer a walk reads every payload through.

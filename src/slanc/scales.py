@@ -3,11 +3,11 @@
 Because normalization is scale-invariant, a norm's input can be
 multiplied by a fixed 1/s without changing the model's output, provided
 epsilon is divided by s^2.  The table walks the execution_order() of a
-ModelGraph, or of a ModelStream that reads one sublayer at a time
-(model.open_safetensors), and takes each norm's s from the sublayer
-that ran since the previous norm, with the previous norm's diagonal
-gain as Gamma (all ones at the raw embeddings; s = 1, "Unit", when no
-sublayer ran):
+ModelGraph, or of a ModelStream that reads one group of matrices at a
+time (model.open_safetensors), and takes each norm's s from the
+sublayer that ran since the previous norm, with the previous norm's
+diagonal gain as Gamma (all ones at the raw embeddings; s = 1, "Unit",
+when no sublayer ran):
 
   standard MLP   s = ||Gamma (E G + I)||_F
   gated MLP      s = ||Gamma (||Gamma E|| B G + I)||_F
@@ -28,7 +28,10 @@ entry_scales runs its entry checks alone, before a stream's walk.
 A graph holds its matrices as float32, yet every formula runs in
 float64: linalg widens each weight one tile at a time, with the bits of
 the one-shot products, and _grown works in place on the d x d product,
-so a formula holds that product or the Gram matrix and two tiles.
+so a formula holds that product or the Gram matrix and two tiles.  The
+gated formula runs in two steps, as the walk reads its MLP: ||Gamma E||
+once E is read, then the rest once B and G are, so E is not held with
+them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import ConvergenceError, matmul, spectral_norm
-from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, Sublayer, outline
+from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, NormSite, Sublayer, outline
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
@@ -113,8 +116,15 @@ def scale_llama_mlp(
     ConvergenceError propagates to the caller.
     """
     d, m = gamma.size, np.shape(e)[-1]
-    _check_dims(gamma, [("e", e, (d, m)), ("b", b, (d, m)), ("g", g, (m, d))])
-    gate_gain = spectral_norm(e, gamma)  # its Gram matrix is freed first
+    _check_dims(gamma, [("e", e, (d, m))])
+    return _gated_growth(gamma, spectral_norm(e, gamma), b, g)
+
+
+def _gated_growth(gamma: np.ndarray, gate_gain: float, b: np.ndarray,
+                  g: np.ndarray) -> float:
+    """scale_llama_mlp once ||Gamma E|| is known: E is not needed."""
+    d, m = gamma.size, np.shape(b)[-1]
+    _check_dims(gamma, [("b", b, (d, m)), ("g", g, (m, d))])
     gated = matmul(b, g)
     gated *= gate_gain
     return _grown(gamma, gated)
@@ -159,33 +169,19 @@ def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
             "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
 
 
-def _fed_norms(model: ModelGraph | ModelStream):
-    """Each norm of model.execution_order() with the formula for its s,
-    the sublayer that ran since the previous norm (None when none ran)
-    and the previous norm's gain (all ones at the raw embeddings)."""
-    mlp = (Formula.LLAMA_MLP if model.config.mlp_kind is MlpKind.LLAMA_GATED
+def _norm_formulas(cfg: ModelConfig):
+    """Each norm of cfg, in execution order, with the formula for its s:
+    that of the sublayer that ran since the previous norm (Unit when
+    none ran)."""
+    mlp = (Formula.LLAMA_MLP if cfg.mlp_kind is MlpKind.LLAMA_GATED
            else Formula.STANDARD_MLP)
-    gamma = np.ones(model.config.d_model)
-    fed_by: Sublayer | None = None
-    for step in model.execution_order():
-        if isinstance(step, Sublayer):
-            fed_by = step
-            continue
-        formula = (Formula.UNIT if fed_by is None
-                   else mlp if fed_by.mlp else Formula.ATTENTION)
-        yield step, formula, fed_by, gamma
-        gamma, fed_by = step.gamma, None
-
-
-def _scale(formula: Formula, sublayer: Sublayer | None, gamma: np.ndarray) -> float:
-    if formula is Formula.UNIT:
-        return 1.0
-    w = sublayer.weights
-    if formula is Formula.ATTENTION:
-        return scale_attention(gamma, w.w_v, w.p)
-    if formula is Formula.LLAMA_MLP:
-        return scale_llama_mlp(gamma, w.e, w.b, w.g)
-    return scale_standard_mlp(gamma, w.e, w.g)
+    formula = Formula.UNIT
+    for step in outline(cfg).execution_order():
+        if isinstance(step, NormSite):
+            yield step, formula
+            formula = Formula.UNIT
+        else:
+            formula = mlp if step.mlp else Formula.ATTENTION
 
 
 def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
@@ -193,27 +189,51 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
     per norm, in execution order.
 
     Walks model.execution_order() once, as the module docstring
-    describes, and reads model.fingerprint() after it, so a ModelStream
-    holds one sublayer (pre-LN's norm1, fed by the previous layer's MLP,
-    comes before the layer's attention is read) and fails at the first
-    fault in walk order: a degenerate scale comes before a bad payload
-    in a later sublayer.
+    describes, and reads model.fingerprint() after it.  Each formula
+    runs at the steps of its sublayer, as the walk reads them, and its s
+    is recorded at the norm it feeds: a gated MLP's ||Gamma E|| runs on
+    its gate step, so a ModelStream holds one group of matrices
+    (attention's four, E, or B and G; a standard MLP keeps E until G)
+    and fails at the first fault in walk order: a degenerate scale, or a
+    spectral norm that fails, comes before a bad payload in a later
+    group, even B or G of the same MLP.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
     bitwise-identical tables.  Degenerate and spectral-norm failures
     name the norm.
     """
+    cfg = model.config
+    gated = cfg.mlp_kind is MlpKind.LLAMA_GATED
+    sites = list(_norm_formulas(cfg))
     entries = []
-    for site, formula, fed_by, gamma in _fed_norms(model):
+    gamma, s, gate = np.ones(cfg.d_model), 1.0, None
+    for step in model.execution_order():
         try:
-            s = _scale(formula, fed_by, gamma)
+            if isinstance(step, NormSite):
+                formula = sites[len(entries)][1]
+                entries.append(scale_entry(step.norm_id, step.layer, formula, s,
+                                           cfg.epsilon))
+                gamma, s = step.gamma, 1.0
+            elif step.gate:  # a gated MLP needs only ||Gamma E|| past this step
+                gate = spectral_norm(step.weights.e, gamma) if gated else step.weights.e
+            else:
+                s, gate = _scale(step, gated, gamma, gate), None
         except (DegenerateScaleError, ConvergenceError) as err:
-            err.norm_id = site.norm_id
+            err.norm_id = sites[len(entries)][0].norm_id
             raise
-        entries.append(scale_entry(site.norm_id, site.layer, formula, s,
-                                   model.config.epsilon))
-        del fed_by  # its weights go before the walk reads the next sublayer
+        del step  # its weights go before the walk reads the next group
     return {"fingerprint": model.fingerprint(), "entries": entries}
+
+
+def _scale(sublayer: Sublayer, gated: bool, gamma: np.ndarray, gate) -> float:
+    """s of an attention Sublayer, or of the rest of an MLP whose gate
+    step left gate: ||Gamma E|| when gated, else E."""
+    w = sublayer.weights
+    if not sublayer.mlp:
+        return scale_attention(gamma, w.w_v, w.p)
+    if gated:
+        return _gated_growth(gamma, gate, w.b, w.g)
+    return scale_standard_mlp(gamma, gate, w.g)
 
 
 def _number(value) -> bool:
@@ -254,7 +274,7 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
         raise ScaleTableError(f"scale table entries must be a list, got "
                               f"{type(entries).__name__}")
     sites = {site.norm_id: (site.layer, formula)
-             for site, formula, _, _ in _fed_norms(outline(cfg))}
+             for site, formula in _norm_formulas(cfg)}
     found: dict[str, float] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):

@@ -17,7 +17,9 @@ from pathlib import Path
 from slanc import serialization
 from slanc.model import (
     ATTENTION_ROLES,
+    GATE_ROLES,
     MLP_ROLES,
+    UP_DOWN_ROLES,
     InitSpec,
     ModelConfig,
     ModelGraph,
@@ -47,6 +49,7 @@ class GateCheckpoint:
     # it runs every step and keeps every norm's results, holding one layer.
     repeated: ModelGraph
     sublayer: int  # bytes of the larger sublayer's held matrices
+    group: int  # bytes of the largest group of matrices a walk reads together
     staging: int  # bytes of the walk's staging buffer (model._staging_bytes)
 
 
@@ -59,8 +62,11 @@ def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateChe
     Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
     with open(path, "rb") as handle:
         staging = _staging_bytes(read_header(handle).values())
-    sublayer = max(sum(array.nbytes for role, i, array in _held_tensors(graph)
-                       if i == 0 and role in roles)
-                   for roles in (ATTENTION_ROLES, MLP_ROLES))
+
+    def largest(*groups) -> int:
+        return max(sum(array.nbytes for role, i, array in _held_tensors(graph)
+                       if i == 0 and role in roles) for roles in groups)
+
     repeated = dataclasses.replace(graph, layers=graph.layers[:1] * cfg.n_layers)
-    return GateCheckpoint(path, repeated, sublayer, staging)
+    return GateCheckpoint(path, repeated, largest(ATTENTION_ROLES, MLP_ROLES),
+                          largest(ATTENTION_ROLES, GATE_ROLES, UP_DOWN_ROLES), staging)

@@ -700,6 +700,43 @@ def test_scales_stops_at_a_degenerate_scale_before_the_next_sublayer_is_read(
         assert not report.exists()
 
 
+@pytest.mark.parametrize("placement, norm_id", [("post-ln", "layer0.norm2"),
+                                                ("pre-ln", "layer1.norm1")])
+@pytest.mark.parametrize("role", ["b", "g"])
+def test_scales_fails_a_gate_spectral_norm_before_it_reads_b_and_g(
+        tmp_path, monkeypatch, capsys, placement, norm_id, role):
+    # `scales` takes a gated MLP's ||Gamma E|| once E is read, before B
+    # and G, so a spectral norm that fails exits 3 naming the norm fed; a
+    # non-finite entry in B or G of the same MLP comes after it, and
+    # `audit` still reports it first.  A stored E cannot make the float64
+    # Gram overflow (float32's largest value to the fourth power, times
+    # the width, is finite), so the eigenvalue solve fails instead.
+    path, table = tmp_path / "m.safetensors", tmp_path / "t.json"
+    assert main(["gen-model", "--d", "16", "--layers", "2", "--heads", "2",
+                 "--placement", placement, "-o", str(path)]) == 0
+    name = default_name_map().tensor_name(role, 0)
+    tensors = load_tensors(str(path))
+    tensors[name][1, 2] = np.nan
+    save_tensors(str(path), tensors)
+    capsys.readouterr()
+    bad_payload = f"slanc: error: bad tensor {name!r}: non-finite entry"
+    assert main(["scales", str(path), "-o", str(table)]) == 1
+    assert capsys.readouterr().err.startswith(bad_payload)
+
+    def failing_eigvalsh(gram):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    assert main(["scales", str(path), "-o", str(table)]) == 3
+    assert capsys.readouterr().err == (
+        f"slanc: numerical failure: eigenvalue solve failed: Eigenvalues did not "
+        f"converge at norm {norm_id!r}\n")
+    assert not table.exists()
+    assert main(["audit", str(path), "--tokens", "4",
+                 "-o", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith(bad_payload)
+
+
 def test_scale_table_missing_a_norm_exits_1_naming_it(amp, tmp_path, capsys):
     model, scales = amp
     doc = json.loads(scales.read_text())

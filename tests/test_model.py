@@ -907,6 +907,25 @@ def test_streamed_scales_hold_one_layer_post_ln_two_pre_ln(tmp_path, small_tiles
         assert whole > 1.05 * bound, (placement, whole, bound)
 
 
+def test_streamed_scales_hold_two_mlp_matrices_not_three(tmp_path, small_tiles):
+    # Memory gate: a gated MLP's formula needs E only for ||Gamma E||, so
+    # `slanc scales` takes that spectral norm once E is read and drops E
+    # before it reads B and G.  In both placements it holds the larger of
+    # attention's four matrices and B + G, the staging buffer and the
+    # formula temporaries (measured as in the gate above).  Holding E
+    # with B and G does not fit.
+    for placement in ResidualPlacement:
+        directory = tmp_path / placement.value
+        directory.mkdir()
+        gate = gate_checkpoint(directory, _gate_config(placement))
+        bound = (gate.group + gate.staging
+                 + traced_peak(lambda: compute_scale_table(gate.repeated)))
+        streamed = traced_peak(
+            lambda: main(["scales", str(gate.path), "-o", str(directory / "t.json")]))
+        assert gate.group < gate.sublayer
+        assert streamed <= 1.05 * bound, (placement, streamed, bound)
+
+
 def test_streamed_audit_and_compare_hold_one_layer_not_the_graph(tmp_path, small_tiles):
     # The gate for `audit` and `compare`, in both placements: one
     # sublayer's matrices, the staging buffer, and the temporaries and
@@ -936,6 +955,8 @@ def test_streamed_audit_and_compare_hold_one_layer_not_the_graph(tmp_path, small
 
 
 def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
+    # A command hashes only when it checks a table: a plain audit never
+    # reads the fingerprint.
     path, table = tmp_path / "m.safetensors", tmp_path / "t.json"
     assert main(["gen-model", "--d", "16", "--layers", "2", "--heads", "2",
                  "--placement", "pre-ln", "-o", str(path)]) == 0
@@ -943,13 +964,26 @@ def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
     tensors = len(load_tensors(str(path)))
     calls = _count_hashes(monkeypatch)
     tokens = ["--tokens", "4"]
-    for argv in (["audit", str(path), *tokens, "-o", str(tmp_path / "r.json")],
-                 ["audit", str(path), "--scales", str(table), *tokens,
-                  "-o", str(tmp_path / "r.json")],
-                 ["compare", str(path), "--scales", str(table), *tokens]):
+    for argv, hashes in (
+            (["audit", str(path), *tokens, "-o", str(tmp_path / "r.json")], 0),
+            (["audit", str(path), "--scales", str(table), *tokens,
+              "-o", str(tmp_path / "r.json")], tensors),
+            (["compare", str(path), "--scales", str(table), *tokens], tensors)):
         hashed = calls[0]
         assert main(argv) == 0
-        assert calls[0] - hashed == tensors, argv
+        assert calls[0] - hashed == hashes, argv
+
+
+def test_a_stream_opened_without_a_fingerprint_hashes_nothing(tmp_path, monkeypatch):
+    cfg = _config()
+    path = tmp_path / "m.safetensors"
+    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=4), str(path))
+    calls = _count_hashes(monkeypatch)
+    with open_safetensors(str(path), config=cfg, fingerprint=False) as stream:
+        assert len(list(stream.execution_order())) == 2 * 5  # with each MLP in two
+        with pytest.raises(RuntimeError, match="without a fingerprint"):
+            stream.fingerprint()
+    assert calls[0] == 0
 
 
 def test_each_tensor_is_hashed_before_the_next_is_read(tmp_path, monkeypatch):
