@@ -22,9 +22,10 @@ a step of its own, until the rest of its MLP is read; post-norm and
 pre-norm placement differ only in whether a norm's output replaces the
 residual stream.
 Each norm runs once over the whole n_tokens x d block and returns one
-`NormAudit` of per-token columns: raw FP64 sum, FP16 sum bits,
-overflow and underflow flags.  Summaries of those columns (counts,
-histograms) are the report's.  The FP16 accumulation loops over the d
+`NormAudit` of per-token columns: raw FP64 sum, FP16 sum (a binary16
+value held in float64, as every binary16 in the package is), overflow
+and underflow flags.  Summaries of those columns (counts, histograms)
+are the report's.  The FP16 accumulation loops over the d
 columns strictly left to right and vectorises over the tokens
 (`fp16.sum_of_squares_rows`): every step squares or adds binary16
 values exactly in double and rounds once, so each token's sum is
@@ -108,7 +109,7 @@ class NormAudit:
     norm_id: str
     scale_applied: float
     raw_sums: np.ndarray  # float64: exact double value of each attempted sum
-    fp16_sums: np.ndarray  # uint16 bits of the sum the epilogue used
+    fp16_sums: np.ndarray  # float64 binary16 values: the FP16 sum, or round_array(raw_sums)
     overflowed: np.ndarray  # bool
     underflowed: np.ndarray  # bool: nonzero input whose squares all rounded to 0
 
@@ -151,32 +152,27 @@ def norm_forward(
 
     The input is multiplied by 1/s (epsilon becomes epsilon/s^2), rounded
     to binary16 under FP16 storage, and each row's squares are summed
-    either exactly or through the batched FP16 accumulator.  Mean,
-    variance, division and the gain/shift epilogue always run in double.
+    either exactly or through the batched FP16 accumulator, which is
+    given the rounded block under FP64 storage too.  Mean, variance,
+    division and the gain/shift epilogue always run in double.
     Returns the normalized rows and the norm's audit, one entry per row.
     """
     x = np.asarray(x, dtype=np.float64)
     d = gamma.size
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected a block of length-{d} rows, got shape {x.shape}")
-    scaled = x * (1.0 / s)
+    scaled = _store(x * (1.0 / s), policy)
     eps_adjusted = epsilon / (s * s)
-    bits = None
-    if policy.fp16_storage:
-        bits = fp16.encode_array(scaled)
-        scaled = fp16.decode_array(bits)
     # One BLAS dot per row: a batched reduction sums in another order.
     raw = np.array([np.dot(row, row) for row in scaled])
     if policy.fp16_accumulation:
-        if bits is None:
-            bits = fp16.encode_array(scaled)
-        sum_bits, overflowed, underflowed = fp16.sum_of_squares_rows(bits)
-        sum_sq = fp16.decode_array(sum_bits)
+        sum_sq, overflowed, underflowed = fp16.sum_of_squares_rows(
+            scaled if policy.fp16_storage else fp16.round_array(scaled))
+        fp16_sums = sum_sq
     else:
-        sum_sq = raw
-        sum_bits = fp16.encode_array(raw)
+        sum_sq, fp16_sums = raw, fp16.round_array(raw)
         overflowed, underflowed = np.zeros((2, raw.size), dtype=bool)
-    audit = NormAudit(norm_id, s, raw, sum_bits, overflowed, underflowed)
+    audit = NormAudit(norm_id, s, raw, fp16_sums, overflowed, underflowed)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is NormKind.LAYER_NORM:
             mean = scaled.mean(axis=1)

@@ -32,8 +32,9 @@ _LEAST_MACS = 1 << 21
 
 
 class ConvergenceError(Exception):
-    """The spectral norm could not be computed (non-finite Gram matrix
-    or an eigensolver failure); names the norm once one is known."""
+    """A spectral norm or scale formula could not be computed (a
+    non-finite Gram matrix or value, or an eigensolver failure); names
+    the norm once one is known."""
 
     def __init__(self, message: str):
         super().__init__(message)

@@ -87,12 +87,16 @@ def _check_dims(gamma: np.ndarray, pairs: list[tuple[str, np.ndarray, tuple[int,
 
 def _grown(gamma: np.ndarray, m: np.ndarray) -> float:
     """||Gamma (m + I)||_F in place on m, a float64 d x d product; a value
-    below DEGENERATE_THRESHOLD is refused.  Adding I only on the diagonal
+    that overflows float64 (ConvergenceError) or is below
+    DEGENERATE_THRESHOLD is refused.  Adding I only on the diagonal
     skips the off-diagonal -0.0 + 0.0, whose square is +0 either way."""
-    m.flat[:: gamma.size + 1] += 1.0
-    m *= gamma[:, None]
-    m *= m
-    value = math.sqrt(float(np.sum(m)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m.flat[:: gamma.size + 1] += 1.0
+        m *= gamma[:, None]
+        m *= m
+        value = math.sqrt(float(np.sum(m)))
+    if not math.isfinite(value):
+        raise ConvergenceError(f"scale formula overflowed float64 (got {value})")
     if value < DEGENERATE_THRESHOLD:
         raise DegenerateScaleError(value)
     return value

@@ -92,20 +92,19 @@ def test_criterion_1_binary16_soft_float():
         mismatches += canon(oracle.div(ai, bi)) != canon(int(ref_div[i]))
         mismatches += canon(oracle.sqrt(ai)) != canon(int(ref_sqrt[i]))
 
-    # The package's array kernels, which the engine runs, against the
-    # oracle: decode_array of every pattern (NaN for NaN, otherwise the
-    # same double bit for bit), encode_array of every decoded value (NaN
-    # canonical), and sum_of_squares_rows row by row on a seeded block
-    # whose rows draw from each regime in turn, then from all of them.
-    patterns = np.arange(0x10000, dtype=np.uint16)
-    decoded = fp16.decode_array(patterns)
-    expected = np.array([oracle.decode(bits) for bits in range(0x10000)])
+    # The package's array kernels, which the engine runs on binary16
+    # values held in float64, against the oracle: round_array of every
+    # pattern's decoded value is decode(encode(x)) bit for bit (-0 and
+    # +-inf included; NaN stays NaN), and sum_of_squares_rows, on the
+    # values of a seeded block whose rows draw from each regime in turn,
+    # then from all of them, gives each row's oracle sum once encoded.
+    decoded = np.array([oracle.decode(bits) for bits in range(0x10000)])
+    rounded = fp16.round_array(decoded)
+    expected = np.array([oracle.decode(oracle.encode(x)) for x in decoded.tolist()])
     nan = np.isnan(expected)
-    mismatches += int(np.count_nonzero(np.isnan(decoded) != nan))
+    mismatches += int(np.count_nonzero(np.isnan(rounded) != nan))
     mismatches += int(np.count_nonzero(
-        decoded[~nan].view(np.uint64) != expected[~nan].view(np.uint64)))
-    mismatches += sum(got != oracle.encode(x) for got, x in
-                      zip(fp16.encode_array(decoded).tolist(), decoded.tolist()))
+        rounded[~nan].view(np.uint64) != expected[~nan].view(np.uint64)))
 
     block_rng = np.random.default_rng(2026)
     shape = (32, 256)
@@ -123,8 +122,9 @@ def test_criterion_1_binary16_soft_float():
         regimes, block_rng.integers(0, len(regimes), (1,) + shape), axis=0)
     block = np.concatenate([*regimes, *mixed])
     block |= (block_rng.integers(0, 2, block.shape) << 15).astype(np.uint16)
-    sums, overflowed, underflowed = fp16.sum_of_squares_rows(block)
-    rows = zip(sums.tolist(), overflowed.tolist(), underflowed.tolist())
+    sums, overflowed, underflowed = fp16.sum_of_squares_rows(decoded[block])
+    rows = zip([oracle.encode(x) for x in sums.tolist()], overflowed.tolist(),
+               underflowed.tolist())
     mismatches += sum(got != oracle.accumulate_sum_of_squares(row)
                       for got, row in zip(rows, block))
     elapsed = time.monotonic() - start

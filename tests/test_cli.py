@@ -363,6 +363,33 @@ def test_huge_finite_inputs_fail_with_one_stderr_line(amp, tmp_path):
                                "at norm 'layer0.norm1', token 0\n"), args
 
 
+def test_a_scale_formula_past_float64_fails_with_one_stderr_line(tmp_path):
+    # Finite float32 weights of 3e38 make the gated MLP's formula
+    # overflow float64 inside ||Gamma (M + I)||_F: `scales` exits 3 naming
+    # the norm it feeds, with no numpy RuntimeWarning and no table.
+    config = ModelConfig(
+        d_model=16, n_heads=2, head_dim=8, mlp_hidden=32, n_layers=2,
+        norm_kind=NormKind.RMS_NORM, residual_placement=ResidualPlacement.POST_LN,
+        mlp_kind=MlpKind.LLAMA_GATED, nonlinearity=Nonlinearity.SILU, epsilon=1e-5,
+    )
+    graph = generate_synthetic(config, InitSpec(), seed=1)
+    huge = {role: 3e38 for role in ("gamma1", "e", "b", "g")}
+    graph = dataclasses.replace(graph, layers=tuple(
+        dataclasses.replace(layer, **{role: np.full_like(getattr(layer, role), value)
+                                      for role, value in huge.items()})
+        for layer in graph.layers))
+    path = tmp_path / "huge.safetensors"
+    save_safetensors(graph, str(path))
+    serialization.atomic_write_text(config_sidecar_path(str(path)),
+                                    serialization.dumps(config.to_dict()))
+    proc = _fresh_python(["-m", "slanc.cli", "scales", str(path), "-o", "t.json"],
+                         tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("slanc: numerical failure: scale formula overflowed float64 "
+                           "(got inf) at norm 'layer0.norm2'\n")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_importing_the_cli_does_not_load_scipy(tmp_path):
     proc = _fresh_python(["-c", "import sys, slanc.cli; print(sorted("
                           "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],

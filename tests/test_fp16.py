@@ -11,13 +11,16 @@ The scalar oracle is checked, in decreasing order of authority, against:
   2p + 2 bits),
 * exhaustive enumeration of all 65536 patterns where that is feasible.
 
-The batched kernels are then held bit for bit to the scalar oracle.  No
-expected value below was produced by the code under test.
+The batched kernels, which hold binary16 as the float64 values the
+patterns decode to, are then held bit for bit to the scalar oracle: the
+oracle decodes its patterns to feed them and encodes what they return.
+No expected value below was produced by the code under test.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +42,7 @@ from fp16_oracle import (
     mul,
     sqrt,
 )
-from slanc.fp16 import decode_array, encode_array, round_array, sum_of_squares_rows
+from slanc.fp16 import round_array, sum_of_squares_rows
 
 # ── independent oracles ──────────────────────────────────────────────────
 
@@ -102,6 +105,21 @@ def numpy_half_bits(x: float) -> int:
 def canonical(bits: int) -> int:
     """Collapse NaN payloads so bitwise comparison is meaningful."""
     return NAN if is_nan(bits) else bits
+
+
+def same_double(a: float, b: float) -> bool:
+    """Both NaN, or the same float64 bit for bit (so -0 is not +0)."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def encode_all(xs) -> np.ndarray:
+    """The oracle's bit pattern of every value of a float array."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return np.array([encode(x) for x in xs.ravel().tolist()], dtype=np.uint16).reshape(xs.shape)
+
+
+# The oracle's value of every bit pattern: DECODED[bits] decodes an array.
+DECODED = np.array([decode(bits) for bits in range(0x10000)])
 
 
 SPECIAL_BITS = [
@@ -291,7 +309,7 @@ def test_add_commutes_bitwise():
 # ── array kernels against the scalar oracle ──────────────────────────────
 
 
-def test_encode_array_matches_scalar():
+def test_round_array_is_decode_of_encode():
     # The log-uniform draw covers every binade from below half the
     # smallest subnormal to past the overflow threshold, both signs; the
     # landmarks sit on rounding boundaries (overflow, max finite,
@@ -306,34 +324,12 @@ def test_encode_array_matches_scalar():
         magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
         landmarks, -landmarks,
         np.array([math.inf, -math.inf, math.nan]),
+        np.random.default_rng(6).uniform(-1e5, 1e5, 4000),
     ])
-    bits = encode_array(xs)
-    assert bits.dtype == np.uint16
     rounded = round_array(xs)
-    for x, got, value in zip(xs.tolist(), bits.tolist(), rounded.tolist()):
-        assert got == encode(x), repr(x)
-        expected = decode(encode(x))
-        if math.isnan(expected):
-            assert math.isnan(value), repr(x)
-        else:  # equal, and with the same sign for zeros
-            assert value == expected, repr(x)
-            assert math.copysign(1.0, value) == math.copysign(1.0, expected), repr(x)
-
-
-def test_decode_array_matches_scalar():
-    bits = np.arange(0x10000, dtype=np.uint16)
-    vals = decode_array(bits)
-    for b in (0x0000, 0x0001, 0x3C00, 0x7BFF, 0x8000, POS_INF, NEG_INF):
-        assert vals[b] == decode(b) or (math.isnan(vals[b]) and math.isnan(decode(b)))
-    assert np.isnan(vals[NAN])
-
-
-def test_round_array_is_decode_of_encode():
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(-1e5, 1e5, 4000)
-    rounded = round_array(xs)
-    expected = decode_array(encode_array(xs))
-    assert np.array_equal(rounded, expected)
+    assert rounded.dtype == np.float64
+    for x, value in zip(xs.tolist(), rounded.tolist()):
+        assert same_double(value, decode(encode(x))), repr(x)
     assert math.isinf(round_array(np.array([70000.0]))[0])
 
 
@@ -350,7 +346,7 @@ def _numpy_accumulate(values: np.ndarray) -> int:
 
 
 def test_accumulate_ones():
-    sum_bits, overflowed, underflowed = accumulate_sum_of_squares(encode_array(np.ones(4)))
+    sum_bits, overflowed, underflowed = accumulate_sum_of_squares(encode_all(np.ones(4)))
     assert decode(sum_bits) == 4.0
     assert not overflowed
     assert not underflowed
@@ -359,7 +355,7 @@ def test_accumulate_ones():
 def test_accumulate_overflow():
     # 300 * 16^2 = 76800 exceeds the largest finite value 65504.
     sum_bits, overflowed, underflowed = accumulate_sum_of_squares(
-        encode_array(np.full(300, 16.0)))
+        encode_all(np.full(300, 16.0)))
     assert overflowed
     assert sum_bits == POS_INF
     assert not underflowed
@@ -369,7 +365,7 @@ def test_accumulate_underflow_to_zero():
     # Each square of ~1e-4 is ~1e-8, far below the smallest subnormal
     # 2^-24, so every term rounds to zero.
     sum_bits, overflowed, underflowed = accumulate_sum_of_squares(
-        encode_array(np.full(128, 1.0e-4)))
+        encode_all(np.full(128, 1.0e-4)))
     assert underflowed
     assert not overflowed
     assert sum_bits == 0x0000
@@ -377,7 +373,7 @@ def test_accumulate_underflow_to_zero():
 
 def test_accumulate_zeros_sets_no_flags():
     sum_bits, overflowed, underflowed = accumulate_sum_of_squares(
-        encode_array(np.zeros(64)))
+        encode_all(np.zeros(64)))
     assert sum_bits == 0x0000
     assert not overflowed
     assert not underflowed
@@ -388,7 +384,7 @@ def test_accumulate_random_against_numpy_sequence():
     for scale in (1e-4, 1e-2, 1.0, 20.0, 200.0):
         for n in (1, 7, 64, 513):
             xs = rng.normal(0.0, scale, n)
-            sum_bits, _, _ = accumulate_sum_of_squares(encode_array(xs))
+            sum_bits, _, _ = accumulate_sum_of_squares(encode_all(xs))
             assert canonical(sum_bits) == canonical(_numpy_accumulate(xs))
 
 
@@ -397,8 +393,8 @@ def test_accumulate_order_sensitivity():
     # the later ones; small terms first accumulate before the big hits.
     big_first = np.array([45.0] * 2 + [1.0] * 100)
     small_first = np.array([1.0] * 100 + [45.0] * 2)
-    s1, _, _ = accumulate_sum_of_squares(encode_array(big_first))
-    s2, _, _ = accumulate_sum_of_squares(encode_array(small_first))
+    s1, _, _ = accumulate_sum_of_squares(encode_all(big_first))
+    s2, _, _ = accumulate_sum_of_squares(encode_all(small_first))
     assert s1 == _numpy_accumulate(big_first)
     assert s2 == _numpy_accumulate(small_first)
     assert s1 != s2
@@ -406,19 +402,23 @@ def test_accumulate_order_sensitivity():
 
 def test_accumulate_rejects_bad_input():
     with pytest.raises(ValueError, match="empty vector"):
-        accumulate_sum_of_squares(encode_array(np.zeros(0)))
+        accumulate_sum_of_squares(encode_all(np.zeros(0)))
     with pytest.raises(ValueError):
-        accumulate_sum_of_squares(encode_array(np.zeros((2, 2))))
+        accumulate_sum_of_squares(encode_all(np.zeros((2, 2))))
 
 
 # ── batched row accumulator against the scalar oracle ────────────────────
 
 
 def _assert_rows_match_scalar(bits: np.ndarray) -> None:
-    sums, overflowed, underflowed = sum_of_squares_rows(bits)
+    """sum_of_squares_rows on the values of a block of bit patterns: each
+    row's sum is the oracle's, bit for bit, and so are its flags."""
+    sums, overflowed, underflowed = sum_of_squares_rows(DECODED[bits])
+    assert sums.dtype == np.float64
     assert sums.shape == overflowed.shape == underflowed.shape == (bits.shape[0],)
-    for row, got in zip(bits, zip(sums.tolist(), overflowed.tolist(), underflowed.tolist())):
-        assert got == accumulate_sum_of_squares(row)
+    for row, *got in zip(bits, sums.tolist(), overflowed.tolist(), underflowed.tolist()):
+        sum_bits, *flags = accumulate_sum_of_squares(row)
+        assert same_double(got[0], decode(sum_bits)) and got[1:] == flags
 
 
 # Bit-pattern regimes: anything (NaN payloads, infinities, subnormals),
@@ -464,22 +464,22 @@ def test_sum_of_squares_rows_edge_rows():
         np.full(d, 2.0**-24),                      # smallest subnormal
         np.full(d, 2.0**-7),                       # squares land on 2^-14
     ]
-    _assert_rows_match_scalar(encode_array(np.array(rows)))
+    bits = encode_all(rows)
+    _assert_rows_match_scalar(bits)
     # Hand-checked flags for a few of those rows.
-    sums, overflowed, underflowed = sum_of_squares_rows(encode_array(np.array(rows)))
-    assert not underflowed[0] and not overflowed[0] and sums[0] == 0x0000
-    assert underflowed[2] and sums[2] == 0x0000
-    assert overflowed[5] and sums[5] == POS_INF
+    sums, overflowed, underflowed = sum_of_squares_rows(DECODED[bits])
+    assert not underflowed[0] and not overflowed[0] and same_double(sums[0], 0.0)
+    assert underflowed[2] and same_double(sums[2], 0.0)
+    assert overflowed[5] and sums[5] == math.inf
     assert sums[6] != sums[7]
-    assert overflowed[10] and sums[10] == NAN
-    # d = 1, and NaN inputs with a payload come back canonical.
+    assert overflowed[10] and math.isnan(sums[10])
+    # d = 1, NaN inputs with a payload included.
     _assert_rows_match_scalar(np.array([[0x7C01], [0xFE01], [0x3C00], [0x0000]],
                                        dtype=np.uint16))
-    assert sum_of_squares_rows(np.array([[0xFE01]], dtype=np.uint16))[0][0] == NAN
 
 
 def test_sum_of_squares_rows_rejects_bad_shapes():
     with pytest.raises(ValueError, match="n x d block"):
-        sum_of_squares_rows(np.zeros(4, dtype=np.uint16))
+        sum_of_squares_rows(np.zeros(4))
     with pytest.raises(ValueError, match="empty rows"):
-        sum_of_squares_rows(np.zeros((2, 0), dtype=np.uint16))
+        sum_of_squares_rows(np.zeros((2, 0)))
