@@ -309,11 +309,13 @@ def test_add_commutes_bitwise():
 # ── array kernels against the scalar oracle ──────────────────────────────
 
 
-def test_round_array_is_decode_of_encode():
-    # The log-uniform draw covers every binade from below half the
-    # smallest subnormal to past the overflow threshold, both signs; the
-    # landmarks sit on rounding boundaries (overflow, max finite,
-    # smallest normal, half the smallest subnormal and a tie above it).
+def test_encode_array_matches_scalar():
+    # The batched encoder is round_array: the binary16 pattern of each
+    # value it returns must be the oracle's encoding of the input.  The
+    # log-uniform draw covers every binade from below half the smallest
+    # subnormal to past the overflow threshold, both signs; the landmarks
+    # sit on rounding boundaries (overflow, max finite, smallest normal,
+    # half the smallest subnormal and a tie above it).
     rng = np.random.default_rng(5)
     magnitudes = 2.0 ** rng.uniform(-26.0, 17.0, 20000)
     landmarks = np.array([65519.99, 65520.0, 65504.0, 2.0**-14, 2.0**-25,
@@ -324,8 +326,17 @@ def test_round_array_is_decode_of_encode():
         magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
         landmarks, -landmarks,
         np.array([math.inf, -math.inf, math.nan]),
-        np.random.default_rng(6).uniform(-1e5, 1e5, 4000),
     ])
+    rounded = round_array(xs)
+    assert rounded.dtype == np.float64
+    for x, value in zip(xs.tolist(), rounded.tolist()):
+        assert canonical(encode(value)) == canonical(encode(x)), repr(x)
+        assert same_double(value, decode(encode(x))), repr(x)
+
+
+def test_round_array_is_decode_of_encode():
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-1e5, 1e5, 4000)
     rounded = round_array(xs)
     assert rounded.dtype == np.float64
     for x, value in zip(xs.tolist(), rounded.tolist()):
