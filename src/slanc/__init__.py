@@ -7,6 +7,9 @@ Submodules:
     scales          the closed-form scale factors, the scale table
                     document and its strict reader
     model           configs, synthetic weights, safetensors ingestion
+    safetensors_io  the safetensors layout: header checks, offset reads,
+                    streamed writes
+    serialization   canonical JSON text and atomic file writes
     engine          instrumented forward pass in both precision modes
     report          audit/compare reports: histograms and summaries
     cli             the `slanc` command-line tool
@@ -14,7 +17,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .engine import FP16_POLICY, REFERENCE_POLICY, calibrate_dynamic, forward
+from .engine import FP16_POLICY, REFERENCE_POLICY, forward
 from .model import (
     InitSpec,
     MlpKind,
@@ -24,7 +27,6 @@ from .model import (
     Nonlinearity,
     ResidualPlacement,
     generate_synthetic,
-    load_safetensors,
     open_safetensors,
 )
 from .scales import (
@@ -47,11 +49,9 @@ __all__ = [
     "Nonlinearity",
     "ResidualPlacement",
     "adjust_epsilon",
-    "calibrate_dynamic",
     "compute_scale_table",
     "forward",
     "generate_synthetic",
-    "load_safetensors",
     "open_safetensors",
     "read_scale_table",
     "scale_attention",

@@ -37,7 +37,6 @@ row, so they and the FP64 outputs match a per-token pass bit for bit.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +54,7 @@ from .model import (
     ResidualPlacement,
     Sublayer,
 )
-from .scales import Formula, ScaleTableError, entry_scales, read_scale_table, scale_entry
+from .scales import ScaleTableError, entry_scales, read_scale_table
 
 
 @dataclass(frozen=True)
@@ -337,34 +336,3 @@ def forward(model: ModelGraph | ModelStream, x0: np.ndarray, policy: PrecisionPo
         raise result
     return result
 
-
-# ── dynamic calibration baseline ─────────────────────────────────────────
-
-
-def calibrate_dynamic(
-    model: ModelGraph,
-    calibration_inputs: list,
-    statistic: str = "Median",
-) -> dict:
-    """A scale table document of per-norm scales from observed input
-    norms on calibration data.
-
-    Runs the double-precision forward over every calibration matrix,
-    collects each norm's pre-scaling input Euclidean norm per token,
-    and takes the chosen statistic (Mean or Median) as that norm's s.
-    """
-    if statistic not in ("Mean", "Median"):
-        raise ValueError(f"statistic must be 'Mean' or 'Median', got {statistic!r}")
-    if not calibration_inputs:
-        raise ValueError("empty calibration set")
-    observed: dict[str, list[np.ndarray]] = defaultdict(list)
-    for x in calibration_inputs:
-        for norm_id, audit in forward(model, x, REFERENCE_POLICY).audit.items():
-            observed[norm_id].append(np.sqrt(audit.raw_sums))
-    entries = []
-    for site in model.norm_sites:
-        values = np.concatenate(observed[site.norm_id])
-        s = float(np.mean(values) if statistic == "Mean" else np.median(values))
-        entries.append(scale_entry(site.norm_id, site.layer, Formula.DYNAMIC, s,
-                                   model.config.epsilon))
-    return {"fingerprint": model.fingerprint(), "entries": entries}

@@ -15,8 +15,7 @@ attention matrices, its MLP's gate projection, then the rest of its
 MLP), yields each step as soon as its group is read and drops a group's
 matrices before it reads the next group's.  Every tensor passes through
 one staging buffer of about a MiB.  Every `slanc` command walks that
-stream once; load_safetensors collects the walk into a ModelGraph for
-tests and library use.
+stream once.
 """
 
 from __future__ import annotations
@@ -131,6 +130,14 @@ class ModelConfig:
                 raise ModelError(f"bad model config: {name} must be {what}, got {value!r}")
             return value
 
+        def real(name: str) -> float:
+            value = number(name, (int, float))
+            try:
+                return float(value)
+            except OverflowError:  # a JSON integer beyond float range
+                raise ModelError(f"bad model config: {name} must be a finite number, "
+                                 f"got a {len(str(abs(value)))}-digit integer") from None
+
         try:
             return cls(
                 d_model=number("d_model"),
@@ -142,7 +149,7 @@ class ModelConfig:
                 residual_placement=ResidualPlacement(doc["residual_placement"]),
                 mlp_kind=MlpKind(doc["mlp_kind"]),
                 nonlinearity=Nonlinearity(doc["nonlinearity"]),
-                epsilon=float(number("epsilon", (int, float))),
+                epsilon=real("epsilon"),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ModelError(f"bad model config: {err}") from err
@@ -499,7 +506,7 @@ def default_name_map() -> NameMap:
 
 def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
     """Flatten a graph to {tensor name: array} in storage orientation, in
-    slot order (_slots), the order load_safetensors reads and hashes."""
+    slot order (_slots), the order open_safetensors reads and hashes."""
     nm = name_map or default_name_map()
     named = [(role, layer, nm.tensor_name(role, layer), array)
              for role, layer, array in _held_tensors(graph)]
@@ -558,20 +565,6 @@ def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
         nonlinearity=Nonlinearity.SILU,
         epsilon=1e-5,
     )
-
-
-def load_safetensors(
-    path: str,
-    name_map: NameMap | None = None,
-    config: ModelConfig | None = None,
-) -> ModelGraph:
-    """The whole graph of a checkpoint: the one walk of open_safetensors
-    with every layer it reads kept, for tests and library use.  Its
-    arrays are read-only and share no memory with each other."""
-    with open_safetensors(path, name_map, config) as stream:
-        return _assemble(stream.config, {(role, layer): array
-                                         for (layer, _), held in stream._read()
-                                         for role, array in held.items()})
 
 
 def open_safetensors(

@@ -12,11 +12,10 @@ Reading streams: read_header validates the header of an open file
 without touching a payload, and read_tensor reads one payload, or a
 range of its rows, by offset into a buffer the caller owns, so a loader
 can pass every tensor through one reused buffer of a fixed size instead
-of holding the whole file or a whole payload.  load_tensors is the two
-composed.  Tensors keep their stored precision, except that
-BF16 widens exactly to float32.  Every supported dtype widens exactly
-to float32, so slanc.model holds weight matrices as float32 and only
-gains and shifts as float64.
+of holding the whole file or a whole payload.  Tensors keep their
+stored precision, except that BF16 widens exactly to float32.  Every
+supported dtype widens exactly to float32, so slanc.model holds weight
+matrices as float32 and only gains and shifts as float64.
 
 Writing streams too: save_tensors lays the header out from the tensors'
 shapes alone, then encodes and writes one payload at a time, each cast
@@ -237,17 +236,6 @@ def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray,
         # An empty tensor whose other dimensions overflow numpy's size.
         raise SafetensorsError(f"shape {list(entry.shape)} is too large: {err}",
                                tensor=entry.name) from err
-
-
-def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Every tensor in the file, in stored precision, in header order.
-
-    Each tensor is read by read_tensor into a buffer of its own, so every
-    array is writable and no two share memory.
-    """
-    with open_file(path) as handle:
-        return {name: read_tensor(handle, entry, np.empty(entry.nbytes, dtype=np.uint8))
-                for name, entry in read_header(handle).items()}
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray], dtype: str = "F32") -> None:

@@ -47,7 +47,8 @@ from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, NormSite, Subl
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
-# something to clamp away.
+# something to clamp away.  The formulas refuse such an s, and so does
+# the table reader.
 DEGENERATE_THRESHOLD = 2.0**-24
 
 
@@ -56,16 +57,15 @@ class Formula(str, Enum):
     LLAMA_MLP = "LlamaMlp"
     ATTENTION = "Attention"
     UNIT = "Unit"
-    DYNAMIC = "Dynamic"  # produced by the runtime calibration baseline
 
 
 class DegenerateScaleError(Exception):
     """Scale collapsed below the representable threshold."""
 
-    def __init__(self, value: float, norm_id: str | None = None):
+    def __init__(self, value: float):
         super().__init__(value)
         self.value = value
-        self.norm_id = norm_id  # set by compute_scale_table when None
+        self.norm_id = None  # set by compute_scale_table
 
     def __str__(self) -> str:
         where = f" at norm {self.norm_id!r}" if self.norm_id else ""
@@ -165,10 +165,8 @@ class ScaleTableError(Exception):
 def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
                 epsilon: float) -> dict:
     """One table entry in document order: s with its reciprocal and the
-    adjusted epsilon.  Refuses an s below DEGENERATE_THRESHOLD."""
+    adjusted epsilon."""
     eps_adjusted = adjust_epsilon(epsilon, s)  # refuses a non-positive s
-    if s < DEGENERATE_THRESHOLD:
-        raise DegenerateScaleError(s, norm_id)
     return {"norm_id": norm_id, "layer": layer, "formula": formula.value, "s": s,
             "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
 
@@ -246,10 +244,10 @@ def _number(value) -> bool:
 
 def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:
     """Each norm's s from a scale table document, once the document is
-    shown to be one compute_scale_table or calibrate_dynamic could have
-    written for this model: its fingerprint is model.fingerprint() (a
-    stream's is known once its walk is done), then entry_scales accepts
-    it.  Raises ScaleTableError, naming the field, when it is not."""
+    shown to be one compute_scale_table could have written for this
+    model: its fingerprint is model.fingerprint() (a stream's is known
+    once its walk is done), then entry_scales accepts it.  Raises
+    ScaleTableError, naming the field, when it is not."""
     if not isinstance(doc, dict):
         raise ScaleTableError(f"scale table must be a JSON object, got "
                               f"{type(doc).__name__}")
@@ -267,12 +265,11 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
     against cfg alone.  Raises ScaleTableError, naming the norm and the
     field, when a norm of the model has no entry, or an entry names a
     norm twice or one the model lacks; or when an entry's layer is not
-    the norm's (a JSON integer), its formula is neither the norm's nor
-    Dynamic, or is Dynamic in a static table or static in a Dynamic one
-    (entries[0] sets the kind), its s is not a finite positive number,
-    or its reciprocal or eps_adjusted differs in any bit from 1/s or
-    adjust_epsilon(cfg.epsilon, s).  Booleans are not numbers here, and
-    nothing is coerced."""
+    the norm's (a JSON integer), its formula is not the norm's, its s is
+    not a finite number of at least DEGENERATE_THRESHOLD (a smaller one
+    compute_scale_table never writes), or its reciprocal or eps_adjusted
+    differs in any bit from 1/s or adjust_epsilon(cfg.epsilon, s).
+    Booleans are not numbers here, and nothing is coerced."""
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ScaleTableError(f"scale table entries must be a list, got "
@@ -299,17 +296,13 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
 
         if type(entry.get("layer")) is not int or entry["layer"] != layer:  # not bool
             raise refuse("layer", f"the integer {layer}")
-        allowed = (formula.value, Formula.DYNAMIC.value)
-        if i > 0:  # entries[0] set the table's kind: all Dynamic or all static
-            allowed = allowed[1:] if dynamic else allowed[:1]
-        if entry.get("formula") not in allowed:
-            kind = "" if i == 0 else (f" (entries[0] makes the table "
-                                      f"{'dynamic' if dynamic else 'static'})")
-            raise refuse("formula", " or ".join(map(repr, allowed)) + kind)
-        dynamic = entry["formula"] == Formula.DYNAMIC.value
+        if entry.get("formula") != formula.value:
+            raise refuse("formula", repr(formula.value))
         s = entry.get("s")
         if not (_number(s) and 0 < s <= sys.float_info.max):
             raise refuse("s", "a finite positive number")
+        if s < DEGENERATE_THRESHOLD:
+            raise refuse("s", f"at least 2^-24 ({DEGENERATE_THRESHOLD!r})")
         s = float(s)
         epsilon = cfg.epsilon
         for field, wanted, how in (

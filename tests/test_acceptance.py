@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 import fp16_oracle as oracle
+from checkpoints import load_safetensors
 from conftest import record_acceptance
+from dynamic_oracle import calibrate_dynamic
 from slanc import fp16
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
-    calibrate_dynamic,
     forward,
     norm_forward,
 )
@@ -37,7 +38,6 @@ from slanc.model import (
     ResidualPlacement,
     default_name_map,
     generate_synthetic,
-    load_safetensors,
 )
 from slanc.report import run_compare
 from slanc.scales import (
@@ -281,7 +281,7 @@ PINNED_DYNAMIC_FACTOR = 8.0
 def test_criterion_6_dynamic_baseline(flagship):
     graph, tokens, table = flagship
     static = read_scale_table(table, graph)
-    dynamic = read_scale_table(calibrate_dynamic(graph, [tokens], "Median"), graph)
+    dynamic = calibrate_dynamic(graph, [tokens], "Median")
     worst = max(max(static[n] / dynamic[n], dynamic[n] / static[n]) for n in static)
     _criterion(
         6, "dynamic-baseline agreement",

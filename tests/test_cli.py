@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from checkpoints import load_safetensors, load_tensors
 import slanc
 from slanc import model as model_mod
 from slanc import serialization
@@ -45,11 +46,10 @@ from slanc.model import (
     config_sidecar_path,
     default_name_map,
     generate_synthetic,
-    load_safetensors,
     open_safetensors,
     save_safetensors,
 )
-from slanc.safetensors_io import SafetensorsError, load_tensors, read_header, save_tensors
+from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
 from slanc.scales import DegenerateScaleError, Formula, compute_scale_table, scale_entry
 
 
@@ -536,6 +536,12 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         path.write_text(json.dumps({**config, name: value}))
         named.append((["--tokens", "4", "--config", str(path)],
                       f"bad model config: {name} must be {what}, got {value!r}"))
+    # A JSON integer beyond float range is a number, but no epsilon.
+    path = tmp_path / "epsilon-huge.json"
+    path.write_text(json.dumps({**config, "epsilon": 10**400}))
+    named.append((["--tokens", "4", "--config", str(path)],
+                  "bad model config: epsilon must be a finite number, got a 401-digit "
+                  "integer"))
     # A scale table applies only to the model and epsilon it was written
     # for, read as written: each edit names the norm (or the entry's
     # index) and the field.
@@ -558,20 +564,25 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         ([norm1, norm2, {**norm2, "norm_id": "layer9.norm1"}],
          "entries[2]: norm_id 'layer9.norm1' names no norm of the model"),
         ([{**norm1, "formula": norm2["formula"]}, {**norm2, "formula": norm1["formula"]}],
-         "entry 'layer0.norm1': formula must be 'Attention' or 'Dynamic', "
-         "got 'StandardMlp'"),
+         "entry 'layer0.norm1': formula must be 'Attention', got 'StandardMlp'"),
         ([{**norm1, "reciprocal": math.nextafter(norm1["reciprocal"], 1.0)}, norm2],
          "entry 'layer0.norm1': reciprocal must be "),
         ({"layer0.norm1": norm1, "layer0.norm2": norm2},
          "entries must be a list, got dict"),
         ([norm1, [norm2]], "entries[1] must be a JSON object, got list"),
-        # A table is all Dynamic (calibrate_dynamic's) or all static.
-        ([norm1, {**norm2, "formula": "Dynamic"}],
-         "entry 'layer0.norm2': formula must be 'StandardMlp' (entries[0] makes the "
-         "table static), got 'Dynamic'"),
+        # No command writes a runtime-calibrated table: Dynamic is one more
+        # wrong formula, wherever it stands.
         ([{**norm1, "formula": "Dynamic"}, norm2],
-         "entry 'layer0.norm2': formula must be 'Dynamic' (entries[0] makes the "
-         "table dynamic), got 'StandardMlp'"),
+         "entry 'layer0.norm1': formula must be 'Attention', got 'Dynamic'"),
+        ([norm1, {**norm2, "formula": "Dynamic"}],
+         "entry 'layer0.norm2': formula must be 'StandardMlp', got 'Dynamic'"),
+        # An s below 2^-24 is one compute_scale_table never writes, even
+        # with its reciprocal and eps_adjusted consistent: refused, not
+        # run into a numerical failure blamed on the model.
+        ([scale_entry(e["norm_id"], e["layer"], Formula(e["formula"]), 2.0**-30,
+                      config["epsilon"]) for e in (norm1, norm2)],
+         f"entry 'layer0.norm1': s must be at least 2^-24 (5.960464477539063e-08), "
+         f"got {2.0**-30!r}"),
     ]):
         path = tmp_path / f"table{i}.json"
         path.write_text(json.dumps({**table, "entries": entries}))
@@ -582,7 +593,9 @@ def test_audit_input_validation(amp, tmp_path, capsys):
                   "scale table entry 'layer0.norm1': eps_adjusted must be "))
     for args, message in named:
         assert main(["audit", str(model), *args, "-o", out]) == 1, args
-        assert f"slanc: error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"slanc: error: {message}" in err
+        assert "Traceback" not in err
     assert main(["compare", str(model), "--scales", str(scales), "--tokens", "4",
                  "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "slanc: error: --seed must be non-negative, got -1\n"

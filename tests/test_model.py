@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
+from checkpoints import load_safetensors, load_tensors
 from memory_gates import gate_checkpoint, traced_peak
 from model_validate import validate
 from slanc import engine, serialization
@@ -44,13 +45,12 @@ from slanc.model import (
     config_sidecar_path,
     default_name_map,
     generate_synthetic,
-    load_safetensors,
     open_safetensors,
     save_safetensors,
     to_tensor_dict,
 )
 from slanc.report import run_compare
-from slanc.safetensors_io import SafetensorsError, load_tensors, read_header, save_tensors
+from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
 from slanc.scales import Formula, compute_scale_table
 
 
@@ -127,6 +127,10 @@ def test_config_validation():
         message = f"bad model config: {name} must be {what}, got {value!r}"
         with pytest.raises(ModelError, match=re.escape(message)):
             ModelConfig.from_dict({**doc, name: value})
+    # A JSON integer beyond float range is a number, but no epsilon.
+    with pytest.raises(ModelError, match=re.escape(
+            "bad model config: epsilon must be a finite number, got a 401-digit integer")):
+        ModelConfig.from_dict({**doc, "epsilon": 10**400})
     assert ModelConfig.from_dict({**doc, "epsilon": 1}).epsilon == 1.0
 
 

@@ -16,12 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
+from checkpoints import load_tensors
 from memory_gates import traced_peak
 from slanc import safetensors_io
 from slanc.safetensors_io import (
     SafetensorsError,
     cast_into,
-    load_tensors,
     read_header,
     read_tensor,
     save_tensors,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,14 +221,25 @@ def test_norm_scale_rejects_inconsistent_reciprocal():
 
 
 def test_degenerate_threshold_boundary():
+    # The reader accepts exactly the s the formulas can produce: from
+    # DEGENERATE_THRESHOLD up, with consistent reciprocal and eps_adjusted.
     assert DEGENERATE_THRESHOLD == 2.0**-24
-    entry = scale_entry("n", 0, Formula.UNIT, 2.0**-24, 1e-5)
-    assert entry["s"] == 2.0**-24
+    graph = generate_synthetic(_config(d=16, layers=1), InitSpec(), seed=0)
+    table = compute_scale_table(graph)
+
+    def with_s(s: float, norm_id: str) -> dict:
+        return {**table, "entries": [
+            scale_entry(e["norm_id"], e["layer"], Formula(e["formula"]),
+                        s if e["norm_id"] == norm_id else e["s"], 1e-5)
+            for e in table["entries"]]}
+
+    accepted = read_scale_table(with_s(2.0**-24, "layer0.norm2"), graph)
+    assert accepted["layer0.norm2"] == 2.0**-24
     below = math.nextafter(2.0**-24, 0.0)
-    with pytest.raises(DegenerateScaleError) as info:
-        scale_entry("layer0.norm1", 0, Formula.UNIT, below, 1e-5)
-    assert info.value.norm_id == "layer0.norm1"
-    assert "layer0.norm1" in str(info.value)
+    with pytest.raises(ScaleTableError, match=re.escape(
+            f"entry 'layer0.norm2': s must be at least 2^-24 ({2.0**-24!r}), "
+            f"got {below!r}")):
+        read_scale_table(with_s(below, "layer0.norm2"), graph)
 
 
 # ── whole-model tables ───────────────────────────────────────────────────
