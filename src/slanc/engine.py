@@ -54,7 +54,7 @@ from .model import (
     ResidualPlacement,
     Sublayer,
 )
-from .scales import ScaleTableError, entry_scales, read_scale_table
+from .scales import ScaleTableError, check_fingerprint, entry_scales
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,13 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
     by step in one walk of model.execution_order(); per pass, its
     ForwardResult or the NonPositiveVarianceError that stopped it.
 
-    A pass whose table entry_scales refuses, or that meets a non-positive
-    variance, stops computing while the walk reads on.  So a fault of the
-    walk (a bad payload) comes first; then, once the walk is done,
-    read_scale_table's fingerprint and entry checks; the returned errors
-    last.  A bad token block raises InputError before the walk.  Finite
-    but huge tokens may overflow to inf or NaN inside the products; the
+    A pass checks its table's entries once, as it starts (entry_scales);
+    one they refuse, or that meets a non-positive variance, stops
+    computing while the walk reads on.  So a fault of the walk (a bad
+    payload) comes first; then, once the walk is done, each table's
+    fingerprint and its entries' refusal; the returned errors last.  A
+    bad token block raises InputError before the walk.  Finite but huge
+    tokens may overflow to inf or NaN inside the products; the
     audit records that, so numpy's warnings about it are silenced.
     """
     cfg = model.config
@@ -320,9 +321,11 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
                 for run in runs:
                     run.advance(step)
             del step  # a step's weights go before the walk reads the next group
-    for _, scales in passes:
+    for run, (_, scales) in zip(runs, passes):
         if scales is not None:
-            read_scale_table(scales, model)
+            check_fingerprint(scales, model)
+            if isinstance(run.error, ScaleTableError):
+                raise run.error
     return [run.error or ForwardResult(output=run.h, audit=run.audit) for run in runs]
 
 

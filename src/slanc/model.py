@@ -127,7 +127,7 @@ class ModelConfig:
             value = doc[name]  # JSON true/false parse as bool, an int subclass
             if isinstance(value, bool) or not isinstance(value, kinds):
                 what = "an integer" if kinds is int else "a number"
-                raise ModelError(f"bad model config: {name} must be {what}, got {value!r}")
+                raise ValueError(f"{name} must be {what}, got {value!r}")
             return value
 
         def real(name: str) -> float:
@@ -135,8 +135,8 @@ class ModelConfig:
             try:
                 return float(value)
             except OverflowError:  # a JSON integer beyond float range
-                raise ModelError(f"bad model config: {name} must be a finite number, "
-                                 f"got a {len(str(abs(value)))}-digit integer") from None
+                raise ValueError(f"{name} must be a finite number, got a "
+                                 f"{len(str(abs(value)))}-digit integer") from None
 
         try:
             return cls(
@@ -151,7 +151,7 @@ class ModelConfig:
                 nonlinearity=Nonlinearity(doc["nonlinearity"]),
                 epsilon=real("epsilon"),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, ModelError) as err:
             raise ModelError(f"bad model config: {err}") from err
 
 
@@ -437,7 +437,8 @@ class NameMap:
     def from_dict(cls, doc: dict) -> "NameMap":
         """The name map a JSON document describes, read as written: the
         template and every tensor name are strings, and every transpose
-        entry names a role."""
+        entry names a role.  Two roles naming one tensor are refused
+        where names resolve (_check_distinct), not here."""
         def bad(problem: str) -> ModelError:
             return ModelError(f"bad name map: {problem}")
 
@@ -452,14 +453,6 @@ class NameMap:
         for role, name in roles.items():
             if not isinstance(name, str):
                 raise bad(f"roles[{role!r}] must be a string, got {name!r}")
-        # Two roles naming one tensor would load it into both slots.
-        # Per-layer names are relative to the template, final-norm names
-        # absolute, so each kind is compared among its own.
-        named_by: dict = {}
-        for role, name in roles.items():
-            other = named_by.setdefault((role in FINAL_ROLES, name), role)
-            if other != role:
-                raise bad(f"roles {other!r} and {role!r} both name tensor {name!r}")
         if not isinstance(transpose, list):
             raise bad(f"transpose must be a list, got {transpose!r}")
         for role in transpose:

@@ -22,8 +22,10 @@ measure counterexamples: deep pre-LN stacks, activation cancellation,
 the gate's missing sqrt(d) and a LayerNorm shift.  The table is its
 JSON document, {fingerprint, entries}, each entry built by scale_entry.
 read_scale_table is the one way back from a document to the scales,
-and refuses any table not written for this model and its epsilon;
-entry_scales runs its entry checks alone, before a stream's walk.
+and refuses any table not written for this model and its epsilon: its
+fingerprint must be the weights' (check_fingerprint), and entry_scales,
+which needs only the config and so runs before a stream's walk,
+rebuilds each entry with scale_entry from its s and compares.
 
 A graph holds its matrices as float32, yet every formula runs in
 float64: linalg widens each weight one tile at a time, with the bits of
@@ -238,16 +240,18 @@ def _scale(sublayer: Sublayer, gated: bool, gamma: np.ndarray, gate) -> float:
     return scale_standard_mlp(gamma, gate, w.g)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:
     """Each norm's s from a scale table document, once the document is
-    shown to be one compute_scale_table could have written for this
-    model: its fingerprint is model.fingerprint() (a stream's is known
-    once its walk is done), then entry_scales accepts it.  Raises
+    shown to be the one compute_scale_table writes for this model and
+    these s: check_fingerprint, then entry_scales.  Raises
     ScaleTableError, naming the field, when it is not."""
+    check_fingerprint(doc, model)
+    return entry_scales(doc, model.config)
+
+
+def check_fingerprint(doc, model: ModelGraph | ModelStream) -> None:
+    """Refuse (ScaleTableError) a document whose fingerprint is not
+    model.fingerprint(); a stream's is known once its walk is done."""
     if not isinstance(doc, dict):
         raise ScaleTableError(f"scale table must be a JSON object, got "
                               f"{type(doc).__name__}")
@@ -257,63 +261,57 @@ def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:
                               f"{fingerprint!r}")
     if fingerprint != model.fingerprint():
         raise ScaleTableError("scale table fingerprint does not match the model weights")
-    return entry_scales(doc, model.config)
 
 
 def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
     """Each norm's s from the entries of a scale table document, checked
-    against cfg alone.  Raises ScaleTableError, naming the norm and the
-    field, when a norm of the model has no entry, or an entry names a
-    norm twice or one the model lacks; or when an entry's layer is not
-    the norm's (a JSON integer), its formula is not the norm's, its s is
-    not a finite number of at least DEGENERATE_THRESHOLD (a smaller one
-    compute_scale_table never writes), or its reciprocal or eps_adjusted
-    differs in any bit from 1/s or adjust_epsilon(cfg.epsilon, s).
-    Booleans are not numbers here, and nothing is coerced."""
+    against cfg alone: entries[i] must be the i-th norm's, with an s that
+    is a finite JSON number of at least DEGENERATE_THRESHOLD (the
+    formulas never produce a smaller one), and exactly the fields
+    scale_entry builds from that norm, float(s) and cfg.epsilon, each
+    equal in value and in JSON type (a bool is no integer, 2 is not
+    2.0).  Raises ScaleTableError naming the entry (its index when its
+    norm_id is wrong) and the first field that differs, or the first
+    norm with no entry."""
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ScaleTableError(f"scale table entries must be a list, got "
                               f"{type(entries).__name__}")
-    sites = {site.norm_id: (site.layer, formula)
-             for site, formula in _norm_formulas(cfg)}
+    sites = list(_norm_formulas(cfg))
     found: dict[str, float] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ScaleTableError(f"scale table entries[{i}] must be a JSON object, "
                                   f"got {type(entry).__name__}")
         norm_id = entry.get("norm_id")
-        if not isinstance(norm_id, str) or norm_id not in sites:
+        if i == len(sites):
             raise ScaleTableError(f"scale table entries[{i}]: norm_id {norm_id!r} "
-                                  f"names no norm of the model")
-        if norm_id in found:
-            raise ScaleTableError(f"scale table entry {norm_id!r}: norm_id appears "
-                                  f"more than once")
-        layer, formula = sites[norm_id]
+                                  f"comes after the model's {len(sites)} norms")
+        site, formula = sites[i]
+        if norm_id != site.norm_id:
+            raise ScaleTableError(f"scale table entries[{i}]: norm_id must be "
+                                  f"{site.norm_id!r}, got {norm_id!r}")
 
         def refuse(field: str, wanted: str) -> ScaleTableError:
             return ScaleTableError(f"scale table entry {norm_id!r}: {field} must be "
                                    f"{wanted}, got {entry.get(field)!r}")
 
-        if type(entry.get("layer")) is not int or entry["layer"] != layer:  # not bool
-            raise refuse("layer", f"the integer {layer}")
-        if entry.get("formula") != formula.value:
-            raise refuse("formula", repr(formula.value))
         s = entry.get("s")
-        if not (_number(s) and 0 < s <= sys.float_info.max):
+        if not (type(s) in (int, float) and 0 < s <= sys.float_info.max):  # not bool
             raise refuse("s", "a finite positive number")
         if s < DEGENERATE_THRESHOLD:
             raise refuse("s", f"at least 2^-24 ({DEGENERATE_THRESHOLD!r})")
-        s = float(s)
-        epsilon = cfg.epsilon
-        for field, wanted, how in (
-            ("reciprocal", 1.0 / s, "1/s"),
-            ("eps_adjusted", adjust_epsilon(epsilon, s),
-             f"epsilon/s^2 for the model's epsilon {epsilon!r}"),
-        ):
-            if not (_number(entry.get(field)) and entry[field] == wanted):
-                raise refuse(field, f"{wanted!r} ({how})")
+        want = scale_entry(norm_id, site.layer, formula, float(s), cfg.epsilon)
+        for field, value in want.items():
+            if not (type(entry.get(field)) is type(value) and entry[field] == value):
+                raise refuse(field, repr(value) + (
+                    f" (epsilon/s^2 for the model's epsilon {cfg.epsilon!r})"
+                    if field == "eps_adjusted" else ""))
+        for extra in sorted(entry.keys() - want.keys()):  # the first, if any
+            raise ScaleTableError(f"scale table entry {norm_id!r}: {extra!r} is not "
+                                  f"a field of a table entry")
         found[norm_id] = s
-    for norm_id in sites:
-        if norm_id not in found:
-            raise ScaleTableError(f"scale table has no entry for norm {norm_id!r}")
+    if len(entries) < len(sites):
+        raise ScaleTableError(f"scale table has no entry for norm "
+                              f"{sites[len(entries)][0].norm_id!r}")
     return found

@@ -509,9 +509,11 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         ({"roles": ["w_v"]}, "roles must be a JSON object, got ['w_v']"),
         ({"transpose": "w_q"}, "transpose must be a list, got 'w_q'"),
         ({"transpose": ["w_q", "wv"]}, "transpose entry 'wv' names no role"),
-        # Two roles naming one tensor would load k_proj as both w_k and w_v.
+        # Two roles naming one tensor would load k_proj as both w_k and w_v;
+        # the plan names the first layer where the resolved names meet.
         ({"roles": {**name_map["roles"], "w_v": "self_attn.k_proj.weight"}},
-         "roles 'w_k' and 'w_v' both name tensor 'self_attn.k_proj.weight'"),
+         "roles 'w_k' of layer 0 and 'w_v' of layer 0 both name tensor "
+         "'model.layers.0.self_attn.k_proj.weight'"),
         ({"roles": {**name_map["roles"], "final_beta": "model.norm.weight"}},
          "roles 'final_gamma' and 'final_beta' both name tensor 'model.norm.weight'"),
         # Nor may a final-norm name be a resolved per-layer one.
@@ -536,6 +538,16 @@ def test_audit_input_validation(amp, tmp_path, capsys):
         path.write_text(json.dumps({**config, name: value}))
         named.append((["--tokens", "4", "--config", str(path)],
                       f"bad model config: {name} must be {what}, got {value!r}"))
+    # Values of the right JSON type that form no model carry the same
+    # prefix; 1e400 parses as inf.
+    for name, text, message in [
+        ("d_model", "0", "d_model must be positive, got 0"),
+        ("epsilon", "1e400", "epsilon must be positive and finite, got inf"),
+    ]:
+        path = tmp_path / f"{name}-{text}.json"
+        path.write_text(json.dumps({**config, name: "?"}).replace('"?"', text))
+        named.append((["--tokens", "4", "--config", str(path)],
+                      f"bad model config: {message}"))
     # A JSON integer beyond float range is a number, but no epsilon.
     path = tmp_path / "epsilon-huge.json"
     path.write_text(json.dumps({**config, "epsilon": 10**400}))
@@ -551,18 +563,29 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     for i, (entries, message) in enumerate([
         ([norm1, {**norm2, "eps_adjusted": 1.0}],
          "entry 'layer0.norm2': eps_adjusted must be "),
+        # Entries stand in execution order, one per norm: a repeated,
+        # reordered or extra entry is refused at its index.
         ([norm1, norm2, {**norm1, "s": 3 * s, "reciprocal": 1 / (3 * s)}],
-         "entry 'layer0.norm1': norm_id appears more than once"),
+         "entries[2]: norm_id 'layer0.norm1' comes after the model's 2 norms"),
+        ([norm1, norm1, norm2],
+         "entries[1]: norm_id must be 'layer0.norm2', got 'layer0.norm1'"),
+        ([norm2, norm1],
+         "entries[0]: norm_id must be 'layer0.norm1', got 'layer0.norm2'"),
         ([{**norm1, "s": repr(s)}, norm2],
          f"entry 'layer0.norm1': s must be a finite positive number, got '{s!r}'"),
+        # Each field is the one scale_entry writes, in value and JSON type.
         ([{**norm1, "layer": 0.7}, norm2],
-         "entry 'layer0.norm1': layer must be the integer 0, got 0.7"),
+         "entry 'layer0.norm1': layer must be 0, got 0.7"),
         ([{**norm1, "layer": True}, norm2],
-         "entry 'layer0.norm1': layer must be the integer 0, got True"),
+         "entry 'layer0.norm1': layer must be 0, got True"),
         ([norm1, {**norm2, "layer": 5}],
-         "entry 'layer0.norm2': layer must be the integer 0, got 5"),
+         "entry 'layer0.norm2': layer must be 0, got 5"),
+        ([norm1, {**norm2, "s": 4, "reciprocal": 0.25, "eps_adjusted": 1e-5 / 16}],
+         "entry 'layer0.norm2': s must be 4.0, got 4"),
+        ([{**norm1, "note": ""}, norm2],
+         "entry 'layer0.norm1': 'note' is not a field of a table entry"),
         ([norm1, norm2, {**norm2, "norm_id": "layer9.norm1"}],
-         "entries[2]: norm_id 'layer9.norm1' names no norm of the model"),
+         "entries[2]: norm_id 'layer9.norm1' comes after the model's 2 norms"),
         ([{**norm1, "formula": norm2["formula"]}, {**norm2, "formula": norm1["formula"]}],
          "entry 'layer0.norm1': formula must be 'Attention', got 'StandardMlp'"),
         ([{**norm1, "reciprocal": math.nextafter(norm1["reciprocal"], 1.0)}, norm2],

@@ -17,7 +17,7 @@ import pytest
 
 import fp16_oracle
 from dynamic_oracle import calibrate_dynamic
-from slanc import engine, fp16
+from slanc import engine, fp16, scales
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
@@ -41,11 +41,12 @@ from slanc.model import (
     ResidualPlacement,
     generate_synthetic,
 )
-from slanc.report import build_audit_report, histogram
+from slanc.report import build_audit_report, histogram, run_compare
 from slanc.scales import (
     ScaleTableError,
     adjust_epsilon,
     compute_scale_table,
+    entry_scales,
     read_scale_table,
 )
 
@@ -447,6 +448,29 @@ def test_missing_scale_entry_is_refused():
                                    if e["norm_id"] != "layer1.norm2"]}
     with pytest.raises(ScaleTableError, match="no entry for norm 'layer1.norm2'"):
         forward(graph, np.ones((2, 16)), REFERENCE_POLICY, scales=broken)
+
+
+def test_entries_are_checked_once_per_scaled_pass(monkeypatch):
+    # The pass checks its table's entries as it starts; after the walk
+    # only the fingerprint is left to check.
+    graph = generate_synthetic(_config(), InitSpec(), seed=1)
+    table = compute_scale_table(graph)
+    calls = []
+
+    def counting(doc, cfg):
+        calls.append(doc)
+        return entry_scales(doc, cfg)
+
+    monkeypatch.setattr(engine, "entry_scales", counting)
+    monkeypatch.setattr(scales, "entry_scales", counting)
+    x0 = np.random.default_rng(2).standard_normal((3, 16))
+    forward(graph, x0, FP16_POLICY, scales=table)
+    assert len(calls) == 1
+    forward(graph, x0, FP16_POLICY)
+    assert len(calls) == 1
+    run_compare(graph, x0, table)
+    assert len(calls) == 2
+    assert all(doc is table for doc in calls)
 
 
 def test_audit_is_complete_and_ordered():

@@ -531,9 +531,8 @@ def test_tensor_dict_applies_transpose():
 
 
 def test_saving_refuses_two_slots_naming_one_tensor(tmp_path):
-    # A final-norm name equal to a per-layer one passes NameMap.from_dict
-    # (each kind is compared among its own); saving must not store one of
-    # the two tensors under the other's name.
+    # A final-norm name equal to a resolved per-layer one: saving must not
+    # store one of the two tensors under the other's name.
     graph = generate_synthetic(_config(placement=ResidualPlacement.PRE_LN),
                                InitSpec(), seed=4)
     doc = default_name_map().to_dict()

@@ -7,6 +7,7 @@ formulas (dense SVD for the gate's spectral factor) for seeded models.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -443,12 +444,62 @@ def test_table_json_rejects_malformed_documents():
         ({"fingerprint": "x"}, "fingerprint does not match the model weights"),
         ({"fingerprint": fingerprint}, "entries must be a list, got NoneType"),
         ({"fingerprint": fingerprint, "entries": [{"norm_id": "n"}]},
-         "entries\\[0\\]: norm_id 'n' names no norm of the model"),
+         "entries\\[0\\]: norm_id must be 'layer0.norm1', got 'n'"),
         ({"fingerprint": fingerprint, "entries": [{"norm_id": "layer0.norm1"}]},
-         "entry 'layer0.norm1': layer must be the integer 0, got None"),
+         "entry 'layer0.norm1': s must be a finite positive number, got None"),
     ]:
         with pytest.raises(ScaleTableError, match=message):
             read_scale_table(doc, graph)
+
+
+def _mutations(value):
+    """(what, new value) edits of one entry field: its value changed, and
+    its JSON type changed (int<->float, bool for int, str to list)."""
+    if isinstance(value, str):
+        return [("value", value + "?"), ("type", [value])]
+    if isinstance(value, int):
+        return [("value", value + 1), ("type", float(value)), ("type", bool(value))]
+    return [("value", -value), ("type", int(value))]
+
+
+@pytest.mark.parametrize("norm_kind,placement,mlp_kind",
+                         list(itertools.product(NormKind, ResidualPlacement, MlpKind)))
+def test_reader_refuses_every_edit_the_writer_would_not_make(norm_kind, placement,
+                                                             mlp_kind):
+    # Driven by what compute_scale_table writes: every field scale_entry
+    # returns, so a field it gains later is covered here unedited.
+    graph = generate_synthetic(
+        _config(d=8, layers=2, heads=2, mlp=16, norm_kind=norm_kind,
+                placement=placement, mlp_kind=mlp_kind), InitSpec(), seed=4)
+    table = compute_scale_table(graph)
+    entries = table["entries"]
+    read = read_scale_table(table, graph)
+    assert list(read) == graph.norm_ids
+    assert [s.hex() for s in read.values()] == [e["s"].hex() for e in entries]
+
+    def refused(edited: list, message: str) -> None:
+        doc = json.loads(json.dumps({**table, "entries": edited}))
+        with pytest.raises(ScaleTableError, match=re.escape(message)):
+            read_scale_table(doc, graph)
+
+    for i, entry in enumerate(entries):
+        for field, value in entry.items():
+            where = (f"entries[{i}]: norm_id " if field == "norm_id"
+                     else f"entry {entry['norm_id']!r}: {field} ")
+            rest = {k: v for k, v in entry.items() if k != field}
+            for edit in [rest] + [{**entry, field: new} for _, new in _mutations(value)]:
+                refused(entries[:i] + [edit] + entries[i + 1:], where)
+        # Dropped, duplicated, reordered: refused where the order breaks.
+        refused(entries[:i] + entries[i + 1:],
+                f"entries[{i}]: norm_id must be {entry['norm_id']!r}"
+                if i + 1 < len(entries) else f"has no entry for norm {entry['norm_id']!r}")
+        refused(entries[:i + 1] + entries[i:], f"entries[{i + 1}]: norm_id ")
+        if i + 1 < len(entries):
+            refused(entries[:i] + [entries[i + 1], entry] + entries[i + 2:],
+                    f"entries[{i}]: norm_id must be {entry['norm_id']!r}")
+    refused(entries + [{**entries[0], "norm_id": "extra"}],
+            f"entries[{len(entries)}]: norm_id 'extra' comes after the model's "
+            f"{len(entries)} norms")
 
 
 # Pinned float.hex of every s, and the weight fingerprint, for three
