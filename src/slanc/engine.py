@@ -15,6 +15,15 @@ unchanged, in FP16 it moves the accumulated sum back into range.  The
 norm epilogue (mean, divide, sqrt, gain) stays in double in both modes
 so that any failure is attributable to the accumulation.
 
+Under FP16 storage each store rounds the temporary it was handed, in
+place (`fp16.round_array(x, out=x)`), so a store makes no new array.
+The one exception is the token block a pass starts from: the passes of
+`forward_passes` share the caller's block, so it is rounded into a new
+array.  Softmax, the nonlinearity, the gating product, the residual sum
+and the norm epilogue likewise write into a temporary of their own
+(`out=`), each operation in its old order, so every bit is the same as
+with a new array per step.
+
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
 `ModelGraph` or of a `ModelStream`, keeping an MLP's gate projection,
@@ -123,18 +132,24 @@ class ForwardResult:
 
 
 def _store(x: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
-    return fp16.round_array(x) if policy.fp16_storage else x
+    """x under the policy's storage: rounded to binary16 in place under
+    FP16 storage, so x must be a temporary nothing else holds."""
+    return fp16.round_array(x, out=x) if policy.fp16_storage else x
 
 
 def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
+    """F(z), written into z's buffer except for GELU."""
     if kind is Nonlinearity.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind is Nonlinearity.GELU:
         from scipy.special import erf  # here, so only GELU models pay for scipy
 
         return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
+    t = np.negative(z)  # SiLU, z / (1 + exp(-z)), with one buffer besides z
     with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0 (or -0)
-        return z / (1.0 + np.exp(-z))  # SiLU
+        np.exp(t, out=t)
+    np.add(1.0, t, out=t)
+    return np.divide(z, t, out=z)
 
 
 def norm_forward(
@@ -176,7 +191,7 @@ def norm_forward(
         if kind is NormKind.LAYER_NORM:
             mean = scaled.mean(axis=1)
             variance = sum_sq / d - mean * mean + eps_adjusted
-            centered = scaled - mean[:, None]
+            centered = np.subtract(scaled, mean[:, None], out=scaled)
         else:
             variance = sum_sq / d + eps_adjusted
             centered = scaled
@@ -184,9 +199,11 @@ def norm_forward(
         if failing.size:
             t = int(failing[0])
             raise NonPositiveVarianceError(norm_id, t, float(variance[t]))
-        y = centered / np.sqrt(variance)[:, None] * gamma
+        # The epilogue writes into the scaled block, which nothing else holds.
+        y = np.divide(centered, np.sqrt(variance)[:, None], out=centered)
+        np.multiply(y, gamma, out=y)
     if kind is NormKind.LAYER_NORM and beta is not None:
-        y = y + beta
+        np.add(y, beta, out=y)
     return _store(y, policy), audit
 
 
@@ -196,7 +213,10 @@ def attention_forward(
     config: ModelConfig,
     policy: PrecisionPolicy,
 ) -> np.ndarray:
-    """Causal multi-head attention on a token-by-d activation matrix."""
+    """Causal multi-head attention on a token-by-d activation matrix.
+
+    Each head's scores and softmax weights are one n x n buffer; each
+    head's output goes into its columns of one n x d block."""
     x = np.asarray(x, dtype=np.float64)
     d, dh = config.d_model, config.head_dim
     if x.ndim != 2 or x.shape[1] != d:
@@ -205,20 +225,20 @@ def attention_forward(
     q = _store(matmul(x, weights.w_q), policy)
     k = _store(matmul(x, weights.w_k), policy)
     v = _store(matmul(x, weights.w_v), policy)
-    mask = np.triu_indices(n, k=1)
-    heads = []
+    future = np.arange(n)[:, None] < np.arange(n)  # the causal mask: key after query
+    heads = np.empty((n, d))
     for h in range(config.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        scores = _store(q[:, cols] @ k[:, cols].T / math.sqrt(dh), policy)
-        scores[mask] = -math.inf
+        scores = q[:, cols] @ k[:, cols].T
+        _store(np.divide(scores, math.sqrt(dh), out=scores), policy)
+        np.putmask(scores, future, -math.inf)
         # Max-subtraction softmax in double; rows are convex weights.
         peak = scores.max(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):  # an inf score: inf - inf is NaN
-            weights_exp = np.exp(scores - peak)
-        s = weights_exp / weights_exp.sum(axis=1, keepdims=True)
-        s = _store(s, policy)
-        heads.append(_store(s @ v[:, cols], policy))
-    return _store(matmul(np.hstack(heads), weights.p), policy)
+            np.exp(np.subtract(scores, peak, out=scores), out=scores)
+        s = _store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
+        heads[:, cols] = s @ v[:, cols]
+    return _store(matmul(_store(heads, policy), weights.p), policy)
 
 
 def mlp_forward(
@@ -234,9 +254,8 @@ def mlp_forward(
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
     gate = _store(_nonlinearity(_store(matmul(x, e), policy), nonlinearity), policy)
-    if mlp_kind is MlpKind.LLAMA_GATED:
-        up = _store(matmul(x, weights.b), policy)
-        gate = _store(gate * up, policy)
+    if mlp_kind is MlpKind.LLAMA_GATED:  # the up block is freed before the down product
+        _store(np.multiply(gate, _store(matmul(x, weights.b), policy), out=gate), policy)
     return _store(matmul(gate, weights.g), policy)
 
 
@@ -256,7 +275,8 @@ class _Pass:
     def __init__(self, cfg: ModelConfig, x: np.ndarray, policy: PrecisionPolicy,
                  scales: dict | None):
         self.cfg, self.policy, self.audit, self.error = cfg, policy, {}, None
-        self.x = self.h = _store(x, policy)
+        # Not rounded in place: every pass starts from the caller's block.
+        self.x = self.h = fp16.round_array(x) if policy.fp16_storage else x
         try:
             self.s_by_norm = {} if scales is None else entry_scales(scales, cfg)
         except ScaleTableError as err:
@@ -269,7 +289,7 @@ class _Pass:
         if isinstance(step, Sublayer):
             out = (mlp_forward(self.h, step.weights, cfg.mlp_kind, cfg.nonlinearity, policy)
                    if step.mlp else attention_forward(self.h, step.weights, cfg, policy))
-            self.x = _store(self.x + out, policy)
+            self.x = _store(np.add(self.x, out, out=out), policy)
             return
         try:
             self.h, self.audit[step.norm_id] = norm_forward(

@@ -10,6 +10,7 @@ amplified-overflow cases.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 
 import fp16_oracle
 from dynamic_oracle import calibrate_dynamic
-from slanc import engine, fp16, scales
+from memory_gates import traced_peak
+from slanc import engine, fp16, linalg, scales
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
@@ -39,6 +41,7 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
+    _held_tensors,
     generate_synthetic,
 )
 from slanc.report import build_audit_report, histogram, run_compare
@@ -364,6 +367,24 @@ def test_mlp_matches_independent_oracle():
             assert _rel(out, _oracle_mlp(x, layer, mlp_kind, nonlinearity)) < 1e-10
 
 
+def test_fp16_gated_mlp_holds_two_hidden_blocks():
+    # Memory gate, bound from shapes: the input, one widened weight tile
+    # (each float32 matrix here fits one tile, so a tile is the matrix
+    # widened), two n x m hidden blocks (the gate and the up projection)
+    # and the output.  Each store rounds the block it is handed; a store
+    # that made a float16 copy and a new float64 block would not fit.
+    n, d, m = 256, 128, 1024
+    assert 8 * d * m <= linalg._TILE_BYTES
+    rng = np.random.default_rng(83)
+    mat = lambda r, c: (rng.standard_normal((r, c)) * 0.1).astype(np.float32)  # noqa: E731
+    weights = dataclasses.replace(_layer(rng, d, m), e=mat(d, m), b=mat(d, m), g=mat(m, d))
+    x = rng.standard_normal((n, d))
+    bound = 8 * (n * d + d * m + 2 * n * m + n * d)
+    peak = traced_peak(lambda: mlp_forward(x, weights, MlpKind.LLAMA_GATED,
+                                           Nonlinearity.SILU, FP16_POLICY))
+    assert peak <= 1.05 * bound
+
+
 def test_mlp_rejects_bad_shapes():
     layer = _layer(np.random.default_rng(0), 4, 8)
     with pytest.raises(ValueError, match="n_tokens x 4"):
@@ -515,6 +536,41 @@ def test_fp16_forward_is_deterministic():
     second = forward(graph, x0, FP16_POLICY)
     assert np.array_equal(first.output, second.output)
     assert _audit_bits(first.audit) == _audit_bits(second.audit)
+
+
+@pytest.mark.parametrize("cfg", [
+    _config(d=32, mlp=64),
+    _config(d=32, mlp=64, norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN,
+            mlp_kind=MlpKind.STANDARD, nonlinearity=Nonlinearity.RELU),
+])
+def test_compare_passes_write_no_shared_array(cfg):
+    # compare's three passes start from the caller's token block and read
+    # the same held weights, while every store rounds the array it is
+    # handed in place.  With the shared arrays read-only, a store handed
+    # one of them raises instead of corrupting the other passes.
+    tokens = np.random.default_rng(19).standard_normal((12, cfg.d_model))
+
+    def run(read_only: bool):
+        graph = generate_synthetic(cfg, InitSpec(std=0.05, amplify={"e": 16.0, "g": 16.0}),
+                                   seed=23)
+        x = tokens.copy()
+        if read_only:
+            for _, _, array in _held_tensors(graph):
+                array.flags.writeable = False
+            x.flags.writeable = False
+        passes = [(FP16_POLICY, compute_scale_table(graph)), (REFERENCE_POLICY, None),
+                  (FP16_POLICY, None)]
+        return x, engine.forward_passes(graph, x, passes)
+
+    _, writable = run(read_only=False)
+    x, frozen = run(read_only=True)
+    assert x.tobytes() == tokens.tobytes()
+    for a, b in zip(writable, frozen):
+        if isinstance(a, Exception):
+            assert (type(a), str(a)) == (type(b), str(b))
+        else:
+            assert a.output.tobytes() == b.output.tobytes()
+            assert _audit_bits(a.audit) == _audit_bits(b.audit)
 
 
 def test_forward_rejects_bad_inputs():

@@ -344,6 +344,68 @@ def test_round_array_is_decode_of_encode():
     assert math.isinf(round_array(np.array([70000.0]))[0])
 
 
+# ── round_array against numpy's cast ─────────────────────────────────────
+
+
+def _cast(xs: np.ndarray) -> np.ndarray:
+    """numpy's float64 -> float16 -> float64 round trip: the rounding
+    round_array computes by float64 arithmetic instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return xs.astype(np.float16).astype(np.float64)
+
+
+def _assert_rounds_like_cast(xs: np.ndarray) -> None:
+    """round_array(xs) out of place, in place, and on the transposed
+    (non-contiguous) view equals the cast bit for bit; a NaN only as a
+    NaN, whatever its payload."""
+    want = _cast(xs)
+    nan = np.isnan(want)
+    in_place = xs.copy()
+    assert round_array(in_place, out=in_place) is in_place
+    for got in (round_array(xs), in_place, round_array(xs.T).T):
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _tie(e: int, k: int, negative: bool) -> float:
+    """A midpoint of binade e's binary16 grid, step 2^(e-10), or 2^-24
+    below the normal range: exact in float64."""
+    step = 2.0 ** (max(e, -14) - 10)
+    first = int(2.0**e / step)  # the grid points in [2^e, 2^(e+1)) are first..2*first-1
+    value = (first + k % first + 0.5) * step
+    return -value if negative else value
+
+
+_BINADE_TIES = st.builds(_tie, st.integers(-24, 15), st.integers(0, 1023), st.booleans())
+_OVERFLOW_EDGES = st.sampled_from([
+    float(np.nextafter(sign * v, sign * to))
+    for v in (65504.0, 65520.0) for sign in (1.0, -1.0) for to in (0.0, v, math.inf)])
+_DOUBLE_SUBNORMALS = st.floats(-2.0**-1022, 2.0**-1022, allow_subnormal=True)
+_ROUNDING_CASES = (st.floats(width=64) | _BINADE_TIES | _OVERFLOW_EDGES
+                   | _DOUBLE_SUBNORMALS | st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 16)),
+                     elements=_ROUNDING_CASES))
+def test_round_array_matches_cast(xs):
+    _assert_rounds_like_cast(xs)
+
+
+def test_round_array_matches_cast_at_every_midpoint():
+    # Every midpoint between neighbouring non-negative binary16 values
+    # (65520 above 65504), its two double neighbours, both signs and
+    # every binary16 value itself: a tie in every binade, and several
+    # blocks of round_array's loop with a ragged last one.
+    finite = np.append(DECODED[:0x7C00], 65536.0)
+    midpoints = (finite[:-1] + finite[1:]) / 2
+    near = np.concatenate([np.nextafter(midpoints, 0.0), midpoints,
+                           np.nextafter(midpoints, math.inf)])
+    xs = np.concatenate([near, -near, DECODED])
+    _assert_rounds_like_cast(xs.reshape(-1, 125))
+
+
 # ── scalar accumulation ──────────────────────────────────────────────────
 
 
