@@ -1,12 +1,14 @@
 """Instrumented decoder forward pass in two precision modes.
 
-The reference mode runs everything in double.  The reduced mode keeps
-matmuls in double (wide MAC accumulators; linalg.matmul widens a
-float32 weight one tile at a time) but rounds every activation to
-binary16 between ops and, crucially, runs each norm's sum-of-squares
-accumulation in emulated FP16: that accumulation is the one step whose
-dynamic range binary16 cannot cover, and every norm evaluation is
-audited so overflow/underflow can be counted.
+A `PrecisionPolicy` is two flags, `fp16_accumulation` and
+`fp16_storage`; every combination runs.  The reference mode runs
+everything in double.  The reduced mode keeps matmuls in double (wide
+MAC accumulators; linalg.matmul widens a float32 weight one tile at a
+time) but rounds every activation to binary16 between ops and,
+crucially, runs each norm's sum-of-squares accumulation in emulated
+FP16: that accumulation is the one step whose dynamic range binary16
+cannot cover, and every norm evaluation is audited so
+overflow/underflow can be counted.
 
 Each norm multiplies its input by 1/s first and swaps epsilon for
 epsilon/s^2, with s from the scale table (1 without one: the same code,
@@ -19,10 +21,10 @@ Under FP16 storage each store rounds the temporary it was handed, in
 place (`fp16.round_array(x, out=x)`), so a store makes no new array.
 The one exception is the token block a pass starts from: the passes of
 `forward_passes` share the caller's block, so it is rounded into a new
-array.  Softmax, the nonlinearity, the gating product, the residual sum
-and the norm epilogue likewise write into a temporary of their own
-(`out=`), each operation in its old order, so every bit is the same as
-with a new array per step.
+array.  Softmax, the nonlinearity (GELU too), the gating product, the
+residual sum and the norm epilogue likewise write into a temporary of
+their own (`out=`), each operation in its old order, so every bit is
+the same as with a new array per step.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
@@ -40,7 +42,8 @@ columns strictly left to right and vectorises over the tokens
 values exactly in double and rounds once, so each token's sum is
 bit-identical to a scalar per-token binary16 accumulation (the test
 suite's soft-float oracle).  The raw FP64 sums stay one BLAS dot per
-row, so they and the FP64 outputs match a per-token pass bit for bit.
+row, all made in one batched `matmul` call, so they and the FP64
+outputs match a per-token pass bit for bit.
 """
 
 from __future__ import annotations
@@ -70,26 +73,12 @@ from .scales import ScaleTableError, check_fingerprint, entry_scales
 class PrecisionPolicy:
     """What runs in FP16: the norm accumulation and/or activation storage."""
 
-    norm_accumulation: str  # "FP64" or "FP16"
-    activations: str  # "FP64" or "FP16storage"
-
-    def __post_init__(self) -> None:
-        if self.norm_accumulation not in ("FP64", "FP16"):
-            raise ValueError(f"bad norm_accumulation {self.norm_accumulation!r}")
-        if self.activations not in ("FP64", "FP16storage"):
-            raise ValueError(f"bad activations {self.activations!r}")
-
-    @property
-    def fp16_storage(self) -> bool:
-        return self.activations == "FP16storage"
-
-    @property
-    def fp16_accumulation(self) -> bool:
-        return self.norm_accumulation == "FP16"
+    fp16_accumulation: bool
+    fp16_storage: bool
 
 
-REFERENCE_POLICY = PrecisionPolicy(norm_accumulation="FP64", activations="FP64")
-FP16_POLICY = PrecisionPolicy(norm_accumulation="FP16", activations="FP16storage")
+REFERENCE_POLICY = PrecisionPolicy(fp16_accumulation=False, fp16_storage=False)
+FP16_POLICY = PrecisionPolicy(fp16_accumulation=True, fp16_storage=True)
 
 
 class InputError(ValueError):
@@ -138,13 +127,17 @@ def _store(x: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
 
 
 def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
-    """F(z), written into z's buffer except for GELU."""
+    """F(z), written into z's buffer."""
     if kind is Nonlinearity.RELU:
         return np.maximum(z, 0.0, out=z)
     if kind is Nonlinearity.GELU:
         from scipy.special import erf  # here, so only GELU models pay for scipy
 
-        return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
+        t = np.divide(z, math.sqrt(2.0))  # 0.5 * z * (1 + erf(z / sqrt 2)), in its order
+        erf(t, out=t)
+        t += 1.0
+        z *= 0.5
+        return np.multiply(z, t, out=z)
     t = np.negative(z)  # SiLU, z / (1 + exp(-z)), with one buffer besides z
     with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0 (or -0)
         np.exp(t, out=t)
@@ -177,8 +170,9 @@ def norm_forward(
         raise ValueError(f"expected a block of length-{d} rows, got shape {x.shape}")
     scaled = _store(x * (1.0 / s), policy)
     eps_adjusted = epsilon / (s * s)
-    # One BLAS dot per row: a batched reduction sums in another order.
-    raw = np.array([np.dot(row, row) for row in scaled])
+    # One BLAS dot per row, made in one call: numpy runs each 1 x d by
+    # d x 1 product as the dot a per-row loop makes, so the bits agree.
+    raw = np.matmul(scaled[:, None, :], scaled[:, :, None])[:, 0, 0]
     if policy.fp16_accumulation:
         sum_sq, overflowed, underflowed = fp16.sum_of_squares_rows(
             scaled if policy.fp16_storage else fp16.round_array(scaled))

@@ -21,11 +21,14 @@ it sees a normalized row and acts linearly.  ROADMAP items 2 and 3
 measure counterexamples: deep pre-LN stacks, activation cancellation,
 the gate's missing sqrt(d) and a LayerNorm shift.  The table is its
 JSON document, {fingerprint, entries}, each entry built by scale_entry.
-read_scale_table is the one way back from a document to the scales,
-and refuses any table not written for this model and its epsilon: its
-fingerprint must be the weights' (check_fingerprint), and entry_scales,
-which needs only the config and so runs before a stream's walk,
-rebuilds each entry with scale_entry from its s and compares.
+A table applies only if it was written for this model and its
+epsilon, which two checks establish: its fingerprint must be the
+weights' (check_fingerprint), and entry_scales, which needs only the
+config, rebuilds each entry with scale_entry from its s and compares.
+The engine runs the two halves apart, entry_scales as a pass starts
+and check_fingerprint once its walk is done (a stream's fingerprint is
+known only then); read_scale_table runs both for a caller that holds a
+whole model.
 
 A graph holds its matrices as float32, yet every formula runs in
 float64: linalg widens each weight one tile at a time, with the bits of

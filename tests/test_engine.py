@@ -95,16 +95,17 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 # ── precision policies ───────────────────────────────────────────────────
 
+# Every combination of the two flags, the reference and FP16 ones first.
+ALL_POLICIES = (REFERENCE_POLICY, FP16_POLICY,
+                PrecisionPolicy(fp16_accumulation=True, fp16_storage=False),
+                PrecisionPolicy(fp16_accumulation=False, fp16_storage=True))
 
-def test_policy_validation_and_constants():
-    assert REFERENCE_POLICY.norm_accumulation == "FP64"
-    assert REFERENCE_POLICY.activations == "FP64"
-    assert not REFERENCE_POLICY.fp16_storage
-    assert FP16_POLICY.fp16_accumulation and FP16_POLICY.fp16_storage
-    with pytest.raises(ValueError):
-        PrecisionPolicy(norm_accumulation="FP32", activations="FP64")
-    with pytest.raises(ValueError):
-        PrecisionPolicy(norm_accumulation="FP64", activations="half")
+
+def test_policy_constants_pin_both_flags():
+    assert REFERENCE_POLICY == PrecisionPolicy(fp16_accumulation=False, fp16_storage=False)
+    assert FP16_POLICY == PrecisionPolicy(fp16_accumulation=True, fp16_storage=True)
+    assert [f.name for f in dataclasses.fields(PrecisionPolicy)] == [
+        "fp16_accumulation", "fp16_storage"]
 
 
 # ── norm_forward ─────────────────────────────────────────────────────────
@@ -172,6 +173,42 @@ def test_fp16_accumulation_matches_numpy_half_sequence():
         assert raw_sum == float(
             np.dot(stored.astype(np.float64), stored.astype(np.float64))
         )
+
+
+@pytest.mark.parametrize("policy", [REFERENCE_POLICY, FP16_POLICY], ids=["fp64", "fp16"])
+@pytest.mark.parametrize("d", [1, 7, 2816, 11008])
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_raw_sums_are_per_row_dots_at_any_width(n, d, policy, monkeypatch):
+    # The raw sums are one batched matmul call; this pins that it makes
+    # the dot a per-row loop makes, bit for bit, at widths up to
+    # Llama-7B's MLP.  Each audit is kept as norm_forward builds it, so a
+    # NaN row's sum is seen although its variance then stops the norm.
+    built = []
+
+    def record(*fields):
+        built.append(NormAudit(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "NormAudit", record)
+    rng = np.random.default_rng(n * d)
+    magnitudes = np.resize([1e-150, 1.0, 1e150], n)[:, None]
+    rows = rng.standard_normal((n, d)) * magnitudes
+    with_inf, with_nan = rows.copy(), rows.copy()
+    with_inf[0, d // 2] = math.inf
+    with_nan[n - 1, 0] = math.nan
+    for block in (rows, with_inf, with_nan):
+        built.clear()
+        try:
+            norm_forward(block, np.ones(d), None, 1e-5, NormKind.RMS_NORM, policy)
+        except NonPositiveVarianceError:
+            assert block is with_nan
+        stored = fp16.round_array(block) if policy.fp16_storage else block
+        want = np.array([np.dot(row, row) for row in stored])
+        (audit,) = built
+        got = audit.raw_sums
+        assert np.isnan(got).tolist() == np.isnan(want).tolist()
+        finite = ~np.isnan(want)
+        assert got[finite].view(np.uint64).tolist() == want[finite].view(np.uint64).tolist()
 
 
 def test_fp16_overflow_zeroes_output_and_flags():
@@ -367,12 +404,20 @@ def test_mlp_matches_independent_oracle():
             assert _rel(out, _oracle_mlp(x, layer, mlp_kind, nonlinearity)) < 1e-10
 
 
-def test_fp16_gated_mlp_holds_two_hidden_blocks():
+@pytest.mark.parametrize("nonlinearity", [Nonlinearity.RELU, Nonlinearity.GELU,
+                                          Nonlinearity.SILU], ids=["relu", "gelu", "silu"])
+@pytest.mark.parametrize("mlp_kind", [MlpKind.STANDARD, MlpKind.LLAMA_GATED],
+                         ids=["standard", "gated"])
+def test_fp16_mlp_holds_two_hidden_blocks(mlp_kind, nonlinearity):
     # Memory gate, bound from shapes: the input, one widened weight tile
     # (each float32 matrix here fits one tile, so a tile is the matrix
-    # widened), two n x m hidden blocks (the gate and the up projection)
-    # and the output.  Each store rounds the block it is handed; a store
-    # that made a float16 copy and a new float64 block would not fit.
+    # widened), two n x m hidden blocks and the output.  A gated MLP's
+    # second block is the up projection; SiLU's and GELU's is their one
+    # buffer besides z.  Each store rounds the block it is handed; a
+    # store that made a float16 copy and a new float64 block, or a
+    # nonlinearity that made fresh blocks, would not fit.
+    import scipy.special  # noqa: F401  GELU's lazy import, loaded before tracing
+
     n, d, m = 256, 128, 1024
     assert 8 * d * m <= linalg._TILE_BYTES
     rng = np.random.default_rng(83)
@@ -380,8 +425,7 @@ def test_fp16_gated_mlp_holds_two_hidden_blocks():
     weights = dataclasses.replace(_layer(rng, d, m), e=mat(d, m), b=mat(d, m), g=mat(m, d))
     x = rng.standard_normal((n, d))
     bound = 8 * (n * d + d * m + 2 * n * m + n * d)
-    peak = traced_peak(lambda: mlp_forward(x, weights, MlpKind.LLAMA_GATED,
-                                           Nonlinearity.SILU, FP16_POLICY))
+    peak = traced_peak(lambda: mlp_forward(x, weights, mlp_kind, nonlinearity, FP16_POLICY))
     assert peak <= 1.05 * bound
 
 
@@ -675,8 +719,7 @@ def test_forward_matches_per_token_scalar_oracle(cfg, monkeypatch):
         monkeypatch.setattr(engine, "norm_forward", norm)
         outcomes[name] = [
             _forward_outcome(graph, x0, policy, t)
-            for policy in (REFERENCE_POLICY, FP16_POLICY,
-                           PrecisionPolicy("FP16", "FP64"))
+            for policy in ALL_POLICIES
             for t in (None, table)
         ]
     assert outcomes["block"] == outcomes["oracle"]
@@ -737,7 +780,7 @@ def test_forward_matches_two_branch_residual_loop(placement):
     assert len({b.tobytes() for b in betas}) == len(betas)
     table = compute_scale_table(graph)
     x0 = np.random.default_rng(22).standard_normal((6, 16)) * 2.0
-    for policy in (REFERENCE_POLICY, FP16_POLICY, PrecisionPolicy("FP16", "FP64")):
+    for policy in ALL_POLICIES:
         for t in (None, table):
             result = forward(graph, x0, policy, scales=t)
             output, audit = _two_branch_forward(graph, x0, policy, t)
