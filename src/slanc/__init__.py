@@ -13,49 +13,9 @@ Submodules:
     engine          instrumented forward pass in both precision modes
     report          audit/compare reports: histograms and summaries
     cli             the `slanc` command-line tool
+
+Import names from the submodules: the package itself defines only
+__version__.
 """
 
 __version__ = "0.1.0"
-
-from .engine import FP16_POLICY, REFERENCE_POLICY, forward
-from .model import (
-    InitSpec,
-    MlpKind,
-    ModelConfig,
-    ModelGraph,
-    NormKind,
-    Nonlinearity,
-    ResidualPlacement,
-    generate_synthetic,
-    open_safetensors,
-)
-from .scales import (
-    adjust_epsilon,
-    compute_scale_table,
-    read_scale_table,
-    scale_attention,
-    scale_llama_mlp,
-    scale_standard_mlp,
-)
-
-__all__ = [
-    "FP16_POLICY",
-    "REFERENCE_POLICY",
-    "InitSpec",
-    "MlpKind",
-    "ModelConfig",
-    "ModelGraph",
-    "NormKind",
-    "Nonlinearity",
-    "ResidualPlacement",
-    "adjust_epsilon",
-    "compute_scale_table",
-    "forward",
-    "generate_synthetic",
-    "open_safetensors",
-    "read_scale_table",
-    "scale_attention",
-    "scale_llama_mlp",
-    "scale_standard_mlp",
-    "__version__",
-]

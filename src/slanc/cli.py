@@ -83,34 +83,31 @@ def _build_parser() -> _Parser:
                      help="restrict amplification to these layers (default all)")
     gen.add_argument("-o", "--out", required=True, help="output .safetensors path")
 
-    scales = sub.add_parser("scales", help="compute the static scale table")
-    scales.add_argument("model", help="model .safetensors path")
-    scales.add_argument("--name-map", default=None, help="name-map JSON path")
-    scales.add_argument("--config", default=None, help="config JSON path override")
+    model = argparse.ArgumentParser(add_help=False)  # what every model command reads
+    model.add_argument("model", help="model .safetensors path")
+    model.add_argument("--name-map", default=None, help="name-map JSON path")
+    model.add_argument("--config", default=None, help="config JSON path override")
+    tokens = argparse.ArgumentParser(add_help=False)  # the tokens audit and compare run
+    tokens.add_argument("--tokens", type=int, default=None, help="Gaussian token count")
+    tokens.add_argument("--seed", type=int, default=0, help="token generator seed")
+    tokens.add_argument("--inputs", default=None, help="activation .npy file instead")
+
+    scales = sub.add_parser("scales", parents=[model],
+                            help="compute the static scale table")
     scales.add_argument("-o", "--out", required=True, help="output table JSON path")
 
-    audit = sub.add_parser("audit", help="run a forward pass and report per-norm stats")
-    audit.add_argument("model")
-    audit.add_argument("--name-map", default=None)
-    audit.add_argument("--config", default=None)
+    audit = sub.add_parser("audit", parents=[model, tokens],
+                           help="run a forward pass and report per-norm stats")
     audit.add_argument("--policy", choices=["fp16", "fp64"], default="fp16")
     audit.add_argument("--scales", default=None, help="scale table JSON path")
-    audit.add_argument("--tokens", type=int, default=None, help="Gaussian token count")
-    audit.add_argument("--seed", type=int, default=0, help="token generator seed")
-    audit.add_argument("--inputs", default=None, help="activation .npy file instead")
     audit.add_argument("--format", choices=["json", "csv"], default="json")
     audit.add_argument("-o", "--out", required=True)
     audit.add_argument("--fail-on-overflow", action="store_true",
                        help="exit 4 if any norm overflowed")
 
-    compare = sub.add_parser("compare", help="FP64 vs FP16 vs FP16+scales on one input")
-    compare.add_argument("model")
-    compare.add_argument("--name-map", default=None)
-    compare.add_argument("--config", default=None)
+    compare = sub.add_parser("compare", parents=[model, tokens],
+                             help="FP64 vs FP16 vs FP16+scales on one input")
     compare.add_argument("--scales", required=True)
-    compare.add_argument("--tokens", type=int, default=None)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--inputs", default=None)
     compare.add_argument("-o", "--out", default=None, help="also write report JSON here")
     return parser
 
@@ -280,10 +277,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"slanc: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, ModelError, SafetensorsError, ScaleTableError) as err:
+    except (UsageError, InputError, ModelError, SafetensorsError, ScaleTableError) as err:
         print(f"slanc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

@@ -23,8 +23,8 @@ The one exception is the token block a pass starts from: the passes of
 `forward_passes` share the caller's block, so it is rounded into a new
 array.  Softmax, the nonlinearity (GELU too), the gating product, the
 residual sum and the norm epilogue likewise write into a temporary of
-their own (`out=`), each operation in its old order, so every bit is
-the same as with a new array per step.
+their own (`out=`), in the order a new array per step would take, so
+every bit is the same.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a

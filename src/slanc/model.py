@@ -52,6 +52,15 @@ class Nonlinearity(str, Enum):
     SILU = "SiLU"
 
 
+class Formula(str, Enum):
+    """Which closed form gives a norm's scale (see slanc.scales)."""
+
+    STANDARD_MLP = "StandardMlp"
+    LLAMA_MLP = "LlamaMlp"
+    ATTENTION = "Attention"
+    UNIT = "Unit"
+
+
 # Per-layer tensor roles, in canonical (generation and fingerprint) order.
 VECTOR_ROLES = ("gamma1", "beta1", "gamma2", "beta2")
 ATTENTION_ROLES = ("w_q", "w_k", "w_v", "p")
@@ -177,12 +186,15 @@ class DecoderWeights:
 
 @dataclass(frozen=True)
 class NormSite:
-    """A norm operator: its id, decoder index, gain and (LayerNorm) shift."""
+    """A norm operator: its id, decoder index, gain, (LayerNorm) shift,
+    and the formula for its scale, which _steps sets from the sublayer
+    that runs before it."""
 
     norm_id: str
     layer: int  # one past the last decoder for the final norm
     gamma: np.ndarray
     beta: np.ndarray | None
+    formula: Formula
 
 
 @dataclass(frozen=True)
@@ -248,27 +260,32 @@ def _steps(cfg: ModelConfig, groups):
     Each step comes as soon as the groups it needs are in: a Sublayer
     once its own matrices are (it holds no others), a norm once its gain
     and shift are and the sublayer feeding it has run.  So PreLN's norm1
-    comes before its layer's attention matrices are read.  The one place
-    norm order is defined."""
-    post_ln = cfg.residual_placement is ResidualPlacement.POST_LN
+    comes before its layer's attention matrices are read.  A norm's
+    formula is that of the sublayer run since the previous norm, Unit
+    when none ran.  The one place norm order and formulas are defined."""
+    mlp = (Formula.LLAMA_MLP if cfg.mlp_kind is MlpKind.LLAMA_GATED
+           else Formula.STANDARD_MLP)
+    # The group after which a layer's norm1, then its norm2, runs.
+    after = ((ATTENTION_ROLES, UP_DOWN_ROLES)
+             if cfg.residual_placement is ResidualPlacement.POST_LN
+             else (VECTOR_ROLES, ATTENTION_ROLES))
+    fed = Formula.UNIT  # the formula of the sublayer run since the previous norm
     for (layer, roles), held in groups:
-        if roles == FINAL_ROLES:
-            if cfg.has_final_norm:
-                yield NormSite("final_norm", cfg.n_layers, held["final_gamma"],
-                               held["final_beta"])
-        elif roles == VECTOR_ROLES:
-            norm1 = NormSite(f"layer{layer}.norm1", layer, held["gamma1"], held["beta1"])
-            norm2 = NormSite(f"layer{layer}.norm2", layer, held["gamma2"], held["beta2"])
-            if not post_ln:
-                yield norm1
+        if roles == VECTOR_ROLES:
+            gains = held
         elif roles == GATE_ROLES:
             yield Sublayer(mlp=True, weights=DecoderWeights(**held), gate=True)
-        else:
+        elif roles != FINAL_ROLES:
             yield Sublayer(mlp=roles == UP_DOWN_ROLES, weights=DecoderWeights(**held))
-            if post_ln:
-                yield norm2 if roles == UP_DOWN_ROLES else norm1
-            elif roles == ATTENTION_ROLES:
-                yield norm2
+            fed = mlp if roles == UP_DOWN_ROLES else Formula.ATTENTION
+        if roles in after:
+            i = after.index(roles) + 1
+            yield NormSite(f"layer{layer}.norm{i}", layer, gains[f"gamma{i}"],
+                           gains[f"beta{i}"], fed)
+            fed = Formula.UNIT
+        elif roles == FINAL_ROLES and cfg.has_final_norm:
+            yield NormSite("final_norm", cfg.n_layers, held["final_gamma"],
+                           held["final_beta"], fed)
         del held  # a group's matrices go before the next group is read
 
 

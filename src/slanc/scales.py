@@ -7,7 +7,8 @@ ModelGraph, or of a ModelStream that reads one group of matrices at a
 time (model.open_safetensors), and takes each norm's s from the
 sublayer that ran since the previous norm, with the previous norm's
 diagonal gain as Gamma (all ones at the raw embeddings; s = 1, "Unit",
-when no sublayer ran):
+when no sublayer ran).  Each NormSite of the walk names its formula
+(model._steps sets it as it orders the walk):
 
   standard MLP   s = ||Gamma (E G + I)||_F
   gated MLP      s = ||Gamma (||Gamma E|| B G + I)||_F
@@ -43,25 +44,18 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 
 import numpy as np
 
 from .linalg import ConvergenceError, matmul, spectral_norm
-from .model import MlpKind, ModelConfig, ModelGraph, ModelStream, NormSite, Sublayer, outline
+from .model import (Formula, MlpKind, ModelConfig, ModelGraph, ModelStream, NormSite,
+                    Sublayer, outline)
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
 # something to clamp away.  The formulas refuse such an s, and so does
 # the table reader.
 DEGENERATE_THRESHOLD = 2.0**-24
-
-
-class Formula(str, Enum):
-    STANDARD_MLP = "StandardMlp"
-    LLAMA_MLP = "LlamaMlp"
-    ATTENTION = "Attention"
-    UNIT = "Unit"
 
 
 class DegenerateScaleError(Exception):
@@ -176,21 +170,6 @@ def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
             "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
 
 
-def _norm_formulas(cfg: ModelConfig):
-    """Each norm of cfg, in execution order, with the formula for its s:
-    that of the sublayer that ran since the previous norm (Unit when
-    none ran)."""
-    mlp = (Formula.LLAMA_MLP if cfg.mlp_kind is MlpKind.LLAMA_GATED
-           else Formula.STANDARD_MLP)
-    formula = Formula.UNIT
-    for step in outline(cfg).execution_order():
-        if isinstance(step, NormSite):
-            yield step, formula
-            formula = Formula.UNIT
-        else:
-            formula = mlp if step.mlp else Formula.ATTENTION
-
-
 def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
     """The scale table document: the weight fingerprint and one entry
     per norm, in execution order.
@@ -211,14 +190,12 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
     """
     cfg = model.config
     gated = cfg.mlp_kind is MlpKind.LLAMA_GATED
-    sites = list(_norm_formulas(cfg))
     entries = []
     gamma, s, gate = np.ones(cfg.d_model), 1.0, None
     for step in model.execution_order():
         try:
             if isinstance(step, NormSite):
-                formula = sites[len(entries)][1]
-                entries.append(scale_entry(step.norm_id, step.layer, formula, s,
+                entries.append(scale_entry(step.norm_id, step.layer, step.formula, s,
                                            cfg.epsilon))
                 gamma, s = step.gamma, 1.0
             elif step.gate:  # a gated MLP needs only ||Gamma E|| past this step
@@ -226,7 +203,7 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
             else:
                 s, gate = _scale(step, gated, gamma, gate), None
         except (DegenerateScaleError, ConvergenceError) as err:
-            err.norm_id = sites[len(entries)][0].norm_id
+            err.norm_id = model.norm_ids[len(entries)]
             raise
         del step  # its weights go before the walk reads the next group
     return {"fingerprint": model.fingerprint(), "entries": entries}
@@ -280,7 +257,7 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
     if not isinstance(entries, list):
         raise ScaleTableError(f"scale table entries must be a list, got "
                               f"{type(entries).__name__}")
-    sites = list(_norm_formulas(cfg))
+    sites = outline(cfg).norm_sites
     found: dict[str, float] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -290,7 +267,7 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
         if i == len(sites):
             raise ScaleTableError(f"scale table entries[{i}]: norm_id {norm_id!r} "
                                   f"comes after the model's {len(sites)} norms")
-        site, formula = sites[i]
+        site = sites[i]
         if norm_id != site.norm_id:
             raise ScaleTableError(f"scale table entries[{i}]: norm_id must be "
                                   f"{site.norm_id!r}, got {norm_id!r}")
@@ -304,7 +281,7 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
             raise refuse("s", "a finite positive number")
         if s < DEGENERATE_THRESHOLD:
             raise refuse("s", f"at least 2^-24 ({DEGENERATE_THRESHOLD!r})")
-        want = scale_entry(norm_id, site.layer, formula, float(s), cfg.epsilon)
+        want = scale_entry(norm_id, site.layer, site.formula, float(s), cfg.epsilon)
         for field, value in want.items():
             if not (type(entry.get(field)) is type(value) and entry[field] == value):
                 raise refuse(field, repr(value) + (
@@ -316,5 +293,5 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
         found[norm_id] = s
     if len(entries) < len(sites):
         raise ScaleTableError(f"scale table has no entry for norm "
-                              f"{sites[len(entries)][0].norm_id!r}")
+                              f"{sites[len(entries)].norm_id!r}")
     return found

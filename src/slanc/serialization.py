@@ -43,11 +43,16 @@ def atomic_write_bytes(path: str, chunks) -> None:
     drops each chunk before it takes the next (a for loop would hold
     two), so a lazy iterable is held one chunk at a time.  If a chunk
     cannot be made or written, the file at path keeps its old bytes.
+    The file gets the mode open() would give a new one, 0o666 less the
+    umask (mkstemp makes it 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-slanc-")
     try:
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0o022)  # read by setting it; slanc starts no threads
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:

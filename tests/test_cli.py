@@ -28,6 +28,7 @@ import pytest
 
 from checkpoints import load_safetensors, load_tensors
 import slanc
+from slanc import cli
 from slanc import model as model_mod
 from slanc import serialization
 from slanc.cli import main
@@ -144,6 +145,74 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+
+
+# The options the model commands share: their defaults, then every
+# flag set and what it parses to.
+_MODEL_OPTIONS = {"model": "m.safetensors", "name_map": None, "config": None}
+_TOKEN_OPTIONS = {"tokens": None, "seed": 0, "inputs": None}
+_MODEL_FLAGS = ["--name-map", "nm.json", "--config", "c.json"]
+_TOKEN_FLAGS = ["--tokens", "16", "--seed", "3", "--inputs", "x.npy"]
+_MODEL_SET = {"name_map": "nm.json", "config": "c.json"}
+_TOKEN_SET = {"tokens": 16, "seed": 3, "inputs": "x.npy"}
+_GEN_DEFAULTS = {
+    "seed": 0, "heads": None, "mlp_hidden": None, "std": 0.02, "norm_kind": "rmsnorm",
+    "placement": "post-ln", "mlp_kind": "llama-gated", "nonlinearity": "silu",
+    "epsilon": 1e-5, "amplify": [], "amplify_layers": None}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["gen-model", "--d", "8", "--layers", "1", "-o", "m.safetensors"],
+     {"command": "gen-model", "d": 8, "layers": 1, **_GEN_DEFAULTS, "out": "m.safetensors"}),
+    (["gen-model", "--d", "8", "--layers", "2", "--seed", "5", "--heads", "2",
+      "--mlp-hidden", "24", "--std", "0.5", "--norm-kind", "layernorm",
+      "--placement", "pre-ln", "--mlp-kind", "standard", "--nonlinearity", "gelu",
+      "--epsilon", "1e-6", "--amplify", "e,g:8", "--amplify", "p:2",
+      "--amplify-layers", "0,1", "--out", "m.safetensors"],
+     {"command": "gen-model", "d": 8, "layers": 2, "seed": 5, "heads": 2,
+      "mlp_hidden": 24, "std": 0.5, "norm_kind": "layernorm", "placement": "pre-ln",
+      "mlp_kind": "standard", "nonlinearity": "gelu", "epsilon": 1e-6,
+      "amplify": ["e,g:8", "p:2"], "amplify_layers": "0,1", "out": "m.safetensors"}),
+    (["scales", "m.safetensors", "-o", "t.json"],
+     {"command": "scales", **_MODEL_OPTIONS, "out": "t.json"}),
+    (["scales", "m.safetensors", *_MODEL_FLAGS, "--out", "t.json"],
+     {"command": "scales", **_MODEL_OPTIONS, **_MODEL_SET, "out": "t.json"}),
+    (["audit", "m.safetensors", "-o", "r.json"],
+     {"command": "audit", **_MODEL_OPTIONS, "policy": "fp16", "scales": None,
+      **_TOKEN_OPTIONS, "format": "json", "out": "r.json", "fail_on_overflow": False}),
+    (["audit", "m.safetensors", *_MODEL_FLAGS, "--policy", "fp64", "--scales", "t.json",
+      *_TOKEN_FLAGS, "--format", "csv", "--out", "r.csv", "--fail-on-overflow"],
+     {"command": "audit", **_MODEL_OPTIONS, **_MODEL_SET, "policy": "fp64",
+      "scales": "t.json", **_TOKEN_SET, "format": "csv", "out": "r.csv",
+      "fail_on_overflow": True}),
+    (["compare", "m.safetensors", "--scales", "t.json"],
+     {"command": "compare", **_MODEL_OPTIONS, "scales": "t.json", **_TOKEN_OPTIONS,
+      "out": None}),
+    (["compare", "m.safetensors", *_MODEL_FLAGS, "--scales", "t.json", *_TOKEN_FLAGS,
+      "-o", "c.json"],
+     {"command": "compare", **_MODEL_OPTIONS, **_MODEL_SET, "scales": "t.json",
+      **_TOKEN_SET, "out": "c.json"}),
+], ids=[f"{command}-{argv}" for command in ("gen-model", "scales", "audit", "compare")
+        for argv in ("minimal", "full")])
+def test_each_subcommand_parses_its_options(argv, want):
+    # Every dest, value and type of the parsed options, with nothing
+    # else; dict equality ignores order, so only the names count.
+    got = vars(cli._build_parser().parse_args(argv))
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-model", "--d", "8", "--layers", "1", "-o", "m", "--norm-kind", "batchnorm"],
+    ["gen-model", "--d", "8", "--layers", "1", "-o", "m", "--placement", "sandwich"],
+    ["gen-model", "--d", "8", "--layers", "1", "-o", "m", "--mlp-kind", "moe"],
+    ["gen-model", "--d", "8", "--layers", "1", "-o", "m", "--nonlinearity", "tanh"],
+    ["audit", "m", "-o", "r", "--policy", "bf16"],
+    ["audit", "m", "-o", "r", "--format", "xml"],
+])
+def test_an_unknown_choice_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # ── scales ───────────────────────────────────────────────────────────────

@@ -792,7 +792,7 @@ def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
     assert loaded.fingerprint() == _copying_fingerprint(loaded)
 
 
-def test_failed_load_joins_its_hash_thread(tmp_path):
+def test_failed_load_leaves_no_thread_behind(tmp_path):
     cfg = _config()
     tensors = to_tensor_dict(generate_synthetic(cfg, InitSpec(), seed=2))
     bad = tensors["model.layers.1.mlp.down_proj.weight"].copy()

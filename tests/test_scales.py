@@ -25,9 +25,13 @@ from slanc.model import (
     ModelConfig,
     ModelGraph,
     NormKind,
+    NormSite,
     Nonlinearity,
     ResidualPlacement,
     generate_synthetic,
+    open_safetensors,
+    outline,
+    save_safetensors,
 )
 from slanc.scales import (
     DEGENERATE_THRESHOLD,
@@ -306,6 +310,38 @@ def test_table_completeness_matches_norm_count():
         table = compute_scale_table(graph)
         assert [entry["norm_id"] for entry in table["entries"]] == graph.norm_ids
         assert table["fingerprint"] == graph.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "norm_kind,placement,mlp_kind,layers",
+    [(*arch, 3) for arch in itertools.product(NormKind, ResidualPlacement, MlpKind)]
+    + [(NormKind.RMS_NORM, ResidualPlacement.PRE_LN, MlpKind.LLAMA_GATED, 0)])
+def test_each_norm_has_one_formula_from_every_source(tmp_path, norm_kind, placement,
+                                                     mlp_kind, layers):
+    cfg = _config(d=8, layers=layers, heads=2, mlp=16, norm_kind=norm_kind,
+                  placement=placement, mlp_kind=mlp_kind)
+    graph = generate_synthetic(cfg, InitSpec(), seed=4)
+    save_safetensors(graph, str(tmp_path / "m.safetensors"))
+    mlp = Formula.LLAMA_MLP if mlp_kind is MlpKind.LLAMA_GATED else Formula.STANDARD_MLP
+
+    def rule(norm_id: str) -> Formula:  # the sublayer that runs before the norm
+        if placement is ResidualPlacement.POST_LN:
+            return Formula.ATTENTION if norm_id.endswith("norm1") else mlp
+        if norm_id == "layer0.norm1" or layers == 0:
+            return Formula.UNIT
+        return Formula.ATTENTION if norm_id.endswith("norm2") else mlp
+
+    def formulas(steps) -> list:
+        return [(step.norm_id, step.formula) for step in steps
+                if isinstance(step, NormSite)]
+
+    with open_safetensors(str(tmp_path / "m.safetensors"), config=cfg) as stream:
+        streamed = formulas(stream.execution_order())
+    want = [(norm_id, rule(norm_id)) for norm_id in graph.norm_ids]
+    assert formulas(graph.execution_order()) == streamed == want
+    assert formulas(outline(cfg).norm_sites) == want
+    table = compute_scale_table(graph)
+    assert [(entry["norm_id"], entry["formula"]) for entry in table["entries"]] == want
 
 
 def _oracle_table(graph: ModelGraph) -> dict:

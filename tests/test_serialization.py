@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
+from slanc.cli import main
 from slanc.serialization import atomic_write_bytes, atomic_write_text, dumps
 
 
@@ -92,3 +94,19 @@ def test_atomic_write_replaces_contents(tmp_path):
     assert path.read_bytes() == b"\x00\x01"
     # No temp litter left behind.
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # What open(path, "w") gives a new file, for a table or report and
+    # for gen-model's checkpoint and config sidecar.
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "t.json"), "{}\n")
+        assert main(["gen-model", "--d", "8", "--layers", "1",
+                     "-o", str(tmp_path / "m.safetensors")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("t.json", "m.safetensors", "m.config.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
