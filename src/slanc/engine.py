@@ -28,10 +28,11 @@ every bit is the same.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
-`ModelGraph` or of a `ModelStream`, keeping an MLP's gate projection,
-a step of its own, until the rest of its MLP is read; post-norm and
-pre-norm placement differ only in whether a norm's output replaces the
-residual stream.
+`ModelGraph` or of a `ModelStream`.  Each sublayer function takes its
+step's weights, a {role: array} dict.  The walk keeps an MLP's gate
+projection, a step of its own, until the rest of its MLP is read;
+post-norm and pre-norm placement differ only in whether a norm's output
+replaces the residual stream.
 Each norm runs once over the whole n_tokens x d block and returns one
 `NormAudit` of per-token columns: raw FP64 sum, FP16 sum (a binary16
 value held in float64, as every binary16 in the package is), overflow
@@ -49,14 +50,13 @@ outputs match a per-token pass bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fp16
 from .linalg import matmul
 from .model import (
-    DecoderWeights,
     MlpKind,
     ModelConfig,
     ModelGraph,
@@ -203,7 +203,7 @@ def norm_forward(
 
 def attention_forward(
     x: np.ndarray,
-    weights: DecoderWeights,
+    weights: dict,
     config: ModelConfig,
     policy: PrecisionPolicy,
 ) -> np.ndarray:
@@ -216,9 +216,9 @@ def attention_forward(
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected n_tokens x {d} activations, got {x.shape}")
     n = x.shape[0]
-    q = _store(matmul(x, weights.w_q), policy)
-    k = _store(matmul(x, weights.w_k), policy)
-    v = _store(matmul(x, weights.w_v), policy)
+    q = _store(matmul(x, weights["w_q"]), policy)
+    k = _store(matmul(x, weights["w_k"]), policy)
+    v = _store(matmul(x, weights["w_v"]), policy)
     future = np.arange(n)[:, None] < np.arange(n)  # the causal mask: key after query
     heads = np.empty((n, d))
     for h in range(config.n_heads):
@@ -232,25 +232,25 @@ def attention_forward(
             np.exp(np.subtract(scores, peak, out=scores), out=scores)
         s = _store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
         heads[:, cols] = s @ v[:, cols]
-    return _store(matmul(_store(heads, policy), weights.p), policy)
+    return _store(matmul(_store(heads, policy), weights["p"]), policy)
 
 
 def mlp_forward(
     x: np.ndarray,
-    weights: DecoderWeights,
+    weights: dict,
     mlp_kind: MlpKind,
     nonlinearity: Nonlinearity,
     policy: PrecisionPolicy,
 ) -> np.ndarray:
     """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here."""
     x = np.asarray(x, dtype=np.float64)
-    e = weights.e
+    e = weights["e"]
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
     gate = _store(_nonlinearity(_store(matmul(x, e), policy), nonlinearity), policy)
     if mlp_kind is MlpKind.LLAMA_GATED:  # the up block is freed before the down product
-        _store(np.multiply(gate, _store(matmul(x, weights.b), policy), out=gate), policy)
-    return _store(matmul(gate, weights.g), policy)
+        _store(np.multiply(gate, _store(matmul(x, weights["b"]), policy), out=gate), policy)
+    return _store(matmul(gate, weights["g"]), policy)
 
 
 # ── the full pass ────────────────────────────────────────────────────────
@@ -327,10 +327,10 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in model.execution_order():
             if isinstance(step, Sublayer) and step.gate:
-                gate = step.weights.e
+                gate = step.weights["e"]
             else:
                 if isinstance(step, Sublayer) and step.mlp:
-                    step = Sublayer(mlp=True, weights=replace(step.weights, e=gate))
+                    step = Sublayer(mlp=True, weights={**step.weights, "e": gate})
                     gate = None
                 for run in runs:
                     run.advance(step)

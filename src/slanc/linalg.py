@@ -4,8 +4,9 @@ Everything here runs in float64 on plain ndarrays, whatever the input
 dtype; reduced precision exists only in the simulated inference data
 path.  The spectral norm is one symmetric eigenvalue solve on the lower
 triangle of the smaller Gram matrix (a aᵀ or aᵀa), so it is
-deterministic and needs no iteration count or tolerance; dense SVD is
-only a test oracle.  A float32 weight is widened one tile at a time
+deterministic on one numpy/OpenBLAS build, kernel and thread count
+(another can move the last bits; ROADMAP item 20) and needs no
+iteration count or tolerance; dense SVD is only a test oracle.  A float32 weight is widened one tile at a time
 (matmul, gram_lower), and each output tile is one BLAS call over the
 full inner dimension on the kernels the one-shot call runs, so it sums
 in the same order: tile edges fall on multiples of _ALIGN, no tile is

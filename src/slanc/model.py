@@ -9,6 +9,9 @@ projection multiplies from the right, so e is d_model x mlp_hidden and
 a checkpoint storing the transposed convention is fixed up by the name
 map's per-role transpose list.
 
+Every tensor has a slot, (role, layer), layer None for the final norm's.
+_slots lists a config's in canonical order, and every walk follows it.
+
 A checkpoint comes in through one reader: open_safetensors streams it
 one group of tensors at a time (a layer's gains and shifts, its
 attention matrices, its MLP's gate projection, then the rest of its
@@ -165,26 +168,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class DecoderWeights:
-    """One decoder layer of C-contiguous arrays, or one sublayer's part
-    of it: float32 matrices and float64 gains and shifts (see
-    _held_dtype).  beta* only for LayerNorm; b only for gated MLP; a
-    sublayer's holds its own matrices only."""
-
-    gamma1: np.ndarray | None = None
-    gamma2: np.ndarray | None = None
-    w_q: np.ndarray | None = None
-    w_k: np.ndarray | None = None
-    w_v: np.ndarray | None = None
-    p: np.ndarray | None = None
-    e: np.ndarray | None = None
-    g: np.ndarray | None = None
-    beta1: np.ndarray | None = None
-    beta2: np.ndarray | None = None
-    b: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class NormSite:
     """A norm operator: its id, decoder index, gain, (LayerNorm) shift,
     and the formula for its scale, which _steps sets from the sublayer
@@ -201,10 +184,10 @@ class NormSite:
 class Sublayer:
     """The attention sublayer of one decoder layer, or one of the two
     steps of its MLP: the gate projection e alone (gate), then b and g.
-    Each holds its own matrices only."""
+    weights is its own matrices only, {role: array or None}."""
 
     mlp: bool  # False for attention
-    weights: DecoderWeights
+    weights: dict
     gate: bool = False  # an MLP's e, read before the rest of its MLP
 
 
@@ -223,30 +206,28 @@ class _Norms:
 
 @dataclass(frozen=True)
 class ModelGraph(_Norms):
-    """Immutable model: config, decoder weights, optional final norm."""
+    """Immutable model: its config and its C-contiguous tensors by slot,
+    {(role, layer): array}, held as _held_dtype says; a slot the config
+    lacks has no key, and the walks ignore the map's insertion order."""
 
     config: ModelConfig
-    layers: tuple[DecoderWeights, ...]
-    final_gamma: np.ndarray | None = None
-    final_beta: np.ndarray | None = None
+    tensors: dict
 
     def execution_order(self):
         """Each NormSite and Sublayer in the order engine.forward runs
         them, built from the graph's role groups as a stream builds them
         from its reads (see _steps)."""
-        def array(role: str, layer: int | None) -> np.ndarray | None:
-            return getattr(self if layer is None else self.layers[layer], role)
-
         yield from _steps(self.config, (
-            (key, {role: array(role, layer) for role, layer in slots})
-            for key, slots in _grouped(_slots(len(self.layers)))))
+            (key, {role: self.tensors.get((role, layer)) for role, layer in slots})
+            for key, slots in _grouped(_slots(self.config.n_layers))))
 
     def fingerprint(self) -> str:
         """SHA-256 over every held tensor in slot order, each tagged with
         its name, shape and held dtype (see _hash_tensor)."""
         digest = hashlib.sha256()
-        for role, layer, array in _held_tensors(self):
-            _hash_tensor(digest, role, layer, array)
+        for slot in _slots(self.config.n_layers):
+            if slot in self.tensors:
+                _hash_tensor(digest, *slot, self.tensors[slot])
         return digest.hexdigest()
 
 
@@ -274,9 +255,9 @@ def _steps(cfg: ModelConfig, groups):
         if roles == VECTOR_ROLES:
             gains = held
         elif roles == GATE_ROLES:
-            yield Sublayer(mlp=True, weights=DecoderWeights(**held), gate=True)
+            yield Sublayer(mlp=True, weights=held, gate=True)
         elif roles != FINAL_ROLES:
-            yield Sublayer(mlp=roles == UP_DOWN_ROLES, weights=DecoderWeights(**held))
+            yield Sublayer(mlp=roles == UP_DOWN_ROLES, weights=held)
             fed = mlp if roles == UP_DOWN_ROLES else Formula.ATTENTION
         if roles in after:
             i = after.index(roles) + 1
@@ -290,9 +271,9 @@ def _steps(cfg: ModelConfig, groups):
 
 
 def outline(cfg: ModelConfig) -> ModelGraph:
-    """cfg's graph with every gain, shift and weight None: the order of its
-    norms and sublayers, known before any weight is read."""
-    return _assemble(cfg, {})
+    """cfg's graph holding no tensor: the order of its norms and
+    sublayers, known before any weight is read."""
+    return ModelGraph(cfg, {})
 
 
 def _slots(n_layers: int):
@@ -310,26 +291,6 @@ def _grouped(slots):
     """slots, (role, layer, ...) tuples in slot order, as runs of one
     layer's _GROUP: ((layer, roles), slots of the run)."""
     return itertools.groupby(slots, lambda slot: (slot[1], _GROUP[slot[0]]))
-
-
-def _held_tensors(graph: ModelGraph):
-    """(role, layer, array) for every array graph holds, in slot order."""
-    for role, layer in _slots(len(graph.layers)):
-        array = getattr(graph if layer is None else graph.layers[layer], role)
-        if array is not None:
-            yield role, layer, array
-
-
-def _assemble(cfg: ModelConfig, arrays: dict) -> ModelGraph:
-    """The graph of cfg holding {(role, layer): array}; an absent slot is None."""
-    return ModelGraph(
-        config=cfg,
-        layers=tuple(
-            DecoderWeights(**{role: arrays.get((role, i)) for role in LAYER_ROLES})
-            for i in range(cfg.n_layers)
-        ),
-        **{role: arrays.get((role, None)) for role in FINAL_ROLES},
-    )
 
 
 def _hash_tensor(digest, role: str, layer: int | None, array: np.ndarray) -> None:
@@ -421,7 +382,7 @@ def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelG
             draw = offset + draw * init.std
         snapped = _representable_in_float32(draw, role, layer)
         arrays[role, layer] = snapped.astype(_held_dtype(role), copy=False)
-    return _assemble(config, arrays)
+    return ModelGraph(config, arrays)
 
 
 # ── name maps and checkpoint IO ──────────────────────────────────────────
@@ -518,8 +479,8 @@ def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
     """Flatten a graph to {tensor name: array} in storage orientation, in
     slot order (_slots), the order open_safetensors reads and hashes."""
     nm = name_map or default_name_map()
-    named = [(role, layer, nm.tensor_name(role, layer), array)
-             for role, layer, array in _held_tensors(graph)]
+    named = [(*slot, nm.tensor_name(*slot), graph.tensors[slot])
+             for slot in _slots(graph.config.n_layers) if slot in graph.tensors]
     _check_distinct(named)
     return {name: array.T if role in nm.transpose else array
             for role, _, name, array in named}

@@ -5,9 +5,10 @@ multiplied by a fixed 1/s without changing the model's output, provided
 epsilon is divided by s^2.  The table walks the execution_order() of a
 ModelGraph, or of a ModelStream that reads one group of matrices at a
 time (model.open_safetensors), and takes each norm's s from the
-sublayer that ran since the previous norm, with the previous norm's
-diagonal gain as Gamma (all ones at the raw embeddings; s = 1, "Unit",
-when no sublayer ran).  Each NormSite of the walk names its formula
+sublayer that ran since the previous norm (a Sublayer step, whose
+weights are its matrices by role), with the previous norm's diagonal
+gain as Gamma (all ones at the raw embeddings; s = 1, "Unit", when no
+sublayer ran).  Each NormSite of the walk names its formula
 (model._steps sets it as it orders the walk):
 
   standard MLP   s = ||Gamma (E G + I)||_F
@@ -185,8 +186,9 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
     group, even B or G of the same MLP.
     Deterministic: every formula, the gated-MLP spectral norm included,
     is a fixed sequence of float64 operations, so identical weights give
-    bitwise-identical tables.  Degenerate and spectral-norm failures
-    name the norm.
+    bitwise-identical tables on one numpy/OpenBLAS build, kernel and
+    thread count (another can move an s by 1-2 ulps; ROADMAP item 20).
+    Degenerate and spectral-norm failures name the norm.
     """
     cfg = model.config
     gated = cfg.mlp_kind is MlpKind.LLAMA_GATED
@@ -199,7 +201,8 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
                                            cfg.epsilon))
                 gamma, s = step.gamma, 1.0
             elif step.gate:  # a gated MLP needs only ||Gamma E|| past this step
-                gate = spectral_norm(step.weights.e, gamma) if gated else step.weights.e
+                gate = step.weights["e"]
+                gate = spectral_norm(gate, gamma) if gated else gate
             else:
                 s, gate = _scale(step, gated, gamma, gate), None
         except (DegenerateScaleError, ConvergenceError) as err:
@@ -214,10 +217,10 @@ def _scale(sublayer: Sublayer, gated: bool, gamma: np.ndarray, gate) -> float:
     step left gate: ||Gamma E|| when gated, else E."""
     w = sublayer.weights
     if not sublayer.mlp:
-        return scale_attention(gamma, w.w_v, w.p)
+        return scale_attention(gamma, w["w_v"], w["p"])
     if gated:
-        return _gated_growth(gamma, gate, w.b, w.g)
-    return scale_standard_mlp(gamma, gate, w.g)
+        return _gated_growth(gamma, gate, w["b"], w["g"])
+    return scale_standard_mlp(gamma, gate, w["g"])
 
 
 def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:

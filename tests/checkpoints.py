@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from slanc import safetensors_io
-from slanc.model import ModelConfig, ModelGraph, NameMap, _assemble, open_safetensors
+from slanc.model import ModelConfig, ModelGraph, NameMap, open_safetensors
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
@@ -30,9 +30,10 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
 def load_safetensors(path: str, name_map: NameMap | None = None,
                      config: ModelConfig | None = None) -> ModelGraph:
     """The whole graph of a checkpoint: the one walk of open_safetensors
-    with every group it reads kept.  Its arrays are read-only and share
-    no memory with each other."""
+    with every tensor it reads kept in its (role, layer) slot.  Its
+    arrays are read-only and share no memory with each other."""
     with open_safetensors(path, name_map, config) as stream:
-        return _assemble(stream.config, {(role, layer): array
-                                         for (layer, _), held in stream._read()
-                                         for role, array in held.items()})
+        return ModelGraph(stream.config, {(role, layer): array
+                                          for (layer, _), held in stream._read()
+                                          for role, array in held.items()
+                                          if array is not None})

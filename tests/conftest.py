@@ -2,8 +2,12 @@
 
 The acceptance tests register one verdict line per criterion here so
 the terminal summary always shows them, pass or fail, regardless of
-output capturing.
+output capturing.  The report header names the OpenBLAS build, kernel
+and thread count numpy loaded: the golden scale-table bits hold for one
+such set-up (ROADMAP, item 20).
 """
+
+import ctypes
 
 import pytest
 
@@ -14,6 +18,41 @@ _ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance(line: str) -> None:
     _ACCEPTANCE_LINES.append(line)
+
+
+# (config, thread count) entry points of the OpenBLAS builds numpy ships
+# or links: scipy-openblas64 wheels, other 64-bit-integer builds, plain.
+_OPENBLAS_ENTRY_POINTS = (
+    ("scipy_openblas_get_config64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_get_config64_", "openblas_get_num_threads64_"),
+    ("openblas_get_config", "openblas_get_num_threads"),
+)
+
+
+def _openblas() -> str:
+    """The config string and thread count of the OpenBLAS that numpy
+    loaded, asked of the library itself, or "unknown"."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower() and "/" in line})
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for config_name, threads_name in _OPENBLAS_ENTRY_POINTS:
+                config = getattr(library, config_name, None)
+                threads = getattr(library, threads_name, None)
+                if config is None or threads is None:
+                    continue
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return f"{' '.join(config().decode().split())}, threads={threads()}"
+    except OSError:
+        pass
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return f"blas: {_openblas()}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -23,7 +23,6 @@ from slanc.model import (
     InitSpec,
     ModelConfig,
     ModelGraph,
-    _held_tensors,
     _staging_bytes,
     config_sidecar_path,
     generate_synthetic,
@@ -64,9 +63,10 @@ def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateChe
         staging = _staging_bytes(read_header(handle).values())
 
     def largest(*groups) -> int:
-        return max(sum(array.nbytes for role, i, array in _held_tensors(graph)
+        return max(sum(array.nbytes for (role, i), array in graph.tensors.items()
                        if i == 0 and role in roles) for roles in groups)
 
-    repeated = dataclasses.replace(graph, layers=graph.layers[:1] * cfg.n_layers)
+    repeated = ModelGraph(cfg, {(role, i): graph.tensors[role, None if i is None else 0]
+                                for role, i in graph.tensors})
     return GateCheckpoint(path, repeated, largest(ATTENTION_ROLES, MLP_ROLES),
                           largest(ATTENTION_ROLES, GATE_ROLES, UP_DOWN_ROLES), staging)

@@ -10,10 +10,10 @@ it as they import `conftest`; pytest does not collect it.
 from __future__ import annotations
 
 from slanc.model import (
-    LAYER_ROLES,
     ModelGraph,
     _role_shapes,
     _shape_problem,
+    _slots,
     _unused_reason,
     _value_problem,
 )
@@ -24,16 +24,13 @@ def validate(graph: ModelGraph) -> list[str]:
     empty list means valid."""
     cfg = graph.config
     shapes = _role_shapes(cfg)
-    problems: list[str] = []
-    if len(graph.layers) != cfg.n_layers:
-        problems.append(
-            f"graph has {len(graph.layers)} layers, config says {cfg.n_layers}"
-        )
-    slots = [(f"layer {i}: {role}", role, getattr(layer, role))
-             for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
-    slots += [("final norm gamma", "final_gamma", graph.final_gamma),
-              ("final norm beta", "final_beta", graph.final_beta)]
-    for label, role, array in slots:
+    slots = list(_slots(cfg.n_layers))
+    problems = [f"tensor {key!r}: not a slot of a {cfg.n_layers}-layer model"
+                for key in graph.tensors if key not in slots]
+    for role, layer in slots:
+        label = (f"final norm {role.removeprefix('final_')}" if layer is None
+                 else f"layer {layer}: {role}")
+        array = graph.tensors.get((role, layer))
         unused = _unused_reason(cfg, role)
         if array is None:
             if unused is None:

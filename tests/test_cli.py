@@ -10,7 +10,6 @@ finite value for every token.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import math
@@ -34,7 +33,6 @@ from slanc import serialization
 from slanc.cli import main
 from slanc.model import (
     LAYER_ROLES,
-    DecoderWeights,
     InitSpec,
     MlpKind,
     ModelConfig,
@@ -252,15 +250,9 @@ def test_degenerate_model_exits_2_and_names_the_norm(tmp_path, capsys):
         epsilon=1e-5,
     )
     eye = np.eye(4)
-    layer = DecoderWeights(
-        gamma1=np.ones(4),
-        gamma2=np.ones(4),
-        w_q=eye, w_k=eye,
-        w_v=np.zeros((4, 4)),
-        p=np.zeros((4, 4)),
-        e=eye, g=-eye,
-    )
-    graph = ModelGraph(config=config, layers=(layer,))
+    layer = dict(gamma1=np.ones(4), gamma2=np.ones(4), w_q=eye, w_k=eye,
+                 w_v=np.zeros((4, 4)), p=np.zeros((4, 4)), e=eye, g=-eye)
+    graph = ModelGraph(config, {(role, 0): array for role, array in layer.items()})
     path = tmp_path / "degenerate.safetensors"
     save_safetensors(graph, str(path))
     serialization.atomic_write_text(
@@ -323,18 +315,16 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
         mlp_kind=MlpKind.STANDARD, nonlinearity=Nonlinearity.RELU, epsilon=1e-5)
     rng = np.random.default_rng(3)
     matrices = ("w_q", "w_k", "w_v", "p", "e", "g")
-    layers = [DecoderWeights(gamma1=np.ones(d), gamma2=np.ones(d),
-                             **{role: rng.standard_normal((d, d)) * 0.1
-                                for role in matrices})
-              for _ in range(2)]
+    tensors = {}
+    for i in range(2):
+        tensors.update({("gamma1", i): np.ones(d), ("gamma2", i): np.ones(d)})
+        tensors.update({(role, i): rng.standard_normal((d, d)) * 0.1 for role in matrices})
     if damage == "degenerate":  # layer 0's MLP cancels its residual: e @ g = -I
-        layers[0] = dataclasses.replace(layers[0], e=np.eye(d), g=-np.eye(d))
+        tensors["e", 0], tensors["g", 0] = np.eye(d), -np.eye(d)
     if damage == "non-finite":
-        g = layers[1].g.copy()
-        g[2, 1] = np.nan  # stored transposed: flat index 1 * d + 2
-        layers[1] = dataclasses.replace(layers[1], g=g)
+        tensors["g", 1][2, 1] = np.nan  # stored transposed: flat index 1 * d + 2
     path = tmp_path / "m.safetensors"
-    save_safetensors(ModelGraph(config=config, layers=tuple(layers)), str(path))
+    save_safetensors(ModelGraph(config, tensors), str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
                                     serialization.dumps(config.to_dict()))
     with open(path, "rb") as handle:
@@ -443,10 +433,9 @@ def test_a_scale_formula_past_float64_fails_with_one_stderr_line(tmp_path):
     )
     graph = generate_synthetic(config, InitSpec(), seed=1)
     huge = {role: 3e38 for role in ("gamma1", "e", "b", "g")}
-    graph = dataclasses.replace(graph, layers=tuple(
-        dataclasses.replace(layer, **{role: np.full_like(getattr(layer, role), value)
-                                      for role, value in huge.items()})
-        for layer in graph.layers))
+    graph = ModelGraph(config, {
+        (role, i): np.full_like(array, huge[role]) if role in huge else array
+        for (role, i), array in graph.tensors.items()})
     path = tmp_path / "huge.safetensors"
     save_safetensors(graph, str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
@@ -809,10 +798,11 @@ def test_scales_stops_at_a_degenerate_scale_before_the_next_sublayer_is_read(
         mlp_kind=MlpKind.STANDARD, nonlinearity=Nonlinearity.RELU, epsilon=1e-5)
     eye, g = np.eye(d), np.full((d, d), 0.1)
     g[3, 5] = np.nan
-    final = {"final_gamma": np.ones(d)} if config.has_final_norm else {}
-    graph = ModelGraph(config=config, **final, layers=(DecoderWeights(
-        gamma1=np.ones(d), gamma2=np.ones(d), w_q=eye, w_k=eye, w_v=eye, p=-eye,
-        e=eye, g=g),))
+    layer = dict(gamma1=np.ones(d), gamma2=np.ones(d), w_q=eye, w_k=eye, w_v=eye, p=-eye,
+                 e=eye, g=g)
+    final = {("final_gamma", None): np.ones(d)} if config.has_final_norm else {}
+    graph = ModelGraph(config, {**{(role, 0): array for role, array in layer.items()},
+                                **final})
     path = tmp_path / "m.safetensors"
     save_safetensors(graph, str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),

@@ -33,7 +33,7 @@ from slanc.engine import (
     norm_forward,
 )
 from slanc.model import (
-    DecoderWeights,
+    LAYER_ROLES,
     InitSpec,
     MlpKind,
     ModelConfig,
@@ -41,7 +41,6 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    _held_tensors,
     generate_synthetic,
 )
 from slanc.report import build_audit_report, histogram, run_compare
@@ -67,14 +66,12 @@ def _config(d=16, layers=2, heads=2, mlp=32,
     )
 
 
-def _layer(rng, d, m, gated=True) -> DecoderWeights:
+def _layer(rng, d, m) -> dict:
+    """One gated decoder layer's {role: array}."""
     mat = lambda r, c: rng.standard_normal((r, c)) * 0.2  # noqa: E731
-    return DecoderWeights(
-        gamma1=np.ones(d),
-        gamma2=np.ones(d),
-        w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), p=mat(d, d),
-        e=mat(d, m), b=mat(d, m) if gated else None, g=mat(m, d),
-    )
+    return dict(gamma1=np.ones(d), gamma2=np.ones(d),
+                w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), p=mat(d, d),
+                e=mat(d, m), b=mat(d, m), g=mat(m, d))
 
 
 def _audit_bits(audit: dict) -> list:
@@ -268,7 +265,7 @@ def test_single_token_attention_is_value_projection():
     layer = _layer(rng, 6, 12)
     x = rng.standard_normal((1, 6))
     out = attention_forward(x, layer, cfg, REFERENCE_POLICY)
-    expected = (x @ layer.w_v) @ layer.p
+    expected = (x @ layer["w_v"]) @ layer["p"]
     assert np.array_equal(out, expected)
 
 
@@ -277,17 +274,8 @@ def test_softmax_rows_are_causal_convex_weights():
     # the softmax matrix of the single head.
     cfg = _config(d=4, layers=1, heads=1, mlp=8)
     rng = np.random.default_rng(37)
-    layer = DecoderWeights(
-        gamma1=np.ones(4),
-        gamma2=np.ones(4),
-        w_q=rng.standard_normal((4, 4)),
-        w_k=rng.standard_normal((4, 4)),
-        w_v=np.eye(4),
-        p=np.eye(4),
-        e=np.zeros((4, 8)),
-        b=np.zeros((4, 8)),
-        g=np.zeros((8, 4)),
-    )
+    layer = dict(w_q=rng.standard_normal((4, 4)), w_k=rng.standard_normal((4, 4)),
+                 w_v=np.eye(4), p=np.eye(4))
     s = attention_forward(np.eye(4), layer, cfg, REFERENCE_POLICY)
     assert np.all(s >= 0.0)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
@@ -301,9 +289,9 @@ def _oracle_attention(x, layer, cfg):
     heads = []
     for h in range(cfg.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        q = x @ layer.w_q[:, cols]
-        k = x @ layer.w_k[:, cols]
-        v = x @ layer.w_v[:, cols]
+        q = x @ layer["w_q"][:, cols]
+        k = x @ layer["w_k"][:, cols]
+        v = x @ layer["w_v"][:, cols]
         scores = q @ k.T / math.sqrt(dh)
         s = np.zeros((n, n))
         for i in range(n):
@@ -311,7 +299,7 @@ def _oracle_attention(x, layer, cfg):
             weights = np.exp(row)
             s[i, : i + 1] = weights / weights.sum()
         heads.append(s @ v)
-    return np.hstack(heads) @ layer.p
+    return np.hstack(heads) @ layer["p"]
 
 
 def test_attention_matches_independent_oracle():
@@ -345,16 +333,7 @@ def test_attention_rejects_bad_shapes():
 
 
 def test_relu_mlp_kills_all_negative_preactivations():
-    layer = DecoderWeights(
-        gamma1=np.ones(2),
-        gamma2=np.ones(2),
-        w_q=np.eye(2),
-        w_k=np.eye(2),
-        w_v=np.eye(2),
-        p=np.eye(2),
-        e=-np.ones((2, 3)),
-        g=np.ones((3, 2)),
-    )
+    layer = dict(e=-np.ones((2, 3)), g=np.ones((3, 2)))
     out = mlp_forward(np.ones((2, 2)), layer, MlpKind.STANDARD,
                       Nonlinearity.RELU, REFERENCE_POLICY)
     assert not out.any()
@@ -362,12 +341,7 @@ def test_relu_mlp_kills_all_negative_preactivations():
 
 def test_gated_mlp_with_zero_up_projection_is_zero():
     rng = np.random.default_rng(47)
-    layer = _layer(rng, 4, 8)
-    layer = DecoderWeights(
-        gamma1=layer.gamma1, gamma2=layer.gamma2,
-        w_q=layer.w_q, w_k=layer.w_k, w_v=layer.w_v, p=layer.p,
-        e=layer.e, b=np.zeros((4, 8)), g=layer.g,
-    )
+    layer = {**_layer(rng, 4, 8), "b": np.zeros((4, 8))}
     out = mlp_forward(rng.standard_normal((3, 4)), layer, MlpKind.LLAMA_GATED,
                       Nonlinearity.SILU, REFERENCE_POLICY)
     assert not out.any()
@@ -387,10 +361,10 @@ def _oracle_mlp(x, layer, mlp_kind, nonlinearity):
                 flat_out[i] = v / (1.0 + math.exp(-v))
         return out
 
-    gate = f(x @ layer.e)
+    gate = f(x @ layer["e"])
     if mlp_kind is MlpKind.LLAMA_GATED:
-        gate = gate * (x @ layer.b)
-    return gate @ layer.g
+        gate = gate * (x @ layer["b"])
+    return gate @ layer["g"]
 
 
 def test_mlp_matches_independent_oracle():
@@ -422,7 +396,7 @@ def test_fp16_mlp_holds_two_hidden_blocks(mlp_kind, nonlinearity):
     assert 8 * d * m <= linalg._TILE_BYTES
     rng = np.random.default_rng(83)
     mat = lambda r, c: (rng.standard_normal((r, c)) * 0.1).astype(np.float32)  # noqa: E731
-    weights = dataclasses.replace(_layer(rng, d, m), e=mat(d, m), b=mat(d, m), g=mat(m, d))
+    weights = dict(e=mat(d, m), b=mat(d, m), g=mat(m, d))
     x = rng.standard_normal((n, d))
     bound = 8 * (n * d + d * m + 2 * n * m + n * d)
     peak = traced_peak(lambda: mlp_forward(x, weights, mlp_kind, nonlinearity, FP16_POLICY))
@@ -599,7 +573,7 @@ def test_compare_passes_write_no_shared_array(cfg):
                                    seed=23)
         x = tokens.copy()
         if read_only:
-            for _, _, array in _held_tensors(graph):
+            for array in graph.tensors.values():
                 array.flags.writeable = False
             x.flags.writeable = False
         passes = [(FP16_POLICY, compute_scale_table(graph)), (REFERENCE_POLICY, None),
@@ -749,19 +723,22 @@ def _two_branch_forward(graph, x0, policy, table):
         return mlp_forward(acts, layer, cfg.mlp_kind, cfg.nonlinearity, policy)
 
     x = store(np.asarray(x0, dtype=np.float64))
-    for i, layer in enumerate(graph.layers):
+    for i in range(cfg.n_layers):
+        layer = {role: graph.tensors.get((role, i)) for role in LAYER_ROLES}
         if cfg.residual_placement is ResidualPlacement.POST_LN:
             attn = attention_forward(x, layer, cfg, policy)
-            x = run_norm(store(x + attn), f"layer{i}.norm1", layer.gamma1, layer.beta1)
+            x = run_norm(store(x + attn), f"layer{i}.norm1", layer["gamma1"],
+                         layer["beta1"])
             x = run_norm(store(x + mlp(x, layer)), f"layer{i}.norm2",
-                         layer.gamma2, layer.beta2)
+                         layer["gamma2"], layer["beta2"])
         else:
-            normed = run_norm(x, f"layer{i}.norm1", layer.gamma1, layer.beta1)
+            normed = run_norm(x, f"layer{i}.norm1", layer["gamma1"], layer["beta1"])
             x = store(x + attention_forward(normed, layer, cfg, policy))
-            normed = run_norm(x, f"layer{i}.norm2", layer.gamma2, layer.beta2)
+            normed = run_norm(x, f"layer{i}.norm2", layer["gamma2"], layer["beta2"])
             x = store(x + mlp(normed, layer))
-    if graph.final_gamma is not None:
-        x = run_norm(x, "final_norm", graph.final_gamma, graph.final_beta)
+    if cfg.has_final_norm:
+        x = run_norm(x, "final_norm", graph.tensors["final_gamma", None],
+                     graph.tensors.get(("final_beta", None)))
     return x, audit
 
 
@@ -773,8 +750,8 @@ def test_forward_matches_two_branch_residual_loop(placement):
                   placement=placement, mlp_kind=MlpKind.STANDARD,
                   nonlinearity=Nonlinearity.GELU)
     graph = generate_synthetic(cfg, InitSpec(std=0.2), seed=21)
-    betas = [b for layer in graph.layers for b in (layer.beta1, layer.beta2)]
-    betas += [graph.final_beta] if graph.final_beta is not None else []
+    betas = [array for (role, _), array in graph.tensors.items() if "beta" in role]
+    assert len(betas) == 2 * cfg.n_layers + cfg.has_final_norm
     # Distinct, non-zero shifts: a swapped or dropped beta changes the bits.
     assert all(b.all() for b in betas)
     assert len({b.tobytes() for b in betas}) == len(betas)

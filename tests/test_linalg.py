@@ -17,7 +17,6 @@ from memory_gates import traced_peak
 from slanc import linalg
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
-    DecoderWeights,
     MlpKind,
     ModelConfig,
     ModelGraph,
@@ -99,18 +98,17 @@ def test_spectral_nonconvergence_carries_best_estimate():
     d = 4
     rng = np.random.default_rng(43)
     small = lambda: rng.normal(size=(d, d)) * 0.01  # noqa: E731
-    layer = DecoderWeights(
-        gamma1=np.ones(d), gamma2=np.ones(d),
-        w_q=small(), w_k=small(), w_v=small(), p=small(),
-        e=np.full((d, d), 1e160), b=small(), g=small(),
-    )
+    layer = dict(gamma1=np.ones(d), gamma2=np.ones(d),
+                 w_q=small(), w_k=small(), w_v=small(), p=small(),
+                 e=np.full((d, d), 1e160), b=small(), g=small())
     cfg = ModelConfig(
         d_model=d, n_heads=1, head_dim=d, mlp_hidden=d, n_layers=1,
         norm_kind=NormKind.RMS_NORM, residual_placement=ResidualPlacement.POST_LN,
         mlp_kind=MlpKind.LLAMA_GATED, nonlinearity=Nonlinearity.SILU, epsilon=1e-5,
     )
     with pytest.raises(ConvergenceError, match="'layer0.norm2'") as exc_info:
-        compute_scale_table(ModelGraph(config=cfg, layers=(layer,)))
+        compute_scale_table(ModelGraph(cfg, {(role, 0): array
+                                             for role, array in layer.items()}))
     assert exc_info.value.norm_id == "layer0.norm2"
 
 

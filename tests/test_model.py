@@ -30,7 +30,6 @@ from slanc import engine, serialization
 from slanc.cli import main
 from slanc import model as model_mod
 from slanc.model import (
-    DecoderWeights,
     LAYER_ROLES,
     InitSpec,
     MlpKind,
@@ -80,23 +79,9 @@ def _config(
 
 
 def _graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
-    if a.config != b.config or len(a.layers) != len(b.layers):
-        return False
-    roles = ("gamma1", "beta1", "gamma2", "beta2",
-             "w_q", "w_k", "w_v", "p", "e", "b", "g")
-    for la, lb in zip(a.layers, b.layers):
-        for role in roles:
-            ta, tb = getattr(la, role), getattr(lb, role)
-            if (ta is None) != (tb is None):
-                return False
-            if ta is not None and not np.array_equal(ta, tb):
-                return False
-    for fa, fb in ((a.final_gamma, b.final_gamma), (a.final_beta, b.final_beta)):
-        if (fa is None) != (fb is None):
-            return False
-        if fa is not None and not np.array_equal(fa, fb):
-            return False
-    return True
+    return (a.config == b.config and a.tensors.keys() == b.tensors.keys()
+            and all(np.array_equal(array, b.tensors[slot])
+                    for slot, array in a.tensors.items()))
 
 
 # ── config ───────────────────────────────────────────────────────────────
@@ -164,7 +149,7 @@ def test_norm_ids_and_layers():
     assert post.norm_ids == [
         "layer0.norm1", "layer0.norm2", "layer1.norm1", "layer1.norm2",
     ]
-    assert post.final_gamma is None
+    assert ("final_gamma", None) not in post.tensors
 
 
 # ── synthetic generation ─────────────────────────────────────────────────
@@ -190,8 +175,8 @@ def test_generate_depends_on_seed_and_init():
 
 def test_zero_std_gives_sqrt_d_scales():
     graph = generate_synthetic(_config(d=16, layers=1), InitSpec(std=0.0), seed=1)
-    assert np.array_equal(graph.layers[0].gamma1, np.ones(16))
-    assert not graph.layers[0].e.any()
+    assert np.array_equal(graph.tensors["gamma1", 0], np.ones(16))
+    assert not graph.tensors["e", 0].any()
     table = compute_scale_table(graph)
     assert [entry["s"] for entry in table["entries"]] == [4.0, 4.0]
 
@@ -201,10 +186,10 @@ def test_layer_norm_generation_carries_betas():
         _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN),
         InitSpec(), seed=3,
     )
-    assert graph.layers[0].beta1 is not None
-    assert graph.final_beta is not None
+    assert ("beta1", 0) in graph.tensors
+    assert ("final_beta", None) in graph.tensors
     rms = generate_synthetic(_config(), InitSpec(), seed=3)
-    assert rms.layers[0].beta1 is None
+    assert ("beta1", 0) not in rms.tensors
 
 
 def test_generate_refuses_draws_beyond_float32():
@@ -225,7 +210,7 @@ def test_generate_refuses_draws_beyond_float32():
 
 def test_standard_mlp_generation_has_no_b():
     graph = generate_synthetic(_config(mlp_kind=MlpKind.STANDARD), InitSpec(), seed=3)
-    assert graph.layers[0].b is None
+    assert ("b", 0) not in graph.tensors
 
 
 def test_init_spec_validation():
@@ -287,7 +272,7 @@ def test_load_infers_config_without_sidecar(tmp_path):
     assert inferred.residual_placement is ResidualPlacement.POST_LN
     assert inferred.mlp_kind is MlpKind.LLAMA_GATED
     assert inferred.n_heads == 1  # not recoverable from fused projections
-    assert _graphs_equal(loaded, ModelGraph(config=inferred, layers=graph.layers))
+    assert _graphs_equal(loaded, ModelGraph(inferred, graph.tensors))
 
 
 def test_load_missing_tensor_names_it(tmp_path):
@@ -421,7 +406,7 @@ def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, monkeypatch
     largest, staging = max(entry.nbytes for entry in entries), model_mod._staging_bytes(entries)
     peak = traced_peak(lambda: load_safetensors(str(path), name_map=name_map, config=cfg))
     graph = load_safetensors(str(path), name_map=name_map, config=cfg)
-    weights = sum(array.nbytes for _, _, array in model_mod._held_tensors(graph))
+    weights = sum(array.nbytes for array in graph.tensors.values())
     assert staging == largest / 8
     assert peak <= 1.05 * (weights + staging)
 
@@ -471,7 +456,7 @@ def test_loaded_arrays_are_c_contiguous_float32_matrices_float64_vectors(tmp_pat
     path = tmp_path / "m.safetensors"
     save_safetensors(graph, str(path))
     for held in (graph, load_safetensors(str(path), config=cfg)):
-        for role, _, array in model_mod._held_tensors(held):
+        for (role, _), array in held.tensors.items():
             wanted = np.float32 if role in model_mod.MATRIX_ROLES else np.float64
             assert array.dtype == wanted and array.flags.c_contiguous, role
 
@@ -496,7 +481,7 @@ def test_loaded_arrays_share_no_memory(tmp_path, monkeypatch, name_map):
     monkeypatch.setattr(model_mod.safetensors_io, "read_tensor", recording)
     loaded = load_safetensors(str(path), name_map=name_map, config=cfg)
     (staging,) = {id(buffer): buffer for buffer in buffers}.values()
-    arrays = [array for _, _, array in model_mod._held_tensors(loaded)]
+    arrays = list(loaded.tensors.values())
     for i, array in enumerate(arrays):
         assert not np.shares_memory(array, staging), i
         for other in arrays[i + 1:]:
@@ -524,7 +509,7 @@ def test_name_map_round_trip_and_default_names():
 def test_tensor_dict_applies_transpose():
     graph = generate_synthetic(_config(layers=1), InitSpec(), seed=4)
     tensors = to_tensor_dict(graph)
-    e = graph.layers[0].e
+    e = graph.tensors["e", 0]
     stored = tensors["model.layers.0.mlp.gate_proj.weight"]
     assert stored.shape == e.shape[::-1]
     assert np.array_equal(stored.T, e)
@@ -558,14 +543,14 @@ def test_validate_fresh_graph_is_clean():
 
 def test_validate_reports_nan_with_location():
     graph = generate_synthetic(_config(), InitSpec(), seed=5)
-    graph.layers[0].e.flat[5] = math.nan
+    graph.tensors["e", 0].flat[5] = math.nan
     problems = validate(graph)
     assert any("layer 0: e: non-finite entry at flat index 5" in p for p in problems)
     layer_norm = generate_synthetic(
         _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN),
         InitSpec(), seed=5,
     )
-    layer_norm.final_beta[3] = math.nan
+    layer_norm.tensors["final_beta", None][3] = math.nan
     assert validate(layer_norm) == [
         "final norm beta: non-finite entry at flat index 3 (nan)"
     ]
@@ -574,10 +559,7 @@ def test_validate_reports_nan_with_location():
 def test_validate_reports_shape_violation():
     graph = generate_synthetic(_config(d=8, layers=1, heads=1, mlp=16),
                                InitSpec(), seed=5)
-    bad_layer = dataclasses.replace(
-        graph.layers[0], w_v=np.zeros((8, 4))
-    )
-    bad = ModelGraph(config=graph.config, layers=(bad_layer,))
+    bad = ModelGraph(graph.config, {**graph.tensors, ("w_v", 0): np.zeros((8, 4))})
     problems = validate(bad)
     assert any("layer 0: w_v: expected shape 8x8, got 8x4" in p for p in problems)
     layer_norm = generate_synthetic(
@@ -585,32 +567,32 @@ def test_validate_reports_shape_violation():
                 placement=ResidualPlacement.PRE_LN),
         InitSpec(), seed=5,
     )
-    short_beta = dataclasses.replace(layer_norm, final_beta=np.zeros(7))
+    short_beta = ModelGraph(layer_norm.config,
+                            {**layer_norm.tensors, ("final_beta", None): np.zeros(7)})
     assert validate(short_beta) == ["final norm beta: expected shape 8, got 7"]
 
 
 def test_validate_reports_missing_and_misplaced_parts():
     graph = generate_synthetic(_config(d=8, layers=1, heads=1, mlp=16),
                                InitSpec(), seed=5)
-    no_b = ModelGraph(
-        config=graph.config,
-        layers=(dataclasses.replace(graph.layers[0], b=None),),
-    )
+    no_b = ModelGraph(graph.config, dict(graph.tensors))
+    del no_b.tensors["b", 0]
     assert any("layer 0: b: missing" in p for p in validate(no_b))
-    stray_final = ModelGraph(
-        config=graph.config,
-        layers=graph.layers,
-        final_gamma=np.ones(8),
-    )
+    stray_final = ModelGraph(graph.config,
+                             {**graph.tensors, ("final_gamma", None): np.ones(8)})
     assert any("must not have a final norm" in p for p in validate(stray_final))
     rms_pre = generate_synthetic(
         _config(d=8, layers=1, heads=1, mlp=16, placement=ResidualPlacement.PRE_LN),
         InitSpec(), seed=5,
     )
-    stray_beta = dataclasses.replace(rms_pre, final_beta=np.zeros(8))
+    stray_beta = ModelGraph(rms_pre.config,
+                            {**rms_pre.tensors, ("final_beta", None): np.zeros(8)})
     assert validate(stray_beta) == [
         "final norm beta: present but norm kind has no beta"
     ]
+    two = generate_synthetic(_config(d=8, layers=2, heads=1, mlp=16), InitSpec(), seed=5)
+    past_the_last = ModelGraph(two.config, {**two.tensors, ("w_q", 2): np.zeros((8, 8))})
+    assert validate(past_the_last) == ["tensor ('w_q', 2): not a slot of a 2-layer model"]
 
 
 def test_config_sidecar_path():
@@ -622,21 +604,37 @@ def test_fingerprint_tracks_weight_bytes():
     graph = generate_synthetic(_config(), InitSpec(), seed=5)
     before = graph.fingerprint()
     assert before == graph.fingerprint()
-    graph.layers[0].g[0, 0] += 1.0
+    graph.tensors["g", 0][0, 0] += 1.0
     assert graph.fingerprint() != before
+
+
+def test_slot_order_not_insertion_order_defines_the_walk():
+    # The graph's walks follow the config's slots, so a tensor map filled
+    # in reverse slot order hashes, scales, orders its norms and names
+    # its saved tensors as the slot-ordered one does.
+    cfg = _config(norm_kind=NormKind.LAYER_NORM, placement=ResidualPlacement.PRE_LN)
+    graph = generate_synthetic(cfg, InitSpec(), seed=5)
+    backwards = ModelGraph(cfg, dict(reversed(graph.tensors.items())))
+    assert list(backwards.tensors) == list(reversed(list(graph.tensors)))
+    assert backwards.fingerprint() == graph.fingerprint()
+    assert compute_scale_table(backwards) == compute_scale_table(graph)
+    norm_ids = [[step.norm_id for step in g.execution_order() if isinstance(step, NormSite)]
+                for g in (backwards, graph)]
+    assert norm_ids[0] == norm_ids[1] == graph.norm_ids
+    assert list(to_tensor_dict(backwards)) == list(to_tensor_dict(graph))
 
 
 def _copying_fingerprint(graph: ModelGraph) -> str:
     """The fingerprint's definition, hashing a bytes copy of each tensor
     in its held dtype: float32 matrices, float64 gains and shifts."""
     digest = hashlib.sha256()
-    tagged = [(f"{i}:{role}", getattr(layer, role), role in model_mod.MATRIX_ROLES)
-              for i, layer in enumerate(graph.layers) for role in LAYER_ROLES]
-    tagged += [("final:gamma", graph.final_gamma, False),
-               ("final:beta", graph.final_beta, False)]
-    for tag, array, matrix in tagged:
+    tagged = [(f"{i}:{role}", role, i)
+              for i in range(graph.config.n_layers) for role in LAYER_ROLES]
+    tagged += [("final:gamma", "final_gamma", None), ("final:beta", "final_beta", None)]
+    for tag, role, layer in tagged:
+        array = graph.tensors.get((role, layer))
         if array is not None:
-            dtype = np.dtype("<f4" if matrix else "<f8")
+            dtype = np.dtype("<f4" if role in model_mod.MATRIX_ROLES else "<f8")
             dims = "x".join(str(n) for n in array.shape)
             digest.update(f"{tag}:{dims}:{dtype.name}".encode("utf-8") + b"\x00")
             digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
@@ -650,15 +648,14 @@ def test_fingerprint_matches_the_copying_definition():
     # Fortran-ordered arrays and arrays in another dtype hash as their
     # values in the held dtype and C order; the conversions are exact
     # here, so the fingerprint does not move.
-    layer = graph.layers[0]
-    mixed = dataclasses.replace(
-        layer,
-        gamma1=layer.gamma1.astype(np.float32),
-        w_q=np.asfortranarray(layer.w_q),
-        e=layer.e.astype(np.float64),
-        g=np.asfortranarray(layer.g, dtype=np.float64),
-    )
-    other = dataclasses.replace(graph, layers=(mixed,) + graph.layers[1:])
+    held = graph.tensors
+    other = ModelGraph(graph.config, {
+        **held,
+        ("gamma1", 0): held["gamma1", 0].astype(np.float32),
+        ("w_q", 0): np.asfortranarray(held["w_q", 0]),
+        ("e", 0): held["e", 0].astype(np.float64),
+        ("g", 0): np.asfortranarray(held["g", 0], dtype=np.float64),
+    })
     assert other.fingerprint() == _copying_fingerprint(other)
     assert other.fingerprint() == graph.fingerprint()
 
@@ -670,11 +667,9 @@ def test_fingerprint_refuses_a_value_its_held_dtype_cannot_hold(value):
     # of other weights.
     cfg = _config(norm_kind=NormKind.LAYER_NORM)
     graph = generate_synthetic(cfg, InitSpec(), seed=6)
-    layer = graph.layers[0]
-    e = layer.e.astype(np.float64)
+    e = graph.tensors["e", 0].astype(np.float64)
     e[1, 2] = value
-    rounded = dataclasses.replace(graph, layers=(dataclasses.replace(layer, e=e),)
-                                  + graph.layers[1:])
+    rounded = ModelGraph(graph.config, {**graph.tensors, ("e", 0): e})
     with pytest.raises(ModelError, match="'0:e'.*float32"):
         rounded.fingerprint()
     e[1, 2] = 1.0
@@ -728,13 +723,9 @@ def test_load_time_digest_is_the_copying_definition(tmp_path, monkeypatch, cfg, 
 
 def _widened(graph: ModelGraph) -> ModelGraph:
     """graph with every matrix widened to float64."""
-    return dataclasses.replace(graph, layers=tuple(
-        dataclasses.replace(layer, **{
-            role: getattr(layer, role).astype(np.float64)
-            for role in model_mod.MATRIX_ROLES if getattr(layer, role) is not None
-        })
-        for layer in graph.layers
-    ))
+    return ModelGraph(graph.config, {
+        (role, i): array.astype(np.float64) if role in model_mod.MATRIX_ROLES else array
+        for (role, i), array in graph.tensors.items()})
 
 
 def _forward_bits(graph: ModelGraph, tokens, policy, table) -> list:
@@ -763,7 +754,8 @@ def test_float32_matrices_give_the_bits_of_float64_ones(tmp_path, cfg, dtype):
     save_safetensors(generate_synthetic(cfg, init, seed=13), str(path), dtype=dtype)
     held = load_safetensors(str(path), config=cfg)
     wide = _widened(held)
-    assert held.layers[0].e.dtype == np.float32 and wide.layers[0].e.dtype == np.float64
+    assert held.tensors["e", 0].dtype == np.float32
+    assert wide.tensors["e", 0].dtype == np.float64
     table = compute_scale_table(held)
     assert table == compute_scale_table(wide)
     tokens = np.random.default_rng(14).standard_normal((8, cfg.d_model)) * 40.0
@@ -779,15 +771,15 @@ def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
     loaded = load_safetensors(str(path), config=_config())
     before = loaded.fingerprint()
     with pytest.raises(ValueError, match="read-only"):
-        loaded.layers[0].g[0, 0] += 1.0
+        loaded.tensors["g", 0][0, 0] += 1.0
     calls = _count_hashes(monkeypatch)
-    for other in (dataclasses.replace(loaded, layers=loaded.layers),
+    for other in (ModelGraph(loaded.config, dict(loaded.tensors)),
                   copy.deepcopy(loaded)):
         hashed = calls[0]
         assert other.fingerprint() == before
         assert calls[0] > hashed
-    loaded.layers[0].g.flags.writeable = True
-    loaded.layers[0].g[0, 0] += 1.0
+    loaded.tensors["g", 0].flags.writeable = True
+    loaded.tensors["g", 0][0, 0] += 1.0
     assert loaded.fingerprint() != before
     assert loaded.fingerprint() == _copying_fingerprint(loaded)
 
@@ -877,10 +869,10 @@ def test_streamed_walk_runs_once_and_is_fingerprinted_after(tmp_path):
             assert np.array_equal(got.gamma, want.gamma)
         else:
             assert got.mlp == want.mlp
-            for role in LAYER_ROLES:
-                wanted = getattr(want.weights, role)
-                assert (getattr(got.weights, role) is None if wanted is None
-                        else np.array_equal(getattr(got.weights, role), wanted)), role
+            assert got.weights.keys() == want.weights.keys()
+            for role, wanted in want.weights.items():
+                assert (got.weights[role] is None if wanted is None
+                        else np.array_equal(got.weights[role], wanted)), role
 
 
 def _gate_config(placement: ResidualPlacement) -> ModelConfig:

@@ -19,7 +19,6 @@ from memory_gates import traced_peak
 from slanc import linalg, serialization
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
-    DecoderWeights,
     InitSpec,
     MlpKind,
     ModelConfig,
@@ -350,36 +349,35 @@ def _oracle_table(graph: ModelGraph) -> dict:
     d = cfg.d_model
     eye = np.eye(d)
     ones = np.ones(d)
-    layers = graph.layers
+    t = graph.tensors
 
-    def from_attention(gam: np.ndarray, layer: DecoderWeights) -> float:
-        inner = layer.w_v @ layer.p + eye
+    def from_attention(gam: np.ndarray, i: int) -> float:
+        inner = t["w_v", i] @ t["p", i] + eye
         return float(np.linalg.norm(np.diag(gam) @ inner, "fro"))
 
-    def from_mlp(gam: np.ndarray, layer: DecoderWeights) -> float:
-        e, g = layer.e, layer.g
+    def from_mlp(gam: np.ndarray, i: int) -> float:
+        e, g = t["e", i], t["g", i]
         if cfg.mlp_kind is MlpKind.LLAMA_GATED:
             gain = float(np.linalg.svd(np.diag(gam) @ e, compute_uv=False)[0])
-            inner = gain * (layer.b @ g) + eye
+            inner = gain * (t["b", i] @ g) + eye
         else:
             inner = e @ g + eye
         return float(np.linalg.norm(np.diag(gam) @ inner, "fro"))
 
     out = {}
+    last = cfg.n_layers - 1
     if cfg.residual_placement is ResidualPlacement.POST_LN:
         for i in range(cfg.n_layers):
-            prev = layers[i - 1].gamma2 if i > 0 else ones
-            out[f"layer{i}.norm1"] = from_attention(prev, layers[i])
-            out[f"layer{i}.norm2"] = from_mlp(layers[i].gamma1, layers[i])
+            prev = t["gamma2", i - 1] if i > 0 else ones
+            out[f"layer{i}.norm1"] = from_attention(prev, i)
+            out[f"layer{i}.norm2"] = from_mlp(t["gamma1", i], i)
     else:
         for i in range(cfg.n_layers):
             out[f"layer{i}.norm1"] = (
-                1.0 if i == 0 else from_mlp(layers[i - 1].gamma2, layers[i - 1])
+                1.0 if i == 0 else from_mlp(t["gamma2", i - 1], i - 1)
             )
-            out[f"layer{i}.norm2"] = from_attention(layers[i].gamma1, layers[i])
-        out["final_norm"] = (
-            from_mlp(layers[-1].gamma2, layers[-1]) if cfg.n_layers else 1.0
-        )
+            out[f"layer{i}.norm2"] = from_attention(t["gamma1", i], i)
+        out["final_norm"] = from_mlp(t["gamma2", last], last) if cfg.n_layers else 1.0
     return out
 
 
@@ -416,13 +414,11 @@ def test_degenerate_table_names_offending_norm():
     d = 4
     rng = np.random.default_rng(4)
     small = lambda: rng.standard_normal((d, d)) * 0.01  # noqa: E731
-    layer = DecoderWeights(
-        gamma1=np.ones(d), gamma2=np.ones(d),
-        w_q=small(), w_k=small(), w_v=small(), p=small(),
-        e=np.eye(d), g=-np.eye(d),
-    )
+    layer = dict(gamma1=np.ones(d), gamma2=np.ones(d),
+                 w_q=small(), w_k=small(), w_v=small(), p=small(),
+                 e=np.eye(d), g=-np.eye(d))
     cfg = _config(d=d, layers=1, heads=1, mlp=d, mlp_kind=MlpKind.STANDARD)
-    graph = ModelGraph(config=cfg, layers=(layer,))
+    graph = ModelGraph(cfg, {(role, 0): array for role, array in layer.items()})
     with pytest.raises(DegenerateScaleError) as info:
         compute_scale_table(graph)
     assert info.value.norm_id == "layer0.norm2"
@@ -434,14 +430,15 @@ def test_pre_ln_errors_name_the_norm():
     small = lambda: rng.standard_normal((d, d)) * 0.01  # noqa: E731
 
     def layer(e, g, b=None):
-        return DecoderWeights(gamma1=np.ones(d), gamma2=np.ones(d),
-                              w_q=small(), w_k=small(), w_v=small(), p=small(),
-                              e=e, b=b, g=g)
+        return dict(gamma1=np.ones(d), gamma2=np.ones(d),
+                    w_q=small(), w_k=small(), w_v=small(), p=small(), e=e, b=b, g=g)
 
     def graph(mlp_kind, layers):
         cfg = _config(d=d, layers=len(layers), heads=1, mlp=d, mlp_kind=mlp_kind,
                       placement=ResidualPlacement.PRE_LN)
-        return ModelGraph(config=cfg, layers=tuple(layers), final_gamma=np.ones(d))
+        return ModelGraph(cfg, {("final_gamma", None): np.ones(d), **{
+            (role, i): array for i, held in enumerate(layers)
+            for role, array in held.items() if array is not None}})
 
     # Layer 0's MLP cancels its residual; under pre-LN it feeds layer1.norm1.
     cancelling = graph(MlpKind.STANDARD, [layer(np.eye(d), -np.eye(d)),
