@@ -88,9 +88,10 @@ def _build_parser() -> _Parser:
     model.add_argument("--name-map", default=None, help="name-map JSON path")
     model.add_argument("--config", default=None, help="config JSON path override")
     tokens = argparse.ArgumentParser(add_help=False)  # the tokens audit and compare run
-    tokens.add_argument("--tokens", type=int, default=None, help="Gaussian token count")
+    source = tokens.add_mutually_exclusive_group()
+    source.add_argument("--tokens", type=int, default=None, help="Gaussian token count")
+    source.add_argument("--inputs", default=None, help="activation .npy file instead")
     tokens.add_argument("--seed", type=int, default=0, help="token generator seed")
-    tokens.add_argument("--inputs", default=None, help="activation .npy file instead")
 
     scales = sub.add_parser("scales", parents=[model],
                             help="compute the static scale table")

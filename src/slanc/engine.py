@@ -26,6 +26,14 @@ residual sum and the norm epilogue likewise write into a temporary of
 their own (`out=`), in the order a new array per step would take, so
 every bit is the same.
 
+Of the activations, a sublayer holds its n x d blocks, one n x m hidden
+block per MLP and its attention scores in query blocks of about n x d
+float64, so its memory grows with the tokens, not with their square.
+The MLP's products run in column tiles and the queries in row blocks,
+all cut by `linalg._tiles`: each is a tile of the one-shot product, at
+edges and sizes that keep its bits (see `linalg`), and every softmax
+row stays whole.
+
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
 `ModelGraph` or of a `ModelStream`.  Each sublayer function takes its
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fp16
-from .linalg import matmul
+from .linalg import _ALIGN, _tiles, matmul
 from .model import (
     MlpKind,
     ModelConfig,
@@ -209,8 +217,10 @@ def attention_forward(
 ) -> np.ndarray:
     """Causal multi-head attention on a token-by-d activation matrix.
 
-    Each head's scores and softmax weights are one n x n buffer; each
-    head's output goes into its columns of one n x d block."""
+    The queries run in row blocks (_query_blocks); each head's scores
+    and softmax weights for a block go into one buffer that every head
+    and block reuses, and its output into its rows and columns of one
+    n x d block."""
     x = np.asarray(x, dtype=np.float64)
     d, dh = config.d_model, config.head_dim
     if x.ndim != 2 or x.shape[1] != d:
@@ -219,20 +229,43 @@ def attention_forward(
     q = _store(matmul(x, weights["w_q"]), policy)
     k = _store(matmul(x, weights["w_k"]), policy)
     v = _store(matmul(x, weights["w_v"]), policy)
-    future = np.arange(n)[:, None] < np.arange(n)  # the causal mask: key after query
+    blocks = _query_blocks(n, d, dh)
+    buffer = np.empty((max(rows.stop - rows.start for rows in blocks), n))
     heads = np.empty((n, d))
-    for h in range(config.n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = q[:, cols] @ k[:, cols].T
-        _store(np.divide(scores, math.sqrt(dh), out=scores), policy)
-        np.putmask(scores, future, -math.inf)
-        # Max-subtraction softmax in double; rows are convex weights.
-        peak = scores.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):  # an inf score: inf - inf is NaN
-            np.exp(np.subtract(scores, peak, out=scores), out=scores)
-        s = _store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
-        heads[:, cols] = s @ v[:, cols]
+    for rows in blocks:
+        future = np.arange(rows.start, rows.stop)[:, None] < np.arange(n)  # key after query
+        scores = buffer[:rows.stop - rows.start]
+        for h in range(config.n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            np.matmul(q[rows, cols], k[:, cols].T, out=scores)
+            _store(np.divide(scores, math.sqrt(dh), out=scores), policy)
+            np.putmask(scores, future, -math.inf)
+            # Max-subtraction softmax in double; rows are convex weights.
+            peak = scores.max(axis=1, keepdims=True)
+            with np.errstate(invalid="ignore"):  # an inf score: inf - inf is NaN
+                np.exp(np.subtract(scores, peak, out=scores), out=scores)
+            s = _store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
+            np.matmul(s, v[:, cols], out=heads[rows, cols])
     return _store(matmul(_store(heads, policy), weights["p"]), policy)
+
+
+def _query_blocks(n: int, d: int, dh: int) -> list[slice]:
+    """The query rows in blocks of about n x d float64 scores: each block
+    is a row tile of a head's one-shot products q kᵀ (n columns) and
+    s v (dh columns), so linalg's edges and floors hold, and there is
+    one block unless both column counts are multiples of _ALIGN."""
+    if n % _ALIGN or dh % _ALIGN:
+        return [slice(0, n)]
+    return _tiles(0, n, n, dh, 8 * n * d)
+
+
+def _column_tiles(n: int, w: np.ndarray, bound: int) -> list[slice]:
+    """The columns of x @ w, for an n-row float64 x, in tiles whose
+    widened w tile holds about bound bytes: linalg's edges and floors,
+    with the product's n rows beside each tile (x is not row-tiled), and
+    one tile unless w's column count is a multiple of _ALIGN."""
+    k, p = w.shape
+    return _tiles(0, p, k, n, bound) if p % _ALIGN == 0 else [slice(0, p)]
 
 
 def mlp_forward(
@@ -242,15 +275,38 @@ def mlp_forward(
     nonlinearity: Nonlinearity,
     policy: PrecisionPolicy,
 ) -> np.ndarray:
-    """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here."""
+    """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here.
+
+    The hidden dimension runs in column tiles at most about d wide: a
+    tile's xE, F, xB and gating product are rounded in an n x tile
+    temporary, then copied into the one n x m hidden block (a lone tile
+    is that block).  The down product runs in output-column tiles whose
+    widened G tile is about a d x d block."""
     x = np.asarray(x, dtype=np.float64)
-    e = weights["e"]
+    e, g = weights["e"], weights["g"]
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
-    gate = _store(_nonlinearity(_store(matmul(x, e), policy), nonlinearity), policy)
-    if mlp_kind is MlpKind.LLAMA_GATED:  # the up block is freed before the down product
-        _store(np.multiply(gate, _store(matmul(x, weights["b"]), policy), out=gate), policy)
-    return _store(matmul(gate, weights["g"]), policy)
+    (n, d), m = x.shape, e.shape[1]
+    spans = _column_tiles(n, e, 8 * d * d)
+    hidden = np.empty((n, m)) if len(spans) > 1 else None
+    for span in spans:
+        tile = _store(_nonlinearity(_store(matmul(x, e[:, span]), policy), nonlinearity),
+                      policy)
+        if mlp_kind is MlpKind.LLAMA_GATED:
+            _store(np.multiply(tile, _store(matmul(x, weights["b"][:, span]), policy),
+                               out=tile), policy)
+        if hidden is None:
+            hidden = tile
+        else:
+            hidden[:, span] = tile
+        del tile  # before the next tile, or the down product, is computed
+    spans = _column_tiles(n, g, 8 * d * d)
+    if len(spans) == 1:
+        return _store(matmul(hidden, g), policy)
+    out = np.empty((n, g.shape[1]))
+    for span in spans:
+        out[:, span] = matmul(hidden, g[:, span])
+    return _store(out, policy)
 
 
 # ── the full pass ────────────────────────────────────────────────────────

@@ -115,9 +115,9 @@ def sum_of_squares_rows(
     if values.shape[1] == 0:
         raise ValueError("empty rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = values * values
-        round_array(squares, out=squares)
-        columns = np.ascontiguousarray(squares.T)  # one contiguous row per step
+        columns = np.empty(values.shape[::-1])  # the squares, one contiguous row per step
+        np.multiply(values.T, values.T, out=columns)
+        round_array(columns, out=columns)
         acc = np.zeros(values.shape[0])
         half = np.empty(values.shape[0], dtype=np.float16)
         for column in columns:
@@ -125,5 +125,5 @@ def sum_of_squares_rows(
             half[...] = acc  # the one rounding of this step
             acc[...] = half
     overflowed = ~np.isfinite(acc)
-    underflowed = (squares == 0.0).all(axis=1) & (values != 0.0).any(axis=1)
+    underflowed = (columns == 0.0).all(axis=0) & (values != 0.0).any(axis=1)
     return acc, overflowed, underflowed

@@ -150,9 +150,9 @@ def test_unknown_command_is_usage_error(capsys):
 _MODEL_OPTIONS = {"model": "m.safetensors", "name_map": None, "config": None}
 _TOKEN_OPTIONS = {"tokens": None, "seed": 0, "inputs": None}
 _MODEL_FLAGS = ["--name-map", "nm.json", "--config", "c.json"]
-_TOKEN_FLAGS = ["--tokens", "16", "--seed", "3", "--inputs", "x.npy"]
+_TOKEN_FLAGS = ["--tokens", "16", "--seed", "3"]  # --inputs excludes --tokens
 _MODEL_SET = {"name_map": "nm.json", "config": "c.json"}
-_TOKEN_SET = {"tokens": 16, "seed": 3, "inputs": "x.npy"}
+_TOKEN_SET = {"tokens": 16, "seed": 3, "inputs": None}
 _GEN_DEFAULTS = {
     "seed": 0, "heads": None, "mlp_hidden": None, "std": 0.02, "norm_kind": "rmsnorm",
     "placement": "post-ln", "mlp_kind": "llama-gated", "nonlinearity": "silu",
@@ -190,8 +190,15 @@ _GEN_DEFAULTS = {
       "-o", "c.json"],
      {"command": "compare", **_MODEL_OPTIONS, **_MODEL_SET, "scales": "t.json",
       **_TOKEN_SET, "out": "c.json"}),
+    (["audit", "m.safetensors", "--inputs", "x.npy", "--seed", "3", "-o", "r.json"],
+     {"command": "audit", **_MODEL_OPTIONS, "policy": "fp16", "scales": None,
+      **_TOKEN_OPTIONS, "seed": 3, "inputs": "x.npy", "format": "json", "out": "r.json",
+      "fail_on_overflow": False}),
+    (["compare", "m.safetensors", "--scales", "t.json", "--inputs", "x.npy"],
+     {"command": "compare", **_MODEL_OPTIONS, "scales": "t.json", **_TOKEN_OPTIONS,
+      "inputs": "x.npy", "out": None}),
 ], ids=[f"{command}-{argv}" for command in ("gen-model", "scales", "audit", "compare")
-        for argv in ("minimal", "full")])
+        for argv in ("minimal", "full")] + ["audit-inputs", "compare-inputs"])
 def test_each_subcommand_parses_its_options(argv, want):
     # Every dest, value and type of the parsed options, with nothing
     # else; dict equality ignores order, so only the names count.
@@ -509,6 +516,19 @@ def test_audit_accepts_npy_inputs(amp, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["tokens"] == 4
     assert doc["seed"] is None
+
+
+@pytest.mark.parametrize("command", ["audit", "compare"])
+def test_tokens_and_inputs_together_are_a_usage_error(amp, tmp_path, capsys, command):
+    model, scales = amp
+    acts = tmp_path / "acts.npy"
+    np.save(acts, np.zeros((4, 256)))
+    out = tmp_path / "r.json"
+    argv = [command, str(model), "--tokens", "4", "--inputs", str(acts), "-o", str(out)]
+    assert main(argv + (["--scales", str(scales)] if command == "compare" else [])) == 1
+    err = capsys.readouterr().err
+    assert "--tokens" in err and "--inputs" in err
+    assert not out.exists()
 
 
 def test_audit_input_validation(amp, tmp_path, capsys):

@@ -19,7 +19,7 @@ import pytest
 import fp16_oracle
 from dynamic_oracle import calibrate_dynamic
 from memory_gates import traced_peak
-from slanc import engine, fp16, linalg, scales
+from slanc import engine, fp16, scales
 from slanc.engine import (
     FP16_POLICY,
     REFERENCE_POLICY,
@@ -329,6 +329,23 @@ def test_attention_rejects_bad_shapes():
         attention_forward(np.ones((2, 7)), layer, cfg, REFERENCE_POLICY)
 
 
+def test_fp16_attention_holds_one_score_block():
+    # Memory gate, bound from shapes: q, k, v, the heads block and the
+    # output (n x d each), one score block of at most n x d float64 (the
+    # queries run in blocks of d rows here), its causal mask (a byte per
+    # score), one widened weight and the rounding scratch.  A whole head
+    # of n x n scores is n / d = 16 such blocks.
+    n, d = 1024, 64
+    cfg = _config(d=d, layers=1, heads=1, mlp=4 * d)
+    rng = np.random.default_rng(97)
+    weights = {role: (rng.standard_normal((d, d)) * 0.1).astype(np.float32)
+               for role in ("w_q", "w_k", "w_v", "p")}
+    x = rng.standard_normal((n, d))
+    bound = 8 * (5 * n * d + n * d + d * d + 2 * fp16._BLOCK) + n * d
+    peak = traced_peak(lambda: attention_forward(x, weights, cfg, FP16_POLICY))
+    assert peak <= 1.05 * bound
+
+
 # ── MLP ──────────────────────────────────────────────────────────────────
 
 
@@ -382,23 +399,23 @@ def test_mlp_matches_independent_oracle():
                                           Nonlinearity.SILU], ids=["relu", "gelu", "silu"])
 @pytest.mark.parametrize("mlp_kind", [MlpKind.STANDARD, MlpKind.LLAMA_GATED],
                          ids=["standard", "gated"])
-def test_fp16_mlp_holds_two_hidden_blocks(mlp_kind, nonlinearity):
-    # Memory gate, bound from shapes: the input, one widened weight tile
-    # (each float32 matrix here fits one tile, so a tile is the matrix
-    # widened), two n x m hidden blocks and the output.  A gated MLP's
-    # second block is the up projection; SiLU's and GELU's is their one
-    # buffer besides z.  Each store rounds the block it is handed; a
-    # store that made a float16 copy and a new float64 block, or a
-    # nonlinearity that made fresh blocks, would not fit.
+def test_fp16_mlp_holds_one_hidden_block(mlp_kind, nonlinearity):
+    # Memory gate, bound from shapes: one n x m hidden block, three n x d
+    # blocks (a hidden tile's two temporaries, or the output and its
+    # tile; hidden tiles are at most d wide here) and one widened weight
+    # of at most d x m (the whole matrix; its tiles are smaller).  Each
+    # store rounds the block it is handed; a second hidden block (a
+    # whole gate or up product), a store that made a float16 copy and a
+    # new float64 block, or a nonlinearity that made fresh blocks, would
+    # not fit.
     import scipy.special  # noqa: F401  GELU's lazy import, loaded before tracing
 
     n, d, m = 256, 128, 1024
-    assert 8 * d * m <= linalg._TILE_BYTES
     rng = np.random.default_rng(83)
     mat = lambda r, c: (rng.standard_normal((r, c)) * 0.1).astype(np.float32)  # noqa: E731
     weights = dict(e=mat(d, m), b=mat(d, m), g=mat(m, d))
     x = rng.standard_normal((n, d))
-    bound = 8 * (n * d + d * m + 2 * n * m + n * d)
+    bound = 8 * (n * m + 3 * n * d + d * m)
     peak = traced_peak(lambda: mlp_forward(x, weights, mlp_kind, nonlinearity, FP16_POLICY))
     assert peak <= 1.05 * bound
 
@@ -408,6 +425,60 @@ def test_mlp_rejects_bad_shapes():
     with pytest.raises(ValueError, match="n_tokens x 4"):
         mlp_forward(np.ones((2, 5)), layer, MlpKind.LLAMA_GATED,
                     Nonlinearity.SILU, REFERENCE_POLICY)
+
+
+# ── tiles and query blocks ───────────────────────────────────────────────
+
+
+def _one_shot_attention(x, weights, cfg, policy):
+    """attention_forward with whole products: each head's n x n scores."""
+    store, d, dh = engine._store, cfg.d_model, cfg.head_dim
+    wide = {role: np.asarray(weights[role], dtype=np.float64)
+            for role in ("w_q", "w_k", "w_v", "p")}
+    q, k, v = (store(x @ wide[role], policy) for role in ("w_q", "w_k", "w_v"))
+    future = np.arange(x.shape[0])[:, None] < np.arange(x.shape[0])
+    heads = np.empty((x.shape[0], d))
+    for h in range(cfg.n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T
+        store(np.divide(scores, math.sqrt(dh), out=scores), policy)
+        np.putmask(scores, future, -math.inf)
+        np.exp(np.subtract(scores, scores.max(axis=1, keepdims=True), out=scores), out=scores)
+        s = store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
+        heads[:, cols] = s @ v[:, cols]
+    return store(store(heads, policy) @ wide["p"], policy)
+
+
+def _one_shot_mlp(x, weights, mlp_kind, nonlinearity, policy):
+    """mlp_forward with whole products: the n x m gate and up blocks."""
+    store = engine._store
+    e, b, g = (np.asarray(weights[role], dtype=np.float64) for role in ("e", "b", "g"))
+    gate = store(engine._nonlinearity(store(x @ e, policy), nonlinearity), policy)
+    if mlp_kind is MlpKind.LLAMA_GATED:
+        store(np.multiply(gate, store(x @ b, policy), out=gate), policy)
+    return store(gate @ g, policy)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 33, 1040])
+def test_tiles_and_query_blocks_keep_every_bit(n):
+    # d=128, m=512, head_dim 32: at 1040 tokens the queries run in nine
+    # blocks, the hidden dimension in four tiles and the down product in
+    # two; the fewer tokens cover one block or tile, and ragged counts.
+    d, m = 128, 512
+    cfg = _config(d=d, heads=4, mlp=m)
+    rng = np.random.default_rng(89)
+    mat = lambda r, c: (rng.standard_normal((r, c)) * 0.1).astype(np.float32)  # noqa: E731
+    weights = dict(w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), p=mat(d, d),
+                   e=mat(d, m), b=mat(d, m), g=mat(m, d))
+    x = rng.standard_normal((n, d))
+    same_bits = lambda a, b: np.array_equal(a.view(np.uint64), b.view(np.uint64))  # noqa: E731
+    for policy in (REFERENCE_POLICY, FP16_POLICY):
+        assert same_bits(attention_forward(x, weights, cfg, policy),
+                         _one_shot_attention(x, weights, cfg, policy))
+        for mlp_kind in (MlpKind.STANDARD, MlpKind.LLAMA_GATED):
+            for nonlinearity in (Nonlinearity.RELU, Nonlinearity.GELU, Nonlinearity.SILU):
+                assert same_bits(mlp_forward(x, weights, mlp_kind, nonlinearity, policy),
+                                 _one_shot_mlp(x, weights, mlp_kind, nonlinearity, policy))
 
 
 # ── full forward ─────────────────────────────────────────────────────────
