@@ -134,19 +134,22 @@ def _store(x: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
     return fp16.round_array(x, out=x) if policy.fp16_storage else x
 
 
-def _nonlinearity(z: np.ndarray, kind: Nonlinearity) -> np.ndarray:
-    """F(z), written into z's buffer."""
+def _nonlinearity(z: np.ndarray, kind: Nonlinearity,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """F(z), written into z's buffer; GELU and SiLU work in scratch, an
+    array of z's shape (a new one when None)."""
     if kind is Nonlinearity.RELU:
         return np.maximum(z, 0.0, out=z)
     if kind is Nonlinearity.GELU:
         from scipy.special import erf  # here, so only GELU models pay for scipy
 
-        t = np.divide(z, math.sqrt(2.0))  # 0.5 * z * (1 + erf(z / sqrt 2)), in its order
+        # 0.5 * z * (1 + erf(z / sqrt 2)), in its order
+        t = np.divide(z, math.sqrt(2.0), out=scratch)
         erf(t, out=t)
         t += 1.0
         z *= 0.5
         return np.multiply(z, t, out=z)
-    t = np.negative(z)  # SiLU, z / (1 + exp(-z)), with one buffer besides z
+    t = np.negative(z, out=scratch)  # SiLU, z / (1 + exp(-z)), with one buffer besides z
     with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0 (or -0)
         np.exp(t, out=t)
     np.add(1.0, t, out=t)
@@ -277,35 +280,39 @@ def mlp_forward(
 ) -> np.ndarray:
     """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here.
 
-    The hidden dimension runs in column tiles at most about d wide: a
-    tile's xE, F, xB and gating product are rounded in an n x tile
-    temporary, then copied into the one n x m hidden block (a lone tile
-    is that block).  The down product runs in output-column tiles whose
-    widened G tile is about a d x d block."""
+    The hidden dimension runs in column tiles at most about d wide, in
+    two C-contiguous n x tile buffers that every tile reuses: a tile's
+    xE, F and gating product in one, F's scratch and then xB in the
+    other.  Each tile is rounded there and copied into the one n x m
+    hidden block (a lone tile is that block).  The buffers go before
+    the down product, which writes each output-column tile, whose
+    widened G tile is about a d x d block, into its columns of the
+    output."""
     x = np.asarray(x, dtype=np.float64)
     e, g = weights["e"], weights["g"]
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
     (n, d), m = x.shape, e.shape[1]
     spans = _column_tiles(n, e, 8 * d * d)
+    size = n * max(span.stop - span.start for span in spans)
     hidden = np.empty((n, m)) if len(spans) > 1 else None
+    up, spare = np.empty(size), np.empty(size)
     for span in spans:
-        tile = _store(_nonlinearity(_store(matmul(x, e[:, span]), policy), nonlinearity),
-                      policy)
+        width = span.stop - span.start
+        tile, scratch = (buffer[:n * width].reshape(n, width) for buffer in (up, spare))
+        _store(matmul(x, e[:, span], out=tile), policy)
+        _store(_nonlinearity(tile, nonlinearity, scratch), policy)
         if mlp_kind is MlpKind.LLAMA_GATED:
-            _store(np.multiply(tile, _store(matmul(x, weights["b"][:, span]), policy),
-                               out=tile), policy)
+            _store(matmul(x, weights["b"][:, span], out=scratch), policy)
+            _store(np.multiply(tile, scratch, out=tile), policy)
         if hidden is None:
             hidden = tile
         else:
             hidden[:, span] = tile
-        del tile  # before the next tile, or the down product, is computed
-    spans = _column_tiles(n, g, 8 * d * d)
-    if len(spans) == 1:
-        return _store(matmul(hidden, g), policy)
+    del up, spare, tile, scratch  # before the down product; a lone tile is hidden
     out = np.empty((n, g.shape[1]))
-    for span in spans:
-        out[:, span] = matmul(hidden, g[:, span])
+    for span in _column_tiles(n, g, 8 * d * d):
+        matmul(hidden, g[:, span], out=out[:, span])
     return _store(out, policy)
 
 

@@ -6,14 +6,30 @@ path.  The spectral norm is one symmetric eigenvalue solve on the lower
 triangle of the smaller Gram matrix (a aᵀ or aᵀa), so it is
 deterministic on one numpy/OpenBLAS build, kernel and thread count
 (another can move the last bits; ROADMAP item 20) and needs no
-iteration count or tolerance; dense SVD is only a test oracle.  A float32 weight is widened one tile at a time
-(matmul, gram_lower), and each output tile is one BLAS call over the
-full inner dimension on the kernels the one-shot call runs, so it sums
-in the same order: tile edges fall on multiples of _ALIGN, no tile is
-thinner than 2 * _ALIGN (one row would be a matrix-vector call), and a
-result whose column count is not a multiple of _ALIGN is not tiled
-(OpenBLAS's ragged-edge kernels sum a row tile in another order).  The
-tests check the bits against the one-shot product and Gram.
+iteration count or tolerance; dense SVD is only a test oracle.
+
+A float32 weight is widened one tile at a time (matmul, gram_lower),
+and each output tile is one BLAS call over the full inner dimension on
+the kernels the one-shot call runs, so it sums in the same order: tile
+edges fall on multiples of _ALIGN, no tile is thinner than 2 * _ALIGN
+(one row would be a matrix-vector call), and a result whose column
+count is not a multiple of _ALIGN is not tiled (OpenBLAS's ragged-edge
+kernels sum a row tile in another order).  The tests check the bits
+against the one-shot product and Gram.
+
+A tile's size follows its operand (_budget).  An outer tile, widened
+once, holds at most a quarter of its widened operand; a tile widened
+beside a float64 block (an outer tile, which an inner tile is widened
+again for, or an operand already float64) at most a quarter of that
+block; none is held to less than _LEAST_TILE_BYTES.  Why a quarter: a
+tile of fixed bytes gets thinner as the inner dimension grows (3 MB is
+35 rows of 11008), and a 4096 x 11008 by 11008 x 4096 product in such
+tiles ran at a third of the one-shot rate, while tiles of a quarter
+and a sixteenth of the operand ran at 1.1-1.3x the one-shot time
+(ROADMAP item 21).  The inner operand is then widened at most four
+times, and the tiles held at once are a fraction of what the product
+holds anyway.  A product with few float64 rows (the engine's) keeps
+_LEAST_TILE_BYTES tiles, which cost it no time.
 """
 
 from __future__ import annotations
@@ -22,10 +38,8 @@ import math
 
 import numpy as np
 
-# Widened bytes in a tile, and in an outer tile, which is widened once
-# while the inner tiles beside it are widened once per outer tile.
-_TILE_BYTES = 3 << 20
-_OUTER_BYTES = 4 * _TILE_BYTES
+# Widened bytes no tile budget goes below, however small its operand.
+_LEAST_TILE_BYTES = 3 << 20
 _ALIGN = 16
 # Below about 100^3 multiply-adds OpenBLAS runs an unblocked
 # small-matrix kernel that sums in another order; no tile does fewer.
@@ -59,19 +73,39 @@ def _tiles(start: int, stop: int, k: int, other: int, bound: int) -> list[slice]
     return [slice(a, b) for a, b in zip(edges, edges[1:] + [stop])]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _budget(widened: int) -> int:
+    """Bytes a tile of an operand that widens to widened bytes may hold:
+    a quarter of them, never less than _LEAST_TILE_BYTES."""
+    return max(widened // 4, _LEAST_TILE_BYTES)
+
+
+def _product_tiles(n: int, k: int, p: int, a_wide: bool,
+                   b_wide: bool) -> tuple[list[slice], list[slice]]:
+    """The row tiles of a and the column tiles of b that matmul runs an
+    n x k by k x p product in, from its shape alone; an operand already
+    float64 (a_wide, b_wide) is one tile.  Under two float32 operands
+    b's column tiles are the outer ones; beside a float64 operand the
+    other's tiles hold at most a quarter of it (_budget)."""
+    rows, cols = [slice(0, n)], [slice(0, p)]
+    if p % _ALIGN:
+        return rows, cols
+    narrow, quarter_a, quarter_b = 2 * _ALIGN, _budget(8 * n * k), _budget(8 * k * p)
+    if not b_wide:
+        cols = _tiles(0, p, k, min(n, narrow), quarter_a if a_wide else quarter_b)
+    if not a_wide:
+        rows = _tiles(0, n, k, min(p, narrow), quarter_b if b_wide else _budget(quarter_b))
+    return rows, cols
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b in float64, bit for bit the one-shot product of the widened
-    operands: a float32 b is widened in column tiles, each once (outer
-    tiles when a is float32 too), and a float32 a in row tiles, once per
-    column tile."""
+    operands, written into out (an n x p float64 array) when given: a
+    float32 b is widened in column tiles, each once, and a float32 a in
+    row tiles, once per column tile (_product_tiles)."""
     a, b = np.asarray(a), np.asarray(b)
     (n, k), p = a.shape, b.shape[1]
-    tiled, narrow = p % _ALIGN == 0, 2 * _ALIGN
-    cols = ([slice(0, p)] if b.dtype == np.float64 or not tiled else _tiles(
-        0, p, k, min(n, narrow), _TILE_BYTES if a.dtype == np.float64 else _OUTER_BYTES))
-    rows = ([slice(0, n)] if a.dtype == np.float64 or not tiled
-            else _tiles(0, n, k, min(p, narrow), _TILE_BYTES))
-    out = np.empty((n, p))
+    rows, cols = _product_tiles(n, k, p, a.dtype == np.float64, b.dtype == np.float64)
+    out = np.empty((n, p)) if out is None else out
     for c in cols:
         right = np.asarray(b[:, c], dtype=np.float64)
         for r in rows:
@@ -80,11 +114,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram_tiles(side: int, k: int) -> list[tuple[slice, list[slice]]]:
+    """The outer row tiles of x that gram_lower runs a side x side Gram
+    of rows k long in, each with the inner tiles of the rows below it."""
+    if side % _ALIGN:
+        return [(slice(0, side), [])]
+    outer = _budget(8 * side * k)
+    return [(span, _tiles(span.stop, side, k, 2 * _ALIGN, _budget(outer)))
+            for span in _tiles(0, side, k, 2 * _ALIGN, outer)]
+
+
 def gram_lower(a: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
     """The lower triangle of x xᵀ for x = diag(row_scale) a (of xᵀx when
     a is tall), bit for bit the one-shot float64 product's (a syrk); no
     caller reads above it.  Each outer row tile of x is widened once, for
-    its diagonal block, and the rows below it in inner tiles."""
+    its diagonal block, and the rows below it in inner tiles
+    (_gram_tiles)."""
     wide, (side, k) = a.shape[0] <= a.shape[1], sorted(a.shape)
 
     def tile(span: slice) -> np.ndarray:  # rows of x
@@ -93,13 +138,11 @@ def gram_lower(a: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
         return np.multiply(row_scale[:, None], a[:, span], dtype=np.float64).T
 
     gram = np.zeros((side, side))
-    outer = (_tiles(0, side, k, 2 * _ALIGN, _OUTER_BYTES) if side % _ALIGN == 0
-             else [slice(0, side)])
     with np.errstate(over="ignore", invalid="ignore"):
-        for span in outer:
+        for span, below in _gram_tiles(side, k):
             held = tile(span)
             np.matmul(held, held.T, out=gram[span, span])
-            for here in _tiles(span.stop, side, k, 2 * _ALIGN, _TILE_BYTES):
+            for here in below:
                 np.matmul(tile(here), held.T, out=gram[here, span])
             del held  # before the next outer tile is widened
     return gram

@@ -64,7 +64,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def small_tiles(monkeypatch):
-    """linalg widens 64 KiB tiles (256 KiB outer ones), so moderate shapes
-    straddle tile edges and a formula's float64 temporaries stay small."""
-    monkeypatch.setattr(linalg, "_TILE_BYTES", 64 << 10)
-    monkeypatch.setattr(linalg, "_OUTER_BYTES", 256 << 10)
+    """linalg holds a tile to no less than 64 KiB, so moderate shapes cut
+    their operands in quarters and their outer tiles in quarters again
+    (a 1 MiB operand in 256 KiB outer and 64 KiB inner tiles), and a
+    formula's float64 temporaries stay small."""
+    monkeypatch.setattr(linalg, "_LEAST_TILE_BYTES", 64 << 10)

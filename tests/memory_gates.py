@@ -2,10 +2,11 @@
 
 `traced_peak` is the one measure every gate uses: the largest total of
 allocations tracemalloc traced (numpy arrays included) while a call
-ran.  `gate_checkpoint` writes the checkpoint the streamed-walk gates
-read and says what a walk over it may hold besides a command's
-temporaries.  Test files import this module as they import `conftest`;
-pytest does not collect it.
+ran.  `product_tile_bytes` and `gram_tile_bytes` give the widest tiles
+linalg widens for a shape, from its tile plan alone.  `gate_checkpoint`
+writes the checkpoint the streamed-walk gates read and says what a walk
+over it may hold besides a command's temporaries.  Test files import
+this module as they import `conftest`; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 import tracemalloc
 from pathlib import Path
 
-from slanc import serialization
+from slanc import linalg, serialization
 from slanc.model import (
     ATTENTION_ROLES,
     GATE_ROLES,
@@ -39,6 +40,25 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _widest(spans) -> int:
+    return max((span.stop - span.start for span in spans), default=0)
+
+
+def product_tile_bytes(n: int, k: int, p: int) -> tuple[int, int]:
+    """Bytes of the widest outer and inner tile linalg.matmul widens for
+    an n x k by k x p product of two float32 operands."""
+    rows, cols = linalg._product_tiles(n, k, p, False, False)
+    return 8 * k * _widest(cols), 8 * k * _widest(rows)
+
+
+def gram_tile_bytes(side: int, k: int) -> tuple[int, int]:
+    """Bytes of the widest outer and inner tile linalg.gram_lower widens
+    for the Gram of side rows k long."""
+    plan = linalg._gram_tiles(side, k)
+    return (8 * k * _widest(span for span, _ in plan),
+            8 * k * _widest(here for _, below in plan for here in below))
 
 
 @dataclasses.dataclass(frozen=True)

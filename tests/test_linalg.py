@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from memory_gates import traced_peak
+from memory_gates import gram_tile_bytes, product_tile_bytes, traced_peak
 from slanc import linalg
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
@@ -188,6 +188,7 @@ def _counting_matmul(monkeypatch) -> list:
 
 # (rows, inner, columns) and whether the product is tiled: by columns
 # when b is float32, by rows when a is float32 and has 256 rows or more
+# (beside a float64 b, only when a is over a quarter of it: 4n > p)
 _PRODUCTS = [
     ((1, 512, 12288), True),  # one row: matrix-vector calls
     ((16, 1024, 1008), True),
@@ -211,7 +212,8 @@ def test_matmul_is_the_one_shot_product_bit_for_bit(small_tiles, monkeypatch, dt
         before = calls[0]
         assert np.array_equal(linalg.matmul(a, b), want), (n, k, p)
         by_columns = dtypes[1] is np.float32
-        by_rows = dtypes[0] is np.float32 and n >= 256
+        by_rows = dtypes[0] is np.float32 and n >= 256 and (
+            dtypes[1] is np.float32 or 4 * n > p)
         assert (calls[0] - before > 1) == (tiled and (by_columns or by_rows)), (n, k, p)
 
 
@@ -249,22 +251,42 @@ def test_gram_lower_is_the_one_shot_gram_bit_for_bit(small_tiles, shape):
     assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(want))
 
 
-def test_tiled_products_hold_two_tiles(monkeypatch):
+def test_tiled_products_hold_two_tiles():
     # Memory gate, bound from shapes: the float64 result and the widest
-    # outer and inner tile, nothing the size of a widened operand.
-    monkeypatch.setattr(linalg, "_TILE_BYTES", 1 << 20)
-    monkeypatch.setattr(linalg, "_OUTER_BYTES", 4 << 20)
+    # outer and inner tile of linalg's plan, nothing the size of a
+    # widened operand.  The 8 MiB operands are cut in at least two outer
+    # tiles, and the rows beside (or below) one in at least two inner.
     rng = np.random.default_rng(79)
     d, m = 512, 2048
     a = rng.standard_normal((d, m)).astype(np.float32)
     b = rng.standard_normal((m, d)).astype(np.float32)
     scale = rng.standard_normal(d)
-    tile_bytes = [8 * m * max(span.stop - span.start
-                              for span in linalg._tiles(0, d, m, d, bound))
-                  for bound in (linalg._OUTER_BYTES, linalg._TILE_BYTES)]
-    bound = 8 * d * d + sum(tile_bytes)
-    assert sum(tile_bytes) < 8 * d * m  # so one widened operand would not fit
-    assert traced_peak(lambda: linalg.matmul(a, b)) <= 1.05 * bound
-    assert traced_peak(lambda: linalg.gram_lower(a, scale)) <= 1.05 * bound
+    rows, cols = linalg._product_tiles(d, m, d, False, False)
+    (_, below), *_ = plan = linalg._gram_tiles(d, m)
+    assert min(len(rows), len(cols), len(plan), len(below)) >= 2
+    for run, tile_bytes in ((lambda: linalg.matmul(a, b), product_tile_bytes(d, m, d)),
+                            (lambda: linalg.gram_lower(a, scale), gram_tile_bytes(d, m))):
+        bound = 8 * d * d + sum(tile_bytes)
+        assert sum(tile_bytes) < 8 * d * m  # so one widened operand would not fit
+        assert traced_peak(run) <= 1.05 * bound
     whole = traced_peak(lambda: np.asarray(a, dtype=np.float64) @ b)
-    assert whole > 1.05 * bound
+    assert whole > 1.05 * (8 * d * d + sum(product_tile_bytes(d, m, d)))
+
+
+def test_tile_plans_follow_the_operand():
+    # The plans from shapes alone, no array made.  Flagship (d=256,
+    # m=1024): every product and Gram is one tile.  Wide-scales' B G
+    # (d=1024, m=2816): G in 4 column tiles, B in 8 row tiles.  The
+    # d=4096 layer's B G (m=11008): 4 column tiles of 1024 and 16 row
+    # tiles of 256 (12 MiB outer and 3 MiB inner tiles would be 29 x 85).
+    def widths(n: int, k: int, p: int) -> tuple[list[int], list[int]]:
+        rows, cols = linalg._product_tiles(n, k, p, False, False)
+        return [c.stop - c.start for c in cols], [r.stop - r.start for r in rows]
+
+    for n, k, p in ((256, 1024, 256), (256, 256, 256), (1024, 256, 256)):
+        assert widths(n, k, p) == ([p], [n])
+    assert linalg._product_tiles(256, 256, 1024, True, False) == ([slice(0, 256)],
+                                                                 [slice(0, 1024)])
+    assert linalg._gram_tiles(256, 1024) == [(slice(0, 256), [])]
+    assert widths(1024, 2816, 1024) == ([256] * 4, [128] * 8)
+    assert widths(4096, 11008, 4096) == ([1024] * 4, [256] * 16)

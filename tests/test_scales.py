@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from memory_gates import traced_peak
+from memory_gates import gram_tile_bytes, product_tile_bytes, traced_peak
 from slanc import linalg, serialization
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
@@ -156,31 +156,48 @@ def _frobenius(a: np.ndarray) -> float:
 def test_formulas_hold_a_product_a_gram_and_two_tiles():
     # Memory gate, bound from shapes (d=512, m=1408): the d x d float64
     # product, the d x d Gram and the widest outer and inner tile of a
-    # weight (see linalg), 5% over; the tiles give the same bits.  The
-    # gated formula widened each weight whole before, which does not
-    # fit; attention's 512 x 512 weights are each below one tile.
+    # weight (linalg's plan), 5% over; the tiles give the same bits.
+    # B G is cut in two outer and two inner tiles, and the gated formula
+    # with each weight widened whole does not fit.  Attention's 512 x 512
+    # weights are each one tile.
     rng = np.random.default_rng(5)
     d, m = 512, 1408
     gamma = rng.standard_normal(d)
     e, b = (rng.standard_normal((d, m)).astype(np.float32) for _ in range(2))
     g = rng.standard_normal((m, d)).astype(np.float32)
     w_v, p = (rng.standard_normal((d, d)).astype(np.float32) for _ in range(2))
-
-    def widest(k: int, bound: int) -> int:  # bytes of the widest tile
-        return 8 * k * max(span.stop - span.start
-                           for span in linalg._tiles(0, d, k, d, bound))
+    rows, cols = linalg._product_tiles(d, m, d, False, False)
+    assert min(len(rows), len(cols)) >= 2
 
     for formula, whole, weights, k, whole_fits in (
         (scale_llama_mlp, _llama_widened_whole, (e, b, g), m, False),
         (scale_attention, _attention_widened_whole, (w_v, p), d, True),
     ):
-        tiles = widest(k, linalg._OUTER_BYTES) + widest(k, linalg._TILE_BYTES)
+        tiles = max(sum(product_tile_bytes(d, k, d)), sum(gram_tile_bytes(d, k)))
         bound = 1.05 * (2 * 8 * d * d + tiles)
         peak = traced_peak(lambda: formula(gamma, *weights))
         assert peak <= bound, (formula.__name__, peak, bound)
         widened = traced_peak(lambda: whole(gamma, *weights))
         assert (widened <= bound) == whole_fits, (formula.__name__, widened, bound)
         assert formula(gamma, *weights) == whole(gamma, *weights)
+
+
+def test_wide_gated_formula_holds_b_g_a_product_and_two_tiles():
+    # Memory gate at the wide-scales MLP (d=1024, m=2816): B and G, made
+    # inside the traced call as a streamed walk reads them, the d x d
+    # float64 product and the widest outer and inner tile of B G, 5%
+    # over.  G's outer tiles are a quarter of its 22 MiB float64 copy;
+    # 11 MiB halves would not fit.
+    rng = np.random.default_rng(7)
+    d, m = 1024, 2816
+    gamma = rng.standard_normal(d)
+    e, b = (rng.standard_normal((d, m)).astype(np.float32) for _ in range(2))
+    g = rng.standard_normal((m, d)).astype(np.float32)
+    outer, inner = product_tile_bytes(d, m, d)
+    bound = 1.05 * (b.nbytes + g.nbytes + 8 * d * d + outer + inner)
+    peak = traced_peak(lambda: scale_llama_mlp(gamma, e, b.copy(), g.copy()))
+    assert peak <= bound, (peak, bound)
+    assert b.nbytes + g.nbytes + 8 * d * d + 2 * outer > bound
 
 
 # ── epsilon adjustment ───────────────────────────────────────────────────
