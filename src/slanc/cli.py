@@ -137,7 +137,9 @@ def _load_model(args, fingerprint: bool = True):
                                       fingerprint=fingerprint)
 
 
-def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
+def _token_inputs(args, config: ModelConfig) -> np.ndarray:
+    """The token block the options name, for the caller to hand straight
+    to the engine (which lets it go once its passes hold their starts)."""
     if args.inputs is not None:
         try:
             acts = np.load(args.inputs)
@@ -150,7 +152,7 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
         if acts.dtype.kind not in "iuf":
             raise UsageError(f"activations must be integer or floating point, "
                              f"got dtype {acts.dtype}")
-        return acts, None  # engine.forward_passes checks its shape and values
+        return acts  # engine.forward_passes checks its shape and values
     if args.tokens is None:
         raise UsageError("either --tokens or --inputs is required")
     if args.tokens <= 0:
@@ -158,7 +160,12 @@ def _token_inputs(args, config: ModelConfig) -> tuple[np.ndarray, int | None]:
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    return rng.standard_normal((args.tokens, config.d_model)), args.seed
+    return rng.standard_normal((args.tokens, config.d_model))
+
+
+def _token_seed(args) -> int | None:
+    """The seed a report records: None for tokens read from --inputs."""
+    return args.seed if args.inputs is None else None
 
 
 def _parse_amplify(specs: list[str], layers_spec: str | None):
@@ -239,10 +246,9 @@ def _cmd_audit(args) -> int:
     with _load_model(args, fingerprint=args.scales is not None) as model:
         table = (serialization.read_json(args.scales, "scale table", UsageError)
                  if args.scales else None)
-        inputs, seed = _token_inputs(args, model.config)
         policy = FP16_POLICY if args.policy == "fp16" else REFERENCE_POLICY
-        result = forward(model, inputs, policy, scales=table)
-    doc = report_mod.build_audit_report(result, model, args.policy, seed)
+        result = forward(model, _token_inputs(args, model.config), policy, scales=table)
+    doc = report_mod.build_audit_report(result, model, args.policy, _token_seed(args))
     text = report_mod.audit_csv(doc) if args.format == "csv" else serialization.dumps(doc)
     serialization.atomic_write_text(args.out, text)
     overflows = sum(n["overflow_count"] for n in doc["norms"])
@@ -257,8 +263,8 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     with _load_model(args) as model:
         table = serialization.read_json(args.scales, "scale table", UsageError)
-        inputs, seed = _token_inputs(args, model.config)
-        doc = report_mod.run_compare(model, inputs, table, seed=seed)
+        doc = report_mod.run_compare(model, _token_inputs(args, model.config), table,
+                                     seed=_token_seed(args))
     sys.stdout.write(report_mod.compare_text(doc))
     if args.out:
         serialization.atomic_write_text(args.out, serialization.dumps(doc))

@@ -21,18 +21,27 @@ Under FP16 storage each store rounds the temporary it was handed, in
 place (`fp16.round_array(x, out=x)`), so a store makes no new array.
 The one exception is the token block a pass starts from: the passes of
 `forward_passes` share the caller's block, so it is rounded into a new
-array.  Softmax, the nonlinearity (GELU too), the gating product, the
+array.  Once the passes hold their starts, `forward_passes` (and
+`forward`) drop their references to the caller's block, which a caller
+that hands it over, such as the CLI, no longer holds either.
+Softmax, the nonlinearity (GELU too), the gating product, the
 residual sum and the norm epilogue likewise write into a temporary of
 their own (`out=`), in the order a new array per step would take, so
 every bit is the same.
 
-Of the activations, a sublayer holds its n x d blocks, one n x m hidden
-block per MLP and its attention scores in query blocks of about n x d
-float64, so its memory grows with the tokens, not with their square.
-The MLP's products run in column tiles and the queries in row blocks,
-all cut by `linalg._tiles`: each is a tile of the one-shot product, at
-edges and sizes that keep its bits (see `linalg`), and every softmax
-row stays whole.
+Each sublayer runs its n tokens in row blocks of at most 128 rows
+(_row_blocks), so of the activations only the residual stream, k, v
+and a sublayer's n x d output span every token; the rest (q, the
+attention scores, the head outputs, the MLP's hidden rows) is one
+block's, in buffers every block reuses, and memory grows with the
+tokens, not with their square.  The blocks, and the MLP's column
+tiles, are cut by `linalg._tiles`: each product is a tile of the
+one-shot product, at edges and sizes that keep its bits (see
+`linalg`), and every softmax row stays whole.  The one exception is a
+token count that is not a multiple of 16 and spans more than one query
+block: its scores q kᵀ then have a ragged column count, whose row tiles
+OpenBLAS sums in another order, so their last bits can differ from a
+one-shot product's.  A ragged count in one block keeps its bits.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
@@ -220,27 +229,30 @@ def attention_forward(
 ) -> np.ndarray:
     """Causal multi-head attention on a token-by-d activation matrix.
 
-    The queries run in row blocks (_query_blocks); each head's scores
-    and softmax weights for a block go into one buffer that every head
-    and block reuses, and its output into its rows and columns of one
-    n x d block."""
+    k and v span every token; the queries run in row blocks
+    (_attention_blocks).  A block's q rows, each head's scores and
+    softmax weights, and its head outputs go into buffers sized for one
+    block that every block reuses, and its rows of the output
+    projection into its rows of the one n x d output."""
     x = np.asarray(x, dtype=np.float64)
     d, dh = config.d_model, config.head_dim
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected n_tokens x {d} activations, got {x.shape}")
     n = x.shape[0]
-    q = _store(matmul(x, weights["w_q"]), policy)
     k = _store(matmul(x, weights["w_k"]), policy)
     v = _store(matmul(x, weights["w_v"]), policy)
-    blocks = _query_blocks(n, d, dh)
-    buffer = np.empty((max(rows.stop - rows.start for rows in blocks), n))
-    heads = np.empty((n, d))
+    blocks = _attention_blocks(n, d, dh)
+    most = max(rows.stop - rows.start for rows in blocks)
+    q_rows, head_rows, score_rows = np.empty((most, d)), np.empty((most, d)), np.empty((most, n))
+    out = np.empty((n, d))
     for rows in blocks:
+        q, heads, scores = (buffer[:rows.stop - rows.start]
+                            for buffer in (q_rows, head_rows, score_rows))
+        _store(matmul(x[rows], weights["w_q"], out=q), policy)
         future = np.arange(rows.start, rows.stop)[:, None] < np.arange(n)  # key after query
-        scores = buffer[:rows.stop - rows.start]
         for h in range(config.n_heads):
             cols = slice(h * dh, (h + 1) * dh)
-            np.matmul(q[rows, cols], k[:, cols].T, out=scores)
+            np.matmul(q[:, cols], k[:, cols].T, out=scores)
             _store(np.divide(scores, math.sqrt(dh), out=scores), policy)
             np.putmask(scores, future, -math.inf)
             # Max-subtraction softmax in double; rows are convex weights.
@@ -248,27 +260,49 @@ def attention_forward(
             with np.errstate(invalid="ignore"):  # an inf score: inf - inf is NaN
                 np.exp(np.subtract(scores, peak, out=scores), out=scores)
             s = _store(np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores), policy)
-            np.matmul(s, v[:, cols], out=heads[rows, cols])
-    return _store(matmul(_store(heads, policy), weights["p"]), policy)
+            np.matmul(s, v[:, cols], out=heads[:, cols])
+        matmul(_store(heads, policy), weights["p"], out=out[rows])
+    return _store(out, policy)
 
 
-def _query_blocks(n: int, d: int, dh: int) -> list[slice]:
-    """The query rows in blocks of about n x d float64 scores: each block
-    is a row tile of a head's one-shot products q kᵀ (n columns) and
-    s v (dh columns), so linalg's edges and floors hold, and there is
-    one block unless both column counts are multiples of _ALIGN."""
-    if n % _ALIGN or dh % _ALIGN:
+# The most token rows a sublayer runs at once.
+_BLOCK_ROWS = 8 * _ALIGN
+
+
+def _row_blocks(n: int, macs: int, *columns: int) -> list[slice]:
+    """The n token rows of a sublayer in blocks of at most _BLOCK_ROWS
+    (plus a ragged tail), cut by linalg._tiles beside a product of macs
+    multiply-adds per row, so its edges and floors hold; one block
+    unless every column count of the sublayer's row-tiled products
+    (columns) is a multiple of _ALIGN."""
+    if any(c % _ALIGN for c in columns):
         return [slice(0, n)]
-    return _tiles(0, n, n, dh, 8 * n * d)
+    return _tiles(0, n, 1, macs, 8 * _BLOCK_ROWS)
 
 
-def _column_tiles(n: int, w: np.ndarray, bound: int) -> list[slice]:
-    """The columns of x @ w, for an n-row float64 x, in tiles whose
-    widened w tile holds about bound bytes: linalg's edges and floors,
-    with the product's n rows beside each tile (x is not row-tiled), and
-    one tile unless w's column count is a multiple of _ALIGN."""
-    k, p = w.shape
-    return _tiles(0, p, k, n, bound) if p % _ALIGN == 0 else [slice(0, p)]
+def _attention_blocks(n: int, d: int, dh: int) -> list[slice]:
+    """attention_forward's query blocks, at the floors of a head's q kᵀ
+    and s v products (dh x n multiply-adds per row).  A block's d x d
+    products (its q rows and output projection) are left out of the
+    floor, which would keep a d=64 model's queries in blocks of 512: on
+    the OpenBLAS kernels tested, their row tiles keep their bits at any
+    height (the tests run d=64)."""
+    return _row_blocks(n, dh * n, d, dh)
+
+
+def _mlp_plan(n: int, d: int, m: int) -> tuple[list[slice], list[slice], list[slice]]:
+    """mlp_forward's row blocks, at the floors of its d x m products, and
+    the hidden and output column tiles every block runs in: each widened
+    E or G tile about a d x d block, with the fewest rows of any block
+    beside it so linalg's floors hold for every block, and one tile for
+    a column count that is not a multiple of _ALIGN."""
+    blocks = _row_blocks(n, d * m, m, d)
+    fewest = min(rows.stop - rows.start for rows in blocks)
+
+    def tiles(k: int, p: int) -> list[slice]:
+        return _tiles(0, p, k, fewest, 8 * d * d) if p % _ALIGN == 0 else [slice(0, p)]
+
+    return blocks, tiles(d, m), tiles(m, d)
 
 
 def mlp_forward(
@@ -280,39 +314,41 @@ def mlp_forward(
 ) -> np.ndarray:
     """Standard F(xE)G or gated (F(xE) .* xB)G; no residual here.
 
-    The hidden dimension runs in column tiles at most about d wide, in
-    two C-contiguous n x tile buffers that every tile reuses: a tile's
-    xE, F and gating product in one, F's scratch and then xB in the
-    other.  Each tile is rounded there and copied into the one n x m
-    hidden block (a lone tile is that block).  The buffers go before
-    the down product, which writes each output-column tile, whose
-    widened G tile is about a d x d block, into its columns of the
-    output."""
+    The tokens run in row blocks and, in each, the hidden dimension in
+    column tiles at most about d wide (_mlp_plan), in buffers sized for
+    one block that every block reuses: a tile's xE, F and gating
+    product in one, F's scratch and then xB in the other.  Each tile is
+    rounded there and copied into the block's hidden rows (a lone tile
+    is those rows).  The down product writes each output-column tile
+    into the block's rows of the one n x d output."""
     x = np.asarray(x, dtype=np.float64)
     e, g = weights["e"], weights["g"]
     if x.ndim != 2 or x.shape[1] != e.shape[0]:
         raise ValueError(f"expected n_tokens x {e.shape[0]} activations, got {x.shape}")
     (n, d), m = x.shape, e.shape[1]
-    spans = _column_tiles(n, e, 8 * d * d)
-    size = n * max(span.stop - span.start for span in spans)
-    hidden = np.empty((n, m)) if len(spans) > 1 else None
+    blocks, spans, out_spans = _mlp_plan(n, d, m)
+    most = max(rows.stop - rows.start for rows in blocks)
+    size = most * max(span.stop - span.start for span in spans)
     up, spare = np.empty(size), np.empty(size)
-    for span in spans:
-        width = span.stop - span.start
-        tile, scratch = (buffer[:n * width].reshape(n, width) for buffer in (up, spare))
-        _store(matmul(x, e[:, span], out=tile), policy)
-        _store(_nonlinearity(tile, nonlinearity, scratch), policy)
-        if mlp_kind is MlpKind.LLAMA_GATED:
-            _store(matmul(x, weights["b"][:, span], out=scratch), policy)
-            _store(np.multiply(tile, scratch, out=tile), policy)
-        if hidden is None:
-            hidden = tile
-        else:
-            hidden[:, span] = tile
-    del up, spare, tile, scratch  # before the down product; a lone tile is hidden
+    hidden_rows = np.empty((most, m)) if len(spans) > 1 else None
     out = np.empty((n, g.shape[1]))
-    for span in _column_tiles(n, g, 8 * d * d):
-        matmul(hidden, g[:, span], out=out[:, span])
+    for rows in blocks:
+        b = rows.stop - rows.start
+        for span in spans:
+            width = span.stop - span.start
+            tile, scratch = (buffer[:b * width].reshape(b, width) for buffer in (up, spare))
+            _store(matmul(x[rows], e[:, span], out=tile), policy)
+            _store(_nonlinearity(tile, nonlinearity, scratch), policy)
+            if mlp_kind is MlpKind.LLAMA_GATED:
+                _store(matmul(x[rows], weights["b"][:, span], out=scratch), policy)
+                _store(np.multiply(tile, scratch, out=tile), policy)
+            if hidden_rows is None:
+                hidden = tile
+            else:
+                hidden = hidden_rows[:b]
+                hidden[:, span] = tile
+        for span in out_spans:
+            matmul(hidden, g[:, span], out=out[rows, span])
     return _store(out, policy)
 
 
@@ -386,6 +422,7 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
         raise InputError(f"activations must be finite: token {token}, element "
                          f"{element} is {x[token, element]!r}")
     runs = [_Pass(cfg, x, policy, scales) for policy, scales in passes]
+    del x0, x  # only a pass that has not yet run a sublayer refers to the block
     gate = None  # an MLP's e, kept until the rest of its MLP is read
     with np.errstate(over="ignore", invalid="ignore"):
         for step in model.execution_order():
@@ -411,7 +448,11 @@ def forward(model: ModelGraph | ModelStream, x0: np.ndarray, policy: PrecisionPo
     """Run the decoder chain of a ModelGraph or a ModelStream, auditing
     every norm: the one pass of forward_passes, its error raised.  Each
     norm divides by its s from scales, a scale table document."""
-    (result,) = forward_passes(model, x0, [(policy, scales)])
+    # Handed on through a list, so that this frame holds no reference
+    # during the walk: forward_passes lets the block go once its pass starts.
+    tokens = [x0]
+    del x0
+    (result,) = forward_passes(model, tokens.pop(), [(policy, scales)])
     if isinstance(result, Exception):
         raise result
     return result

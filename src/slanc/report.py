@@ -127,7 +127,11 @@ def run_compare(model: ModelGraph | ModelStream, x0: np.ndarray, scales: dict,
     mismatch and names the norm and token that failed.  The scaled and
     then the reference run raise theirs, as forward_passes orders them.
     """
-    scaled, reference, plain = forward_passes(model, x0, [
+    # Handed on through a list, so that this frame holds no reference
+    # during the walk: forward_passes lets the block go once its passes start.
+    tokens = [x0]
+    del x0
+    scaled, reference, plain = forward_passes(model, tokens.pop(), [
         (FP16_POLICY, scales), (REFERENCE_POLICY, None), (FP16_POLICY, None)])
     for result in (scaled, reference):
         if isinstance(result, Exception):
@@ -141,7 +145,7 @@ def run_compare(model: ModelGraph | ModelStream, x0: np.ndarray, scales: dict,
                          plain.audit.values()))
     rows.append(_row("FP16+SLaNC", relative_mismatch(reference.output, scaled.output),
                      scaled.audit.values()))
-    return {"tokens": x0.shape[0], "seed": seed, "rows": rows}
+    return {"tokens": reference.output.shape[0], "seed": seed, "rows": rows}
 
 
 def compare_text(doc: dict) -> str:

@@ -3,9 +3,10 @@
 `traced_peak` is the one measure every gate uses: the largest total of
 allocations tracemalloc traced (numpy arrays included) while a call
 ran.  `product_tile_bytes` and `gram_tile_bytes` give the widest tiles
-linalg widens for a shape, from its tile plan alone.  `gate_checkpoint`
-writes the checkpoint the streamed-walk gates read and says what a walk
-over it may hold besides a command's temporaries.  Test files import
+linalg widens for a shape, from its tile plan alone, and `forward_plan`
+the widest blocks and tiles the engine runs a sublayer's tokens in.
+`gate_checkpoint` writes the checkpoint the streamed-walk gates read
+and says what a walk over it may hold besides a command's temporaries.  Test files import
 this module as they import `conftest`; pytest does not collect it.
 """
 
@@ -14,8 +15,9 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
-from slanc import linalg, serialization
+from slanc import engine, linalg, serialization
 from slanc.model import (
     ATTENTION_ROLES,
     GATE_ROLES,
@@ -59,6 +61,21 @@ def gram_tile_bytes(side: int, k: int) -> tuple[int, int]:
     plan = linalg._gram_tiles(side, k)
     return (8 * k * _widest(span for span, _ in plan),
             8 * k * _widest(here for _, below in plan for here in below))
+
+
+class ForwardPlan(NamedTuple):
+    query_rows: int  # the widest query block of engine.attention_forward
+    mlp_rows: int  # the widest row block of engine.mlp_forward
+    hidden_width: int  # the widest of its hidden column tiles
+    output_width: int  # the widest of its output column tiles
+
+
+def forward_plan(n: int, cfg: ModelConfig) -> ForwardPlan:
+    """The widest blocks and tiles the engine runs n tokens of cfg in."""
+    d = cfg.d_model
+    rows, hidden, output = engine._mlp_plan(n, d, cfg.mlp_hidden)
+    return ForwardPlan(_widest(engine._attention_blocks(n, d, cfg.head_dim)),
+                       _widest(rows), _widest(hidden), _widest(output))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 
 from checkpoints import load_safetensors, load_tensors
 import slanc
-from slanc import cli
+from slanc import cli, engine
 from slanc import model as model_mod
 from slanc import serialization
 from slanc.cli import main
@@ -1007,6 +1008,40 @@ def test_compare_prints_three_rows_and_writes_json(amp, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert [r["mode"] for r in doc["rows"]] == ["FP64", "FP16", "FP16+SLaNC"]
     assert doc["tokens"] == 32
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's stack holds its call's arguments")
+@pytest.mark.parametrize("placement", ["post-ln", "pre-ln"])
+def test_audit_and_compare_let_the_token_block_go(placement, tmp_path, monkeypatch):
+    # Each command hands the token block it read or generated to the
+    # engine and keeps no reference to it, nor do forward, run_compare
+    # and forward_passes once every pass holds its own start, so by the
+    # first MLP nothing refers to it any more.
+    model, table = str(tmp_path / "m.safetensors"), str(tmp_path / "t.json")
+    np.save(tmp_path / "x.npy", np.random.default_rng(2).standard_normal((8, 16)))
+    assert main(["gen-model", "--d", "16", "--layers", "1", "--heads", "2",
+                 "--placement", placement, "-o", model]) == 0
+    assert main(["scales", model, "-o", table]) == 0
+    blocks, alive = [], []
+    read, run_mlp = cli._token_inputs, engine.mlp_forward
+
+    def recorded(args, config):
+        block = read(args, config)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def spying(*args):
+        alive.append(blocks[-1]() is not None)
+        return run_mlp(*args)
+
+    monkeypatch.setattr(cli, "_token_inputs", recorded)
+    monkeypatch.setattr(engine, "mlp_forward", spying)
+    for tokens in (["--tokens", "8"], ["--inputs", str(tmp_path / "x.npy")]):
+        assert main(["audit", model, *tokens, "-o", str(tmp_path / "r.json")]) == 0
+        assert main(["compare", model, "--scales", table, *tokens]) == 0
+    assert len(blocks) == 4 and len(alive) == 2 * (1 + 3)  # an MLP per pass: audit 1, compare 3
+    assert not any(alive)
 
 
 def test_compare_requires_scales_flag(amp, capsys):

@@ -18,7 +18,7 @@ import pytest
 
 import fp16_oracle
 from dynamic_oracle import calibrate_dynamic
-from memory_gates import traced_peak
+from memory_gates import forward_plan, traced_peak
 from slanc import engine, fp16, scales
 from slanc.engine import (
     FP16_POLICY,
@@ -330,11 +330,12 @@ def test_attention_rejects_bad_shapes():
 
 
 def test_fp16_attention_holds_one_score_block():
-    # Memory gate, bound from shapes: q, k, v, the heads block and the
-    # output (n x d each), one score block of at most n x d float64 (the
-    # queries run in blocks of d rows here), its causal mask (a byte per
-    # score), one widened weight and the rounding scratch.  A whole head
-    # of n x n scores is n / d = 16 such blocks.
+    # Memory gate, bound from shapes: six n x d float64 blocks, which
+    # hold k, v, the output and a query block's q, head and score rows
+    # (the queries run in blocks of 2d rows here, so a block's scores
+    # are 2 n x d), and room for the causal mask (a byte per score), one
+    # widened weight and the rounding scratch.  A whole head of n x n
+    # scores is 16 n x d blocks.
     n, d = 1024, 64
     cfg = _config(d=d, layers=1, heads=1, mlp=4 * d)
     rng = np.random.default_rng(97)
@@ -400,14 +401,15 @@ def test_mlp_matches_independent_oracle():
 @pytest.mark.parametrize("mlp_kind", [MlpKind.STANDARD, MlpKind.LLAMA_GATED],
                          ids=["standard", "gated"])
 def test_fp16_mlp_holds_one_hidden_block(mlp_kind, nonlinearity):
-    # Memory gate, bound from shapes: one n x m hidden block, three n x d
-    # blocks (a hidden tile's two temporaries, or the output and its
-    # tile; hidden tiles are at most d wide here) and one widened weight
-    # of at most d x m (the whole matrix; its tiles are smaller).  Each
-    # store rounds the block it is handed; a second hidden block (a
-    # whole gate or up product), a store that made a float16 copy and a
-    # new float64 block, or a nonlinearity that made fresh blocks, would
-    # not fit.
+    # Memory gate, bound from shapes: one n x m hidden block (the rows
+    # run in two blocks here, so a block's hidden rows are half of it),
+    # three n x d blocks (a hidden tile's two temporaries, or the output
+    # and its tile; hidden tiles are at most d wide here) and one
+    # widened weight of at most d x m (the whole matrix; its tiles are
+    # smaller).  Each store rounds the block it is handed; a second
+    # hidden block (a whole gate or up product), a store that made a
+    # float16 copy and a new float64 block, or a nonlinearity that made
+    # fresh blocks, would not fit.
     import scipy.special  # noqa: F401  GELU's lazy import, loaded before tracing
 
     n, d, m = 256, 128, 1024
@@ -459,11 +461,15 @@ def _one_shot_mlp(x, weights, mlp_kind, nonlinearity, policy):
     return store(gate @ g, policy)
 
 
-@pytest.mark.parametrize("n", [1, 7, 16, 33, 1040])
+@pytest.mark.parametrize("n", [1, 7, 16, 33, 256, 272, 1040])
 def test_tiles_and_query_blocks_keep_every_bit(n):
-    # d=128, m=512, head_dim 32: at 1040 tokens the queries run in nine
-    # blocks, the hidden dimension in four tiles and the down product in
-    # two; the fewer tokens cover one block or tile, and ragged counts.
+    # d=128, m=512, head_dim 32.  The MLP runs 256 tokens in two full
+    # blocks of 128 rows (three hidden tiles, two down tiles) and 272 in
+    # three of 80, 96 and 96 rows (two hidden tiles, one down tile: the
+    # 80-row block sets the floors); at 1040 tokens the queries and the
+    # MLP's rows run in nine blocks.  A head's 256 or 272 scores per
+    # query are under the floor of a split, so those queries are one
+    # block.  The fewer tokens cover one block or tile, and ragged counts.
     d, m = 128, 512
     cfg = _config(d=d, heads=4, mlp=m)
     rng = np.random.default_rng(89)
@@ -479,6 +485,68 @@ def test_tiles_and_query_blocks_keep_every_bit(n):
             for nonlinearity in (Nonlinearity.RELU, Nonlinearity.GELU, Nonlinearity.SILU):
                 assert same_bits(mlp_forward(x, weights, mlp_kind, nonlinearity, policy),
                                  _one_shot_mlp(x, weights, mlp_kind, nonlinearity, policy))
+
+
+def test_ragged_query_blocks_differ_only_in_rounding():
+    # 1039 tokens run in nine query blocks; a head's scores have a ragged
+    # column count, whose row tiles may sum in another order than the
+    # one-shot product, so the last bits may move, and no more.
+    d = 128
+    cfg = _config(d=d, heads=4, mlp=512)
+    rng = np.random.default_rng(91)
+    weights = {role: (rng.standard_normal((d, d)) * 0.1).astype(np.float32)
+               for role in ("w_q", "w_k", "w_v", "p")}
+    x = rng.standard_normal((1039, d))
+    assert len(engine._attention_blocks(1039, d, cfg.head_dim)) > 1
+    assert _rel(_one_shot_attention(x, weights, cfg, REFERENCE_POLICY),
+                attention_forward(x, weights, cfg, REFERENCE_POLICY)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1024, 1023], ids=["aligned", "ragged"])
+def test_fp16_layer_holds_one_row_block(n):
+    # Memory gate, bound from shapes: one FP16 post-LN layer (attention,
+    # then a gated MLP) holds the residual stream, k, v and the sublayer's
+    # n x d output, one row block's temporaries (a query block's q, head
+    # and score rows and its causal mask, or an MLP block's hidden rows
+    # and a tile's two buffers), one widened weight tile and the rounding
+    # scratch.  Whole-token q, head or hidden blocks do not fit, nor do a
+    # ragged count's n x n scores.
+    import scipy.special  # noqa: F401  loaded before tracing, as GELU's import
+
+    d, m = 128, 512
+    graph = generate_synthetic(_config(d=d, layers=1, heads=4, mlp=m), InitSpec(), seed=3)
+    plan = forward_plan(n, graph.config)
+    assert max(plan.query_rows, plan.mlp_rows) < engine._BLOCK_ROWS + engine._ALIGN
+    x = np.random.default_rng(5).standard_normal((n, d))
+    rows = max(plan.query_rows * (2 * d + n), plan.mlp_rows * (m + 2 * plan.hidden_width))
+    tile = max(d * d, d * plan.hidden_width, m * plan.output_width)
+    bound = 8 * (4 * n * d + rows + tile + 2 * fp16._BLOCK) + plan.query_rows * n
+    assert traced_peak(lambda: forward(graph, x, FP16_POLICY)) <= 1.05 * bound
+
+
+@pytest.mark.parametrize("placement", list(ResidualPlacement), ids=lambda p: p.value)
+@pytest.mark.parametrize("heads,n,plan", [(1, 512, (4, 3)), (4, 400, (1, 2))],
+                         ids=["head_dim-64", "head_dim-16"])
+def test_row_blocks_keep_every_bit_of_the_forward(placement, heads, n, plan, monkeypatch):
+    # Every policy's pass, its sublayers in row blocks (plan: how many
+    # query blocks and MLP blocks), against the same passes with each
+    # sublayer forced to one block.  At head_dim 16 a head's 400 scores
+    # per query are under the floor of a split: 96-row query blocks
+    # would sum s v in another order.
+    d, m = 64, 256
+    graph = generate_synthetic(_config(d=d, heads=heads, mlp=m, placement=placement),
+                               InitSpec(std=0.05), seed=13)
+    x0 = np.random.default_rng(17).standard_normal((n, d))
+    passes = [(policy, None) for policy in ALL_POLICIES]
+    blocks = (len(engine._attention_blocks(n, d, d // heads)),
+              len(engine._mlp_plan(n, d, m)[0]))
+    blocked = engine.forward_passes(graph, x0, passes)
+    monkeypatch.setattr(engine, "_row_blocks", lambda n, *_: [slice(0, n)])
+    whole = engine.forward_passes(graph, x0, passes)
+    for a, b in zip(blocked, whole):
+        assert a.output.tobytes() == b.output.tobytes()
+        assert _audit_bits(a.audit) == _audit_bits(b.audit)
+    assert blocks == plan
 
 
 # ── full forward ─────────────────────────────────────────────────────────
