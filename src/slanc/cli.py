@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or IO error, 2 degenerate scale,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -86,7 +85,9 @@ def _build_parser() -> _Parser:
     model = argparse.ArgumentParser(add_help=False)  # what every model command reads
     model.add_argument("model", help="model .safetensors path")
     model.add_argument("--name-map", default=None, help="name-map JSON path")
-    model.add_argument("--config", default=None, help="config JSON path override")
+    model.add_argument("--config", default=None,
+                       help="config JSON path (default: the sidecar, m.config.json "
+                            "beside m.safetensors)")
     tokens = argparse.ArgumentParser(add_help=False)  # the tokens audit and compare run
     source = tokens.add_mutually_exclusive_group()
     source.add_argument("--tokens", type=int, default=None, help="Gaussian token count")
@@ -129,12 +130,8 @@ def _load_model(args, fingerprint: bool = True):
     writes or checks a scale table).  Leaving its block closes a walk
     that failed part way."""
     name_map = _load_name_map(args.name_map)
-    config = None
-    config_path = args.config or model_mod.config_sidecar_path(args.model)
-    if args.config or os.path.exists(config_path):
-        config = model_mod.load_config(config_path)
-    return model_mod.open_safetensors(args.model, name_map=name_map, config=config,
-                                      fingerprint=fingerprint)
+    config = model_mod.load_config(args.config or model_mod.config_sidecar_path(args.model))
+    return model_mod.open_safetensors(args.model, config, name_map, fingerprint)
 
 
 def _token_inputs(args, config: ModelConfig) -> np.ndarray:

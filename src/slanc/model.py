@@ -13,12 +13,13 @@ Every tensor has a slot, (role, layer), layer None for the final norm's.
 _slots lists a config's in canonical order, and every walk follows it.
 
 A checkpoint comes in through one reader: open_safetensors streams it
-one group of tensors at a time (a layer's gains and shifts, its
-attention matrices, its MLP's gate projection, then the rest of its
-MLP), yields each step as soon as its group is read and drops a group's
-matrices before it reads the next group's.  Every tensor passes through
-one staging buffer of about a MiB.  Every `slanc` command walks that
-stream once.
+under the config its caller passes (the weights hold neither the head
+count, the nonlinearity nor epsilon, so none is guessed), one group of
+tensors at a time (a layer's gains and shifts, its attention matrices,
+its MLP's gate projection, then the rest of its MLP), yields each step
+as soon as its group is read and drops a group's matrices before it
+reads the next group's.  Every tensor passes through one staging buffer
+of about a MiB.  Every `slanc` command walks that stream once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -134,6 +135,9 @@ class ModelConfig:
         if not isinstance(doc, dict):
             raise ModelError(f"bad model config: expected a JSON object, got "
                              f"{type(doc).__name__}")
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ModelError(f"bad model config: {unknown[0]!r} is not a config field")
 
         def number(name: str, kinds=int):
             value = doc[name]  # JSON true/false parse as bool, an int subclass
@@ -491,61 +495,12 @@ def save_safetensors(graph: ModelGraph, path: str, name_map: NameMap | None = No
     safetensors_io.save_tensors(path, to_tensor_dict(graph, name_map), dtype=dtype)
 
 
-def _infer_config(entries: dict, nm: NameMap) -> ModelConfig:
-    """Best-effort config from the header's tensor names and shapes
-    (real checkpoints).
-
-    Head count is not recoverable from fused projection shapes, so it
-    defaults to a single head; scale computation never consults it.
-    """
-    # Counting stops at a name seen before: a template that ignores i
-    # names one layer, not endlessly many.
-    names: set = set()
-    while ((name := nm.tensor_name("gamma1", len(names))) in entries
-           and name not in names):
-        names.add(name)
-    n_layers = len(names)
-    if n_layers == 0:
-        raise ModelError("cannot infer a configuration: no decoder layers found")
-    d_model = math.prod(entries[nm.tensor_name("gamma1", 0)].shape)
-    e_name = nm.tensor_name("e", 0)
-    if e_name not in entries:
-        raise ModelError(f"missing required tensor {e_name!r}")
-    e_shape = entries[e_name].shape
-    if len(e_shape) != 2:
-        raise ModelError(f"bad tensor {e_name!r}: expected a matrix, got shape "
-                         f"{list(e_shape)}")
-    mlp_hidden = int(e_shape[0] if "e" in nm.transpose else e_shape[1])
-
-    def present(role: str, layer: int | None = None) -> bool:
-        return role in nm.roles and nm.tensor_name(role, layer) in entries
-
-    layer_norm, gated = present("beta1", 0), present("b", 0)
-    final = present("final_gamma")
-    return ModelConfig(
-        d_model=d_model,
-        n_heads=1,
-        head_dim=d_model,
-        mlp_hidden=mlp_hidden,
-        n_layers=n_layers,
-        norm_kind=NormKind.LAYER_NORM if layer_norm else NormKind.RMS_NORM,
-        residual_placement=(
-            ResidualPlacement.PRE_LN if final else ResidualPlacement.POST_LN
-        ),
-        mlp_kind=MlpKind.LLAMA_GATED if gated else MlpKind.STANDARD,
-        nonlinearity=Nonlinearity.SILU,
-        epsilon=1e-5,
-    )
-
-
-def open_safetensors(
-    path: str,
-    name_map: NameMap | None = None,
-    config: ModelConfig | None = None,
-    fingerprint: bool = True,
-) -> "ModelStream":
-    """A checkpoint opened for one walk, one group of tensors at a time,
-    hashing each tensor as it is read unless fingerprint is False.
+def open_safetensors(path: str, config: ModelConfig, name_map: NameMap | None = None,
+                     fingerprint: bool = True) -> "ModelStream":
+    """A checkpoint opened for one walk under config, one group of
+    tensors at a time, hashing each tensor as it is read unless
+    fingerprint is False.  Nothing of config is read from the weights:
+    `slanc` passes load_config of --config or of the sidecar.
 
     The file is opened once and its header validated.  The plan walks the
     config's slots (_slots), the one list that generation, saving and the
@@ -560,8 +515,7 @@ def open_safetensors(
     handle = safetensors_io.open_file(path)
     try:
         entries = safetensors_io.read_header(handle)
-        cfg = config if config is not None else _infer_config(entries, nm)
-        return ModelStream(handle, cfg, _plan(entries, cfg, nm), nm.transpose,
+        return ModelStream(handle, config, _plan(entries, config, nm), nm.transpose,
                            fingerprint)
     except BaseException:
         handle.close()

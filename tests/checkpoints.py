@@ -12,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from slanc import safetensors_io
-from slanc.model import ModelConfig, ModelGraph, NameMap, open_safetensors
+from slanc.model import (
+    ModelConfig,
+    ModelGraph,
+    NameMap,
+    config_sidecar_path,
+    load_config,
+    open_safetensors,
+)
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
@@ -31,8 +38,10 @@ def load_safetensors(path: str, name_map: NameMap | None = None,
                      config: ModelConfig | None = None) -> ModelGraph:
     """The whole graph of a checkpoint: the one walk of open_safetensors
     with every tensor it reads kept in its (role, layer) slot.  Its
-    arrays are read-only and share no memory with each other."""
-    with open_safetensors(path, name_map, config) as stream:
+    arrays are read-only and share no memory with each other.  Without
+    config it reads the checkpoint's sidecar, as `slanc` does."""
+    config = config or load_config(config_sidecar_path(path))
+    with open_safetensors(path, config, name_map) as stream:
         return ModelGraph(stream.config, {(role, layer): array
                                           for (layer, _), held in stream._read()
                                           for role, array in held.items()

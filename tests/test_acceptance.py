@@ -36,7 +36,6 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    default_name_map,
     generate_synthetic,
 )
 from slanc.report import run_compare
@@ -294,11 +293,12 @@ def test_criterion_7_real_weights_smoke():
     path = os.environ.get("SLANC_REAL_WEIGHTS")
     if not path:
         line = ("acceptance 7 (real-weights smoke): SKIP "
-                "[set SLANC_REAL_WEIGHTS to a Llama safetensors path]")
+                "[set SLANC_REAL_WEIGHTS to a Llama safetensors path with a "
+                ".config.json sidecar next to it]")
         print(line)
         record_acceptance(line)
         pytest.skip("SLANC_REAL_WEIGHTS is not set")
-    graph = load_safetensors(path, name_map=default_name_map())
+    graph = load_safetensors(path)  # default name map, config from the sidecar
     scales = read_scale_table(compute_scale_table(graph), graph).values()
     _criterion(
         7, "real-weights smoke",

@@ -272,17 +272,46 @@ def test_degenerate_model_exits_2_and_names_the_norm(tmp_path, capsys):
     assert "layer0.norm2" in err
 
 
-def test_scales_on_missing_model_is_io_error(tmp_path, capsys):
+def test_scales_on_missing_model_is_io_error(amp, tmp_path, capsys):
+    model, _ = amp
     assert main(["scales", str(tmp_path / "nope.safetensors"),
+                 "--config", config_sidecar_path(str(model)),
                  "-o", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"slanc: error: cannot read {tmp_path / 'nope.safetensors'}: ")
+
+
+@pytest.mark.parametrize("command", ["scales", "audit", "compare"])
+def test_a_checkpoint_without_a_config_is_refused(command, tmp_path, monkeypatch,
+                                                  capsys):
+    # The weights hold neither the head count, the nonlinearity nor
+    # epsilon, so with no --config and no sidecar nothing is guessed: the
+    # command exits 1 naming the sidecar, before it opens the checkpoint.
+    model, table, out = (str(tmp_path / name) for name in ("m.safetensors", "t.json", "o"))
+    assert main(["gen-model", "--d", "32", "--layers", "1", "--heads", "2",
+                 "-o", model]) == 0
+    assert main(["scales", model, "-o", table]) == 0
+    os.remove(config_sidecar_path(model))
+    opened = []
+    monkeypatch.setattr(model_mod.safetensors_io, "open_file", opened.append)
     capsys.readouterr()
+    assert main({"scales": ["scales", model, "-o", out],
+                 "audit": ["audit", model, "--tokens", "4", "-o", out],
+                 "compare": ["compare", model, "--scales", table, "--tokens", "4"],
+                 }[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"slanc: error: cannot read config {tmp_path / 'm.config.json'}: ")
+    assert (captured.out, opened) == ("", [])
+    assert not os.path.exists(out)
 
 
-def test_malformed_tensor_shape_exits_1_naming_the_tensor(tmp_path, capsys):
+def test_malformed_tensor_shape_exits_1_naming_the_tensor(amp, tmp_path, capsys):
     header = json.dumps({"model.layers.0.input_layernorm.weight": {
         "dtype": "F32", "shape": [-2, -1], "data_offsets": [0, 8]}}).encode()
     path = tmp_path / "bad.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header + bytes(8))
+    shutil.copy(config_sidecar_path(str(amp[0])), config_sidecar_path(str(path)))
     assert main(["scales", str(path), "-o", str(tmp_path / "t.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("slanc: error: shape must be a list of non-negative")
@@ -348,7 +377,7 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
     threads = threading.active_count()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        with open_safetensors(str(path)) as stream:
+        with open_safetensors(str(path), config) as stream:
             if damage == "truncated":  # after the plan: the walk reads short
                 os.truncate(path, last.offset + last.nbytes // 2)
             with pytest.raises(error, match=message):
@@ -633,6 +662,13 @@ def test_audit_input_validation(amp, tmp_path, capsys):
     named.append((["--tokens", "4", "--config", str(path)],
                   "bad model config: epsilon must be a finite number, got a 401-digit "
                   "integer"))
+    # A key the config has no field for is refused, not ignored: a config
+    # adding num_key_value_heads would run grouped KV heads as multi-head
+    # attention.  The first unknown key in sorted order is named.
+    path = tmp_path / "kv-heads.json"
+    path.write_text(json.dumps({**config, "rope_theta": 1e4, "num_key_value_heads": 1}))
+    named.append((["--tokens", "4", "--config", str(path)],
+                  "bad model config: 'num_key_value_heads' is not a config field"))
     # A scale table applies only to the model and epsilon it was written
     # for, read as written: each edit names the norm (or the entry's
     # index) and the field.
@@ -1010,8 +1046,6 @@ def test_compare_prints_three_rows_and_writes_json(amp, tmp_path, capsys):
     assert doc["tokens"] == 32
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before 3.11 a caller's stack holds its call's arguments")
 @pytest.mark.parametrize("placement", ["post-ln", "pre-ln"])
 def test_audit_and_compare_let_the_token_block_go(placement, tmp_path, monkeypatch):
     # Each command hands the token block it read or generated to the

@@ -258,23 +258,6 @@ def test_save_load_round_trip_f32(tmp_path):
         assert validate(loaded) == [], cfg
 
 
-def test_load_infers_config_without_sidecar(tmp_path):
-    cfg = _config(d=16, layers=2, mlp=32)
-    graph = generate_synthetic(cfg, InitSpec(), seed=2)
-    path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
-    loaded = load_safetensors(str(path))
-    inferred = loaded.config
-    assert inferred.n_layers == 2
-    assert inferred.d_model == 16
-    assert inferred.mlp_hidden == 32
-    assert inferred.norm_kind is NormKind.RMS_NORM
-    assert inferred.residual_placement is ResidualPlacement.POST_LN
-    assert inferred.mlp_kind is MlpKind.LLAMA_GATED
-    assert inferred.n_heads == 1  # not recoverable from fused projections
-    assert _graphs_equal(loaded, ModelGraph(inferred, graph.tensors))
-
-
 def test_load_missing_tensor_names_it(tmp_path):
     cfg = _config(layers=1)
     graph = generate_synthetic(cfg, InitSpec(), seed=2)
@@ -817,8 +800,8 @@ def test_hash_failure_fails_the_load(tmp_path, monkeypatch):
 # ── the streamed walk ────────────────────────────────────────────────────
 
 
-def _streamed_table(path, name_map=None, config=None) -> tuple[dict, str]:
-    with open_safetensors(str(path), name_map, config) as stream:
+def _streamed_table(path, name_map, config) -> tuple[dict, str]:
+    with open_safetensors(str(path), config, name_map) as stream:
         table = compute_scale_table(stream)
         return table, stream.fingerprint()
 
@@ -1023,7 +1006,6 @@ def test_a_config_with_fewer_layers_than_the_checkpoint_is_refused(tmp_path, mon
     path = tmp_path / "m.safetensors"
     save_tensors(str(path), tensors)
     assert load_safetensors(str(path), config=cfg).config.n_layers == 3
-    assert load_safetensors(str(path)).config.n_layers == 3
     read = []
     real_read = model_mod.safetensors_io.read_tensor
     monkeypatch.setattr(model_mod.safetensors_io, "read_tensor",
@@ -1045,32 +1027,14 @@ def test_a_config_with_fewer_layers_than_the_checkpoint_is_refused(tmp_path, mon
     assert not table.exists()
 
 
-@pytest.mark.parametrize("shape, transpose", [((), model_mod.MATRIX_ROLES), ((32,), ())],
-                         ids=["0-d", "1-d-untransposed"])
-def test_inferring_a_config_refuses_a_gate_that_is_not_a_matrix(tmp_path, shape,
-                                                                 transpose):
-    # Without a config the MLP width comes from the gate's shape; a gate
-    # that is not 2-D is refused by name instead of ending in IndexError.
-    nm = NameMap(default_name_map().layer_template, default_name_map().roles,
-                 frozenset(transpose))
-    tensors = to_tensor_dict(generate_synthetic(_config(layers=1), InitSpec(), seed=2),
-                             nm)
-    tensors[_GATE] = np.zeros(shape)
-    path = tmp_path / "m.safetensors"
-    save_tensors(str(path), tensors)
-    with pytest.raises(ModelError, match=re.escape(
-            f"bad tensor {_GATE!r}: expected a matrix, got shape {list(shape)}")):
-        load_safetensors(str(path), name_map=nm)
-
-
-def test_a_template_without_i_names_one_layer(tmp_path):
-    # Counting layers stops at a name seen before instead of looping.
+def test_a_template_without_i_names_every_layer_alike(tmp_path):
+    # A template that ignores i gives each layer's role the same tensor
+    # name, so a config of two layers is refused as a name collision.
     cfg = _config(layers=1)
     blocks = NameMap("blocks", _BLOCKS_MAP.roles, frozenset())
     path = tmp_path / "m.safetensors"
     save_safetensors(generate_synthetic(cfg, InitSpec(), seed=6), str(path),
                      name_map=blocks)
-    assert load_safetensors(str(path), name_map=blocks).config.n_layers == 1
     with pytest.raises(ModelError, match="bad name map: roles 'gamma1' of layer 0 and "
                                          "'gamma1' of layer 1 both name tensor "
                                          "'blocks.gamma1'"):
