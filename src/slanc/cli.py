@@ -222,12 +222,12 @@ def _cmd_gen_model(args) -> int:
         epsilon=args.epsilon,
     )
     init = InitSpec(std=args.std, amplify=amplify, amplify_layers=amplify_layers)
-    graph = model_mod.generate_synthetic(config, init, args.seed)
-    model_mod.save_safetensors(graph, args.out)
+    fingerprint = model_mod.save_safetensors(
+        args.out, config, model_mod.draw_synthetic(config, init, args.seed))
     serialization.atomic_write_text(
         model_mod.config_sidecar_path(args.out), serialization.dumps(config.to_dict())
     )
-    print(graph.fingerprint())
+    print(fingerprint)
     return EXIT_OK
 
 

@@ -45,11 +45,11 @@ one-shot product's.  A ragged count in one block keeps its bits.
 
 `forward_passes` checks the token block once, then advances one or
 more passes step by step in one walk of the `execution_order()` of a
-`ModelGraph` or of a `ModelStream`.  Each sublayer function takes its
-step's weights, a {role: array} dict.  The walk keeps an MLP's gate
-projection, a step of its own, until the rest of its MLP is read;
-post-norm and pre-norm placement differ only in whether a norm's output
-replaces the residual stream.
+`ModelStream`.  Each sublayer function takes its step's weights, a
+{role: array} dict.  The walk keeps an MLP's gate projection, a step of
+its own, until the rest of its MLP is read; post-norm and pre-norm
+placement differ only in whether a norm's output replaces the residual
+stream.
 Each norm runs once over the whole n_tokens x d block and returns one
 `NormAudit` of per-token columns: raw FP64 sum, FP16 sum (a binary16
 value held in float64, as every binary16 in the package is), overflow
@@ -76,7 +76,6 @@ from .linalg import _ALIGN, _tiles, matmul
 from .model import (
     MlpKind,
     ModelConfig,
-    ModelGraph,
     ModelStream,
     Nonlinearity,
     NormKind,
@@ -395,7 +394,7 @@ class _Pass:
             self.x = self.h
 
 
-def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
+def forward_passes(model: ModelStream, x0: np.ndarray,
                    passes: list[tuple[PrecisionPolicy, dict | None]]) -> list:
     """One forward pass per (policy, scale table or None), advanced step
     by step in one walk of model.execution_order(); per pass, its
@@ -443,11 +442,11 @@ def forward_passes(model: ModelGraph | ModelStream, x0: np.ndarray,
     return [run.error or ForwardResult(output=run.h, audit=run.audit) for run in runs]
 
 
-def forward(model: ModelGraph | ModelStream, x0: np.ndarray, policy: PrecisionPolicy,
+def forward(model: ModelStream, x0: np.ndarray, policy: PrecisionPolicy,
             scales: dict | None = None) -> ForwardResult:
-    """Run the decoder chain of a ModelGraph or a ModelStream, auditing
-    every norm: the one pass of forward_passes, its error raised.  Each
-    norm divides by its s from scales, a scale table document."""
+    """Run the decoder chain of a ModelStream, auditing every norm: the
+    one pass of forward_passes, its error raised.  Each norm divides by
+    its s from scales, a scale table document."""
     # Handed on through a list, so that this frame holds no reference
     # during the walk: forward_passes lets the block go once its pass starts.
     tokens = [x0]

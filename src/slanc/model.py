@@ -1,5 +1,5 @@
 """Model configuration, synthetic weight generation, and checkpoint
-ingestion.
+reading and writing.
 
 A model is a chain of identical decoder layers (attention sublayer +
 MLP sublayer, each with its own norm) plus, for pre-norm residual
@@ -11,6 +11,11 @@ map's per-role transpose list.
 
 Every tensor has a slot, (role, layer), layer None for the final norm's.
 _slots lists a config's in canonical order, and every walk follows it.
+
+A checkpoint goes out through one writer: save_safetensors lays the
+header out from the config alone, then takes a walk's tensors in slot
+order, draw_synthetic's draws among them, hashing and writing each
+before it takes the next.
 
 A checkpoint comes in through one reader: open_safetensors streams it
 under the config its caller passes (the weights hold neither the head
@@ -83,7 +88,7 @@ _GROUP = {role: group for group in (VECTOR_ROLES, ATTENTION_ROLES, GATE_ROLES,
 
 
 def _held_dtype(role: str) -> type:
-    """The dtype a graph holds role in.  Every storage dtype widens
+    """The dtype a model holds role in.  Every storage dtype widens
     exactly to float32, so a matrix is held as float32 and widened to
     float64 only inside the product that uses it; gains and shifts are
     float64."""
@@ -195,46 +200,6 @@ class Sublayer:
     gate: bool = False  # an MLP's e, read before the rest of its MLP
 
 
-class _Norms:
-    """norm_sites and norm_ids from the config alone, known before a walk."""
-
-    @property
-    def norm_sites(self) -> list[NormSite]:
-        return [step for step in outline(self.config).execution_order()
-                if isinstance(step, NormSite)]
-
-    @property
-    def norm_ids(self) -> list[str]:
-        return [site.norm_id for site in self.norm_sites]
-
-
-@dataclass(frozen=True)
-class ModelGraph(_Norms):
-    """Immutable model: its config and its C-contiguous tensors by slot,
-    {(role, layer): array}, held as _held_dtype says; a slot the config
-    lacks has no key, and the walks ignore the map's insertion order."""
-
-    config: ModelConfig
-    tensors: dict
-
-    def execution_order(self):
-        """Each NormSite and Sublayer in the order engine.forward runs
-        them, built from the graph's role groups as a stream builds them
-        from its reads (see _steps)."""
-        yield from _steps(self.config, (
-            (key, {role: self.tensors.get((role, layer)) for role, layer in slots})
-            for key, slots in _grouped(_slots(self.config.n_layers))))
-
-    def fingerprint(self) -> str:
-        """SHA-256 over every held tensor in slot order, each tagged with
-        its name, shape and held dtype (see _hash_tensor)."""
-        digest = hashlib.sha256()
-        for slot in _slots(self.config.n_layers):
-            if slot in self.tensors:
-                _hash_tensor(digest, *slot, self.tensors[slot])
-        return digest.hexdigest()
-
-
 def _steps(cfg: ModelConfig, groups):
     """Each NormSite and Sublayer of cfg in the order engine.forward runs
     them, from the role groups of a walk in slot order, each ((layer,
@@ -274,10 +239,13 @@ def _steps(cfg: ModelConfig, groups):
         del held  # a group's matrices go before the next group is read
 
 
-def outline(cfg: ModelConfig) -> ModelGraph:
-    """cfg's graph holding no tensor: the order of its norms and
-    sublayers, known before any weight is read."""
-    return ModelGraph(cfg, {})
+def norm_sites(cfg: ModelConfig) -> list[NormSite]:
+    """cfg's norms in execution order, known before any weight is read:
+    _steps over groups that hold no tensor, so each gamma and beta is
+    None."""
+    groups = ((key, dict.fromkeys(role for role, _ in slots))
+              for key, slots in _grouped(_slots(cfg.n_layers)))
+    return [step for step in _steps(cfg, groups) if isinstance(step, NormSite)]
 
 
 def _slots(n_layers: int):
@@ -345,48 +313,44 @@ class InitSpec:
         return float(self.amplify[role])
 
 
-def _representable_in_float32(values: np.ndarray, role: str,
-                              layer: int | None = None) -> np.ndarray:
-    """A draw snapped to float32, so an F32 checkpoint round-trips
-    bit-exactly; a draw beyond float32's range is an error, not a weight
-    of inf."""
-    with np.errstate(over="ignore"):
-        snapped = values.astype(np.float32)
-    if not np.isfinite(snapped).all():
-        where = "" if layer is None else f" of layer {layer}"
-        raise ModelError(
-            f"generated {role!r}{where} does not fit float32 (largest |entry| "
-            f"{float(np.abs(values).max()):.6g}); lower the std or the amplification"
-        )
-    return snapped
-
-
-def generate_synthetic(config: ModelConfig, init: InitSpec, seed: int) -> ModelGraph:
-    """Deterministic synthetic weights: a pure function of (config, init, seed).
-
-    One draw per slot the config has, walked in slot order (_slots), each
-    of its _role_shapes shape: a matrix role gets N(0, (std * factor)^2),
-    a gain 1 + N(0, std^2), a shift N(0, std^2), each snapped to float32
-    and held as _held_dtype says.
+def draw_synthetic(config: ModelConfig, init: InitSpec, seed: int):
+    """Deterministic synthetic weights, a pure function of (config, init,
+    seed), drawn as they are asked for: (role, layer, held array) for
+    each slot the config has, in slot order (_slots), of its _role_shapes
+    shape.  A matrix role gets N(0, (std * factor)^2), a gain 1 + N(0,
+    std^2), a shift N(0, std^2), each snapped to float32, so an F32
+    checkpoint round-trips bit-exactly, and held as _held_dtype says.  A
+    draw beyond float32's range is an error, not a weight of inf; so are
+    an amplify layer outside the model and an amplify role it lacks.
     """
     outside = [i for i in init.amplify_layers or () if not 0 <= i < config.n_layers]
     if outside:
         raise ModelError(f"amplify layer {outside[0]} is outside [0, {config.n_layers})")
+    for role in init.amplify:
+        if _unused_reason(config, role) is not None:
+            raise ModelError(f"cannot amplify {role!r}: {_unused_reason(config, role)}")
     rng = np.random.default_rng(seed)
     shapes = _role_shapes(config)
-    arrays = {}
     for role, layer in _slots(config.n_layers):
         if _unused_reason(config, role) is not None:
             continue
         draw = rng.standard_normal(shapes[role])
         if role in MATRIX_ROLES:
-            draw = draw * (init.std * init.factor(role, layer))
+            draw *= init.std * init.factor(role, layer)
         else:
-            offset = 1.0 if "gamma" in role else 0.0  # a gain, else a shift
-            draw = offset + draw * init.std
-        snapped = _representable_in_float32(draw, role, layer)
-        arrays[role, layer] = snapped.astype(_held_dtype(role), copy=False)
-    return ModelGraph(config, arrays)
+            draw *= init.std
+            draw += 1.0 if "gamma" in role else 0.0  # a gain, else a shift
+        with np.errstate(over="ignore"):
+            snapped = draw.astype(np.float32)
+        # Two reductions, not an isfinite mask the size of the draw.
+        if not (np.isfinite(snapped.min()) and np.isfinite(snapped.max())):
+            where = "" if layer is None else f" of layer {layer}"
+            raise ModelError(
+                f"generated {role!r}{where} does not fit float32 (largest |entry| "
+                f"{float(np.abs(draw).max()):.6g}); lower the std or the amplification")
+        del draw
+        yield role, layer, snapped.astype(_held_dtype(role), copy=False)
+        del snapped  # before the next slot is drawn
 
 
 # ── name maps and checkpoint IO ──────────────────────────────────────────
@@ -479,20 +443,40 @@ def default_name_map() -> NameMap:
     )
 
 
-def to_tensor_dict(graph: ModelGraph, name_map: NameMap | None = None) -> dict:
-    """Flatten a graph to {tensor name: array} in storage orientation, in
-    slot order (_slots), the order open_safetensors reads and hashes."""
+def save_safetensors(path: str, config: ModelConfig, slots,
+                     name_map: NameMap | None = None, dtype: str = "F32") -> str:
+    """Write config's checkpoint from slots, (role, layer, array) in slot
+    order as draw_synthetic yields them, and return its fingerprint (the
+    one open_safetensors computes when dtype holds each value exactly).
+
+    The header follows from config and the name map alone, so it is laid
+    out before the first slot is taken; then each tensor is hashed
+    (_hash_tensor), encoded and written before the next is taken.  A slot
+    not next in slot order, a missing one, a tensor of another shape or
+    two slots naming one tensor is refused, leaving path as it was.
+    """
     nm = name_map or default_name_map()
-    named = [(*slot, nm.tensor_name(*slot), graph.tensors[slot])
-             for slot in _slots(graph.config.n_layers) if slot in graph.tensors]
+    named = [(role, layer, nm.tensor_name(role, layer))
+             for role, layer in _slots(config.n_layers)
+             if _unused_reason(config, role) is None]
     _check_distinct(named)
-    return {name: array.T if role in nm.transpose else array
-            for role, _, name, array in named}
+    shapes = _role_shapes(config)
+    layout = {name: shapes[role][::-1] if role in nm.transpose else shapes[role]
+              for role, _, name in named}
+    order, digest = iter(named), hashlib.sha256()
 
+    def payloads():
+        for role, layer, array in slots:
+            want = next(order, None)
+            if want is None or want[:2] != (role, layer):
+                raise ModelError(f"slot {_slot_label(role, layer)} is not the config's "
+                                 f"next slot")
+            _hash_tensor(digest, role, layer, array)
+            yield want[2], array.T if role in nm.transpose else array
+            del array  # before the next slot is drawn
 
-def save_safetensors(graph: ModelGraph, path: str, name_map: NameMap | None = None,
-                     dtype: str = "F32") -> None:
-    safetensors_io.save_tensors(path, to_tensor_dict(graph, name_map), dtype=dtype)
+    safetensors_io.save_tensors(path, layout, payloads(), dtype=dtype)
+    return digest.hexdigest()
 
 
 def open_safetensors(path: str, config: ModelConfig, name_map: NameMap | None = None,
@@ -559,7 +543,7 @@ def _check_distinct(named: list) -> None:
     """Refuse two (role, layer, tensor name, ...) slots naming one tensor,
     which would be loaded into both or saved as one; None names none."""
     named_by: dict = {}
-    for role, layer, name, _ in named:
+    for role, layer, name, *_ in named:
         other = named_by.setdefault(name, (role, layer))
         if name is not None and other != (role, layer):
             raise ModelError(f"bad name map: roles {_slot_label(*other)} and "
@@ -570,19 +554,20 @@ def _slot_label(role: str, layer: int | None) -> str:
     return repr(role) if layer is None else f"{role!r} of layer {layer}"
 
 
-class ModelStream(_Norms):
+class ModelStream:
     """A planned checkpoint, walked once, one group of tensors at a time.
 
-    It offers what compute_scale_table and engine.forward read of a
-    ModelGraph: config, norm_sites, an execution_order() that may be
-    walked once, and a fingerprint() known once that walk is done, if
-    the stream hashes.  Each step is yielded as soon as its group is read
-    (see _steps), and a group is dropped before the next one is read, so
-    a walk holds one group's matrices (attention's four, an MLP's gate
-    projection, or its b and g) unless its consumer keeps a step longer:
-    the engine, and compute_scale_table for a standard MLP, keep the gate
-    projection until the rest of its MLP is read.  A context manager:
-    leaving it closes the file, however far the walk got."""
+    It offers what compute_scale_table, engine.forward and the reports
+    read of a model: config, norm_sites and norm_ids (see norm_sites),
+    an execution_order() that may be walked once, and a fingerprint()
+    known once that walk is done, if the stream hashes.  Each step is
+    yielded as soon as its group is read (see _steps), and a group is
+    dropped before the next one is read, so a walk holds one group's
+    matrices (attention's four, an MLP's gate projection, or its b and
+    g) unless its consumer keeps a step longer: the engine, and
+    compute_scale_table for a standard MLP, keep the gate projection
+    until the rest of its MLP is read.  A context manager: leaving it
+    closes the file, however far the walk got."""
 
     def __init__(self, handle, config: ModelConfig, plan: list, transpose: frozenset,
                  hashing: bool):
@@ -593,6 +578,14 @@ class ModelStream(_Norms):
         self._hashing = hashing
         self._walk = None  # the reader, once started
         self._digest: str | None = None
+
+    @property
+    def norm_sites(self) -> list[NormSite]:
+        return norm_sites(self.config)
+
+    @property
+    def norm_ids(self) -> list[str]:
+        return [site.norm_id for site in self.norm_sites]
 
     def __enter__(self) -> "ModelStream":
         return self
@@ -606,13 +599,15 @@ class ModelStream(_Norms):
         self._handle.close()
 
     def execution_order(self):
-        """Each NormSite and Sublayer of the checkpoint, in the order of
-        ModelGraph.execution_order(), each group read as the walk reaches it."""
+        """Each NormSite and Sublayer of the checkpoint in the order
+        engine.forward runs them (see _steps), each group read as the walk
+        reaches it."""
         yield from _steps(self.config, self._read())
 
     def fingerprint(self) -> str:
-        """ModelGraph.fingerprint() of the checkpoint's graph, hashed in
-        place as the walk read each held array; known once the walk is done."""
+        """SHA-256 over every held tensor in slot order, each tagged with
+        its name, shape and held dtype (see _hash_tensor), hashed in place
+        as the walk read it; known once the walk is done."""
         if not self._hashing:
             raise RuntimeError("this streamed checkpoint was opened without "
                                "a fingerprint")

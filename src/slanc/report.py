@@ -28,7 +28,7 @@ from .engine import (
     NonPositiveVarianceError,
     forward_passes,
 )
-from .model import ModelGraph, ModelStream
+from .model import ModelStream, norm_sites
 
 
 BUCKET_MIN_EXP = -30
@@ -49,11 +49,11 @@ def histogram(values) -> dict:
             "above": int(above.sum())}
 
 
-def build_audit_report(result: ForwardResult, model: ModelGraph | ModelStream,
+def build_audit_report(result: ForwardResult, model: ModelStream,
                        policy_name: str, seed: int | None) -> dict:
     """The audit document: one entry per norm, in execution order."""
     norms = []
-    for site in model.norm_sites:
+    for site in norm_sites(model.config):
         audit = result.audit[site.norm_id]
         norms.append({
             "norm_id": site.norm_id,
@@ -117,7 +117,7 @@ def _row(mode: str, errors: tuple[float, float], audits=()) -> dict:
     }
 
 
-def run_compare(model: ModelGraph | ModelStream, x0: np.ndarray, scales: dict,
+def run_compare(model: ModelStream, x0: np.ndarray, scales: dict,
                 seed: int | None = None) -> dict:
     """The comparison document: reference, plain FP16, and FP16+scales
     on identical inputs, three passes in one walk of model.

@@ -18,13 +18,13 @@ supported dtype widens exactly to float32, so slanc.model holds weight
 matrices as float32 and only gains and shifts as float64.
 
 Writing streams too: save_tensors lays the header out from the tensors'
-shapes alone, then encodes and writes one payload at a time, each cast
-into C order by the same cast_into the reader uses.
+shapes alone, then takes the payloads one at a time, in any order, and
+encodes each, cast into C order by the same cast_into the reader uses,
+and writes it at its offset.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -238,26 +238,43 @@ def read_tensor(handle, entry: TensorEntry, buffer: np.ndarray,
                                tensor=entry.name) from err
 
 
-def save_tensors(path: str, tensors: dict[str, np.ndarray], dtype: str = "F32") -> None:
-    """Write tensors (any float array in, stored as dtype) atomically.
+def save_tensors(path: str, shapes: dict, payloads, dtype: str = "F32") -> None:
+    """Write the tensors shapes names, {name: shape}, atomically.
 
-    The header is laid out from each tensor's shape alone, names in
-    sorted order with sorted keys, so the same tensors always produce
-    the same bytes.  Each tensor is then cast to its storage dtype and
-    written after the header one at a time, so only one encoded payload
-    is held.
+    The header is laid out from shapes alone, names sorted, so the same
+    shapes always give the same header.  payloads then yields (name,
+    array) pairs in any order, each cast to dtype and written at its
+    offset before the next is made.  A name written twice, never or not
+    in shapes, or of another shape, is refused, leaving path as it was.
     """
     if dtype not in _STORAGE_DTYPE:
         raise SafetensorsError(f"unknown dtype {dtype!r}")
     header: dict[str, dict] = {}
     offset = 0
-    for name in sorted(tensors):
-        shape = list(np.shape(tensors[name]))
+    for name in sorted(shapes):
+        shape = list(shapes[name])
         nbytes = math.prod(shape) * _STORAGE_DTYPE[dtype].itemsize
         header[name] = {"dtype": dtype, "shape": shape,
                         "data_offsets": [offset, offset + nbytes]}
         offset += nbytes
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    serialization.atomic_write_bytes(path, itertools.chain(
-        (struct.pack("<Q", len(head)), head),
-        (_encode_payload(dtype, tensors[name]) for name in header)))
+
+    def write(handle) -> None:
+        handle.write(struct.pack("<Q", len(head)))
+        handle.write(head)
+        unwritten = set(header)
+        for name, array in payloads:
+            if name not in unwritten:
+                raise SafetensorsError("payload written twice" if name in header
+                                       else "payload not in the header", tensor=name)
+            unwritten.remove(name)
+            if list(np.shape(array)) != header[name]["shape"]:
+                raise SafetensorsError(f"payload shape {list(np.shape(array))} is not "
+                                       f"{header[name]['shape']}", tensor=name)
+            handle.seek(8 + len(head) + header[name]["data_offsets"][0])
+            handle.write(_encode_payload(dtype, array))
+            del array  # before the next payload is made
+        if unwritten:
+            raise SafetensorsError("payload never written", tensor=min(unwritten))
+
+    serialization.atomic_write(path, write)

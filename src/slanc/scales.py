@@ -3,8 +3,8 @@
 Because normalization is scale-invariant, a norm's input can be
 multiplied by a fixed 1/s without changing the model's output, provided
 epsilon is divided by s^2.  The table walks the execution_order() of a
-ModelGraph, or of a ModelStream that reads one group of matrices at a
-time (model.open_safetensors), and takes each norm's s from the
+ModelStream, which reads one group of matrices at a time
+(model.open_safetensors), and takes each norm's s from the
 sublayer that ran since the previous norm (a Sublayer step, whose
 weights are its matrices by role), with the previous norm's diagonal
 gain as Gamma (all ones at the raw embeddings; s = 1, "Unit", when no
@@ -29,10 +29,9 @@ weights' (check_fingerprint), and entry_scales, which needs only the
 config, rebuilds each entry with scale_entry from its s and compares.
 The engine runs the two halves apart, entry_scales as a pass starts
 and check_fingerprint once its walk is done (a stream's fingerprint is
-known only then); read_scale_table runs both for a caller that holds a
-whole model.
+known only then).
 
-A graph holds its matrices as float32, yet every formula runs in
+A model holds its matrices as float32, yet every formula runs in
 float64: linalg widens each weight one tile at a time, with the bits of
 the one-shot products, and _grown works in place on the d x d product,
 so a formula holds that product or the Gram matrix and two tiles.  The
@@ -49,8 +48,8 @@ import sys
 import numpy as np
 
 from .linalg import ConvergenceError, matmul, spectral_norm
-from .model import (Formula, MlpKind, ModelConfig, ModelGraph, ModelStream, NormSite,
-                    Sublayer, outline)
+from .model import (Formula, MlpKind, ModelConfig, ModelStream, NormSite, Sublayer,
+                    norm_sites)
 
 # Scales below binary16 subnormal resolution mean the feeding block
 # cancelled the residual almost exactly; that is a modeling error, not
@@ -171,7 +170,7 @@ def scale_entry(norm_id: str, layer: int, formula: Formula, s: float,
             "reciprocal": 1.0 / s, "eps_adjusted": eps_adjusted}
 
 
-def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
+def compute_scale_table(model: ModelStream) -> dict:
     """The scale table document: the weight fingerprint and one entry
     per norm, in execution order.
 
@@ -206,7 +205,7 @@ def compute_scale_table(model: ModelGraph | ModelStream) -> dict:
             else:
                 s, gate = _scale(step, gated, gamma, gate), None
         except (DegenerateScaleError, ConvergenceError) as err:
-            err.norm_id = model.norm_ids[len(entries)]
+            err.norm_id = norm_sites(cfg)[len(entries)].norm_id
             raise
         del step  # its weights go before the walk reads the next group
     return {"fingerprint": model.fingerprint(), "entries": entries}
@@ -223,16 +222,7 @@ def _scale(sublayer: Sublayer, gated: bool, gamma: np.ndarray, gate) -> float:
     return scale_standard_mlp(gamma, gate, w["g"])
 
 
-def read_scale_table(doc, model: ModelGraph | ModelStream) -> dict[str, float]:
-    """Each norm's s from a scale table document, once the document is
-    shown to be the one compute_scale_table writes for this model and
-    these s: check_fingerprint, then entry_scales.  Raises
-    ScaleTableError, naming the field, when it is not."""
-    check_fingerprint(doc, model)
-    return entry_scales(doc, model.config)
-
-
-def check_fingerprint(doc, model: ModelGraph | ModelStream) -> None:
+def check_fingerprint(doc, model: ModelStream) -> None:
     """Refuse (ScaleTableError) a document whose fingerprint is not
     model.fingerprint(); a stream's is known once its walk is done."""
     if not isinstance(doc, dict):
@@ -260,7 +250,7 @@ def entry_scales(doc, cfg: ModelConfig) -> dict[str, float]:
     if not isinstance(entries, list):
         raise ScaleTableError(f"scale table entries must be a list, got "
                               f"{type(entries).__name__}")
-    sites = outline(cfg).norm_sites
+    sites = norm_sites(cfg)
     found: dict[str, float] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):

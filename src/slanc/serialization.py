@@ -35,16 +35,13 @@ def dumps(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
-def atomic_write_bytes(path: str, chunks) -> None:
+def atomic_write(path: str, write) -> None:
     """Write a file via temp-and-rename so it appears atomically.
 
-    chunks is an iterable of bytes-like objects (C-contiguous arrays
-    included), written in order without being joined first.  writelines
-    drops each chunk before it takes the next (a for loop would hold
-    two), so a lazy iterable is held one chunk at a time.  If a chunk
-    cannot be made or written, the file at path keeps its old bytes.
-    The file gets the mode open() would give a new one, 0o666 less the
-    umask (mkstemp makes it 0o600).
+    write(handle) writes the file's bytes to handle, the temporary file
+    open for binary writing, in any order it seeks to.  If write raises,
+    the file at path keeps its old bytes.  The file gets the mode open()
+    would give a new one, 0o666 less the umask (mkstemp makes it 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-slanc-")
@@ -53,7 +50,7 @@ def atomic_write_bytes(path: str, chunks) -> None:
             umask = os.umask(0o022)  # read by setting it; slanc starts no threads
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            handle.writelines(chunks)
+            write(handle)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -62,4 +59,4 @@ def atomic_write_bytes(path: str, chunks) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, [text.encode("utf-8")])
+    atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from checkpoints import ModelGraph
 from slanc.engine import REFERENCE_POLICY, forward
-from slanc.model import ModelGraph
 
 
 def calibrate_dynamic(model: ModelGraph, calibration_inputs: list,

@@ -17,6 +17,7 @@ import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
+from checkpoints import ModelGraph, generate_synthetic, save_graph
 from slanc import engine, linalg, serialization
 from slanc.model import (
     ATTENTION_ROLES,
@@ -25,11 +26,8 @@ from slanc.model import (
     UP_DOWN_ROLES,
     InitSpec,
     ModelConfig,
-    ModelGraph,
     _staging_bytes,
     config_sidecar_path,
-    generate_synthetic,
-    save_safetensors,
 )
 from slanc.safetensors_io import read_header
 
@@ -94,7 +92,7 @@ def gate_checkpoint(directory: Path, cfg: ModelConfig, seed: int = 5) -> GateChe
     sidecar, and the sizes a streamed walk over it is bounded by."""
     graph = generate_synthetic(cfg, InitSpec(), seed=seed)
     path = directory / "m.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     Path(config_sidecar_path(str(path))).write_text(serialization.dumps(cfg.to_dict()))
     with open(path, "rb") as handle:
         staging = _staging_bytes(read_header(handle).values())

@@ -9,8 +9,8 @@ it as they import `conftest`; pytest does not collect it.
 
 from __future__ import annotations
 
+from checkpoints import ModelGraph
 from slanc.model import (
-    ModelGraph,
     _role_shapes,
     _shape_problem,
     _slots,

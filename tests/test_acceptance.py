@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fp16_oracle as oracle
-from checkpoints import load_safetensors
+from checkpoints import generate_synthetic, load_safetensors, read_scale_table
 from conftest import record_acceptance
 from dynamic_oracle import calibrate_dynamic
 from slanc import fp16
@@ -36,14 +36,12 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    generate_synthetic,
 )
 from slanc.report import run_compare
 from slanc.scales import (
     DegenerateScaleError,
     adjust_epsilon,
     compute_scale_table,
-    read_scale_table,
     scale_attention,
     scale_llama_mlp,
     scale_standard_mlp,

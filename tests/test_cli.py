@@ -11,6 +11,7 @@ finite value for every token.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -26,7 +27,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checkpoints import load_safetensors, load_tensors
+from checkpoints import (
+    ModelGraph,
+    generate_synthetic,
+    load_safetensors,
+    load_tensors,
+    save_graph,
+    save_tensor_dict,
+)
 import slanc
 from slanc import cli, engine
 from slanc import model as model_mod
@@ -38,18 +46,15 @@ from slanc.model import (
     MlpKind,
     ModelConfig,
     ModelError,
-    ModelGraph,
     NameMap,
     NormKind,
     Nonlinearity,
     ResidualPlacement,
     config_sidecar_path,
     default_name_map,
-    generate_synthetic,
     open_safetensors,
-    save_safetensors,
 )
-from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
+from slanc.safetensors_io import SafetensorsError, read_header
 from slanc.scales import DegenerateScaleError, Formula, compute_scale_table, scale_entry
 
 
@@ -124,6 +129,80 @@ def test_gen_model_rejects_bad_arguments(tmp_path, capsys):
     assert captured.out == ""
     assert "slanc: error: amplify layer 7 is outside [0, 2)" in captured.err
     assert not (tmp_path / "m.safetensors").exists()
+
+
+def test_gen_model_refuses_an_amplify_role_the_model_lacks(tmp_path, capsys):
+    # A standard MLP has no b: amplifying it would write the model drawn
+    # without --amplify under a command line that asked for more.
+    out = tmp_path / "m.safetensors"
+    argv = ["gen-model", "--d", "16", "--layers", "1", "--mlp-kind", "standard",
+            "--amplify", "b:8", "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slanc: error: cannot amplify 'b': MLP kind has no b" in captured.err
+    assert not out.exists()
+    assert not Path(config_sidecar_path(str(out))).exists()
+
+
+# sha256 of the checkpoint and of its sidecar, and the printed fingerprint,
+# of d=16, 2-layer models (--mlp-hidden 24) of every norm kind x placement
+# x MLP kind, recorded before gen-model wrote each tensor as it drew it.
+_GEN_MODEL_PINS = [
+    (["--seed", "1", "--norm-kind", "layernorm", "--placement", "post-ln",
+      "--mlp-kind", "standard", "--nonlinearity", "gelu"],
+     "2789eba45a7b2350b9d6b38edbff627e4e9daa23cf98c11ece38a81b3f18f864",
+     "07c7ec367829910de34a8f0f32967e88daee33a41f984203137bd06d85798c53",
+     "d912d0677dbda1ec8843f586930e2af2820defcacf1d1bda5b74370d219015d1"),
+    (["--seed", "2", "--norm-kind", "layernorm", "--placement", "post-ln",
+      "--mlp-kind", "llama-gated"],
+     "1999d719fd597544816b1014f28da148eed96bd9a8484e187a9b92e0ad9bc082",
+     "8366fcb587f6d2f82473ba562fd1680427e35ddb14a9f7da3f8450e17f66cd96",
+     "ba30789f27eab41cdeeb865126e45348a0ad3d367e67bf1877db65855165d8a8"),
+    (["--seed", "3", "--norm-kind", "layernorm", "--placement", "pre-ln",
+      "--mlp-kind", "standard"],
+     "25587171d672a18b2d1908c65248cded7d8784981ba89aa37ddb4d8175645346",
+     "432a5237be31eefd41cf030fb3e46aae29d41830744b0d2e8bff5a41a61d9fae",
+     "3c6d2324c48f0e197d3987e7c7ec0788c1e9d62b5cce3dc28a41646c6307f62e"),
+    (["--seed", "4", "--norm-kind", "layernorm", "--placement", "pre-ln",
+      "--mlp-kind", "llama-gated", "--nonlinearity", "relu"],
+     "787d6769facd867e655dc77ff7f22c73fd2a42a3f5b01eafc567d2b038fcd5af",
+     "a1f36857bb765c7d6ae95ac5fa343b7cf0151ab0d161d663985a15e3f47eb7fd",
+     "4f2d045b26d59aa9b121497afe53360b0fdbfb604966f5714feec37e7f53e58b"),
+    (["--seed", "5", "--norm-kind", "rmsnorm", "--placement", "post-ln",
+      "--mlp-kind", "standard"],
+     "db38ca2db14415ba0517c042f1bf1827a0df0e01dd9b784942b0465014030b27",
+     "a03e6c0f7891fc6166af3b62e86b3a55d795f42cb67c5ea1d883795ab3a36514",
+     "8f49456a2f2014fe296fdd92ca26dcc8da0886491e5484af9d4bce76ce921c8b"),
+    (["--seed", "6", "--norm-kind", "rmsnorm", "--placement", "post-ln",
+      "--mlp-kind", "llama-gated"],
+     "5bd08ee90563ac784a930e5716bfb85cc6a72c6f2b413b10db479ec425cb5fec",
+     "7726ce9a28ca06e9e8c6fb8c21509b86de98e5a17f5d406f83751e13723b239a",
+     "ae39f7f3d75b0277027197a6e777c2a613315118fe76cdef3437b9c38dc8fa5c"),
+    (["--seed", "7", "--norm-kind", "rmsnorm", "--placement", "pre-ln",
+      "--mlp-kind", "standard"],
+     "db697207428424417234c5f43c384bee97a7dfe408ac45f31a72fddac7d8cb82",
+     "03fded5d8628d12991e4450f324092da05ba724ed955cce4a86fe62b6c6eaa5e",
+     "14ed3526cd535ea4eed0af71389cbe3e99d42a4227d85fbcf620834113dc78ea"),
+    (["--seed", "8", "--norm-kind", "rmsnorm", "--placement", "pre-ln",
+      "--mlp-kind", "llama-gated", "--amplify", "e,g:8", "--amplify-layers", "1"],
+     "244171b61f3f36036979420d4c0fba709ed36286b348b4206e15135148a76df6",
+     "293adaf8b4d3a330fd9036e75f17ad6adaa332d6be98aebce6215f4ec05fd814",
+     "6df1f9a5f65ace19a93378ff448f9c62332f1847167528ad8ade0272e8697a20"),
+]
+
+
+@pytest.mark.parametrize("flags, checkpoint, sidecar, fingerprint", _GEN_MODEL_PINS,
+                         ids=[" ".join(pin[0][3:8:2]) for pin in _GEN_MODEL_PINS])
+def test_gen_model_output_bytes_are_pinned(tmp_path, capsys, flags, checkpoint,
+                                           sidecar, fingerprint):
+    out = tmp_path / "m.safetensors"
+    argv = ["gen-model", "--d", "16", "--layers", "2", "--mlp-hidden", "24", *flags]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == checkpoint
+    sidecar_bytes = (tmp_path / "m.config.json").read_bytes()
+    assert hashlib.sha256(sidecar_bytes).hexdigest() == sidecar
+    assert capsys.readouterr().out == fingerprint + "\n"
 
 
 def test_gen_model_refuses_weights_beyond_float32(tmp_path, capsys):
@@ -262,7 +341,7 @@ def test_degenerate_model_exits_2_and_names_the_norm(tmp_path, capsys):
                  w_v=np.zeros((4, 4)), p=np.zeros((4, 4)), e=eye, g=-eye)
     graph = ModelGraph(config, {(role, 0): array for role, array in layer.items()})
     path = tmp_path / "degenerate.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     serialization.atomic_write_text(
         config_sidecar_path(str(path)), serialization.dumps(config.to_dict())
     )
@@ -361,7 +440,7 @@ def test_a_walk_that_stops_early_leaves_nothing_open(tmp_path, capsys, damage):
     if damage == "non-finite":
         tensors["g", 1][2, 1] = np.nan  # stored transposed: flat index 1 * d + 2
     path = tmp_path / "m.safetensors"
-    save_safetensors(ModelGraph(config, tensors), str(path))
+    save_graph(ModelGraph(config, tensors), str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
                                     serialization.dumps(config.to_dict()))
     with open(path, "rb") as handle:
@@ -474,7 +553,7 @@ def test_a_scale_formula_past_float64_fails_with_one_stderr_line(tmp_path):
         (role, i): np.full_like(array, huge[role]) if role in huge else array
         for (role, i), array in graph.tensors.items()})
     path = tmp_path / "huge.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
                                     serialization.dumps(config.to_dict()))
     proc = _fresh_python(["-m", "slanc.cli", "scales", str(path), "-o", "t.json"],
@@ -763,7 +842,7 @@ def test_non_finite_values_exit_1_naming_the_culprit(amp, tmp_path, capsys):
                  "layernorm", "--placement", "pre-ln", "-o", str(pre_ln)]) == 0
     tensors = load_tensors(str(pre_ln))
     tensors["model.norm.bias"][5] = np.nan
-    save_tensors(str(pre_ln), tensors)
+    save_tensor_dict(str(pre_ln), tensors)
     assert main(["scales", str(pre_ln), "-o", str(tmp_path / "t.json")]) == 1
     assert "slanc: error: bad tensor 'model.norm.bias': non-finite" in (
         capsys.readouterr().err)
@@ -810,8 +889,8 @@ def test_an_error_past_the_first_staging_chunk_reads_as_for_a_whole_payload(
         norm_kind=NormKind.RMS_NORM, residual_placement=ResidualPlacement.POST_LN,
         mlp_kind=MlpKind.LLAMA_GATED, nonlinearity=Nonlinearity.SILU, epsilon=1e-5)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(config, InitSpec(), seed=4), str(path),
-                     name_map=_SLOT_ORDER_MAP, dtype=dtype)
+    save_graph(generate_synthetic(config, InitSpec(), seed=4), str(path),
+               name_map=_SLOT_ORDER_MAP, dtype=dtype)
     (tmp_path / "map.json").write_text(json.dumps(_SLOT_ORDER_MAP.to_dict()))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
                                     serialization.dumps(config.to_dict()))
@@ -821,7 +900,7 @@ def test_an_error_past_the_first_staging_chunk_reads_as_for_a_whole_payload(
     if damage == "non-finite":
         tensors = load_tensors(str(path))
         tensors[name].flat[301] = np.inf
-        save_tensors(str(path), tensors, dtype=dtype)
+        save_tensor_dict(str(path), tensors, dtype=dtype)
         expected = f"bad tensor {name!r}: non-finite entry at flat index 301 (inf)"
     else:  # the header was read from the whole file; the payload ends early
         size = path.stat().st_size
@@ -861,7 +940,7 @@ def test_scales_stops_at_a_degenerate_scale_before_the_next_sublayer_is_read(
     graph = ModelGraph(config, {**{(role, 0): array for role, array in layer.items()},
                                 **final})
     path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     serialization.atomic_write_text(config_sidecar_path(str(path)),
                                     serialization.dumps(config.to_dict()))
     table, report = tmp_path / "t.json", tmp_path / "r.json"
@@ -896,7 +975,7 @@ def test_scales_fails_a_gate_spectral_norm_before_it_reads_b_and_g(
     name = default_name_map().tensor_name(role, 0)
     tensors = load_tensors(str(path))
     tensors[name][1, 2] = np.nan
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     capsys.readouterr()
     bad_payload = f"slanc: error: bad tensor {name!r}: non-finite entry"
     assert main(["scales", str(path), "-o", str(table)]) == 1
@@ -995,7 +1074,7 @@ def test_a_late_bad_payload_beats_an_early_numerical_failure(blowup, tmp_path, c
     name = "model.layers.2.mlp.down_proj.weight"
     tensors = load_tensors(str(model))
     tensors[name][0, 0] = np.nan
-    save_tensors(str(damaged), tensors)
+    save_tensor_dict(str(damaged), tensors)
     for argv in _commands(damaged, scales, out):
         assert main(argv) == 1, argv
         assert f"slanc: error: bad tensor {name!r}: non-finite" in capsys.readouterr().err

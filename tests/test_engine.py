@@ -18,6 +18,7 @@ import pytest
 
 import fp16_oracle
 from dynamic_oracle import calibrate_dynamic
+from checkpoints import generate_synthetic, read_scale_table
 from memory_gates import forward_plan, traced_peak
 from slanc import engine, fp16, scales
 from slanc.engine import (
@@ -37,11 +38,9 @@ from slanc.model import (
     InitSpec,
     MlpKind,
     ModelConfig,
-    ModelGraph,
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    generate_synthetic,
 )
 from slanc.report import build_audit_report, histogram, run_compare
 from slanc.scales import (
@@ -49,7 +48,6 @@ from slanc.scales import (
     adjust_epsilon,
     compute_scale_table,
     entry_scales,
-    read_scale_table,
 )
 
 

@@ -13,13 +13,13 @@ import math
 import numpy as np
 import pytest
 
+from checkpoints import ModelGraph
 from memory_gates import gram_tile_bytes, product_tile_bytes, traced_peak
 from slanc import linalg
 from slanc.linalg import ConvergenceError, spectral_norm
 from slanc.model import (
     MlpKind,
     ModelConfig,
-    ModelGraph,
     NormKind,
     Nonlinearity,
     ResidualPlacement,

@@ -23,7 +23,15 @@ import warnings
 import numpy as np
 import pytest
 
-from checkpoints import load_safetensors, load_tensors
+from checkpoints import (
+    ModelGraph,
+    generate_synthetic,
+    load_safetensors,
+    load_tensors,
+    save_graph,
+    save_tensor_dict,
+    to_tensor_dict,
+)
 from memory_gates import gate_checkpoint, traced_peak
 from model_validate import validate
 from slanc import engine, serialization
@@ -35,7 +43,6 @@ from slanc.model import (
     MlpKind,
     ModelConfig,
     ModelError,
-    ModelGraph,
     NameMap,
     NormKind,
     NormSite,
@@ -43,13 +50,12 @@ from slanc.model import (
     ResidualPlacement,
     config_sidecar_path,
     default_name_map,
-    generate_synthetic,
+    draw_synthetic,
     open_safetensors,
     save_safetensors,
-    to_tensor_dict,
 )
 from slanc.report import run_compare
-from slanc.safetensors_io import SafetensorsError, read_header, save_tensors
+from slanc.safetensors_io import SafetensorsError, read_header
 from slanc.scales import Formula, compute_scale_table
 
 
@@ -211,6 +217,9 @@ def test_generate_refuses_draws_beyond_float32():
 def test_standard_mlp_generation_has_no_b():
     graph = generate_synthetic(_config(mlp_kind=MlpKind.STANDARD), InitSpec(), seed=3)
     assert ("b", 0) not in graph.tensors
+    with pytest.raises(ModelError, match="cannot amplify 'b': MLP kind has no b"):
+        generate_synthetic(_config(mlp_kind=MlpKind.STANDARD),
+                           InitSpec(amplify={"b": 2.0}), seed=3)
 
 
 def test_init_spec_validation():
@@ -251,7 +260,7 @@ def test_save_load_round_trip_f32(tmp_path):
         cfg = _config(norm_kind=norm_kind, placement=placement, mlp_kind=mlp_kind)
         graph = generate_synthetic(cfg, InitSpec(std=0.05), seed=11)
         path = tmp_path / "model.safetensors"
-        save_safetensors(graph, str(path))
+        save_graph(graph, str(path))
         loaded = load_safetensors(str(path), config=cfg)
         assert _graphs_equal(loaded, graph), cfg
         assert loaded.fingerprint() == graph.fingerprint(), cfg
@@ -264,7 +273,7 @@ def test_load_missing_tensor_names_it(tmp_path):
     tensors = to_tensor_dict(graph)
     del tensors["model.layers.0.self_attn.q_proj.weight"]
     path = tmp_path / "missing.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     with pytest.raises(ModelError, match="missing required tensor.*q_proj"):
         load_safetensors(str(path), config=cfg)
 
@@ -273,7 +282,7 @@ def test_load_rejects_tensors_the_config_has_no_place_for(tmp_path):
     cfg = _config(layers=1, norm_kind=NormKind.LAYER_NORM,
                   placement=ResidualPlacement.PRE_LN)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=2), str(path))
+    save_graph(generate_synthetic(cfg, InitSpec(), seed=2), str(path))
     for other, pattern in (
         (dataclasses.replace(cfg, mlp_kind=MlpKind.STANDARD), "up_proj.*has no b"),
         (dataclasses.replace(cfg, norm_kind=NormKind.RMS_NORM),
@@ -291,7 +300,7 @@ def test_load_shape_mismatch_names_tensor(tmp_path):
     tensors = to_tensor_dict(graph)
     tensors["model.layers.0.self_attn.v_proj.weight"] = np.zeros((16, 8))
     path = tmp_path / "badshape.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     with pytest.raises(ModelError,
                        match="bad tensor.*v_proj.*expected shape 16x16, got 16x8"):
         load_safetensors(str(path), config=cfg)
@@ -304,7 +313,7 @@ def test_load_rejects_non_finite_weights(tmp_path):
     bad[0, 0] = np.inf
     tensors["model.layers.0.mlp.gate_proj.weight"] = bad
     path = tmp_path / "naninf.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     with pytest.raises(ModelError, match="gate_proj"):
         load_safetensors(str(path), config=cfg)
 
@@ -314,15 +323,60 @@ def test_saved_bytes_are_pinned(tmp_path):
     # gate projection overflows binary16, so the F16 file holds infinities.
     cfg = _config(d=24, layers=2, heads=3, mlp=40, norm_kind=NormKind.LAYER_NORM,
                   placement=ResidualPlacement.PRE_LN)
-    graph = generate_synthetic(cfg, InitSpec(std=0.05, amplify={"e": 1e6}), seed=404)
+    init = InitSpec(std=0.05, amplify={"e": 1e6})
     for dtype, digest in (
         ("F32", "5a00eb8a449d1d897365856100a29552587190f49145f43c29593e6a1b52be96"),
         ("F16", "11c9fc843d8ff95a18a42abe103a8f7d480433407f7bd0d5c7c454d79fc464df"),
         ("BF16", "2230d38c585b4130bc5c62f896ff35f1b921a9629e29d5b81fa2e117848ad4fa"),
     ):
         path = tmp_path / f"{dtype}.safetensors"
-        save_safetensors(graph, str(path), dtype=dtype)
+        save_safetensors(str(path), cfg, draw_synthetic(cfg, init, seed=404),
+                         dtype=dtype)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, dtype
+
+
+def test_the_drawn_checkpoint_refuses_a_walk_it_cannot_lay_out(tmp_path):
+    # The header is laid out from the config before the first slot is
+    # taken; a walk that does not fill it as laid out leaves the old file.
+    cfg = _config(layers=1)
+    slots = list(draw_synthetic(cfg, InitSpec(), seed=1))
+    wrong_g = ("g", 0, np.zeros((16, 32), dtype=np.float32))
+    path = tmp_path / "m.safetensors"
+    path.write_bytes(b"old bytes")
+    for walk, error, message in (
+        ([slots[1], slots[0], *slots[2:]], ModelError,
+         "slot 'gamma2' of layer 0 is not the config's next slot"),
+        ([*slots, ("final_gamma", None, np.ones(16))], ModelError,
+         "slot 'final_gamma' is not the config's next slot"),
+        (slots[:-1], SafetensorsError,
+         "payload never written (tensor 'model.layers.0.mlp.down_proj.weight')"),
+        ([*slots[:-1], wrong_g], SafetensorsError,
+         "payload shape [32, 16] is not [16, 32] "
+         "(tensor 'model.layers.0.mlp.down_proj.weight')"),
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            save_safetensors(str(path), cfg, iter(walk))
+        assert path.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["m.safetensors"]
+
+
+def test_writing_drawn_weights_holds_one_slot_not_the_graph(tmp_path):
+    # The float32 graph is over 8x its largest tensor.  Each slot is
+    # drawn, snapped, hashed, encoded and written before the next is
+    # drawn, so the peak is one slot's float64 draw and one float32 copy
+    # of it (its snapped draw, then its encoded payload).
+    cfg = _config(d=256, layers=2, heads=4, mlp=512, norm_kind=NormKind.LAYER_NORM,
+                  placement=ResidualPlacement.PRE_LN)
+    shapes = model_mod._role_shapes(cfg)
+    sizes = [math.prod(shapes[role]) for role, _ in model_mod._slots(cfg.n_layers)
+             if model_mod._unused_reason(cfg, role) is None]
+    largest = max(sizes)
+    assert 4 * sum(sizes) >= 8 * 4 * largest
+    path = tmp_path / "m.safetensors"
+    np.random.default_rng(0)  # numpy imports numpy.random on first use
+    peak = traced_peak(lambda: save_safetensors(str(path), cfg,
+                                                draw_synthetic(cfg, InitSpec(), seed=3)))
+    assert peak <= (8 + 4) * largest + (64 << 10), (peak, largest)
 
 
 def _plain_cast_file(tensors: dict, dtype: str) -> bytes:
@@ -356,18 +410,43 @@ def test_saved_bytes_of_a_model_wider_than_a_cast_block(tmp_path):
     tensors = to_tensor_dict(graph)
     for dtype in ("F32", "F16", "BF16"):
         path = tmp_path / f"{dtype}.safetensors"
-        save_safetensors(graph, str(path), dtype=dtype)
+        save_graph(graph, str(path), dtype=dtype)
         assert path.read_bytes() == _plain_cast_file(tensors, dtype), dtype
     assert _graphs_equal(load_safetensors(str(tmp_path / "F32.safetensors"),
                                           config=cfg), graph)
 
 
-# Stored as blocks.{i}.<role>, with only some matrices transposed.
+# Stored as blocks.{i}.<role> and norm.<gamma|beta>, with only some
+# matrices transposed.
 _BLOCKS_MAP = NameMap(
     layer_template="blocks.{i}",
-    roles={role: role for role in LAYER_ROLES},
+    roles={**{role: role for role in LAYER_ROLES},
+           "final_gamma": "norm.gamma", "final_beta": "norm.beta"},
     transpose=frozenset(["w_v", "e", "g"]),
 )
+
+
+@pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
+                         ids=["default-map", "blocks-map"])
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+def test_the_drawn_checkpoint_is_the_whole_graph_saved(tmp_path, name_map, dtype):
+    # Every norm kind x placement x MLP kind: save_safetensors fed the
+    # draw walk writes the bytes that the whole graph, saved from its
+    # tensor dict, has, and returns the graph's fingerprint.  The
+    # amplified gate projection overflows binary16 in part.
+    init = InitSpec(std=0.05, amplify={"e": 1e6})
+    walked, whole = tmp_path / "walked.safetensors", tmp_path / "whole.safetensors"
+    for norm_kind, placement, mlp_kind in itertools.product(
+        NormKind, ResidualPlacement, MlpKind
+    ):
+        cfg = _config(norm_kind=norm_kind, placement=placement, mlp_kind=mlp_kind)
+        fingerprint = save_safetensors(str(walked), cfg,
+                                       draw_synthetic(cfg, init, seed=12),
+                                       name_map=name_map, dtype=dtype)
+        graph = generate_synthetic(cfg, init, seed=12)
+        save_graph(graph, str(whole), name_map=name_map, dtype=dtype)
+        assert walked.read_bytes() == whole.read_bytes(), cfg
+        assert fingerprint == graph.fingerprint(), cfg
 
 
 @pytest.mark.parametrize("name_map", [None, _BLOCKS_MAP],
@@ -382,8 +461,8 @@ def test_load_peak_memory_is_held_weights_plus_one_payload(tmp_path, monkeypatch
     monkeypatch.setattr(model_mod, "_STAGING_BYTES", 64 << 10)
     cfg = _config(d=256, layers=2, heads=4, mlp=512)
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
-                     name_map=name_map)
+    save_graph(generate_synthetic(cfg, InitSpec(), seed=3), str(path),
+               name_map=name_map)
     with open(path, "rb") as handle:
         entries = read_header(handle).values()
     largest, staging = max(entry.nbytes for entry in entries), model_mod._staging_bytes(entries)
@@ -414,7 +493,7 @@ def test_failing_load_closes_the_file(tmp_path, damage, message):
     elif damage == "missing tensor":
         del tensors[_GATE]
     path = tmp_path / "m.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     if damage == "truncated payload":  # the header stays intact
         with open(path, "rb") as handle:
             entry = read_header(handle)[_GATE]
@@ -437,7 +516,7 @@ def test_loaded_arrays_are_c_contiguous_float32_matrices_float64_vectors(tmp_pat
                   placement=ResidualPlacement.PRE_LN)
     graph = generate_synthetic(cfg, InitSpec(), seed=2)
     path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     for held in (graph, load_safetensors(str(path), config=cfg)):
         for (role, _), array in held.tensors.items():
             wanted = np.float32 if role in model_mod.MATRIX_ROLES else np.float64
@@ -453,7 +532,7 @@ def test_loaded_arrays_share_no_memory(tmp_path, monkeypatch, name_map):
     cfg = _config()
     graph = generate_synthetic(cfg, InitSpec(std=0.05), seed=12)
     path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path), name_map=name_map, dtype="F32")
+    save_graph(graph, str(path), name_map=name_map, dtype="F32")
     buffers = []
     real = model_mod.safetensors_io.read_tensor
 
@@ -512,7 +591,10 @@ def test_saving_refuses_two_slots_naming_one_tensor(tmp_path):
         to_tensor_dict(graph, nm)
     path = tmp_path / "m.safetensors"
     with pytest.raises(ModelError, match=re.escape(message)):
-        save_safetensors(graph, str(path), name_map=nm)
+        save_graph(graph, str(path), name_map=nm)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        save_safetensors(str(path), graph.config,
+                         draw_synthetic(graph.config, InitSpec(), seed=4), name_map=nm)
     assert not path.exists()
 
 
@@ -693,8 +775,8 @@ def test_load_time_digest_is_the_copying_definition(tmp_path, monkeypatch, cfg, 
     # The default name map stores every matrix transposed.  The stream
     # hashes each tensor once, as its walk reads it.
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(std=0.05), seed=8), str(path),
-                     dtype=dtype)
+    save_graph(generate_synthetic(cfg, InitSpec(std=0.05), seed=8), str(path),
+               dtype=dtype)
     calls = _count_hashes(monkeypatch)
     with open_safetensors(str(path), config=cfg) as stream:
         for _ in stream.execution_order():
@@ -734,7 +816,7 @@ def test_float32_matrices_give_the_bits_of_float64_ones(tmp_path, cfg, dtype):
     # weights held as float64.
     path = tmp_path / "m.safetensors"
     init = InitSpec(std=0.05, amplify={"e": 30.0, "w_v": 4.0})
-    save_safetensors(generate_synthetic(cfg, init, seed=13), str(path), dtype=dtype)
+    save_graph(generate_synthetic(cfg, init, seed=13), str(path), dtype=dtype)
     held = load_safetensors(str(path), config=cfg)
     wide = _widened(held)
     assert held.tensors["e", 0].dtype == np.float32
@@ -750,7 +832,7 @@ def test_float32_matrices_give_the_bits_of_float64_ones(tmp_path, cfg, dtype):
 
 def test_loaded_weights_are_read_only_and_edits_rehash(tmp_path, monkeypatch):
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=9), str(path))
+    save_graph(generate_synthetic(_config(), InitSpec(), seed=9), str(path))
     loaded = load_safetensors(str(path), config=_config())
     before = loaded.fingerprint()
     with pytest.raises(ValueError, match="read-only"):
@@ -774,7 +856,7 @@ def test_failed_load_leaves_no_thread_behind(tmp_path):
     bad[3, 5] = np.nan
     tensors["model.layers.1.mlp.down_proj.weight"] = bad
     path = tmp_path / "nan.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     threads = threading.active_count()
     with pytest.raises(ModelError, match="model.layers.1.mlp.down_proj.weight"):
         load_safetensors(str(path), config=cfg)
@@ -783,7 +865,7 @@ def test_failed_load_leaves_no_thread_behind(tmp_path):
 
 def test_hash_failure_fails_the_load(tmp_path, monkeypatch):
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(_config(), InitSpec(), seed=2), str(path))
+    save_graph(generate_synthetic(_config(), InitSpec(), seed=2), str(path))
 
     def broken(*args):
         raise RuntimeError("hash failed")
@@ -819,7 +901,7 @@ def test_streamed_table_is_the_loaded_graphs(tmp_path, norm_kind, placement,
     has_final = placement is ResidualPlacement.PRE_LN
     for name_map in [None] + ([] if has_final else [_BLOCKS_MAP]):
         path = tmp_path / "m.safetensors"
-        save_safetensors(graph, str(path), name_map=name_map, dtype=dtype)
+        save_graph(graph, str(path), name_map=name_map, dtype=dtype)
         loaded = load_safetensors(str(path), name_map=name_map, config=cfg)
         table, fingerprint = _streamed_table(path, name_map, cfg)
         assert (serialization.dumps(table)
@@ -831,7 +913,7 @@ def test_streamed_walk_runs_once_and_is_fingerprinted_after(tmp_path):
     cfg = _config(placement=ResidualPlacement.PRE_LN)
     graph = generate_synthetic(cfg, InitSpec(), seed=4)
     path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     with open_safetensors(str(path), config=cfg) as stream:
         assert stream.config == cfg
         with pytest.raises(RuntimeError, match="known only once its walk is done"):
@@ -955,7 +1037,7 @@ def test_audit_and_compare_hash_each_tensor_once(tmp_path, monkeypatch):
 def test_a_stream_opened_without_a_fingerprint_hashes_nothing(tmp_path, monkeypatch):
     cfg = _config()
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=4), str(path))
+    save_graph(generate_synthetic(cfg, InitSpec(), seed=4), str(path))
     calls = _count_hashes(monkeypatch)
     with open_safetensors(str(path), config=cfg, fingerprint=False) as stream:
         assert len(list(stream.execution_order())) == 2 * 5  # with each MLP in two
@@ -970,7 +1052,7 @@ def test_each_tensor_is_hashed_before_the_next_is_read(tmp_path, monkeypatch):
     cfg = _config(layers=4)
     graph = generate_synthetic(cfg, InitSpec(), seed=4)
     path = tmp_path / "m.safetensors"
-    save_safetensors(graph, str(path))
+    save_graph(graph, str(path))
     nm = default_name_map()
     events = []  # ("read" | "hashed", tensor name), in the order they happened
     real_hash, real_read = model_mod._hash_tensor, model_mod.safetensors_io.read_tensor
@@ -1004,7 +1086,7 @@ def test_a_config_with_fewer_layers_than_the_checkpoint_is_refused(tmp_path, mon
     tensors["model.embed_tokens.weight"] = np.ones((8, cfg.d_model))
     tensors["lm_head.weight"] = np.ones((8, cfg.d_model))
     path = tmp_path / "m.safetensors"
-    save_tensors(str(path), tensors)
+    save_tensor_dict(str(path), tensors)
     assert load_safetensors(str(path), config=cfg).config.n_layers == 3
     read = []
     real_read = model_mod.safetensors_io.read_tensor
@@ -1033,8 +1115,8 @@ def test_a_template_without_i_names_every_layer_alike(tmp_path):
     cfg = _config(layers=1)
     blocks = NameMap("blocks", _BLOCKS_MAP.roles, frozenset())
     path = tmp_path / "m.safetensors"
-    save_safetensors(generate_synthetic(cfg, InitSpec(), seed=6), str(path),
-                     name_map=blocks)
+    save_graph(generate_synthetic(cfg, InitSpec(), seed=6), str(path),
+               name_map=blocks)
     with pytest.raises(ModelError, match="bad name map: roles 'gamma1' of layer 0 and "
                                          "'gamma1' of layer 1 both name tensor "
                                          "'blocks.gamma1'"):

@@ -20,6 +20,7 @@ import re
 import numpy as np
 import pytest
 
+from checkpoints import generate_synthetic
 from slanc.engine import FP16_POLICY, ForwardResult, forward_passes
 from slanc.model import (
     InitSpec,
@@ -28,7 +29,6 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    generate_synthetic,
 )
 from slanc.scales import compute_scale_table
 

@@ -20,10 +20,11 @@ def _block(heading: str, language: str) -> str:
     return match.group(1)
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(compile(_block("Library", "python"), str(README), "exec"), namespace)
-    assert list(namespace["result"].audit) == namespace["graph"].norm_ids
+    assert list(namespace["result"].audit) == namespace["model"].norm_ids
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from checkpoints import generate_synthetic
 from slanc import report, serialization
 from slanc.cli import main
 from slanc.engine import FP16_POLICY, NonPositiveVarianceError, forward, forward_passes
@@ -25,7 +26,6 @@ from slanc.model import (
     NormKind,
     Nonlinearity,
     ResidualPlacement,
-    generate_synthetic,
 )
 from slanc.report import (
     audit_csv,

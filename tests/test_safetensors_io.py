@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import struct
 import types
 import warnings
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from checkpoints import load_tensors
+from checkpoints import load_tensors, save_tensor_dict
 from memory_gates import traced_peak
 from slanc import safetensors_io
 from slanc.safetensors_io import (
@@ -189,7 +190,7 @@ def test_save_load_round_trip_f32(tmp_path):
         "s": np.float64(3.0),  # 0-d: stored with shape [], not [1]
     }
     path = tmp_path / "rt.safetensors"
-    save_tensors(str(path), tensors, dtype="F32")
+    save_tensor_dict(str(path), tensors, dtype="F32")
     loaded = load_tensors(str(path))
     assert set(loaded) == set(tensors)
     for name in tensors:
@@ -202,7 +203,7 @@ def test_save_load_round_trip_f16(tmp_path):
     rng = np.random.default_rng(6)
     values = rng.standard_normal((2, 5)).astype(np.float16).astype(np.float64)
     path = tmp_path / "rt16.safetensors"
-    save_tensors(str(path), {"v": values}, dtype="F16")
+    save_tensor_dict(str(path), {"v": values}, dtype="F16")
     assert np.array_equal(load_tensors(str(path))["v"], values)
 
 
@@ -210,7 +211,7 @@ def test_save_f16_rounds_like_numpy(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.standard_normal(257) * 10.0
     path = tmp_path / "round16.safetensors"
-    save_tensors(str(path), {"v": values}, dtype="F16")
+    save_tensor_dict(str(path), {"v": values}, dtype="F16")
     expected = values.astype(np.float16).astype(np.float64)
     assert np.array_equal(load_tensors(str(path))["v"], expected)
 
@@ -220,7 +221,7 @@ def test_save_load_round_trip_bf16(tmp_path):
     patterns = np.array([0x0000, 0x3F80, 0xBF80, 0x4049, 0x7F7F], dtype=np.uint32)
     values = (patterns << 16).view(np.float32).astype(np.float64)
     path = tmp_path / "rtbf.safetensors"
-    save_tensors(str(path), {"v": values}, dtype="BF16")
+    save_tensor_dict(str(path), {"v": values}, dtype="BF16")
     assert np.array_equal(load_tensors(str(path))["v"], values)
 
 
@@ -229,7 +230,7 @@ def test_bf16_write_rounds_to_nearest_even(tmp_path):
     # ties-to-even keeps the even mantissa, 1.0.  1 + 3*2^-9 is above
     # the midpoint and must go up.
     path = tmp_path / "bfround.safetensors"
-    save_tensors(
+    save_tensor_dict(
         str(path),
         {"v": np.array([1.0 + 2.0**-8, 1.0 + 3.0 * 2.0**-9])},
         dtype="BF16",
@@ -241,8 +242,9 @@ def test_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(8)
     tensors = {"z": rng.standard_normal(9), "a": rng.standard_normal((2, 2))}
     first, second = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
-    save_tensors(str(first), tensors)
-    save_tensors(str(second), dict(reversed(tensors.items())))
+    shapes = {name: array.shape for name, array in tensors.items()}
+    save_tensors(str(first), shapes, tensors.items())
+    save_tensors(str(second), dict(reversed(shapes.items())), reversed(tensors.items()))
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -264,12 +266,31 @@ def test_a_failed_encode_leaves_the_old_file(tmp_path, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="encode failed"):
-            save_tensors(str(path), {"a": np.ones(3), "b": np.ones(3), "c": np.ones(3)})
+            save_tensor_dict(str(path), {"a": np.ones(3), "b": np.ones(3),
+                                         "c": np.ones(3)})
         gc.collect()
     assert len(calls) == 2
     assert path.read_bytes() == b"old bytes"
     assert os.listdir(tmp_path) == ["m.safetensors"]
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("payloads, message", [
+    ([("b", np.ones((2, 2))), ("a", np.ones(3))], "payload never written (tensor 'c')"),
+    ([("a", np.ones(3)), ("a", np.ones(3))], "payload written twice (tensor 'a')"),
+    ([("c", np.ones(1))], "payload shape [1] is not [0] (tensor 'c')"),
+    ([("d", np.ones(3))], "payload not in the header (tensor 'd')"),
+], ids=["skipped", "repeated", "misshapen", "unknown"])
+def test_a_payload_walk_unlike_the_layout_leaves_the_old_file(tmp_path, payloads,
+                                                              message):
+    # The header is written from the shapes first, so a walk that does not
+    # fill it as laid out is refused, and the destination keeps its bytes.
+    path = tmp_path / "m.safetensors"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(SafetensorsError, match=re.escape(message)):
+        save_tensors(str(path), {"a": (3,), "b": (2, 2), "c": (0,)}, iter(payloads))
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["m.safetensors"]
 
 
 def test_save_holds_one_encoded_payload(tmp_path):
@@ -285,7 +306,7 @@ def test_save_holds_one_encoded_payload(tmp_path):
     for dtype, bound, storage in (("F32", 1.5, np.float32), ("F16", 1.0, np.float16),
                                   ("BF16", 2.25, None)):
         path = tmp_path / f"{dtype}.safetensors"
-        peak = traced_peak(lambda: save_tensors(str(path), tensors, dtype=dtype))
+        peak = traced_peak(lambda: save_tensor_dict(str(path), tensors, dtype=dtype))
         header = 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
         assert peak <= bound * largest + header, (dtype, peak, largest, header)
         loaded = load_tensors(str(path))
@@ -306,7 +327,7 @@ def test_short_read_is_an_error(tmp_path, monkeypatch):
     # (it shrank after its size was taken) must fail, naming the tensor,
     # before any array is made from it.
     path = tmp_path / "m.safetensors"
-    save_tensors(str(path), {"w": np.arange(6.0).reshape(2, 3)})
+    save_tensor_dict(str(path), {"w": np.arange(6.0).reshape(2, 3)})
     os.truncate(path, path.stat().st_size - 16)
     real_fstat = os.fstat
     monkeypatch.setattr(
@@ -324,7 +345,7 @@ def test_tensors_stream_through_one_caller_buffer(tmp_path):
     values = {"big": np.arange(12.0).reshape(3, 4) - 5.5, "small": np.array([0.25, -8.0])}
     for dtype in ("F32", "F16", "BF16"):
         path = tmp_path / f"{dtype}.safetensors"
-        save_tensors(str(path), values, dtype=dtype)
+        save_tensor_dict(str(path), values, dtype=dtype)
         with open(path, "rb") as handle:
             entries = read_header(handle)
             assert handle.tell() == 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
@@ -341,7 +362,7 @@ def test_load_keeps_stored_precision_in_writable_arrays(tmp_path):
     values = np.array([[1.5, -2.0], [0.25, 3.0]])
     for dtype, want in (("F32", np.float32), ("F16", np.float16), ("BF16", np.float32)):
         path = tmp_path / f"{dtype}.safetensors"
-        save_tensors(str(path), {"a": values, "b": -values}, dtype=dtype)
+        save_tensor_dict(str(path), {"a": values, "b": -values}, dtype=dtype)
         loaded = load_tensors(str(path))
         assert loaded["a"].dtype == want and loaded["b"].dtype == want, dtype
         loaded["a"][0, 0] = 7.0  # writable, and no two tensors share memory
@@ -408,7 +429,7 @@ def test_f16_save_of_a_wide_transposed_tensor_overflows_quietly(tmp_path):
     path = tmp_path / "wide16.safetensors"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        save_tensors(str(path), {"v": stored.T}, dtype="F16")
+        save_tensor_dict(str(path), {"v": stored.T}, dtype="F16")
         loaded = load_tensors(str(path))["v"]
     with np.errstate(over="ignore"):
         want = stored.T.astype(np.float16)

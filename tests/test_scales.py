@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from checkpoints import ModelGraph, generate_synthetic, read_scale_table, save_graph
 from memory_gates import gram_tile_bytes, product_tile_bytes, traced_peak
 from slanc import linalg, serialization
 from slanc.linalg import ConvergenceError, spectral_norm
@@ -22,15 +23,12 @@ from slanc.model import (
     InitSpec,
     MlpKind,
     ModelConfig,
-    ModelGraph,
     NormKind,
     NormSite,
     Nonlinearity,
     ResidualPlacement,
-    generate_synthetic,
+    norm_sites,
     open_safetensors,
-    outline,
-    save_safetensors,
 )
 from slanc.scales import (
     DEGENERATE_THRESHOLD,
@@ -39,7 +37,6 @@ from slanc.scales import (
     ScaleTableError,
     adjust_epsilon,
     compute_scale_table,
-    read_scale_table,
     scale_attention,
     scale_llama_mlp,
     scale_standard_mlp,
@@ -337,7 +334,7 @@ def test_each_norm_has_one_formula_from_every_source(tmp_path, norm_kind, placem
     cfg = _config(d=8, layers=layers, heads=2, mlp=16, norm_kind=norm_kind,
                   placement=placement, mlp_kind=mlp_kind)
     graph = generate_synthetic(cfg, InitSpec(), seed=4)
-    save_safetensors(graph, str(tmp_path / "m.safetensors"))
+    save_graph(graph, str(tmp_path / "m.safetensors"))
     mlp = Formula.LLAMA_MLP if mlp_kind is MlpKind.LLAMA_GATED else Formula.STANDARD_MLP
 
     def rule(norm_id: str) -> Formula:  # the sublayer that runs before the norm
@@ -355,7 +352,7 @@ def test_each_norm_has_one_formula_from_every_source(tmp_path, norm_kind, placem
         streamed = formulas(stream.execution_order())
     want = [(norm_id, rule(norm_id)) for norm_id in graph.norm_ids]
     assert formulas(graph.execution_order()) == streamed == want
-    assert formulas(outline(cfg).norm_sites) == want
+    assert formulas(norm_sites(cfg)) == want
     table = compute_scale_table(graph)
     assert [(entry["norm_id"], entry["formula"]) for entry in table["entries"]] == want
 
